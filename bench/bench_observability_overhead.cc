@@ -180,6 +180,8 @@ int Run(const OverheadConfig& cfg) {
   BpOptions bp;
   bp.max_iters = cfg.bp_iters;
   bp.tol = 0.0;  // never converge early: identical work in both regimes
+  // BENCH_observability_overhead.json records scalar-kernel runs.
+  bp.kernel = BpKernel::kScalar;
 
   BpResult detached_result, attached_result;
   double bp_detached_ms = BestMillis(cfg.bp_reps, [&] {
@@ -313,6 +315,7 @@ int Run(const OverheadConfig& cfg) {
   replay_config.sharding.max_exchange_rounds = 2;
   replay_config.trend.bp.tol = 0.0;  // never converge early
   replay_config.trend.bp.max_iters = cfg.replay_bp_iters;
+  replay_config.trend.bp.kernel = BpKernel::kScalar;
   auto replay_est = TrafficSpeedEstimator::Train(
       &replay_ds->net, &replay_ds->history, replay_config);
   TS_CHECK(replay_est.ok()) << replay_est.status().ToString();

@@ -113,6 +113,7 @@ int Run(const ShardBenchConfig& cfg) {
   BpGraph graph = MakeMetroGraph(cfg);
   BpOptions bp;
   bp.max_iters = 200;  // the flat baseline must converge (asserted below)
+  bp.kernel = BpKernel::kScalar;  // BENCH_sharded_engine.json is scalar
 
   // Slot-0 potentials plus per-slot drift, as in bench_warm_start.
   Rng rng(4077);

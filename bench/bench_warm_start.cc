@@ -76,6 +76,9 @@ int Run(const WarmBenchConfig& cfg) {
   // default (max_iters 6) stops wherever its budget ran out.
   BpOptions bp;
   bp.max_iters = 200;
+  // BENCH_warm_start.json records scalar-kernel runs; the 10x-tol check
+  // compares warm and cold within one kernel.
+  bp.kernel = BpKernel::kScalar;
 
   // Slot 0 potentials; later slots drift `changed_frac` of them by a
   // bounded step — the steady-state shape of adjacent slots (congestion

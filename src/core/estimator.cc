@@ -1,5 +1,6 @@
 #include "core/estimator.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "obs/catalog.h"
@@ -141,12 +142,13 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
 Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
     uint64_t slot, const std::vector<SeedSpeed>& seeds,
     TrendInferenceState* state) const {
-  return Estimate(slot, seeds, state, obs::FlightSink{});
+  return Estimate(slot, seeds, state, nullptr);
 }
 
 Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
     uint64_t slot, const std::vector<SeedSpeed>& seeds,
-    TrendInferenceState* state, const obs::FlightSink& flight) const {
+    TrendInferenceState* state, EstimateWorkspace* workspace,
+    const obs::FlightSink& flight) const {
   const ObservabilityOptions& o = config_.observability;
   obs::ScopedSpan span(o.trace, "estimator/estimate");
   // The estimate envelope overlaps bp_solve/exchange and is excluded from
@@ -174,70 +176,43 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
                            net_->road(s.road).free_flow_kmh);
     seed_trends.push_back(t);
   }
+  EstimateWorkspace temporary;
+  EstimateWorkspace& ws = workspace != nullptr ? *workspace : temporary;
+  const bool use_evidence =
+      config_.use_trend_evidence && speed_model_->evidence().trained;
+  const bool influence_mode =
+      config_.propagation.mode == AggregationMode::kInfluence;
+  const uint32_t mean_layers = std::max(
+      use_evidence ? config_.evidence_backfill_hops : 0u,
+      influence_mode ? config_.propagation.max_spatial_layers : 0u);
+  if (!ws.plan.CompiledFor(*influence_, seeds, mean_layers)) {
+    ws.plan.Compile(*influence_, *net_, seeds, mean_layers);
+    ++ws.plan_compiles;
+  }
   // The influence-weighted seed-deviation aggregate is shared by both
   // steps: trend evidence in Step 1, the regression input in Step 2.
-  InfluenceAggregate aggregate =
-      AggregateSeedDeviations(*influence_, *net_, *db_, seeds, slot);
+  AggregateSeedDeviations(ws.plan, *net_, *db_, seeds, slot, &ws.aggregate);
+  const InfluenceAggregate& aggregate = ws.aggregate;
 
   // Step 1: trends.
   Output out;
-  std::vector<double> evidence;
   const std::vector<double>* evidence_ptr = nullptr;
-  const LogisticCalibration& cal = speed_model_->evidence();
-  if (config_.use_trend_evidence && cal.trained) {
-    size_t n = net_->num_roads();
-    evidence.assign(n, 0.0);
-    std::vector<bool> assigned(n, false);
-    for (RoadId v = 0; v < n; ++v) {
-      if (aggregate.weight[v] > 0.0) {
-        evidence[v] = cal.LogOdds(aggregate.x[v]);
-        assigned[v] = true;
-      }
+  if (use_evidence) {
+    const LogisticCalibration& cal = speed_model_->evidence();
+    std::vector<double>& evidence = ws.evidence;
+    evidence.assign(net_->num_roads(), 0.0);
+    for (RoadId v : ws.plan.covered()) {
+      evidence[v] = cal.LogOdds(aggregate.x[v]);
     }
     // Spatial backfill: roads outside every seed's influence neighbourhood
     // inherit damped evidence from physically adjacent covered roads, so
     // the whole network gets at least weak real-time signal.
-    std::vector<RoadId> frontier;
-    for (RoadId v = 0; v < n; ++v) {
-      if (assigned[v]) frontier.push_back(v);
-    }
-    for (uint32_t step = 0;
-         step < config_.evidence_backfill_hops && !frontier.empty(); ++step) {
-      std::vector<RoadId> next;
-      std::vector<bool> pending(n, false);
-      for (RoadId u : frontier) {
-        auto consider = [&](RoadId v) {
-          if (!assigned[v] && !pending[v]) {
-            pending[v] = true;
-            next.push_back(v);
-          }
-        };
-        for (RoadId v : net_->RoadSuccessors(u)) consider(v);
-        for (RoadId v : net_->RoadPredecessors(u)) consider(v);
-        RoadId twin = net_->ReverseTwin(u);
-        if (twin != kInvalidRoad) consider(twin);
-      }
-      for (RoadId v : next) {
-        double sum = 0.0;
-        size_t cnt = 0;
-        auto take = [&](RoadId u) {
-          if (assigned[u]) {
-            sum += evidence[u];
-            ++cnt;
-          }
-        };
-        for (RoadId u : net_->RoadSuccessors(v)) take(u);
-        for (RoadId u : net_->RoadPredecessors(v)) take(u);
-        RoadId twin = net_->ReverseTwin(v);
-        if (twin != kInvalidRoad) take(twin);
-        if (cnt > 0) {
-          evidence[v] =
-              config_.evidence_backfill_damping * sum / static_cast<double>(cnt);
-        }
-      }
-      for (RoadId v : next) assigned[v] = true;
-      frontier = std::move(next);
-    }
+    ws.plan.neighbour_means().Apply(
+        config_.evidence_backfill_hops, evidence.data(),
+        [&](RoadId v, uint32_t, double sum, uint32_t cnt) {
+          evidence[v] = config_.evidence_backfill_damping * sum /
+                        static_cast<double>(cnt);
+        });
     evidence_ptr = &evidence;
   }
   if (sharded_ != nullptr) {
@@ -264,12 +239,20 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
   }
 
   // Step 2: speeds.
-  if (config_.propagation.mode == AggregationMode::kInfluence) {
+  if (influence_mode) {
+    // The fallback walks from the covered roads and the seeds. A trained
+    // influence model lets every seed cover itself, so the plan's walk is
+    // the fallback's; an uncovered seed makes the fallback compile its own.
+    const bool seeds_covered =
+        std::all_of(seeds.begin(), seeds.end(), [&](const SeedSpeed& s) {
+          return aggregate.weight[s.road] > 0.0;
+        });
     TS_ASSIGN_OR_RETURN(
         out.speeds,
-        EstimateSpeedsInfluence(*net_, *influence_, *db_, *speed_model_,
-                                out.trends, seeds, aggregate, slot,
-                                config_.propagation));
+        EstimateSpeedsInfluence(
+            *net_, *influence_, *db_, *speed_model_, out.trends, seeds,
+            aggregate, slot, config_.propagation,
+            seeds_covered ? &ws.plan.neighbour_means() : nullptr));
   } else {
     TS_ASSIGN_OR_RETURN(
         out.speeds,

@@ -21,6 +21,7 @@
 #include "shard/sharded_bp.h"
 #include "speed/hierarchical_model.h"
 #include "speed/propagation.h"
+#include "speed/seed_plan.h"
 #include "trend/trend_model.h"
 #include "util/status.h"
 
@@ -39,6 +40,23 @@ enum class SeedStrategy {
 };
 
 const char* SeedStrategyName(SeedStrategy strategy);
+
+/// Per-stream scratch for TrafficSpeedEstimator::Estimate: the seed-set
+/// plan (speed/seed_plan.h) of the last seed list seen, plus the slot's
+/// n-sized buffers. A call whose ordered seed road list matches the last
+/// one reuses the plan; any other list recompiles it. Results are bitwise
+/// identical with a fresh, a reused or no workspace. One per serving
+/// stream, like TrendInferenceState, and never shared between threads;
+/// ServingSession owns one. The plan points into the estimator's influence
+/// model, so a workspace must not outlive the estimator it serves.
+struct EstimateWorkspace {
+  SeedSetPlan plan;
+  /// Times `plan` was compiled (a diagnostic: a fixed seed set compiles
+  /// once).
+  uint64_t plan_compiles = 0;
+  InfluenceAggregate aggregate;
+  std::vector<double> evidence;
+};
 
 class TrafficSpeedEstimator {
  public:
@@ -78,15 +96,18 @@ class TrafficSpeedEstimator {
   Result<Output> Estimate(uint64_t slot, const std::vector<SeedSpeed>& seeds,
                           TrendInferenceState* state) const;
 
-  /// Slot-trace variant: `flight` carries the serving layer's recorder +
-  /// causal context (the estimator's own config_.observability has no
-  /// recorder — flight hookup is per serving session, not per model).
-  /// Records this call as the slot's `estimate` envelope span plus nested
-  /// `bp_solve` / `shard_solve` / `exchange` spans. A default (detached)
-  /// sink behaves exactly like the overload above.
+  /// Serving variant. `workspace` (caller-owned, may be null) keeps the
+  /// seed-set plan and scratch across calls; null uses a temporary one,
+  /// which is the overloads above. `flight` carries the serving layer's
+  /// recorder + causal context (the estimator's own config_.observability
+  /// has no recorder — flight hookup is per serving session, not per
+  /// model) and records this call as the slot's `estimate` envelope span
+  /// plus nested `bp_solve` / `shard_solve` / `exchange` spans. A default
+  /// (detached) sink records nothing.
   Result<Output> Estimate(uint64_t slot, const std::vector<SeedSpeed>& seeds,
                           TrendInferenceState* state,
-                          const obs::FlightSink& flight) const;
+                          EstimateWorkspace* workspace,
+                          const obs::FlightSink& flight = {}) const;
 
   const CorrelationGraph& correlation_graph() const { return *graph_; }
   const InfluenceModel& influence() const { return *influence_; }

@@ -27,19 +27,21 @@ Result<OnlineTrafficMonitor::SlotReport> OnlineTrafficMonitor::Process(
 Result<OnlineTrafficMonitor::SlotReport> OnlineTrafficMonitor::Process(
     uint64_t slot, const std::vector<SeedSpeed>& observations,
     TrendInferenceState* state) {
-  return Process(slot, observations, state, obs::FlightSink{});
+  return Process(slot, observations, state, nullptr);
 }
 
 Result<OnlineTrafficMonitor::SlotReport> OnlineTrafficMonitor::Process(
     uint64_t slot, const std::vector<SeedSpeed>& observations,
-    TrendInferenceState* state, const obs::FlightSink& flight) {
+    TrendInferenceState* state, EstimateWorkspace* workspace,
+    const obs::FlightSink& flight) {
   if (slots_processed_ > 0 && slot <= last_slot_) {
     return Status::InvalidArgument(
         "slots must be processed in strictly increasing order");
   }
   SlotReport report;
   TS_ASSIGN_OR_RETURN(
-      report.estimate, estimator_->Estimate(slot, observations, state, flight));
+      report.estimate,
+      estimator_->Estimate(slot, observations, state, workspace, flight));
   const RoadNetwork& net = estimator_->network();
   // Roads directly observed this slot: only a real observation may seed a
   // road's EWMA at full weight. Seeding every road from the first slot's

@@ -67,14 +67,16 @@ class OnlineTrafficMonitor {
                              const std::vector<SeedSpeed>& observations,
                              TrendInferenceState* state);
 
-  /// Slot-trace variant: additionally forwards the serving layer's
-  /// flight-recorder hookup so the estimator's spans (estimate, BP solve,
+  /// Serving variant: additionally forwards the caller's EstimateWorkspace
+  /// (null = a temporary one, the overload above) and the serving layer's
+  /// flight-recorder hookup, so the estimator's spans (estimate, BP solve,
   /// exchange) join the slot's causal timeline. A default (detached) sink
-  /// behaves exactly like the overload above.
+  /// records nothing.
   Result<SlotReport> Process(uint64_t slot,
                              const std::vector<SeedSpeed>& observations,
                              TrendInferenceState* state,
-                             const obs::FlightSink& flight);
+                             EstimateWorkspace* workspace,
+                             const obs::FlightSink& flight = {});
 
   /// Roads currently under an active alert.
   std::vector<RoadId> ActiveAlerts() const;

@@ -332,7 +332,7 @@ Result<ServingSession::SlotReport> ServingSession::DoIngest(
 
   Result<OnlineTrafficMonitor::SlotReport> report = monitor_.Process(
       slot, *sanitized, opts_.warm_start ? &trend_state_ : nullptr,
-      obs::FlightSink{opts_.observability.flight, slot, ctx});
+      &workspace_, obs::FlightSink{opts_.observability.flight, slot, ctx});
   bool healthy = report.ok();
   if (healthy) {
     // Never serve a non-finite or negative speed, whatever the estimator

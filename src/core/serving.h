@@ -239,6 +239,10 @@ class ServingSession {
 
   const ServingOptions& options() const { return opts_; }
 
+  /// The session's Estimate workspace (docs/serving.md). Single-threaded
+  /// contract, like stats().
+  const EstimateWorkspace& estimate_workspace() const { return workspace_; }
+
  private:
   ServingSession(const TrafficSpeedEstimator* estimator,
                  const ServingOptions& opts);
@@ -303,6 +307,9 @@ class ServingSession {
   /// Cross-slot BP warm-start state (used only when opts_.warm_start);
   /// invalidated whenever slot continuity breaks.
   TrendInferenceState trend_state_;
+  /// Estimate's seed-set plan and per-slot scratch, passed on every slot
+  /// whatever opts_.warm_start says; a fixed seed set compiles once.
+  EstimateWorkspace workspace_;
 
   // Metric handles; all null when no registry is configured.
   obs::Counter* m_slots_estimated_ = nullptr;

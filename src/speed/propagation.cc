@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "util/logging.h"
 
@@ -40,60 +39,38 @@ void SeedLayer(const RoadNetwork& net, const HistoricalDb& db,
 
 // Spatial fallback + prior fallback + deviation->speed conversion, shared
 // by both aggregation modes. `base_layer` is the first layer id the spatial
-// pass may assign.
+// pass may assign. `spatial` is the fallback's plan, compiled from the roads
+// `out` has already estimated; null compiles it here.
 void FinishEstimate(const RoadNetwork& net, const HistoricalDb& db,
                     const HierarchicalSpeedModel& model,
                     const TrendEstimate& trends,
-                    const PropagationOptions& opts, uint32_t base_layer,
+                    const PropagationOptions& opts,
+                    const LayeredMeanPlan* spatial, uint32_t base_layer,
                     uint64_t slot, SpeedEstimateResult* out) {
   size_t n = net.num_roads();
   // Spatial fallback: unreached roads borrow a discounted deviation from
   // physically adjacent known roads, layer by layer over road adjacency.
   if (opts.max_spatial_layers > 0) {
-    std::vector<RoadId> frontier;
-    for (RoadId v = 0; v < n; ++v) {
-      if (out->layer[v] != kUnreachedLayer) frontier.push_back(v);
-    }
-    for (uint32_t step = 0;
-         step < opts.max_spatial_layers && !frontier.empty(); ++step) {
-      uint32_t layer = base_layer + step;
-      std::vector<RoadId> candidates;
-      auto consider = [&](RoadId u) {
-        if (out->layer[u] == kUnreachedLayer) {
-          out->layer[u] = layer;
-          candidates.push_back(u);
-        }
-      };
-      for (RoadId u : frontier) {
-        for (RoadId v : net.RoadSuccessors(u)) consider(v);
-        for (RoadId v : net.RoadPredecessors(u)) consider(v);
-        RoadId twin = net.ReverseTwin(u);
-        if (twin != kInvalidRoad) consider(twin);
+    LayeredMeanPlan local;
+    if (spatial == nullptr) {
+      std::vector<uint8_t> known(n);
+      for (RoadId v = 0; v < n; ++v) {
+        known[v] = out->layer[v] != kUnreachedLayer ? 1 : 0;
       }
-      for (RoadId v : candidates) {
-        double sum = 0.0;
-        size_t cnt = 0;
-        auto take = [&](RoadId u) {
-          if (out->layer[u] < layer) {
-            sum += out->deviation[u];
-            ++cnt;
-          }
-        };
-        for (RoadId u : net.RoadSuccessors(v)) take(u);
-        for (RoadId u : net.RoadPredecessors(v)) take(u);
-        RoadId twin = net.ReverseTwin(v);
-        if (twin != kInvalidRoad) take(twin);
-        double x = cnt > 0
-                       ? opts.spatial_discount * sum / static_cast<double>(cnt)
-                       : 0.0;
-        // Spatial adjacency is weak signal: a small fixed weight keeps the
-        // effective slope conservative.
-        out->deviation[v] = model.PredictDeviation(v, x, /*weight=*/0.3,
-                                                   /*has_x=*/cnt > 0,
-                                                   trends.p_up[v]);
-      }
-      frontier = std::move(candidates);
+      local.Compile(net, known, opts.max_spatial_layers);
+      spatial = &local;
     }
+    spatial->Apply(opts.max_spatial_layers, out->deviation.data(),
+                   [&](RoadId v, uint32_t step, double sum, uint32_t cnt) {
+                     out->layer[v] = base_layer + step;
+                     double x = opts.spatial_discount * sum /
+                                static_cast<double>(cnt);
+                     // Spatial adjacency is weak signal: a small fixed
+                     // weight keeps the effective slope conservative.
+                     out->deviation[v] = model.PredictDeviation(
+                         v, x, /*weight=*/0.3, /*has_x=*/true,
+                         trends.p_up[v]);
+                   });
   }
   // Roads never reached by any pass: trend-adjusted historical prior.
   for (RoadId v = 0; v < n; ++v) {
@@ -120,23 +97,25 @@ InfluenceAggregate AggregateSeedDeviations(const InfluenceModel& influence,
                                            const HistoricalDb& db,
                                            const std::vector<SeedSpeed>& seeds,
                                            uint64_t slot) {
-  size_t n = influence.num_roads();
+  SeedSetPlan plan;
+  plan.Compile(influence, net, seeds, /*mean_layers=*/0);
   InfluenceAggregate agg;
-  agg.x.assign(n, 0.0);
-  agg.weight.assign(n, 0.0);
-  std::vector<double> xsum(n, 0.0);
-  for (const SeedSpeed& s : seeds) {
-    if (s.road >= n) continue;  // validated by the caller
-    double dev = SeedDeviation(net, db, s, slot);
-    for (const CoverEntry& c : influence.CoverList(s.road)) {
-      xsum[c.road] += static_cast<double>(c.influence) * dev;
-      agg.weight[c.road] += std::fabs(static_cast<double>(c.influence));
+  AggregateSeedDeviations(plan, net, db, seeds, slot, &agg);
+  return agg;
+}
+
+void AggregateSeedDeviations(const SeedSetPlan& plan, const RoadNetwork& net,
+                             const HistoricalDb& db,
+                             const std::vector<SeedSpeed>& seeds,
+                             uint64_t slot, InfluenceAggregate* out) {
+  std::vector<double> deviation(seeds.size(), 0.0);
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    // Out-of-range seeds (validated by the caller) have no plan entries.
+    if (seeds[i].road < net.num_roads()) {
+      deviation[i] = SeedDeviation(net, db, seeds[i], slot);
     }
   }
-  for (size_t v = 0; v < n; ++v) {
-    if (agg.weight[v] > 0.0) agg.x[v] = xsum[v] / agg.weight[v];
-  }
-  return agg;
+  plan.Aggregate(deviation, out);
 }
 
 Result<SpeedEstimateResult> EstimateSpeedsInfluence(
@@ -144,7 +123,7 @@ Result<SpeedEstimateResult> EstimateSpeedsInfluence(
     const HistoricalDb& db, const HierarchicalSpeedModel& model,
     const TrendEstimate& trends, const std::vector<SeedSpeed>& seeds,
     const InfluenceAggregate& aggregate, uint64_t slot,
-    const PropagationOptions& opts) {
+    const PropagationOptions& opts, const LayeredMeanPlan* spatial) {
   size_t n = net.num_roads();
   if (influence.num_roads() != n || db.num_roads() != n ||
       trends.p_up.size() != n || aggregate.x.size() != n) {
@@ -164,7 +143,8 @@ Result<SpeedEstimateResult> EstimateSpeedsInfluence(
                                /*has_x=*/true, trends.p_up[v]);
     out.layer[v] = 1;
   }
-  FinishEstimate(net, db, model, trends, opts, /*base_layer=*/2, slot, &out);
+  FinishEstimate(net, db, model, trends, opts, spatial, /*base_layer=*/2,
+                 slot, &out);
   return out;
 }
 
@@ -226,7 +206,7 @@ Result<SpeedEstimateResult> PropagateSpeeds(
     frontier = std::move(candidates);
   }
 
-  FinishEstimate(net, db, model, trends, opts,
+  FinishEstimate(net, db, model, trends, opts, /*spatial=*/nullptr,
                  /*base_layer=*/opts.max_layers + 1, slot, &out);
   return out;
 }

@@ -25,16 +25,11 @@
 #include "roadnet/road_network.h"
 #include "seed/objective.h"
 #include "speed/hierarchical_model.h"
+#include "speed/seed_plan.h"
 #include "trend/trend_model.h"
 #include "util/status.h"
 
 namespace trendspeed {
-
-/// A crowdsourced seed observation: the true current speed of one road.
-struct SeedSpeed {
-  RoadId road = kInvalidRoad;
-  double speed_kmh = 0.0;
-};
 
 enum class AggregationMode { kInfluence, kLayered };
 
@@ -59,29 +54,34 @@ struct SpeedEstimateResult {
   std::vector<uint32_t> layer;     ///< 0 = seed, k = k-th estimation wave
 };
 
-/// Signed-influence-weighted aggregate of the seed deviations: x[v] is the
-/// weighted mean deviation the seeds imply for road v, weight[v] the total
-/// influence magnitude backing it (0 = no seed reaches v). Shared between
-/// the trend evidence and the speed prediction.
-struct InfluenceAggregate {
-  std::vector<double> x;
-  std::vector<double> weight;
-};
-
+/// The influence aggregate (speed/seed_plan.h) of `seeds` at `slot`,
+/// through a plan compiled for this call.
 InfluenceAggregate AggregateSeedDeviations(const InfluenceModel& influence,
                                            const RoadNetwork& net,
                                            const HistoricalDb& db,
                                            const std::vector<SeedSpeed>& seeds,
                                            uint64_t slot);
 
+/// The same aggregate through a plan already compiled for `seeds`' road
+/// list; bitwise equal to the overload above.
+void AggregateSeedDeviations(const SeedSetPlan& plan, const RoadNetwork& net,
+                             const HistoricalDb& db,
+                             const std::vector<SeedSpeed>& seeds,
+                             uint64_t slot, InfluenceAggregate* out);
+
 /// One-shot influence-mode estimation (see file comment). `aggregate` must
 /// come from AggregateSeedDeviations over the same seeds and slot.
+/// `spatial` is the spatial fallback's precompiled plan (the
+/// neighbour_means() of the SeedSetPlan `aggregate` came from, with at
+/// least opts.max_spatial_layers layers, and only when every seed has
+/// nonzero aggregate weight), or null to compile it for this call.
 Result<SpeedEstimateResult> EstimateSpeedsInfluence(
     const RoadNetwork& net, const InfluenceModel& influence,
     const HistoricalDb& db, const HierarchicalSpeedModel& model,
     const TrendEstimate& trends, const std::vector<SeedSpeed>& seeds,
     const InfluenceAggregate& aggregate, uint64_t slot,
-    const PropagationOptions& opts = {});
+    const PropagationOptions& opts = {},
+    const LayeredMeanPlan* spatial = nullptr);
 
 /// Layered (BFS cascade) estimation over the correlation graph.
 Result<SpeedEstimateResult> PropagateSpeeds(

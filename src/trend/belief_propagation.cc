@@ -105,6 +105,64 @@ bool ParseBpKernel(const std::string& name, BpKernel* out) {
 
 namespace {
 
+/// The trendspeed_bp_* series and the "bp/infer" span of one run, shared by
+/// every schedule. Handles are registered once per run (a shard-mutex
+/// lookup each), not per sweep; all are null when opts.metrics is null,
+/// making every record below a single predicted branch.
+class BpRunRecorder {
+ public:
+  /// Opens the run: counts it, on `kernel_runs` (the kernel's run counter)
+  /// too, and for warm runs on the warm-start counter.
+  BpRunRecorder(const BpOptions& opts, const obs::MetricDef& kernel_runs,
+                bool warm)
+      : span_(opts.trace, "bp/infer"),
+        metrics_(opts.metrics),
+        max_iters_(opts.max_iters),
+        warm_(warm),
+        sweeps_(obs::GetCounter(metrics_, obs::kBpSweepsTotal)),
+        residual_(obs::GetHistogram(metrics_, obs::kBpResidual)) {
+    obs::Add(obs::GetCounter(metrics_, obs::kBpRunsTotal));
+    obs::Add(obs::GetCounter(metrics_, kernel_runs));
+    if (warm_) obs::Add(obs::GetCounter(metrics_, obs::kBpWarmStartsTotal));
+  }
+
+  /// Warm runs: the size of the initial active set.
+  void ActiveVars(size_t count) {
+    obs::Observe(obs::GetHistogram(metrics_, obs::kBpActiveVars),
+                 static_cast<double>(count));
+  }
+
+  /// One executed sweep and its max message change.
+  void Sweep(double residual) {
+    obs::Add(sweeps_);
+    obs::Observe(residual_, residual);
+  }
+
+  /// Closes the run: message updates, iterations, convergence and, for
+  /// warm runs, the sweeps saved against the budget.
+  void Finish(const BpResult& result) {
+    obs::Add(obs::GetCounter(metrics_, obs::kBpMessageUpdatesTotal),
+             result.message_updates);
+    obs::Observe(obs::GetHistogram(metrics_, obs::kBpIterations),
+                 static_cast<double>(result.iterations));
+    if (warm_) {
+      obs::Observe(obs::GetHistogram(metrics_, obs::kBpSweepsSaved),
+                   static_cast<double>(max_iters_ - result.iterations));
+    }
+    if (result.converged) {
+      obs::Add(obs::GetCounter(metrics_, obs::kBpConvergedTotal));
+    }
+  }
+
+ private:
+  obs::ScopedSpan span_;
+  obs::MetricsRegistry* metrics_;
+  uint32_t max_iters_;
+  bool warm_;
+  obs::Counter* sweeps_;
+  obs::Histogram* residual_;
+};
+
 /// Full cold schedule: damped Jacobi sweeps over every variable. This is
 /// the pre-warm-start inference path, bit for bit; when `final_msg` is
 /// non-null it receives the message vector the reported beliefs were
@@ -116,23 +174,7 @@ BpResult RunColdBp(const BpGraph& graph, const std::vector<double>& pot,
   size_t n = graph.num_vars;
   TS_CHECK_EQ(pot.size(), 2 * n);
   size_t dir_edges = graph.off[n];
-
-  // Handle registration is a shard-mutex lookup; done once per run, not per
-  // sweep. All handles are null when opts.metrics is null, making every
-  // record below a single predicted branch.
-  obs::ScopedSpan span(opts.trace, "bp/infer");
-  obs::Counter* m_runs = obs::GetCounter(opts.metrics, obs::kBpRunsTotal);
-  obs::Counter* m_converged =
-      obs::GetCounter(opts.metrics, obs::kBpConvergedTotal);
-  obs::Counter* m_sweeps = obs::GetCounter(opts.metrics, obs::kBpSweepsTotal);
-  obs::Counter* m_msg_updates =
-      obs::GetCounter(opts.metrics, obs::kBpMessageUpdatesTotal);
-  obs::Histogram* m_iterations =
-      obs::GetHistogram(opts.metrics, obs::kBpIterations);
-  obs::Histogram* m_residual =
-      obs::GetHistogram(opts.metrics, obs::kBpResidual);
-  obs::Add(m_runs);
-  obs::Add(obs::GetCounter(opts.metrics, obs::kBpKernelRunsScalar));
+  BpRunRecorder rec(opts, obs::kBpKernelRunsScalar, /*warm=*/false);
 
   std::vector<double> msg(2 * dir_edges, 0.5);
   std::vector<double> next(2 * dir_edges, 0.5);
@@ -276,16 +318,13 @@ BpResult RunColdBp(const BpGraph& graph, const std::vector<double>& pot,
     msg.swap(next);
     result.iterations = iter + 1;
     result.message_updates += static_cast<uint64_t>(dir_edges);
-    obs::Add(m_sweeps);
-    obs::Add(m_msg_updates, static_cast<uint64_t>(dir_edges));
-    obs::Observe(m_residual, max_delta);
+    rec.Sweep(max_delta);
     if (max_delta < opts.tol) {
       result.converged = true;
       break;
     }
   }
-  obs::Observe(m_iterations, static_cast<double>(result.iterations));
-  if (result.converged) obs::Add(m_converged);
+  rec.Finish(result);
 
   // Beliefs. Hard 0/1 potentials (clamped evidence) stay hard because
   // the potential factor multiplies every belief.
@@ -332,26 +371,7 @@ BpResult RunWarmBp(const BpGraph& graph, const std::vector<double>& pot,
   size_t n = graph.num_vars;
   TS_CHECK_EQ(pot.size(), 2 * n);
 
-  obs::ScopedSpan span(opts.trace, "bp/infer");
-  obs::Counter* m_runs = obs::GetCounter(opts.metrics, obs::kBpRunsTotal);
-  obs::Counter* m_converged =
-      obs::GetCounter(opts.metrics, obs::kBpConvergedTotal);
-  obs::Counter* m_sweeps = obs::GetCounter(opts.metrics, obs::kBpSweepsTotal);
-  obs::Counter* m_msg_updates =
-      obs::GetCounter(opts.metrics, obs::kBpMessageUpdatesTotal);
-  obs::Counter* m_warm_starts =
-      obs::GetCounter(opts.metrics, obs::kBpWarmStartsTotal);
-  obs::Histogram* m_iterations =
-      obs::GetHistogram(opts.metrics, obs::kBpIterations);
-  obs::Histogram* m_residual =
-      obs::GetHistogram(opts.metrics, obs::kBpResidual);
-  obs::Histogram* m_active_vars =
-      obs::GetHistogram(opts.metrics, obs::kBpActiveVars);
-  obs::Histogram* m_sweeps_saved =
-      obs::GetHistogram(opts.metrics, obs::kBpSweepsSaved);
-  obs::Add(m_runs);
-  obs::Add(m_warm_starts);
-  obs::Add(obs::GetCounter(opts.metrics, obs::kBpKernelRunsScalar));
+  BpRunRecorder rec(opts, obs::kBpKernelRunsScalar, /*warm=*/true);
 
   std::vector<double>& msg = state->msg;
   BpResult result;
@@ -374,7 +394,7 @@ BpResult RunWarmBp(const BpGraph& graph, const std::vector<double>& pot,
     }
   }
   result.active_vars = active.size();
-  obs::Observe(m_active_vars, static_cast<double>(active.size()));
+  rec.ActiveVars(active.size());
 
   SweepScratch s(graph.max_degree);
   std::vector<double>& in0 = s.in0;
@@ -505,15 +525,10 @@ BpResult RunWarmBp(const BpGraph& graph, const std::vector<double>& pot,
       active.push_back(v);
     }
     result.iterations = iter + 1;
-    obs::Add(m_sweeps);
-    obs::Observe(m_residual, sweep_max);
+    rec.Sweep(sweep_max);
   }
-  obs::Add(m_msg_updates, result.message_updates);
-  obs::Observe(m_iterations, static_cast<double>(result.iterations));
-  obs::Observe(m_sweeps_saved,
-               static_cast<double>(opts.max_iters - result.iterations));
   result.converged = active.empty();
-  if (result.converged) obs::Add(m_converged);
+  rec.Finish(result);
 
   for (size_t v = 0; v < n; ++v) {
     double b0 = pot[2 * v];
@@ -543,50 +558,38 @@ BpResult RunWarmBp(const BpGraph& graph, const std::vector<double>& pot,
   return result;
 }
 
-/// Cold schedule on the vectorized SoA kernel: same Jacobi sweep structure
-/// and convergence rule as RunColdBp, executed by trend/bp_kernel_simd.cc.
-/// Records the same metric series (per-sweep residuals are replayed from
-/// the kernel so the kernel TU stays free of the obs dependency).
-BpResult RunColdSimd(const BpGraph& graph, const std::vector<double>& pot,
-                     const BpOptions& opts, std::vector<double>* final_msg) {
+/// Dense Jacobi sweeps on the vectorized SoA kernel: same sweep structure
+/// and convergence rule as RunColdBp, executed by trend/bp_kernel_simd.cc,
+/// from all-0.5 messages or, for a dense warm run, from `seed_msg`.
+/// Per-sweep residuals are replayed from the kernel so the kernel TU stays
+/// free of the obs dependency.
+BpResult RunSimd(const BpGraph& graph, const std::vector<double>& pot,
+                 const BpOptions& opts, const double* seed_msg,
+                 std::vector<double>* final_msg, BpRunRecorder& rec) {
   TS_CHECK_GE(opts.damping, 0.0);
   TS_CHECK_LT(opts.damping, 1.0);
-  size_t n = graph.num_vars;
-  TS_CHECK_EQ(pot.size(), 2 * n);
-
-  obs::ScopedSpan span(opts.trace, "bp/infer");
-  obs::Counter* m_runs = obs::GetCounter(opts.metrics, obs::kBpRunsTotal);
-  obs::Counter* m_converged =
-      obs::GetCounter(opts.metrics, obs::kBpConvergedTotal);
-  obs::Counter* m_sweeps = obs::GetCounter(opts.metrics, obs::kBpSweepsTotal);
-  obs::Counter* m_msg_updates =
-      obs::GetCounter(opts.metrics, obs::kBpMessageUpdatesTotal);
-  obs::Histogram* m_iterations =
-      obs::GetHistogram(opts.metrics, obs::kBpIterations);
-  obs::Histogram* m_residual =
-      obs::GetHistogram(opts.metrics, obs::kBpResidual);
-  obs::Add(m_runs);
-  obs::Add(obs::GetCounter(opts.metrics, obs::kBpKernelRunsSimd));
-
+  TS_CHECK_EQ(pot.size(), 2 * graph.num_vars);
   BpResult result;
-  result.active_vars = n;
+  result.active_vars = graph.num_vars;
   std::vector<double> sweep_residuals;
   BpSimdRun run;
   run.soa = graph.soa.get();
   run.pot = pot.data();
   run.opts = &opts;
+  run.seed_msg = seed_msg;
   run.final_msg = final_msg;
   run.result = &result;
   run.sweep_residuals = opts.metrics != nullptr ? &sweep_residuals : nullptr;
   RunBpSweepsSimd(run);
+  for (double r : sweep_residuals) rec.Sweep(r);
+  return result;
+}
 
-  for (double r : sweep_residuals) {
-    obs::Add(m_sweeps);
-    obs::Observe(m_residual, r);
-  }
-  obs::Add(m_msg_updates, result.message_updates);
-  obs::Observe(m_iterations, static_cast<double>(result.iterations));
-  if (result.converged) obs::Add(m_converged);
+BpResult RunColdSimd(const BpGraph& graph, const std::vector<double>& pot,
+                     const BpOptions& opts, std::vector<double>* final_msg) {
+  BpRunRecorder rec(opts, obs::kBpKernelRunsSimd, /*warm=*/false);
+  BpResult result = RunSimd(graph, pot, opts, nullptr, final_msg, rec);
+  rec.Finish(result);
   return result;
 }
 
@@ -598,55 +601,17 @@ BpResult RunColdSimd(const BpGraph& graph, const std::vector<double>& pot,
 BpResult RunWarmDenseSimd(const BpGraph& graph, const std::vector<double>& pot,
                           const BpOptions& opts, BpState* state,
                           size_t active_count) {
-  obs::ScopedSpan span(opts.trace, "bp/infer");
-  obs::Counter* m_runs = obs::GetCounter(opts.metrics, obs::kBpRunsTotal);
-  obs::Counter* m_converged =
-      obs::GetCounter(opts.metrics, obs::kBpConvergedTotal);
-  obs::Counter* m_sweeps = obs::GetCounter(opts.metrics, obs::kBpSweepsTotal);
-  obs::Counter* m_msg_updates =
-      obs::GetCounter(opts.metrics, obs::kBpMessageUpdatesTotal);
-  obs::Counter* m_warm_starts =
-      obs::GetCounter(opts.metrics, obs::kBpWarmStartsTotal);
-  obs::Histogram* m_iterations =
-      obs::GetHistogram(opts.metrics, obs::kBpIterations);
-  obs::Histogram* m_residual =
-      obs::GetHistogram(opts.metrics, obs::kBpResidual);
-  obs::Histogram* m_active_vars =
-      obs::GetHistogram(opts.metrics, obs::kBpActiveVars);
-  obs::Histogram* m_sweeps_saved =
-      obs::GetHistogram(opts.metrics, obs::kBpSweepsSaved);
-  obs::Add(m_runs);
-  obs::Add(m_warm_starts);
-  obs::Add(obs::GetCounter(opts.metrics, obs::kBpKernelRunsSimd));
+  BpRunRecorder rec(opts, obs::kBpKernelRunsSimd, /*warm=*/true);
   obs::Add(obs::GetCounter(opts.metrics, obs::kBpKernelWarmDenseTotal));
-  obs::Observe(m_active_vars, static_cast<double>(active_count));
-
-  BpResult result;
+  rec.ActiveVars(active_count);
+  std::vector<double> new_msg;
+  BpResult result =
+      RunSimd(graph, pot, opts, state->msg.data(), &new_msg, rec);
   result.warm = true;
   result.active_vars = active_count;
-  std::vector<double> sweep_residuals;
-  std::vector<double> new_msg;
-  BpSimdRun run;
-  run.soa = graph.soa.get();
-  run.pot = pot.data();
-  run.opts = &opts;
-  run.seed_msg = state->msg.data();
-  run.final_msg = &new_msg;
-  run.result = &result;
-  run.sweep_residuals = opts.metrics != nullptr ? &sweep_residuals : nullptr;
-  RunBpSweepsSimd(run);
   state->msg = std::move(new_msg);
   state->last_pot = pot;
-
-  for (double r : sweep_residuals) {
-    obs::Add(m_sweeps);
-    obs::Observe(m_residual, r);
-  }
-  obs::Add(m_msg_updates, result.message_updates);
-  obs::Observe(m_iterations, static_cast<double>(result.iterations));
-  obs::Observe(m_sweeps_saved,
-               static_cast<double>(opts.max_iters - result.iterations));
-  if (result.converged) obs::Add(m_converged);
+  rec.Finish(result);
   return result;
 }
 

@@ -19,9 +19,10 @@ namespace trendspeed {
 
 /// Which message-update kernel a run executes (docs/performance.md).
 enum class BpKernel {
-  /// The original double-precision scalar path. Bitwise identical to the
-  /// pre-kernel-knob behaviour on cold runs and the reference oracle the
-  /// SIMD kernel is tested against.
+  /// The original double-precision scalar path: the reference oracle the
+  /// SIMD kernel is tested against, and what every request runs in a
+  /// TRENDSPEED_SIMD=OFF build. Select it for bitwise replays of runs made
+  /// before kAuto became the default.
   kScalar,
   /// The vectorized structure-of-arrays kernel (trend/bp_kernel.h):
   /// single-precision lockstep batches, AVX2/NEON via util/simd.h with a
@@ -32,8 +33,7 @@ enum class BpKernel {
   /// runtime when the binary or CPU lacks the kernel
   /// (trendspeed_bp_kernel_simd_fallbacks_total counts those).
   kSimd,
-  /// kSimd whenever available, else kScalar — the deployment default for
-  /// serving configs that prefer throughput over bitwise replays.
+  /// kSimd whenever available, else kScalar. The default.
   kAuto,
 };
 
@@ -65,13 +65,13 @@ struct BpOptions {
   /// bitwise identical for every thread count, including 1; small graphs
   /// run serially regardless (see kMinParallelVars in the .cc).
   uint32_t num_threads = 0;
-  /// Message-update kernel. kScalar (default) keeps cold runs bitwise
-  /// identical to the pre-knob code; kSimd/kAuto select the vectorized SoA
-  /// kernel (tolerance contract above). Warm runs under a SIMD-resolved
-  /// kernel keep the scalar active-set schedule while the active set is
-  /// sparse and switch to dense vectorized sweeps above the density
-  /// crossover (bp_kernel.h kBpWarmDenseCrossover).
-  BpKernel kernel = BpKernel::kScalar;
+  /// Message-update kernel. kAuto (default) runs the vectorized SoA kernel
+  /// wherever the build and CPU have it (tolerance contract above) and the
+  /// scalar oracle elsewhere; kScalar pins the oracle. Warm runs under a
+  /// SIMD-resolved kernel keep the scalar active-set schedule while the
+  /// active set is sparse and switch to dense vectorized sweeps above the
+  /// density crossover (bp_kernel.h kBpWarmDenseCrossover).
+  BpKernel kernel = BpKernel::kAuto;
   /// Observability hooks (docs/observability.md): when attached, each run
   /// records the trendspeed_bp_* series (sweeps, message updates,
   /// per-sweep convergence residual, iteration count) and a "bp/infer"

@@ -69,7 +69,7 @@ void RunRegion(const std::shared_ptr<RegionState>& state) {
 }  // namespace
 
 ThreadPool::ThreadPool(size_t num_workers) {
-  if (num_workers == 0) {
+  if (num_workers == kAutoWorkers) {
     size_t hw = EffectiveThreads(0);
     num_workers = hw > 0 ? hw - 1 : 0;
   }
@@ -93,7 +93,7 @@ ThreadPool::~ThreadPool() {
 }
 
 ThreadPool& ThreadPool::Global() {
-  static ThreadPool pool(0);
+  static ThreadPool pool(kAutoWorkers);
   return pool;
 }
 

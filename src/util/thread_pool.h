@@ -46,11 +46,17 @@ namespace trendspeed {
 
 class ThreadPool {
  public:
-  /// Creates `num_workers` worker threads. 0 means EffectiveThreads(0) - 1
-  /// (the calling thread participates in every parallel region, so hardware
-  /// concurrency is reached without oversubscription). A pool with zero
-  /// workers is valid: everything runs inline on the caller.
-  explicit ThreadPool(size_t num_workers = 0);
+  /// Worker count of a pool that runs every task inline on the calling
+  /// thread: Submit executes immediately and parallel regions are serial.
+  static constexpr size_t kInline = 0;
+  /// Worker count meaning EffectiveThreads(0) - 1: the calling thread
+  /// participates in every parallel region, so hardware concurrency is
+  /// reached without oversubscription. What Global() uses.
+  static constexpr size_t kAutoWorkers = static_cast<size_t>(-1);
+
+  /// Creates exactly `num_workers` worker threads (kInline for none), or
+  /// the automatic count for kAutoWorkers.
+  explicit ThreadPool(size_t num_workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

@@ -470,7 +470,7 @@ TEST(PoolMetricsTest, InlinePoolRecordsDeterministically) {
   // A zero-worker pool runs every submitted task inline, so the recorded
   // counts are exact, not racy.
   obs::MetricsRegistry reg;
-  ThreadPool pool(0);
+  ThreadPool pool(ThreadPool::kInline);
   ASSERT_EQ(pool.num_workers(), 0u);
   pool.AttachMetrics(&reg);
   EXPECT_EQ(reg.GetGauge(obs::kPoolWorkers)->Value(), 0.0);

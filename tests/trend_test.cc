@@ -230,10 +230,14 @@ TEST(BpWarmStartTest, UnchangedPotentialsNeedNoSweeps) {
   PairwiseMrf mrf = RandomMrf(12, 0.3, &rng);
   BpGraph graph = BpGraph::FromMrf(mrf);
   std::vector<double> pot = FlatPotentials(mrf);
+  // The scalar oracle: the stored messages are the ones its beliefs came
+  // from, so recomputing beliefs from them is bitwise the same.
+  BpOptions opts;
+  opts.kernel = BpKernel::kScalar;
 
   BpState state;
-  BpResult cold = InferMarginalsBpFlat(graph, pot, {}, &state);
-  BpResult warm = InferMarginalsBpFlat(graph, pot, {}, &state);
+  BpResult cold = InferMarginalsBpFlat(graph, pot, opts, &state);
+  BpResult warm = InferMarginalsBpFlat(graph, pot, opts, &state);
   EXPECT_TRUE(warm.warm);
   EXPECT_EQ(warm.active_vars, 0u);
   EXPECT_EQ(warm.iterations, 0u);
@@ -241,6 +245,31 @@ TEST(BpWarmStartTest, UnchangedPotentialsNeedNoSweeps) {
   EXPECT_TRUE(warm.converged);
   // Beliefs recomputed from the stored fixed point match the cold run.
   EXPECT_EQ(warm.p_up, cold.p_up);
+}
+
+TEST(BpWarmStartTest, UnchangedPotentialsNeedNoSweepsDefaultKernel) {
+  Rng rng(23);
+  PairwiseMrf mrf = RandomMrf(12, 0.3, &rng);
+  BpGraph graph = BpGraph::FromMrf(mrf);
+  std::vector<double> pot = FlatPotentials(mrf);
+  BpOptions opts;
+  ASSERT_EQ(opts.kernel, BpKernel::kAuto);
+
+  BpState state;
+  BpResult cold = InferMarginalsBpFlat(graph, pot, opts, &state);
+  BpResult warm = InferMarginalsBpFlat(graph, pot, opts, &state);
+  EXPECT_TRUE(warm.warm);
+  EXPECT_EQ(warm.active_vars, 0u);
+  EXPECT_EQ(warm.iterations, 0u);
+  EXPECT_EQ(warm.message_updates, 0u);
+  EXPECT_TRUE(warm.converged);
+  // A SIMD cold run stores its float messages widened to double and the
+  // warm path recomputes beliefs from them in double: equal within the
+  // documented scalar-vs-SIMD contract, not bitwise.
+  ASSERT_EQ(warm.p_up.size(), cold.p_up.size());
+  for (size_t v = 0; v < cold.p_up.size(); ++v) {
+    EXPECT_NEAR(warm.p_up[v], cold.p_up[v], 1e-3) << "var " << v;
+  }
 }
 
 TEST(BpWarmStartTest, PerturbedPotentialsTrackColdWithinTolerance) {
