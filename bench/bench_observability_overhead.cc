@@ -13,11 +13,11 @@
 //                 acceptance gate is <= 2%.
 //   * serving   — ServingSession::Ingest over a trained tiny-city
 //                 estimator, same treatment.
-//   * flight_replay — an 8-shard grid-city serving window replayed through
+//   * flight_replay — a grid-city serving window replayed through
 //                 IngestFrontEnd with a FlightRecorder attached. Validates
 //                 the recorder's accounting against reality: the per-slot
 //                 critical-path decomposition (queue wait + admission +
-//                 BP + exchange + publish) must sum to within 5% of the
+//                 BP + publish) must sum to within 5% of the
 //                 measured end-to-end slot latency (asserted; skipped under
 //                 --smoke, where per-slot work is too small for stage
 //                 timings to dominate fixed overhead).
@@ -291,7 +291,7 @@ int Run(const OverheadConfig& cfg) {
       static_cast<uint64_t>(cfg.ingests));
 
   // --- flight replay: recorder accounting vs the wall clock ---------------
-  // An 8-shard grid city replayed through the real front-end. Every slot's
+  // A grid city replayed through the real front-end. Every slot's
   // measured latency (Offer..Flush on this thread) is compared against the
   // recorder's critical-path decomposition; with the BP solve forced to
   // dominate (tol = 0, fixed iteration budget), the attributed stages must
@@ -311,8 +311,6 @@ int Run(const OverheadConfig& cfg) {
 
   PipelineConfig replay_config;
   replay_config.corr.min_co_observed = 8;
-  replay_config.sharding.num_shards = 8;
-  replay_config.sharding.max_exchange_rounds = 2;
   replay_config.trend.bp.tol = 0.0;  // never converge early
   replay_config.trend.bp.max_iters = cfg.replay_bp_iters;
   replay_config.trend.bp.kernel = BpKernel::kScalar;
@@ -354,7 +352,7 @@ int Run(const OverheadConfig& cfg) {
     obs::SlotCriticalPath path =
         obs::ComputeSlotCriticalPath(flight.CollectSlot(slot), slot);
     attributed_ns += path.queue_wait_ns + path.admission_ns + path.bp_ns +
-                     path.exchange_ns + path.publish_ns;
+                     path.publish_ns;
     total_ns += path.total_ns;
     flight_events += path.events;
   }
@@ -362,7 +360,6 @@ int Run(const OverheadConfig& cfg) {
   double coverage = attributed_ms / measured_ms;
   std::printf("  \"flight_replay\": {\n");
   std::printf("    \"segments\": %zu,\n", replay_ds->net.num_roads());
-  std::printf("    \"shards\": %u,\n", replay_config.sharding.num_shards);
   std::printf("    \"slots\": %zu,\n", cfg.replay_slots);
   std::printf("    \"flight_events\": %zu,\n", flight_events);
   std::printf("    \"measured_ms\": %.3f,\n", measured_ms);
@@ -406,8 +403,7 @@ int main(int argc, char** argv) {
       cfg.replay_seeds = 8;
       cfg.replay_slots = 2;
       // Slots this small are fixed-overhead-bound; the 5% coverage gate
-      // only holds once the BP solve dominates (see bench_sharded_engine's
-      // check_latency for the same reasoning).
+      // only holds once the BP solve dominates.
       cfg.check_replay_coverage = false;
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       cfg.trace_out = argv[++i];

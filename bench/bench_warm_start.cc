@@ -5,9 +5,11 @@
 // steady-state shape of adjacent time slots: most of the city does not
 // change in five minutes) and runs BP twice — once cold (the stateless
 // schedule) and once seeded from the previous slot's fixed point through a
-// persistent BpState. Emits machine-readable JSON on stdout so
-// BENCH_warm_start.json trajectories can accumulate across machines and
-// revisions. Correctness is asserted inline: warm marginals must track the
+// persistent BpState. A third, cold run with the default kernel (kAuto:
+// SIMD where the CPU has it) times the baseline a warm start has to beat
+// in serving, reported as cold_simd_ms. Emits machine-readable JSON on
+// stdout so BENCH_warm_start.json trajectories can accumulate across
+// machines and revisions. Correctness is asserted inline: warm marginals must track the
 // cold ones within 10x BpOptions::tol on every slot, and the warm replay
 // must save at least 30% of the cold replay's total sweeps.
 //
@@ -76,9 +78,11 @@ int Run(const WarmBenchConfig& cfg) {
   // default (max_iters 6) stops wherever its budget ran out.
   BpOptions bp;
   bp.max_iters = 200;
-  // BENCH_warm_start.json records scalar-kernel runs; the 10x-tol check
+  // The cold and warm columns are scalar-kernel runs; the 10x-tol check
   // compares warm and cold within one kernel.
   bp.kernel = BpKernel::kScalar;
+  BpOptions bp_auto = bp;
+  bp_auto.kernel = BpKernel::kAuto;
 
   // Slot 0 potentials; later slots drift `changed_frac` of them by a
   // bounded step — the steady-state shape of adjacent slots (congestion
@@ -98,7 +102,7 @@ int Run(const WarmBenchConfig& cfg) {
   BpState state;
   uint64_t cold_sweeps = 0, warm_sweeps = 0;
   uint64_t cold_updates = 0, warm_updates = 0;
-  double cold_ms = 0.0, warm_ms = 0.0;
+  double cold_ms = 0.0, warm_ms = 0.0, cold_simd_ms = 0.0;
   double max_diff = 0.0;
   size_t active_sum = 0;
 
@@ -118,6 +122,12 @@ int Run(const WarmBenchConfig& cfg) {
     WallTimer warm_timer;
     BpResult warm = InferMarginalsBpFlat(graph, pot, bp, &state);
     warm_ms += warm_timer.ElapsedMillis();
+    WallTimer simd_timer;
+    BpResult cold_simd = InferMarginalsBpFlat(graph, pot, bp_auto);
+    cold_simd_ms += simd_timer.ElapsedMillis();
+    // The scalar-vs-SIMD tolerance contract (tests/bp_kernel_test.cc).
+    TS_CHECK_LE(MaxAbsDiff(cold.p_up, cold_simd.p_up), 1e-3)
+        << "slot " << slot << ": kAuto marginals left the scalar oracle";
 
     TS_CHECK(cold.converged) << "slot " << slot
                              << ": raise max_iters, cold must converge";
@@ -155,6 +165,7 @@ int Run(const WarmBenchConfig& cfg) {
               "\"ms\": %.3f},\n",
               static_cast<unsigned long long>(warm_sweeps),
               static_cast<unsigned long long>(warm_updates), warm_ms);
+  std::printf("  \"cold_simd_ms\": %.3f,\n", cold_simd_ms);
   std::printf("  \"sweep_reduction\": %.4f,\n", sweep_reduction);
   std::printf("  \"message_update_reduction\": %.4f,\n", update_reduction);
   std::printf("  \"mean_active_vars\": %.1f,\n",

@@ -72,11 +72,6 @@ Status PipelineConfig::Validate() const {
     return Status::InvalidArgument(
         "seed_selection.min_parallel_candidates must be positive");
   }
-  TS_RETURN_NOT_OK(sharding.Validate());
-  if (sharding.enabled() && trend.engine != TrendEngine::kBeliefPropagation) {
-    return Status::InvalidArgument(
-        "sharding requires the belief-propagation trend engine");
-  }
   if (!(observability.slow_ingest_ms > 0.0) ||
       !std::isfinite(observability.slow_ingest_ms)) {  // also rejects NaN
     return Status::InvalidArgument(

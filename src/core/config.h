@@ -9,7 +9,6 @@
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "seed/objective.h"
-#include "shard/sharding.h"
 #include "speed/hierarchical_model.h"
 #include "speed/propagation.h"
 #include "trend/trend_model.h"
@@ -37,9 +36,9 @@ struct ObservabilityOptions {
   double slow_ingest_ms = 250.0;
   /// Slot-causal flight recorder (obs/flight.h). Borrowed like the other
   /// sinks; when attached, every pipeline stage a slot passes through —
-  /// queue wait, admission, estimate, per-shard BP solves, halo exchange,
-  /// snapshot publish — records into per-thread rings that merge into one
-  /// causal timeline per slot. Null (default): every flight site is one
+  /// queue wait, admission, estimate, BP solve, snapshot publish —
+  /// records into per-thread rings that merge into one causal timeline
+  /// per slot. Null (default): every flight site is one
   /// predicted branch and results are bitwise identical. Consumed by the
   /// serving layer only (ServingOptions::observability): the serving
   /// session hands the recorder down per call as an obs::FlightSink, so a
@@ -73,12 +72,6 @@ struct PipelineConfig {
   /// Factor applied to the neighbour-mean evidence at each backfill hop,
   /// in (0, 1]: inherited signal decays with distance from real coverage.
   double evidence_backfill_damping = 0.6;
-  /// District sharding for Step 1's BP (docs/sharding.md): num_shards >= 2
-  /// partitions the correlation graph and routes trend inference through
-  /// the concurrent per-shard engine (BP engine only — validation rejects
-  /// the combination with sampling/MAP engines). Default off: the flat
-  /// single-graph path runs bit for bit as before.
-  ShardingOptions sharding;
   /// Metrics/tracing sinks; propagated into the BP and seed-selection
   /// options by TrafficSpeedEstimator::FromComponents (per-stage pointers
   /// set explicitly here take precedence — FromComponents only fills the

@@ -96,13 +96,6 @@ Result<TrafficSpeedEstimator> TrafficSpeedEstimator::FromComponents(
       std::make_unique<HierarchicalSpeedModel>(std::move(speed_model));
   est.trend_model_ =
       std::make_unique<TrendModel>(est.graph_.get(), db, est.config_.trend);
-  if (est.config_.sharding.enabled()) {
-    // Validate() already pinned the trend engine to BP for this combination.
-    TS_ASSIGN_OR_RETURN(ShardedBpEngine sharded,
-                        ShardedBpEngine::Build(est.trend_model_->bp_graph(),
-                                               est.config_.sharding));
-    est.sharded_ = std::make_unique<ShardedBpEngine>(std::move(sharded));
-  }
   return est;
 }
 
@@ -151,11 +144,10 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
     const obs::FlightSink& flight) const {
   const ObservabilityOptions& o = config_.observability;
   obs::ScopedSpan span(o.trace, "estimator/estimate");
-  // The estimate envelope overlaps bp_solve/exchange and is excluded from
+  // The estimate envelope overlaps bp_solve and is excluded from
   // critical-path attribution (obs/flight.h), but keeps the timeline whole.
   obs::FlightSpan flight_span(flight.recorder, slot,
-                              obs::FlightStage::kEstimate, obs::kNoShard,
-                              flight.ctx);
+                              obs::FlightStage::kEstimate, flight.ctx);
   WallTimer timer;
   // Seed trends come from comparing the crowdsourced speed with the road's
   // historical mean.
@@ -215,25 +207,9 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
         });
     evidence_ptr = &evidence;
   }
-  if (sharded_ != nullptr) {
-    // Sharded Step 1: identical potentials, solved by concurrent
-    // per-district BP with boundary-halo exchange (docs/sharding.md).
-    TS_ASSIGN_OR_RETURN(
-        std::vector<double> pot,
-        trend_model_->BuildPotentials(slot, seed_trends, evidence_ptr));
-    std::vector<BpState>* shard_states =
-        (state != nullptr && config_.trend.warm_start) ? &state->shard
-                                                       : nullptr;
-    ShardedBpResult sharded =
-        sharded_->Infer(pot, config_.trend.bp, shard_states, flight);
-    out.trends.p_up = std::move(sharded.p_up);
-    out.trends.trend.resize(out.trends.p_up.size());
-    for (size_t v = 0; v < out.trends.p_up.size(); ++v) {
-      out.trends.trend[v] = out.trends.p_up[v] >= 0.5 ? +1 : -1;
-    }
-  } else {
+  {  // Scoped so the bp_solve span closes before Step 2.
     obs::FlightSpan bp_span(flight.recorder, slot, obs::FlightStage::kBpSolve,
-                            obs::kNoShard, flight.ctx);
+                            flight.ctx);
     TS_ASSIGN_OR_RETURN(out.trends, trend_model_->Infer(slot, seed_trends,
                                                         evidence_ptr, state));
   }

@@ -18,7 +18,6 @@
 #include "probe/history.h"
 #include "roadnet/road_network.h"
 #include "seed/objective.h"
-#include "shard/sharded_bp.h"
 #include "speed/hierarchical_model.h"
 #include "speed/propagation.h"
 #include "speed/seed_plan.h"
@@ -102,8 +101,8 @@ class TrafficSpeedEstimator {
   /// recorder + causal context (the estimator's own config_.observability
   /// has no recorder — flight hookup is per serving session, not per
   /// model) and records this call as the slot's `estimate` envelope span
-  /// plus nested `bp_solve` / `shard_solve` / `exchange` spans. A default
-  /// (detached) sink records nothing.
+  /// plus a nested `bp_solve` span. A default (detached) sink records
+  /// nothing.
   Result<Output> Estimate(uint64_t slot, const std::vector<SeedSpeed>& seeds,
                           TrendInferenceState* state,
                           EstimateWorkspace* workspace,
@@ -113,9 +112,6 @@ class TrafficSpeedEstimator {
   const InfluenceModel& influence() const { return *influence_; }
   const HierarchicalSpeedModel& speed_model() const { return *speed_model_; }
   const TrendModel& trend_model() const { return *trend_model_; }
-  /// The sharded BP engine; null unless PipelineConfig::sharding enabled
-  /// it (docs/sharding.md).
-  const ShardedBpEngine* sharded_engine() const { return sharded_.get(); }
   const PipelineConfig& config() const { return config_; }
   const RoadNetwork& network() const { return *net_; }
   const HistoricalDb& history() const { return *db_; }
@@ -131,9 +127,6 @@ class TrafficSpeedEstimator {
   std::unique_ptr<InfluenceModel> influence_;
   std::unique_ptr<HierarchicalSpeedModel> speed_model_;
   std::unique_ptr<TrendModel> trend_model_;
-  /// Non-null only when config_.sharding.enabled(): Step 1 then runs the
-  /// concurrent per-shard BP engine instead of the flat path.
-  std::unique_ptr<ShardedBpEngine> sharded_;
 };
 
 }  // namespace trendspeed

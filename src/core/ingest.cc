@@ -64,7 +64,7 @@ obs::SlotTraceContext* IngestFrontEnd::BeginSlotTrace(
   ctx->origin_ns = origin;
   ctx->stage_seq = 0;
   flight_->Record(pending_slot_, obs::FlightStage::kQueueWait, origin,
-                  now - origin, obs::kNoShard, ++ctx->stage_seq);
+                  now - origin, ++ctx->stage_seq);
   return ctx;
 }
 

@@ -3,11 +3,10 @@
 // Each city is its own ServingSession — its own estimator, slot clock,
 // warm-start state, and degradation counters — while the heavyweight
 // process-wide resources are shared: every session's parallel work (BP
-// sweeps, sharded solves) runs on the one ThreadPool::Global(), and cities
+// sweeps, seed selection) runs on the one ThreadPool::Global(), and cities
 // created with the same MetricsRegistry in their ServingOptions export
-// into one scrape endpoint. This is the deployment shape the sharded
-// engine targets (docs/sharding.md): a metropolitan node serving several
-// district graphs, or several cities, from one binary.
+// into one scrape endpoint: one node serving several cities from one
+// binary.
 //
 // Sessions are independent by construction — there is no cross-city
 // state — so interleaving Ingest calls across cities in any order is

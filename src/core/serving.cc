@@ -257,7 +257,7 @@ Result<ServingSession::SlotReport> ServingSession::CarryForward(
 void ServingSession::PublishSnapshot(obs::SlotTraceContext* ctx) {
   if (snapshot_ == nullptr || !has_report_) return;
   obs::FlightSpan span(opts_.observability.flight, last_report_.slot,
-                       obs::FlightStage::kPublish, obs::kNoShard, ctx);
+                       obs::FlightStage::kPublish, ctx);
   const SpeedEstimateResult& speeds = last_report_.monitor.estimate.speeds;
   snapshot_->Publish(last_report_.slot, speeds.speed_kmh, speeds.deviation,
                      last_report_.stale_slots,
@@ -314,8 +314,7 @@ Result<ServingSession::SlotReport> ServingSession::DoIngest(
   size_t deduplicated = 0;
   Result<std::vector<SeedSpeed>> sanitized = [&] {
     obs::FlightSpan admission(opts_.observability.flight, slot,
-                              obs::FlightStage::kAdmission, obs::kNoShard,
-                              ctx);
+                              obs::FlightStage::kAdmission, ctx);
     return Sanitize(observations, &filtered, &deduplicated);
   }();
   if (!sanitized.ok()) {
@@ -387,8 +386,7 @@ Result<ServingSession::SlotReport> ServingSession::Ingest(
   // The ingest envelope is recorded manually (not via FlightSpan) so it is
   // already in the ring when the SLO engine collects this slot's timeline.
   flight->Record(slot, obs::FlightStage::kIngest, start_ns,
-                 obs::ElapsedNanosSince(start_ns), obs::kNoShard,
-                 ++ctx->stage_seq);
+                 obs::ElapsedNanosSince(start_ns), ++ctx->stage_seq);
   if (slo_ != nullptr) {
     slo_->ObserveSlot(
         obs::ComputeSlotCriticalPath(flight->CollectSlot(slot), slot));

@@ -199,23 +199,6 @@ const MetricDef kSnapshotReadLatencyUs = {
     "Wall time of one consistent SpeedSnapshot read", "us", "",
     kMicrosBounds, N(kMicrosBounds)};
 
-// --- sharded BP engine (shard/sharded_bp.cc) -------------------------------
-const MetricDef kShardCount = {
-    "trendspeed_shard_count", MetricType::kGauge,
-    "District shards in the active partition plan", "shards"};
-const MetricDef kShardCutEdgeFraction = {
-    "trendspeed_shard_cut_edge_fraction", MetricType::kGauge,
-    "Fraction of correlation edges crossing a shard boundary", "ratio"};
-const MetricDef kShardExchangeRounds = {
-    "trendspeed_shard_exchange_rounds", MetricType::kHistogram,
-    "Boundary-halo exchange rounds per sharded inference", "rounds", "",
-    kIterationBounds, N(kIterationBounds)};
-const MetricDef kShardLargestSweepMs = {
-    "trendspeed_shard_largest_sweep_ms", MetricType::kHistogram,
-    "Largest per-shard BP solve time in one sharded inference (the "
-    "per-slot critical path with one core per shard)", "ms", "",
-    kLatencyMsBounds, N(kLatencyMsBounds)};
-
 // --- ingest straggler attribution (core/ingest.cc) -------------------------
 const MetricDef kServingIngestStragglerWorstSlot = {
     "trendspeed_serving_ingest_straggler_worst_slot", MetricType::kGauge,
@@ -277,21 +260,20 @@ const MetricDef kSloDumpsTotal = {
         {name, MetricType::kGauge, help, unit, "stage=\"queue_wait\""},       \
         {name, MetricType::kGauge, help, unit, "stage=\"admission\""},        \
         {name, MetricType::kGauge, help, unit, "stage=\"bp\""},               \
-        {name, MetricType::kGauge, help, unit, "stage=\"exchange\""},         \
         {name, MetricType::kGauge, help, unit, "stage=\"publish\""},          \
   }
 
-const MetricDef kSloStageState[6] = TRENDSPEED_SLO_STAGE_SERIES(
+const MetricDef kSloStageState[5] = TRENDSPEED_SLO_STAGE_SERIES(
     "trendspeed_slo_stage_state",
     "Burn-rate state of the stage's latency SLO (0 ok, 1 warn, 2 breach)",
     "state");
-const MetricDef kSloStageP50Ms[6] = TRENDSPEED_SLO_STAGE_SERIES(
+const MetricDef kSloStageP50Ms[5] = TRENDSPEED_SLO_STAGE_SERIES(
     "trendspeed_slo_stage_p50_ms",
     "Exact rolling-window median of the stage's per-slot latency", "ms");
-const MetricDef kSloStageP95Ms[6] = TRENDSPEED_SLO_STAGE_SERIES(
+const MetricDef kSloStageP95Ms[5] = TRENDSPEED_SLO_STAGE_SERIES(
     "trendspeed_slo_stage_p95_ms",
     "Exact rolling-window p95 of the stage's per-slot latency", "ms");
-const MetricDef kSloStageP99Ms[6] = TRENDSPEED_SLO_STAGE_SERIES(
+const MetricDef kSloStageP99Ms[5] = TRENDSPEED_SLO_STAGE_SERIES(
     "trendspeed_slo_stage_p99_ms",
     "Exact rolling-window p99 of the stage's per-slot latency", "ms");
 
@@ -348,10 +330,6 @@ const std::vector<const MetricDef*>& AllMetricDefs() {
       &kSnapshotPublishesTotal,
       &kSnapshotReadRetriesTotal,
       &kSnapshotReadLatencyUs,
-      &kShardCount,
-      &kShardCutEdgeFraction,
-      &kShardExchangeRounds,
-      &kShardLargestSweepMs,
       &kServingIngestStragglerWorstSlot,
       &kServingIngestStragglerWorstCount,
       &kFlightEventsRecordedTotal,
@@ -371,25 +349,21 @@ const std::vector<const MetricDef*>& AllMetricDefs() {
       &kSloStageState[2],
       &kSloStageState[3],
       &kSloStageState[4],
-      &kSloStageState[5],
       &kSloStageP50Ms[0],
       &kSloStageP50Ms[1],
       &kSloStageP50Ms[2],
       &kSloStageP50Ms[3],
       &kSloStageP50Ms[4],
-      &kSloStageP50Ms[5],
       &kSloStageP95Ms[0],
       &kSloStageP95Ms[1],
       &kSloStageP95Ms[2],
       &kSloStageP95Ms[3],
       &kSloStageP95Ms[4],
-      &kSloStageP95Ms[5],
       &kSloStageP99Ms[0],
       &kSloStageP99Ms[1],
       &kSloStageP99Ms[2],
       &kSloStageP99Ms[3],
       &kSloStageP99Ms[4],
-      &kSloStageP99Ms[5],
   };
   return all;
 }

@@ -88,12 +88,6 @@ extern const MetricDef kSnapshotPublishesTotal;
 extern const MetricDef kSnapshotReadRetriesTotal;
 extern const MetricDef kSnapshotReadLatencyUs;  ///< histogram
 
-// --- shard/sharded_bp.cc (sharded metropolitan BP engine) -------------------
-extern const MetricDef kShardCount;             ///< gauge: shards in the plan
-extern const MetricDef kShardCutEdgeFraction;   ///< gauge: cut / total edges
-extern const MetricDef kShardExchangeRounds;    ///< histogram: rounds per slot
-extern const MetricDef kShardLargestSweepMs;    ///< histogram: critical path
-
 // --- core/ingest.cc (per-slot straggler attribution) ------------------------
 extern const MetricDef kServingIngestStragglerWorstSlot;   ///< gauge
 extern const MetricDef kServingIngestStragglerWorstCount;  ///< gauge
@@ -115,12 +109,12 @@ extern const MetricDef kProductReadLatencyUs;  ///< histogram
 // --- obs/slo.cc (latency SLO engine) ----------------------------------------
 extern const MetricDef kSloBreachesTotal;
 extern const MetricDef kSloDumpsTotal;
-/// Per-stage series, indexed by obs::SloStage (6 stages: total, queue_wait,
-/// admission, bp, exchange, publish — one `stage="..."` label set each).
-extern const MetricDef kSloStageState[6];  ///< gauge: 0 ok / 1 warn / 2 breach
-extern const MetricDef kSloStageP50Ms[6];  ///< gauge: rolling exact p50
-extern const MetricDef kSloStageP95Ms[6];  ///< gauge: rolling exact p95
-extern const MetricDef kSloStageP99Ms[6];  ///< gauge: rolling exact p99
+/// Per-stage series, indexed by obs::SloStage (5 stages: total, queue_wait,
+/// admission, bp, publish — one `stage="..."` label set each).
+extern const MetricDef kSloStageState[5];  ///< gauge: 0 ok / 1 warn / 2 breach
+extern const MetricDef kSloStageP50Ms[5];  ///< gauge: rolling exact p50
+extern const MetricDef kSloStageP95Ms[5];  ///< gauge: rolling exact p95
+extern const MetricDef kSloStageP99Ms[5];  ///< gauge: rolling exact p99
 
 /// Every catalog entry (one per (name, labels) series). Names may repeat
 /// across label sets.

@@ -50,10 +50,6 @@ const char* FlightStageName(FlightStage stage) {
       return "estimate";
     case FlightStage::kBpSolve:
       return "bp_solve";
-    case FlightStage::kShardSolve:
-      return "shard_solve";
-    case FlightStage::kExchange:
-      return "exchange";
     case FlightStage::kPublish:
       return "publish";
   }
@@ -94,8 +90,7 @@ FlightRecorder::ThreadRing* FlightRecorder::RingForThisThread() {
 }
 
 void FlightRecorder::Record(uint64_t slot, FlightStage stage, uint64_t start_ns,
-                            uint64_t duration_ns, uint32_t shard,
-                            uint32_t path_seq) {
+                            uint64_t duration_ns, uint32_t path_seq) {
   ThreadRing* ring = RingForThisThread();
   if (ring == nullptr) {
     dropped_unregistered_.fetch_add(1, std::memory_order_relaxed);
@@ -110,7 +105,6 @@ void FlightRecorder::Record(uint64_t slot, FlightStage stage, uint64_t start_ns,
   cell.seq.store(s + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
   cell.thread_id.store(ring->thread_id, std::memory_order_relaxed);
-  cell.shard.store(shard, std::memory_order_relaxed);
   cell.stage_and_path.store(
       static_cast<uint32_t>(stage) | (path_seq << 8), std::memory_order_relaxed);
   cell.slot.store(slot, std::memory_order_relaxed);
@@ -142,7 +136,6 @@ std::vector<FlightEvent> FlightRecorder::Collect() const {
       if (s1 == 0 || (s1 & 1) != 0) continue;  // unwritten or mid-write
       FlightEvent e;
       e.thread_id = cell.thread_id.load(std::memory_order_relaxed);
-      e.shard = cell.shard.load(std::memory_order_relaxed);
       uint32_t sp = cell.stage_and_path.load(std::memory_order_relaxed);
       e.stage = static_cast<FlightStage>(sp & 0xff);
       e.path_seq = sp >> 8;
@@ -219,7 +212,7 @@ uint64_t FlightSpan::Now() { return MonotonicNanos(); }
 
 void FlightSpan::End() {
   recorder_->Record(slot_, stage_, start_ns_, ElapsedNanosSince(start_ns_),
-                    shard_, path_seq_);
+                    path_seq_);
 }
 
 double SlotCriticalPath::AttributedFraction() const {
@@ -248,22 +241,16 @@ SlotCriticalPath ComputeSlotCriticalPath(const std::vector<FlightEvent>& events,
       case FlightStage::kBpSolve:
         cp.bp_ns += e.duration_ns;
         break;
-      case FlightStage::kExchange:
-        cp.exchange_ns += e.duration_ns;
-        break;
       case FlightStage::kPublish:
         cp.publish_ns += e.duration_ns;
         break;
       case FlightStage::kEstimate:
-      case FlightStage::kShardSolve:
-        // Envelope / concurrent-inner stages: already covered by kBpSolve
-        // (barriered) on the backbone; counting them would double-book.
+        // Envelope around kBpSolve; counting it would double-book.
         break;
     }
   }
   cp.total_ns = cp.queue_wait_ns + ingest_ns;
-  uint64_t attributed =
-      cp.admission_ns + cp.bp_ns + cp.exchange_ns + cp.publish_ns;
+  uint64_t attributed = cp.admission_ns + cp.bp_ns + cp.publish_ns;
   cp.other_ns = ingest_ns > attributed ? ingest_ns - attributed : 0;
   return cp;
 }

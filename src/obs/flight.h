@@ -2,12 +2,12 @@
 // per-slot causal timelines with critical-path attribution.
 //
 // Motivation (docs/observability.md "Flight recorder"): once a slot's life
-// spans the MPSC ingest queue, concurrent per-shard BP solves on the thread
-// pool, and the seqlock snapshot publish, flat counters cannot answer "why
-// was slot 1041 slow?". The flight recorder threads a SlotTraceContext
-// through the serving pipeline — IngestFrontEnd admission -> Ingest ->
-// Estimate -> per-shard solves -> snapshot publish — so the collector can
-// reassemble one slot's stage timeline across every participating thread.
+// spans the MPSC ingest queue, the BP solve on the thread pool, and the
+// seqlock snapshot publish, flat counters cannot answer "why was slot 1041
+// slow?". The flight recorder threads a SlotTraceContext through the
+// serving pipeline — IngestFrontEnd admission -> Ingest -> Estimate -> BP
+// solve -> snapshot publish — so the collector can reassemble one slot's
+// stage timeline across every participating thread.
 //
 // Concurrency design:
 //
@@ -49,28 +49,22 @@ class Gauge;
 class MetricsRegistry;
 
 /// Pipeline stages a slot passes through. kQueueWait/kIngest/kAdmission/
-/// kBpSolve/kExchange/kPublish sit on the causal backbone (serially ordered
-/// per slot); kEstimate is an envelope containing kBpSolve, and kShardSolve
-/// events are the concurrent per-shard solves inside a barriered kBpSolve
-/// round — both are informational and excluded from critical-path sums.
+/// kBpSolve/kPublish sit on the causal backbone (serially ordered per
+/// slot); kEstimate is an envelope containing kBpSolve, informational and
+/// excluded from critical-path sums.
 enum class FlightStage : uint8_t {
   kQueueWait = 0,  ///< first enqueue of the slot's batch -> admission
   kIngest,         ///< whole ServingSession::Ingest call
   kAdmission,      ///< sanitize/dedup of the offered batch
   kEstimate,       ///< Estimator::Estimate envelope (contains kBpSolve)
-  kBpSolve,        ///< one barriered solve region (all shards, or flat BP)
-  kShardSolve,     ///< one shard's solve inside a kBpSolve round
-  kExchange,       ///< serial boundary-halo exchange after a round
+  kBpSolve,        ///< Step 1's BP solve
   kPublish,        ///< seqlock snapshot publish
 };
-constexpr size_t kNumFlightStages = 8;
+constexpr size_t kNumFlightStages = 6;
 
 /// Stable lower_snake_case stage name ("queue_wait", "bp_solve", ...), used
 /// verbatim by the Chrome trace exporter.
 const char* FlightStageName(FlightStage stage);
-
-/// Shard tag for events that are not shard-scoped.
-constexpr uint32_t kNoShard = 0xffffffffu;
 
 /// One recorded stage occurrence, as returned by the collector.
 struct FlightEvent {
@@ -79,11 +73,10 @@ struct FlightEvent {
   uint64_t duration_ns = 0;  ///< clamped >= 0 (obs/clock.h contract)
   uint64_t index = 0;        ///< per-thread record order (0-based)
   uint32_t thread_id = 0;    ///< dense process-wide id (obs::CurrentThreadId)
-  uint32_t shard = kNoShard; ///< shard id for kShardSolve, else kNoShard
   FlightStage stage = FlightStage::kQueueWait;
   /// 1-based position on the slot's causal backbone (assigned from the
-  /// SlotTraceContext stage sequence); 0 = off-path (kShardSolve, or an
-  /// event recorded without a context).
+  /// SlotTraceContext stage sequence); 0 = an event recorded without a
+  /// context.
   uint32_t path_seq = 0;
 };
 
@@ -112,8 +105,7 @@ class FlightRecorder {
   /// Records one completed stage. Thread-safe, lock-free after the calling
   /// thread's first Record (which registers its ring under a mutex).
   void Record(uint64_t slot, FlightStage stage, uint64_t start_ns,
-              uint64_t duration_ns, uint32_t shard = kNoShard,
-              uint32_t path_seq = 0);
+              uint64_t duration_ns, uint32_t path_seq = 0);
 
   /// Merged snapshot of every thread ring, sorted by (start_ns, thread_id,
   /// index). Cells caught mid-write are skipped, never torn. Safe to call
@@ -146,7 +138,6 @@ class FlightRecorder {
   struct Cell {
     std::atomic<uint32_t> seq{0};
     std::atomic<uint32_t> thread_id{0};
-    std::atomic<uint32_t> shard{0};
     std::atomic<uint32_t> stage_and_path{0};  // stage in low 8, path_seq << 8
     std::atomic<uint64_t> slot{0};
     std::atomic<uint64_t> start_ns{0};
@@ -189,12 +180,11 @@ void SetFlightThreadLabel(const char* label);
 class FlightSpan {
  public:
   FlightSpan(FlightRecorder* recorder, uint64_t slot, FlightStage stage,
-             uint32_t shard = kNoShard, SlotTraceContext* ctx = nullptr)
+             SlotTraceContext* ctx = nullptr)
       : recorder_(recorder) {
     if (recorder_ == nullptr) return;
     slot_ = slot;
     stage_ = stage;
-    shard_ = shard;
     path_seq_ = ctx != nullptr ? ++ctx->stage_seq : 0;
     start_ns_ = Now();
   }
@@ -213,13 +203,12 @@ class FlightSpan {
   FlightRecorder* recorder_;
   uint64_t slot_ = 0;
   uint64_t start_ns_ = 0;
-  uint32_t shard_ = kNoShard;
   uint32_t path_seq_ = 0;
   FlightStage stage_ = FlightStage::kQueueWait;
 };
 
 /// Bundles the recorder + slot identity + causal context for APIs below the
-/// serving layer (ShardedBpEngine::Infer takes one by value; the default
+/// serving layer (TrafficSpeedEstimator::Estimate takes one; the default
 /// instance is fully detached).
 struct FlightSink {
   FlightRecorder* recorder = nullptr;
@@ -229,7 +218,7 @@ struct FlightSink {
 
 /// Per-slot critical-path decomposition over one slot's collected events.
 /// total = queue-wait + the Ingest envelope; the attributed stages
-/// (admission / BP / exchange / publish) partition the envelope, and
+/// (admission / BP / publish) partition the envelope, and
 /// whatever the envelope spent outside them (trend monitor, regression
 /// Step 2, sanitizer bookkeeping) lands in other_ns.
 struct SlotCriticalPath {
@@ -237,8 +226,7 @@ struct SlotCriticalPath {
   uint64_t total_ns = 0;
   uint64_t queue_wait_ns = 0;
   uint64_t admission_ns = 0;
-  uint64_t bp_ns = 0;        ///< barriered solve regions (all rounds)
-  uint64_t exchange_ns = 0;  ///< serial halo-exchange rounds
+  uint64_t bp_ns = 0;
   uint64_t publish_ns = 0;
   uint64_t other_ns = 0;     ///< Ingest envelope time outside the stages above
   size_t events = 0;         ///< events considered (all stages, incl. off-path)

@@ -22,8 +22,6 @@ const char* SloStageName(SloStage stage) {
       return "admission";
     case SloStage::kBp:
       return "bp";
-    case SloStage::kExchange:
-      return "exchange";
     case SloStage::kPublish:
       return "publish";
   }
@@ -52,8 +50,6 @@ double SloOptions::BudgetMs(SloStage stage) const {
       return admission_budget_ms;
     case SloStage::kBp:
       return bp_budget_ms;
-    case SloStage::kExchange:
-      return exchange_budget_ms;
     case SloStage::kPublish:
       return publish_budget_ms;
   }
@@ -143,9 +139,9 @@ double SloEngine::BurnRate(SloStage stage, uint32_t k) const {
 
 void SloEngine::ObserveSlot(const SlotCriticalPath& cp) {
   const double vals[kNumSloStages] = {
-      NanosToMillis(cp.total_ns),    NanosToMillis(cp.queue_wait_ns),
+      NanosToMillis(cp.total_ns), NanosToMillis(cp.queue_wait_ns),
       NanosToMillis(cp.admission_ns), NanosToMillis(cp.bp_ns),
-      NanosToMillis(cp.exchange_ns),  NanosToMillis(cp.publish_ns)};
+      NanosToMillis(cp.publish_ns)};
   size_t write_idx =
       static_cast<size_t>(slots_observed_ % opts_.window_slots);
   ++slots_observed_;

@@ -57,10 +57,9 @@ enum class SloStage : uint8_t {
   kQueueWait,
   kAdmission,
   kBp,
-  kExchange,
   kPublish,
 };
-constexpr size_t kNumSloStages = 6;
+constexpr size_t kNumSloStages = 5;
 
 /// Stable lower_snake_case stage name, also the `stage` label value on the
 /// trendspeed_slo_* gauges ("total", "queue_wait", ...).
@@ -77,7 +76,6 @@ struct SloOptions {
   double queue_wait_budget_ms = 0.0;
   double admission_budget_ms = 0.0;
   double bp_budget_ms = 0.0;
-  double exchange_budget_ms = 0.0;
   double publish_budget_ms = 0.0;
 
   /// Rolling window for the quantile gauges (and the upper bound for the
@@ -102,7 +100,7 @@ struct SloOptions {
   bool enabled() const {
     return total_budget_ms > 0.0 || queue_wait_budget_ms > 0.0 ||
            admission_budget_ms > 0.0 || bp_budget_ms > 0.0 ||
-           exchange_budget_ms > 0.0 || publish_budget_ms > 0.0;
+           publish_budget_ms > 0.0;
   }
   double BudgetMs(SloStage stage) const;
 

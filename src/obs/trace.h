@@ -34,8 +34,8 @@ struct TraceEvent {
   uint32_t depth = 0;        ///< nesting depth at entry (0 = root span)
   uint64_t seq = 0;          ///< global record order (monotone)
   /// Recording thread (dense process-wide id, obs::CurrentThreadId). With
-  /// the pool running per-shard solves concurrently, depth alone cannot
-  /// separate interleaved spans; (thread_id, span_id, parent_id) can.
+  /// pool workers recording concurrently, depth alone cannot separate
+  /// interleaved spans; (thread_id, span_id, parent_id) can.
   uint32_t thread_id = 0;
   uint64_t span_id = 0;    ///< recorder-unique id (1-based; 0 = none)
   uint64_t parent_id = 0;  ///< enclosing span on the same thread (0 = root)

@@ -84,10 +84,6 @@ std::string ToChromeTraceJson(
     AppendMicros(&out, e.duration_ns, 0);
     out.append(",\"args\":{\"slot\":");
     out.append(std::to_string(e.slot));
-    if (e.shard != kNoShard) {
-      out.append(",\"shard\":");
-      out.append(std::to_string(e.shard));
-    }
     out.append(",\"seq\":");
     out.append(std::to_string(e.path_seq));
     out.append("}}");

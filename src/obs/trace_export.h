@@ -34,8 +34,7 @@ namespace obs {
 
 /// Flight events (any order) + thread labels -> Chrome trace JSON. Events
 /// carry cat "flight", the FlightStageName as the event name, and args
-/// {"slot":N[,"shard":S],"seq":P} (shard only for shard-scoped events, seq
-/// = causal path position, 0 = off-path).
+/// {"slot":N,"seq":P} (seq = causal path position, 0 = off-path).
 std::string ToChromeTraceJson(
     const std::vector<FlightEvent>& events,
     const std::vector<std::pair<uint32_t, std::string>>& threads);

@@ -106,7 +106,7 @@ bool ParseBpKernel(const std::string& name, BpKernel* out) {
 namespace {
 
 /// The trendspeed_bp_* series and the "bp/infer" span of one run, shared by
-/// every schedule. Handles are registered once per run (a shard-mutex
+/// every schedule. Handles are registered once per run (one registry
 /// lookup each), not per sweep; all are null when opts.metrics is null,
 /// making every record below a single predicted branch.
 class BpRunRecorder {

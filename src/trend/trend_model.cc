@@ -63,18 +63,17 @@ Result<TrendEstimate> TrendModel::Infer(
   return Infer(slot, seeds, evidence_log_odds, nullptr);
 }
 
-Status TrendModel::FillPotentials(uint64_t slot,
-                                  const std::vector<SeedTrend>& seeds,
-                                  const std::vector<double>* evidence_log_odds,
-                                  std::vector<double>* pot,
-                                  std::vector<int8_t>* clamped) const {
+Result<TrendEstimate> TrendModel::Infer(
+    uint64_t slot, const std::vector<SeedTrend>& seeds,
+    const std::vector<double>* evidence_log_odds,
+    TrendInferenceState* state) const {
   size_t n = graph_->num_roads();
   if (evidence_log_odds != nullptr && evidence_log_odds->size() != n) {
     return Status::InvalidArgument("evidence size mismatch");
   }
   // Per-slot node beliefs: historical prior combined with soft evidence,
-  // overridden by hard seed clamps.
-  clamped->assign(n, -1);
+  // overridden by hard seed clamps (-1 free, else the clamped state).
+  std::vector<int8_t> clamped(n, -1);
   for (const SeedTrend& s : seeds) {
     if (s.road >= n) {
       return Status::InvalidArgument("seed road out of range");
@@ -82,13 +81,13 @@ Status TrendModel::FillPotentials(uint64_t slot,
     if (s.trend != 1 && s.trend != -1) {
       return Status::InvalidArgument("seed trend must be +1 or -1");
     }
-    (*clamped)[s.road] = static_cast<int8_t>(TrendIndex(s.trend));
+    clamped[s.road] = static_cast<int8_t>(TrendIndex(s.trend));
   }
-  pot->assign(2 * n, 0.0);
+  std::vector<double> pot(2 * n, 0.0);
   for (size_t v = 0; v < n; ++v) {
-    if ((*clamped)[v] >= 0) {
-      (*pot)[2 * v] = (*clamped)[v] == 0 ? 1.0 : 0.0;
-      (*pot)[2 * v + 1] = (*clamped)[v] == 1 ? 1.0 : 0.0;
+    if (clamped[v] >= 0) {
+      pot[2 * v] = clamped[v] == 0 ? 1.0 : 0.0;
+      pot[2 * v + 1] = clamped[v] == 1 ? 1.0 : 0.0;
       continue;
     }
     double p = db_->TrendUpProbability(static_cast<RoadId>(v), slot,
@@ -101,38 +100,15 @@ Status TrendModel::FillPotentials(uint64_t slot,
       p = odds / (1.0 + odds);
     }
     p = std::clamp(p, 0.02, 0.98);
-    (*pot)[2 * v] = 1.0 - p;
-    (*pot)[2 * v + 1] = p;
+    pot[2 * v] = 1.0 - p;
+    pot[2 * v + 1] = p;
   }
-  return Status::OK();
-}
-
-Result<std::vector<double>> TrendModel::BuildPotentials(
-    uint64_t slot, const std::vector<SeedTrend>& seeds,
-    const std::vector<double>* evidence_log_odds) const {
-  std::vector<double> pot;
-  std::vector<int8_t> clamped;
-  TS_RETURN_NOT_OK(
-      FillPotentials(slot, seeds, evidence_log_odds, &pot, &clamped));
-  return pot;
-}
-
-Result<TrendEstimate> TrendModel::Infer(
-    uint64_t slot, const std::vector<SeedTrend>& seeds,
-    const std::vector<double>* evidence_log_odds,
-    TrendInferenceState* state) const {
-  size_t n = graph_->num_roads();
-  std::vector<double> pot;
-  std::vector<int8_t> clamped;
-  TS_RETURN_NOT_OK(
-      FillPotentials(slot, seeds, evidence_log_odds, &pot, &clamped));
 
   TrendEstimate est;
   if (opts_.engine == TrendEngine::kBeliefPropagation) {
-    // Fast path: the flattened structure is cached; no MRF copy. The
-    // state pointer (when allowed) adds the cross-slot warm start.
-    BpState* bp_state =
-        (state != nullptr && opts_.warm_start) ? &state->bp : nullptr;
+    // Fast path: the flattened structure is cached; no MRF copy. A state
+    // adds the cross-slot warm start.
+    BpState* bp_state = state != nullptr ? &state->bp : nullptr;
     est.p_up = InferMarginalsBpFlat(bp_graph_, pot, opts_.bp, bp_state).p_up;
   } else if (opts_.engine == TrendEngine::kPriorOnly) {
     est.p_up.resize(n);

@@ -46,29 +46,14 @@ struct TrendModelOptions {
   double edge_compat_power = 0.25;
   /// Pseudo-counts for the historical trend prior.
   double prior_pseudo_count = 3.0;
-  /// Cross-slot warm start (BP engine only): when the caller passes a
-  /// TrendInferenceState to Infer, seed BP from the previous slot's fixed
-  /// point and sweep only the changed neighbourhoods. False forces the
-  /// cold schedule even with a state — the escape hatch when bitwise slot
-  /// independence matters more than latency. Stateless Infer calls are
-  /// always cold regardless.
-  bool warm_start = true;
 };
 
 /// Caller-owned cross-slot inference state for the stateful Infer overload.
 /// One per serving stream; Invalidate() whenever slot continuity breaks.
 struct TrendInferenceState {
   BpState bp;
-  /// Per-shard warm-start states for the sharded BP engine (see
-  /// shard/sharded_bp.h; sized by the engine on first use, unused — and
-  /// empty — on the flat path).
-  std::vector<BpState> shard;
 
-  void Invalidate() {
-    bp.Invalidate();
-    for (BpState& s : shard) s.Invalidate();
-    shard.clear();
-  }
+  void Invalidate() { bp.Invalidate(); }
 };
 
 /// A seed's crowdsourced observation, reduced to its trend.
@@ -99,8 +84,8 @@ class TrendModel {
       uint64_t slot, const std::vector<SeedTrend>& seeds,
       const std::vector<double>* evidence_log_odds = nullptr) const;
 
-  /// Stateful variant: with a non-null `state` (and warm_start enabled, BP
-  /// engine selected) the per-slot potential vector is diffed against the
+  /// Stateful variant: with a non-null `state` (and the BP engine
+  /// selected) the per-slot potential vector is diffed against the
   /// state's and inference warm-starts from the previous fixed point —
   /// steady-state slots touch a fraction of the graph. A null/invalid
   /// state runs the identical cold schedule and seeds the state. Marginals
@@ -112,29 +97,9 @@ class TrendModel {
                               const std::vector<double>* evidence_log_odds,
                               TrendInferenceState* state) const;
 
-  /// The per-slot *effective* node potentials (2 per road): historical
-  /// prior combined with soft evidence, clamped seeds carrying hard 0/1
-  /// pairs — the exact vector the BP engine consumes. Exposed so the
-  /// sharded BP path (shard/sharded_bp.h, orchestrated by the estimator)
-  /// can distribute the identical potentials across district shards.
-  Result<std::vector<double>> BuildPotentials(
-      uint64_t slot, const std::vector<SeedTrend>& seeds,
-      const std::vector<double>* evidence_log_odds) const;
-
-  /// The cached flattened BP structure (topology identical to the
-  /// correlation graph) — what ShardedBpEngine::Build partitions.
-  const BpGraph& bp_graph() const { return bp_graph_; }
-
   const TrendModelOptions& options() const { return opts_; }
 
  private:
-  /// Shared body of BuildPotentials and Infer: fills `pot` and the
-  /// per-road clamp marks (-1 free, else state).
-  Status FillPotentials(uint64_t slot, const std::vector<SeedTrend>& seeds,
-                        const std::vector<double>* evidence_log_odds,
-                        std::vector<double>* pot,
-                        std::vector<int8_t>* clamped) const;
-
   const CorrelationGraph* graph_;
   const HistoricalDb* db_;
   TrendModelOptions opts_;

@@ -8,7 +8,7 @@
 // Contract for doc authors:
 //   * backticked tokens containing '/' and a known source extension are
 //     checked: `core/serving.h` resolves via src/, `tests/foo_test.cc`,
-//     `docs/sharding.md`, `.github/workflows/ci.yml` via the repo root;
+//     `docs/serving.md`, `.github/workflows/ci.yml` via the repo root;
 //   * markdown link targets that are relative paths are checked relative
 //     to the linking document's directory;
 //   * tokens with glob/placeholder characters (*, <, {) and runtime
@@ -117,7 +117,7 @@ TEST(DocsPathsTest, CoreDocsExist) {
   // The documentation set the README table of contents promises.
   for (const char* name :
        {"architecture.md", "algorithms.md", "observability.md",
-        "performance.md", "serving.md", "sharding.md"}) {
+        "performance.md", "serving.md"}) {
     EXPECT_TRUE(fs::exists(Root() / "docs" / name)) << name;
   }
 }

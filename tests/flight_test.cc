@@ -1,13 +1,11 @@
 // Tests for the slot-causal flight recorder (obs/flight.h): stage naming,
 // per-thread ring recording and seqlock collection, overflow accounting,
 // the detached FlightSpan no-op contract, critical-path attribution, and
-// the TSan torture proof (N writer threads + a live collector, plus a
-// sharded BP solve recording shard spans while a collector loops). Run
-// under TRENDSPEED_SANITIZE=thread for the full data-race proof.
+// the TSan torture proof (N writer threads + a live collector). Run under
+// TRENDSPEED_SANITIZE=thread for the full data-race proof.
 
 #include <atomic>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,9 +16,6 @@
 #include "obs/clock.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "shard/sharded_bp.h"
-#include "trend/factor_graph.h"
-#include "util/random.h"
 
 namespace trendspeed {
 namespace {
@@ -36,18 +31,15 @@ TEST(FlightStageTest, NamesAreStable) {
                "admission");
   EXPECT_STREQ(obs::FlightStageName(obs::FlightStage::kEstimate), "estimate");
   EXPECT_STREQ(obs::FlightStageName(obs::FlightStage::kBpSolve), "bp_solve");
-  EXPECT_STREQ(obs::FlightStageName(obs::FlightStage::kShardSolve),
-               "shard_solve");
-  EXPECT_STREQ(obs::FlightStageName(obs::FlightStage::kExchange), "exchange");
   EXPECT_STREQ(obs::FlightStageName(obs::FlightStage::kPublish), "publish");
 }
 
 TEST(FlightRecorderTest, RecordsAndCollectsInStartOrder) {
   obs::FlightRecorder rec(/*events_per_thread=*/64);
   rec.Record(7, obs::FlightStage::kAdmission, /*start_ns=*/200,
-             /*duration_ns=*/10, obs::kNoShard, /*path_seq=*/2);
+             /*duration_ns=*/10, /*path_seq=*/2);
   rec.Record(7, obs::FlightStage::kQueueWait, /*start_ns=*/100,
-             /*duration_ns=*/100, obs::kNoShard, /*path_seq=*/1);
+             /*duration_ns=*/100, /*path_seq=*/1);
   rec.Record(8, obs::FlightStage::kQueueWait, /*start_ns=*/300,
              /*duration_ns=*/5);
   std::vector<obs::FlightEvent> events = rec.Collect();
@@ -123,8 +115,7 @@ TEST(FlightSpanTest, DetachedSpanTouchesNothing) {
   // Null recorder: no clock read, no context mutation — the detached
   // pipeline's state stays bitwise identical.
   {
-    obs::FlightSpan span(nullptr, 9, obs::FlightStage::kAdmission,
-                         obs::kNoShard, &ctx);
+    obs::FlightSpan span(nullptr, 9, obs::FlightStage::kAdmission, &ctx);
   }
   EXPECT_EQ(ctx.stage_seq, 3u);
 }
@@ -136,13 +127,11 @@ TEST(FlightSpanTest, AttachedSpanRecordsWithCausalSequence) {
   obs::SlotTraceContext ctx;
   ctx.slot = 5;
   {
-    obs::FlightSpan span(&rec, 5, obs::FlightStage::kAdmission, obs::kNoShard,
-                         &ctx);
+    obs::FlightSpan span(&rec, 5, obs::FlightStage::kAdmission, &ctx);
     g_fake_now += 250;
   }
   {
-    obs::FlightSpan span(&rec, 5, obs::FlightStage::kPublish, obs::kNoShard,
-                         &ctx);
+    obs::FlightSpan span(&rec, 5, obs::FlightStage::kPublish, &ctx);
     g_fake_now += 50;
   }
   obs::SetMonotonicClockForTest(nullptr);
@@ -163,29 +152,25 @@ TEST(FlightSpanTest, AttachedSpanRecordsWithCausalSequence) {
 
 std::vector<obs::FlightEvent> SyntheticSlotTimeline(uint64_t slot) {
   auto ev = [slot](obs::FlightStage stage, uint64_t start, uint64_t dur,
-                   uint32_t shard, uint32_t seq) {
+                   uint32_t seq) {
     obs::FlightEvent e;
     e.slot = slot;
     e.stage = stage;
     e.start_ns = start;
     e.duration_ns = dur;
-    e.shard = shard;
     e.path_seq = seq;
     return e;
   };
   // queue_wait 1000ns, then a 5000ns ingest envelope containing admission
-  // (700), estimate envelope (3800) with bp (2000) + exchange (500), and
-  // publish (300). Unattributed envelope remainder: 5000 - 3500 = 1500.
+  // (700), estimate envelope (3800) with bp (2000), and publish (300).
+  // Unattributed envelope remainder: 5000 - 3000 = 2000.
   return {
-      ev(obs::FlightStage::kQueueWait, 0, 1000, obs::kNoShard, 1),
-      ev(obs::FlightStage::kIngest, 1000, 5000, obs::kNoShard, 7),
-      ev(obs::FlightStage::kAdmission, 1100, 700, obs::kNoShard, 2),
-      ev(obs::FlightStage::kEstimate, 1900, 3800, obs::kNoShard, 3),
-      ev(obs::FlightStage::kBpSolve, 2000, 2000, obs::kNoShard, 4),
-      ev(obs::FlightStage::kShardSolve, 2000, 1900, /*shard=*/0, 0),
-      ev(obs::FlightStage::kShardSolve, 2050, 1800, /*shard=*/1, 0),
-      ev(obs::FlightStage::kExchange, 4000, 500, obs::kNoShard, 5),
-      ev(obs::FlightStage::kPublish, 5600, 300, obs::kNoShard, 6),
+      ev(obs::FlightStage::kQueueWait, 0, 1000, 1),
+      ev(obs::FlightStage::kIngest, 1000, 5000, 6),
+      ev(obs::FlightStage::kAdmission, 1100, 700, 2),
+      ev(obs::FlightStage::kEstimate, 1900, 3800, 3),
+      ev(obs::FlightStage::kBpSolve, 2000, 2000, 4),
+      ev(obs::FlightStage::kPublish, 5600, 300, 5),
   };
 }
 
@@ -197,15 +182,14 @@ TEST(CriticalPathTest, DecompositionSumsAndExcludesEnvelopes) {
   EXPECT_EQ(cp.total_ns, 6000u);  // queue_wait + ingest envelope
   EXPECT_EQ(cp.queue_wait_ns, 1000u);
   EXPECT_EQ(cp.admission_ns, 700u);
-  EXPECT_EQ(cp.bp_ns, 2000u);  // barriered region, NOT the shard spans
-  EXPECT_EQ(cp.exchange_ns, 500u);
+  EXPECT_EQ(cp.bp_ns, 2000u);  // NOT the estimate envelope around it
   EXPECT_EQ(cp.publish_ns, 300u);
-  EXPECT_EQ(cp.other_ns, 1500u);
+  EXPECT_EQ(cp.other_ns, 2000u);
   // The named stages plus `other` tile the whole timeline.
-  EXPECT_EQ(cp.queue_wait_ns + cp.admission_ns + cp.bp_ns + cp.exchange_ns +
-                cp.publish_ns + cp.other_ns,
+  EXPECT_EQ(cp.queue_wait_ns + cp.admission_ns + cp.bp_ns + cp.publish_ns +
+                cp.other_ns,
             cp.total_ns);
-  EXPECT_NEAR(cp.AttributedFraction(), 4500.0 / 6000.0, 1e-12);
+  EXPECT_NEAR(cp.AttributedFraction(), 4000.0 / 6000.0, 1e-12);
 }
 
 TEST(CriticalPathTest, OtherSlotsAreIgnoredAndEmptyIsZero) {
@@ -232,20 +216,21 @@ TEST(FlightTortureTest, ConcurrentWritersAndCollectorAreRaceFree) {
         rec.Record(/*slot=*/i % 17,
                    static_cast<obs::FlightStage>(i % obs::kNumFlightStages),
                    /*start_ns=*/i * 10 + w, /*duration_ns=*/i % 97,
-                   /*shard=*/static_cast<uint32_t>(w), /*path_seq=*/0);
+                   /*path_seq=*/static_cast<uint32_t>(w));
       }
     });
   }
   // Live collector: every returned event must be internally consistent —
   // the seqlock either yields a whole cell or skips it, never a torn mix.
+  // path_seq carries the writer index, tying the fields of one cell.
   uint64_t collections = 0;
   while (writing.load(std::memory_order_acquire)) {
     std::vector<obs::FlightEvent> events = rec.Collect();
     for (const obs::FlightEvent& e : events) {
       ASSERT_LT(e.slot, 17u);
       ASSERT_LT(static_cast<size_t>(e.stage), obs::kNumFlightStages);
-      ASSERT_LT(e.shard, static_cast<uint32_t>(kWriters));
-      ASSERT_EQ(e.duration_ns, (e.start_ns - e.shard) / 10 % 97);
+      ASSERT_LT(e.path_seq, static_cast<uint32_t>(kWriters));
+      ASSERT_EQ(e.duration_ns, (e.start_ns - e.path_seq) / 10 % 97);
     }
     ++collections;
     if (rec.total_recorded() >= kWriters * kEventsPerWriter) {
@@ -258,66 +243,6 @@ TEST(FlightTortureTest, ConcurrentWritersAndCollectorAreRaceFree) {
   EXPECT_EQ(rec.num_threads(), static_cast<size_t>(kWriters));
   // Conservation: retained + dropped = recorded.
   EXPECT_EQ(rec.Collect().size() + rec.dropped(), rec.total_recorded());
-}
-
-TEST(FlightTortureTest, CollectorRunsDuringActiveShardedSolves) {
-  // Ring graph split into 4 shards, solved repeatedly with a FlightSink
-  // attached while a collector thread merges the rings: the real
-  // integration shape (pool workers writing shard_solve spans, caller
-  // writing bp_solve/exchange, collector reading concurrently).
-  PairwiseMrf mrf(240);
-  double compat[2][2] = {{1.3, 0.7}, {0.7, 1.3}};
-  for (size_t v = 0; v < 240; ++v) mrf.AddEdge(v, (v + 1) % 240, compat);
-  ShardingOptions sopts;
-  sopts.num_shards = 4;
-  auto engine = ShardedBpEngine::Build(BpGraph::FromMrf(mrf), sopts);
-  ASSERT_TRUE(engine.ok());
-  std::vector<double> pot(2 * 240);
-  Rng rng(7);
-  for (size_t v = 0; v < 240; ++v) {
-    double p = 0.1 + 0.8 * rng.NextDouble();
-    pot[2 * v] = 1.0 - p;
-    pot[2 * v + 1] = p;
-  }
-  obs::FlightRecorder rec(/*events_per_thread=*/4096);
-  std::atomic<bool> solving{true};
-  std::thread collector([&] {
-    while (solving.load(std::memory_order_acquire)) {
-      for (const obs::FlightEvent& e : rec.Collect()) {
-        ASSERT_LT(static_cast<size_t>(e.stage), obs::kNumFlightStages);
-      }
-      std::this_thread::yield();
-    }
-  });
-  BpOptions bp;
-  bp.max_iters = 30;
-  for (uint64_t slot = 0; slot < 20; ++slot) {
-    obs::SlotTraceContext ctx;
-    ctx.slot = slot;
-    obs::FlightSink sink{&rec, slot, &ctx};
-    ShardedBpResult r = engine->Infer(pot, bp, nullptr, sink);
-    ASSERT_EQ(r.p_up.size(), 240u);
-  }
-  solving.store(false, std::memory_order_release);
-  collector.join();
-
-  // Every solve recorded at least one bp_solve span and one shard_solve
-  // span per shard per round.
-  std::vector<obs::FlightEvent> events = rec.CollectSlot(3);
-  size_t bp_spans = 0;
-  std::set<uint32_t> shards_seen;
-  for (const obs::FlightEvent& e : events) {
-    if (e.stage == obs::FlightStage::kBpSolve) {
-      ++bp_spans;
-      EXPECT_GT(e.path_seq, 0u);  // on the causal backbone
-    }
-    if (e.stage == obs::FlightStage::kShardSolve) {
-      EXPECT_EQ(e.path_seq, 0u);  // concurrent, off-path
-      shards_seen.insert(e.shard);
-    }
-  }
-  EXPECT_GE(bp_spans, 1u);
-  EXPECT_EQ(shards_seen.size(), 4u);
 }
 
 }  // namespace

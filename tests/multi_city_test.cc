@@ -22,24 +22,24 @@ namespace {
 using testing_util::SharedTinyDataset;
 
 // Two "cities" over the shared tiny dataset: same road network, different
-// serving/estimation configurations (one flat, one sharded) — exactly the
-// mixed fleet the sharded engine targets.
+// estimation configurations (the default BP kernel, and the scalar oracle
+// kernel) — a mixed fleet behind one server.
 class MultiCityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     const Dataset& ds = SharedTinyDataset();
     PipelineConfig config;
     config.corr.min_co_observed = 8;
-    auto flat = TrafficSpeedEstimator::Train(&ds.net, &ds.history, config);
-    TS_CHECK(flat.ok()) << flat.status().ToString();
-    flat_ = new TrafficSpeedEstimator(std::move(flat).value());
+    auto def = TrafficSpeedEstimator::Train(&ds.net, &ds.history, config);
+    TS_CHECK(def.ok()) << def.status().ToString();
+    default_ = new TrafficSpeedEstimator(std::move(def).value());
 
-    config.sharding.num_shards = 2;
-    auto sharded = TrafficSpeedEstimator::Train(&ds.net, &ds.history, config);
-    TS_CHECK(sharded.ok()) << sharded.status().ToString();
-    sharded_ = new TrafficSpeedEstimator(std::move(sharded).value());
+    config.trend.bp.kernel = BpKernel::kScalar;
+    auto scalar = TrafficSpeedEstimator::Train(&ds.net, &ds.history, config);
+    TS_CHECK(scalar.ok()) << scalar.status().ToString();
+    scalar_ = new TrafficSpeedEstimator(std::move(scalar).value());
 
-    auto seeds = flat_->SelectSeeds(6, SeedStrategy::kLazyGreedy);
+    auto seeds = default_->SelectSeeds(6, SeedStrategy::kLazyGreedy);
     TS_CHECK(seeds.ok());
     seeds_ = new std::vector<RoadId>(seeds->seeds);
   }
@@ -54,33 +54,33 @@ class MultiCityTest : public ::testing::Test {
     return out;
   }
 
-  static TrafficSpeedEstimator* flat_;
-  static TrafficSpeedEstimator* sharded_;
+  static TrafficSpeedEstimator* default_;
+  static TrafficSpeedEstimator* scalar_;
   static std::vector<RoadId>* seeds_;
 };
 
-TrafficSpeedEstimator* MultiCityTest::flat_ = nullptr;
-TrafficSpeedEstimator* MultiCityTest::sharded_ = nullptr;
+TrafficSpeedEstimator* MultiCityTest::default_ = nullptr;
+TrafficSpeedEstimator* MultiCityTest::scalar_ = nullptr;
 std::vector<RoadId>* MultiCityTest::seeds_ = nullptr;
 
 TEST_F(MultiCityTest, CreateValidatesSpecs) {
   EXPECT_FALSE(MultiCityServer::Create({}).ok());
   EXPECT_FALSE(
-      MultiCityServer::Create({{"", flat_, ServingOptions{}}}).ok());
+      MultiCityServer::Create({{"", default_, ServingOptions{}}}).ok());
   EXPECT_FALSE(
       MultiCityServer::Create({{"a", nullptr, ServingOptions{}}}).ok());
-  EXPECT_FALSE(MultiCityServer::Create({{"a", flat_, ServingOptions{}},
-                                        {"a", sharded_, ServingOptions{}}})
+  EXPECT_FALSE(MultiCityServer::Create({{"a", default_, ServingOptions{}},
+                                        {"a", scalar_, ServingOptions{}}})
                    .ok());
   // Bad per-city serving knobs fail Create, not the first Ingest.
   ServingOptions bad;
   bad.max_speed_kmh = -1.0;
-  EXPECT_FALSE(MultiCityServer::Create({{"a", flat_, bad}}).ok());
+  EXPECT_FALSE(MultiCityServer::Create({{"a", default_, bad}}).ok());
 }
 
 TEST_F(MultiCityTest, RoutesByNameAndIndex) {
   auto server = MultiCityServer::Create(
-      {{"porto", flat_, ServingOptions{}}, {"beijing", sharded_, {}}});
+      {{"porto", default_, ServingOptions{}}, {"beijing", scalar_, {}}});
   ASSERT_TRUE(server.ok());
   EXPECT_EQ(server->num_cities(), 2u);
   EXPECT_EQ(server->name(0), "porto");
@@ -99,12 +99,12 @@ TEST_F(MultiCityTest, InterleavedIngestMatchesStandaloneSessions) {
   ServingOptions opts;
   opts.validation = ValidationPolicy::kFilter;
   auto server = MultiCityServer::Create(
-      {{"flat", flat_, opts}, {"sharded", sharded_, opts}});
-  auto solo_flat = ServingSession::Create(flat_, opts);
-  auto solo_sharded = ServingSession::Create(sharded_, opts);
+      {{"default", default_, opts}, {"scalar", scalar_, opts}});
+  auto solo_default = ServingSession::Create(default_, opts);
+  auto solo_scalar = ServingSession::Create(scalar_, opts);
   ASSERT_TRUE(server.ok());
-  ASSERT_TRUE(solo_flat.ok());
-  ASSERT_TRUE(solo_sharded.ok());
+  ASSERT_TRUE(solo_default.ok());
+  ASSERT_TRUE(solo_scalar.ok());
 
   uint64_t base = ds().first_test_slot();
   // Interleave the two cities' streams, including a degraded (empty) slot
@@ -114,12 +114,12 @@ TEST_F(MultiCityTest, InterleavedIngestMatchesStandaloneSessions) {
     double factor = 0.9 + 0.05 * static_cast<double>(s % 3);
     std::vector<SeedSpeed> obs = Obs(slot, factor);
     std::vector<SeedSpeed> empty;
-    bool degrade_flat = (s == 2);
+    bool degrade_default = (s == 2);
 
-    auto a = server->Ingest("flat", slot, degrade_flat ? empty : obs);
-    auto b = server->Ingest("sharded", slot, obs);
-    auto ra = solo_flat->Ingest(slot, degrade_flat ? empty : obs);
-    auto rb = solo_sharded->Ingest(slot, obs);
+    auto a = server->Ingest("default", slot, degrade_default ? empty : obs);
+    auto b = server->Ingest("scalar", slot, obs);
+    auto ra = solo_default->Ingest(slot, degrade_default ? empty : obs);
+    auto rb = solo_scalar->Ingest(slot, obs);
     ASSERT_EQ(a.ok(), ra.ok()) << "slot " << slot;
     ASSERT_TRUE(b.ok());
     ASSERT_TRUE(rb.ok());
@@ -137,18 +137,18 @@ TEST_F(MultiCityTest, InterleavedIngestMatchesStandaloneSessions) {
 
   // Per-city counters match the standalone runs field by field.
   ServingStats sa = server->session(0).stats();
-  ServingStats ra = solo_flat->stats();
+  ServingStats ra = solo_default->stats();
   EXPECT_EQ(sa.slots_estimated, ra.slots_estimated);
   EXPECT_EQ(sa.slots_carried_forward, ra.slots_carried_forward);
   ServingStats sb = server->session(1).stats();
-  ServingStats rb = solo_sharded->stats();
+  ServingStats rb = solo_scalar->stats();
   EXPECT_EQ(sb.slots_estimated, rb.slots_estimated);
   EXPECT_EQ(sb.slots_carried_forward, 0u);
 }
 
 TEST_F(MultiCityTest, TotalStatsSumsCities) {
   auto server = MultiCityServer::Create(
-      {{"a", flat_, ServingOptions{}}, {"b", sharded_, {}}});
+      {{"a", default_, ServingOptions{}}, {"b", scalar_, {}}});
   ASSERT_TRUE(server.ok());
   uint64_t slot = ds().first_test_slot();
   ASSERT_TRUE(server->Ingest("a", slot, Obs(slot, 1.0)).ok());
@@ -169,7 +169,7 @@ TEST_F(MultiCityTest, CitiesShareOneMetricsRegistry) {
   ServingOptions opts;
   opts.observability.metrics = &registry;
   auto server = MultiCityServer::Create(
-      {{"a", flat_, opts}, {"b", sharded_, opts}});
+      {{"a", default_, opts}, {"b", scalar_, opts}});
   ASSERT_TRUE(server.ok());
   uint64_t slot = ds().first_test_slot();
   ASSERT_TRUE(server->Ingest("a", slot, Obs(slot, 1.0)).ok());

@@ -1,7 +1,7 @@
 // Tests for the Chrome trace-event JSON exporter (obs/trace_export.h):
 // byte-exact goldens for flight and span exports, and a schema check over
-// a real sharded serving replay — the trace a breach dump or --trace-out
-// bench run would hand to chrome://tracing must stay loadable.
+// a real serving replay — the trace a breach dump or --trace-out bench run
+// would hand to chrome://tracing must stay loadable.
 
 #include <cstdint>
 #include <string>
@@ -41,16 +41,15 @@ TEST(TraceExportTest, FlightEventsGolden) {
   queue.thread_id = 3;
   queue.stage = obs::FlightStage::kQueueWait;
   queue.path_seq = 1;
-  obs::FlightEvent shard;
-  shard.slot = 12;
-  shard.start_ns = 4'500;
-  shard.duration_ns = 250;
-  shard.thread_id = 7;
-  shard.shard = 1;
-  shard.stage = obs::FlightStage::kShardSolve;
-  shard.path_seq = 0;
+  obs::FlightEvent bp;
+  bp.slot = 12;
+  bp.start_ns = 4'500;
+  bp.duration_ns = 250;
+  bp.thread_id = 7;
+  bp.stage = obs::FlightStage::kBpSolve;
+  bp.path_seq = 4;
   // Deliberately out of start order: the exporter sorts.
-  std::vector<obs::FlightEvent> events = {shard, queue};
+  std::vector<obs::FlightEvent> events = {bp, queue};
   std::vector<std::pair<uint32_t, std::string>> threads = {
       {7, "pool-0"}, {3, "serving"}};
 
@@ -64,8 +63,8 @@ TEST(TraceExportTest, FlightEventsGolden) {
       "\"name\":\"queue_wait\",\"ts\":0.000,\"dur\":1.500,"
       "\"args\":{\"slot\":12,\"seq\":1}},\n"
       "{\"ph\":\"X\",\"pid\":1,\"tid\":7,\"cat\":\"flight\","
-      "\"name\":\"shard_solve\",\"ts\":2.500,\"dur\":0.250,"
-      "\"args\":{\"slot\":12,\"shard\":1,\"seq\":0}}\n"
+      "\"name\":\"bp_solve\",\"ts\":2.500,\"dur\":0.250,"
+      "\"args\":{\"slot\":12,\"seq\":4}}\n"
       "]}";
   EXPECT_EQ(obs::ToChromeTraceJson(events, threads), expected);
 }
@@ -116,7 +115,7 @@ TEST(TraceExportTest, HostileSpanNamesAreEscaped) {
 }
 
 // ---------------------------------------------------------------------------
-// Schema check over a real sharded serving replay (the CI tier-1 step).
+// Schema check over a real serving replay (the CI tier-1 step).
 // ---------------------------------------------------------------------------
 
 // Minimal structural validator: balanced {}/[] outside strings, plus the
@@ -165,11 +164,10 @@ void CheckChromeTraceSchema(const std::string& json) {
   EXPECT_GT(complete_events, 0u);
 }
 
-TEST(TraceExportTest, ShardedServingReplayExportsLoadableTrace) {
+TEST(TraceExportTest, ServingReplayExportsLoadableTrace) {
   const Dataset& ds = SharedTinyDataset();
   PipelineConfig config;
   config.corr.min_co_observed = 8;
-  config.sharding.num_shards = 2;
   auto est = TrafficSpeedEstimator::Train(&ds.net, &ds.history, config);
   ASSERT_TRUE(est.ok()) << est.status().ToString();
   auto seeds = est->SelectSeeds(6, SeedStrategy::kLazyGreedy);
@@ -197,13 +195,31 @@ TEST(TraceExportTest, ShardedServingReplayExportsLoadableTrace) {
 
   std::string json = obs::ToChromeTraceJson(flight);
   CheckChromeTraceSchema(json);
-  // The full causal backbone shows up in the trace.
-  for (const char* stage :
-       {"queue_wait", "ingest", "admission", "estimate", "bp_solve",
-        "shard_solve", "exchange", "publish"}) {
+  // Every stage shows up in the trace, and in each slot's timeline.
+  for (size_t k = 0; k < obs::kNumFlightStages; ++k) {
+    const char* stage = obs::FlightStageName(static_cast<obs::FlightStage>(k));
     EXPECT_NE(json.find(std::string("\"name\":\"") + stage + "\""),
               std::string::npos)
         << stage;
+  }
+  for (uint64_t slot = 0; slot < 3; ++slot) {
+    const std::vector<obs::FlightEvent> events = flight.CollectSlot(slot);
+    std::vector<bool> seen(obs::kNumFlightStages, false);
+    for (const obs::FlightEvent& e : events) {
+      seen[static_cast<size_t>(e.stage)] = true;
+    }
+    for (size_t k = 0; k < obs::kNumFlightStages; ++k) {
+      EXPECT_TRUE(seen[k]) << "slot " << slot << " lacks "
+                           << obs::FlightStageName(
+                                  static_cast<obs::FlightStage>(k));
+    }
+    // The attributed stages plus `other` tile the slot's total exactly.
+    const obs::SlotCriticalPath cp = obs::ComputeSlotCriticalPath(events, slot);
+    EXPECT_GT(cp.total_ns, 0u);
+    EXPECT_EQ(cp.queue_wait_ns + cp.admission_ns + cp.bp_ns + cp.publish_ns +
+                  cp.other_ns,
+              cp.total_ns)
+        << "slot " << slot;
   }
   // Every slot produced a critical-path decomposition for the SLO engine.
   ASSERT_NE(session->slo(), nullptr);
