@@ -8,12 +8,6 @@
 // (tol 0, so convergence never shortens a run) and the marginals must agree
 // within the kernel's documented tolerance contract.
 //
-// The warm_drift section measures the warm-start density crossover: a state
-// is cold-seeded, a fraction of the potentials drifts, and the row records
-// which schedule the SIMD-resolved warm run actually took (sparse scalar
-// active-set vs dense vectorized sweeps) plus its wall time — the numbers
-// behind the kBpWarmDenseCrossover constant in docs/performance.md.
-//
 // Flags:
 //   --smoke   tiny instance + 1 rep; used by the `perf`-labelled CTest
 //             smoke entry.
@@ -24,8 +18,6 @@
 #include <vector>
 
 #include "bench_hardware.h"
-#include "obs/catalog.h"
-#include "obs/metrics.h"
 #include "trend/belief_propagation.h"
 #include "trend/bp_kernel.h"
 #include "trend/factor_graph.h"
@@ -44,12 +36,7 @@ struct KernelBenchConfig {
   /// and the number approximates steady-state sweep throughput, while
   /// still being an honest end-to-end InferMarginalsBpFlat measurement.
   uint32_t bp_iters = 50;
-  /// Sweep budget for the warm_drift section — production-shaped (warm
-  /// serving runs are tightly budgeted and stop on tol), not the
-  /// throughput section's long schedule.
-  uint32_t warm_iters = 10;
   int reps = 5;
-  std::vector<double> drift_fracs = {0.01, 0.05, 0.15, 0.5};
   /// Secondary single-thread section on a grid whose working set fits L2,
   /// where the kernel is compute- rather than bandwidth-bound. 0 = skip.
   size_t l2_rows = 120;
@@ -144,7 +131,8 @@ struct SingleThreadResult {
 };
 
 /// Runs the fixed-schedule scalar-vs-SIMD comparison (tol 0 pins both
-/// kernels to exactly `iters` full sweeps) and prints one JSON section.
+/// kernels to exactly `iters` full sweeps) and prints one JSON section,
+/// without a trailing separator.
 SingleThreadResult RunSingleThreadSection(const char* key, const BpGraph& g,
                                           const std::vector<double>& pot,
                                           uint32_t iters, int reps) {
@@ -189,7 +177,7 @@ SingleThreadResult RunSingleThreadSection(const char* key, const BpGraph& g,
   } else {
     std::printf("\n    \"simd\": null\n");
   }
-  std::printf("  },\n");
+  std::printf("  }");
   return out;
 }
 
@@ -223,14 +211,14 @@ int Run(const KernelBenchConfig& cfg) {
     double ceiling = gbs * 1e9 / kSweepBytesPerUpdate;
     double measured =
         static_cast<double>(dir_edges) * cfg.bp_iters / (st.simd_ms / 1e3);
-    std::printf("  \"roofline\": {\n");
+    std::printf(",\n  \"roofline\": {\n");
     std::printf("    \"stream_bandwidth_gb_per_sec\": %.2f,\n", gbs);
     std::printf("    \"sweep_bytes_per_update\": %.0f,\n",
                 kSweepBytesPerUpdate);
     std::printf("    \"bandwidth_bound_updates_per_sec\": %.3g,\n", ceiling);
     std::printf("    \"simd_fraction_of_roofline\": %.2f\n",
                 measured / ceiling);
-    std::printf("  },\n");
+    std::printf("  }");
   }
 
   // --- L2-resident compute-bound section ----------------------------------
@@ -239,51 +227,12 @@ int Run(const KernelBenchConfig& cfg) {
   if (cfg.l2_rows > 0) {
     std::vector<double> l2_pot;
     BpGraph l2_graph = MakeGridBpGraph(cfg.l2_rows, cfg.l2_cols, &l2_pot);
+    std::printf(",\n");
     RunSingleThreadSection("l2_resident", l2_graph, l2_pot, cfg.l2_iters,
                            cfg.reps);
   }
 
-  // --- warm-start density crossover ---------------------------------------
-  std::printf("  \"dense_crossover\": %.2f,\n", kBpWarmDenseCrossover);
-  std::printf("  \"warm_drift\": [");
-  Rng rng(4077);
-  BpOptions bp;
-  bp.max_iters = cfg.warm_iters;
-  bp.num_threads = 1;
-  bp.tol = 1e-4;  // realistic warm serving runs converge, not exhaust
-  bp.kernel = st.simd ? BpKernel::kSimd : BpKernel::kScalar;
-  for (size_t i = 0; i < cfg.drift_fracs.size(); ++i) {
-    double frac = cfg.drift_fracs[i];
-    obs::MetricsRegistry reg;
-    bp.metrics = &reg;
-    BpState state;
-    InferMarginalsBpFlat(graph, pot, bp, &state);
-    std::vector<double> drifted = pot;
-    size_t changed = static_cast<size_t>(static_cast<double>(n) * frac);
-    for (size_t k = 0; k < changed; ++k) {
-      size_t v = rng.NextIndex(n);
-      double p = std::min(0.95, std::max(0.05, drifted[2 * v + 1] +
-                                                   rng.Uniform(-0.2, 0.2)));
-      drifted[2 * v] = 1.0 - p;
-      drifted[2 * v + 1] = p;
-    }
-    BpResult warm;
-    double ms = BestMillis(
-        cfg.reps, [&] {
-          BpState run_state = state;  // each rep warms from the same seed
-          warm = InferMarginalsBpFlat(graph, drifted, bp, &run_state);
-        });
-    bool dense =
-        reg.GetCounter(obs::kBpKernelWarmDenseTotal)->Value() > 0;
-    std::printf("%s\n    {\"drift_frac\": %.2f, \"active_vars\": %zu, "
-                "\"active_density\": %.4f, \"dense_path\": %s, \"ms\": %.3f}",
-                i == 0 ? "" : ",", frac, warm.active_vars,
-                static_cast<double>(warm.active_vars) /
-                    static_cast<double>(n),
-                dense ? "true" : "false", ms);
-    bp.metrics = nullptr;
-  }
-  std::printf("\n  ]\n}\n");
+  std::printf("\n}\n");
   return 0;
 }
 
@@ -298,7 +247,6 @@ int main(int argc, char** argv) {
       cfg.cols = 60;
       cfg.bp_iters = 4;
       cfg.reps = 1;
-      cfg.drift_fracs = {0.01, 0.5};
       cfg.l2_rows = 0;  // the main grid already fits in cache
       cfg.l2_cols = 0;
     } else {

@@ -32,9 +32,6 @@ Status PipelineConfig::Validate() const {
   if (!(trend.bp.tol >= 0.0)) {  // also rejects NaN
     return Status::InvalidArgument("trend.bp.tol must be >= 0");
   }
-  if (!(trend.bp.warm_threshold >= 0.0)) {  // also rejects NaN
-    return Status::InvalidArgument("trend.bp.warm_threshold must be >= 0");
-  }
   // Guards configs assembled from raw ints (deserialization, FFI): the
   // kernel knob must be one of the declared enumerators.
   if (trend.bp.kernel != BpKernel::kScalar &&

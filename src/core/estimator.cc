@@ -134,13 +134,7 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
 
 Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
     uint64_t slot, const std::vector<SeedSpeed>& seeds,
-    TrendInferenceState* state) const {
-  return Estimate(slot, seeds, state, nullptr);
-}
-
-Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
-    uint64_t slot, const std::vector<SeedSpeed>& seeds,
-    TrendInferenceState* state, EstimateWorkspace* workspace,
+    EstimateWorkspace* workspace,
     const obs::FlightSink& flight) const {
   const ObservabilityOptions& o = config_.observability;
   obs::ScopedSpan span(o.trace, "estimator/estimate");
@@ -210,8 +204,8 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
   {  // Scoped so the bp_solve span closes before Step 2.
     obs::FlightSpan bp_span(flight.recorder, slot, obs::FlightStage::kBpSolve,
                             flight.ctx);
-    TS_ASSIGN_OR_RETURN(out.trends, trend_model_->Infer(slot, seed_trends,
-                                                        evidence_ptr, state));
+    TS_ASSIGN_OR_RETURN(out.trends,
+                        trend_model_->Infer(slot, seed_trends, evidence_ptr));
   }
 
   // Step 2: speeds.

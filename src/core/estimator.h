@@ -45,9 +45,9 @@ const char* SeedStrategyName(SeedStrategy strategy);
 /// n-sized buffers. A call whose ordered seed road list matches the last
 /// one reuses the plan; any other list recompiles it. Results are bitwise
 /// identical with a fresh, a reused or no workspace. One per serving
-/// stream, like TrendInferenceState, and never shared between threads;
-/// ServingSession owns one. The plan points into the estimator's influence
-/// model, so a workspace must not outlive the estimator it serves.
+/// stream, never shared between threads; ServingSession owns one. The plan
+/// points into the estimator's influence model, so a workspace must not
+/// outlive the estimator it serves.
 struct EstimateWorkspace {
   SeedSetPlan plan;
   /// Times `plan` was compiled (a diagnostic: a fixed seed set compiles
@@ -86,25 +86,15 @@ class TrafficSpeedEstimator {
   Result<Output> Estimate(uint64_t slot,
                           const std::vector<SeedSpeed>& seeds) const;
 
-  /// Stateful variant for serving loops: `state` (caller-owned, see
-  /// TrendInferenceState) lets Step 1 warm-start from the previous slot's
-  /// converged BP messages. Passing null is the one-shot cold path above,
-  /// bit for bit. The caller is responsible for Invalidate()-ing the state
-  /// whenever slot continuity breaks (ServingSession does this on
-  /// creation, carry-forward, and out-of-order rejection).
-  Result<Output> Estimate(uint64_t slot, const std::vector<SeedSpeed>& seeds,
-                          TrendInferenceState* state) const;
-
   /// Serving variant. `workspace` (caller-owned, may be null) keeps the
   /// seed-set plan and scratch across calls; null uses a temporary one,
-  /// which is the overloads above. `flight` carries the serving layer's
+  /// which is the overload above. `flight` carries the serving layer's
   /// recorder + causal context (the estimator's own config_.observability
   /// has no recorder — flight hookup is per serving session, not per
   /// model) and records this call as the slot's `estimate` envelope span
   /// plus a nested `bp_solve` span. A default (detached) sink records
   /// nothing.
   Result<Output> Estimate(uint64_t slot, const std::vector<SeedSpeed>& seeds,
-                          TrendInferenceState* state,
                           EstimateWorkspace* workspace,
                           const obs::FlightSink& flight = {}) const;
 

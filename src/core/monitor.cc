@@ -26,13 +26,7 @@ Result<OnlineTrafficMonitor::SlotReport> OnlineTrafficMonitor::Process(
 
 Result<OnlineTrafficMonitor::SlotReport> OnlineTrafficMonitor::Process(
     uint64_t slot, const std::vector<SeedSpeed>& observations,
-    TrendInferenceState* state) {
-  return Process(slot, observations, state, nullptr);
-}
-
-Result<OnlineTrafficMonitor::SlotReport> OnlineTrafficMonitor::Process(
-    uint64_t slot, const std::vector<SeedSpeed>& observations,
-    TrendInferenceState* state, EstimateWorkspace* workspace,
+    EstimateWorkspace* workspace,
     const obs::FlightSink& flight) {
   if (slots_processed_ > 0 && slot <= last_slot_) {
     return Status::InvalidArgument(
@@ -41,7 +35,7 @@ Result<OnlineTrafficMonitor::SlotReport> OnlineTrafficMonitor::Process(
   SlotReport report;
   TS_ASSIGN_OR_RETURN(
       report.estimate,
-      estimator_->Estimate(slot, observations, state, workspace, flight));
+      estimator_->Estimate(slot, observations, workspace, flight));
   const RoadNetwork& net = estimator_->network();
   // Roads directly observed this slot: only a real observation may seed a
   // road's EWMA at full weight. Seeding every road from the first slot's

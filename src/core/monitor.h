@@ -59,22 +59,13 @@ class OnlineTrafficMonitor {
   Result<SlotReport> Process(uint64_t slot,
                              const std::vector<SeedSpeed>& observations);
 
-  /// Stateful variant: forwards `state` to the estimator so Step 1 can
-  /// warm-start across consecutive slots. Null behaves exactly like the
-  /// overload above; lifecycle rules are the caller's (see
-  /// TrafficSpeedEstimator::Estimate).
+  /// Serving variant: forwards the caller's EstimateWorkspace (null = a
+  /// temporary one, the overload above) and the serving layer's
+  /// flight-recorder hookup, so the estimator's spans (estimate, BP solve)
+  /// join the slot's causal timeline. A default (detached) sink records
+  /// nothing.
   Result<SlotReport> Process(uint64_t slot,
                              const std::vector<SeedSpeed>& observations,
-                             TrendInferenceState* state);
-
-  /// Serving variant: additionally forwards the caller's EstimateWorkspace
-  /// (null = a temporary one, the overload above) and the serving layer's
-  /// flight-recorder hookup, so the estimator's spans (estimate, BP solve,
-  /// exchange) join the slot's causal timeline. A default (detached) sink
-  /// records nothing.
-  Result<SlotReport> Process(uint64_t slot,
-                             const std::vector<SeedSpeed>& observations,
-                             TrendInferenceState* state,
                              EstimateWorkspace* workspace,
                              const obs::FlightSink& flight = {});
 

@@ -1,7 +1,7 @@
 // MultiCityServer: N independent city graphs behind one process.
 //
 // Each city is its own ServingSession — its own estimator, slot clock,
-// warm-start state, and degradation counters — while the heavyweight
+// estimate workspace, and degradation counters — while the heavyweight
 // process-wide resources are shared: every session's parallel work (BP
 // sweeps, seed selection) runs on the one ThreadPool::Global(), and cities
 // created with the same MetricsRegistry in their ServingOptions export

@@ -224,10 +224,6 @@ Result<std::vector<SeedSpeed>> ServingSession::Sanitize(
 
 Result<ServingSession::SlotReport> ServingSession::CarryForward(
     uint64_t slot, size_t dropped, obs::SlotTraceContext* ctx) {
-  // Whether the carry-forward succeeds or is refused, no inference ran for
-  // this slot, so the stored fixed point no longer matches the stream: the
-  // next estimated slot must start cold.
-  trend_state_.Invalidate();
   if (!has_report_) {
     return Status::FailedPrecondition(
         "no estimate available to carry forward");
@@ -301,8 +297,6 @@ Result<ServingSession::SlotReport> ServingSession::DoIngest(
     }
     if (slot < last_report_.slot) {
       Count(stats_->out_of_order_slots, m_out_of_order_slots_);
-      // Slot continuity is broken; the next accepted slot must start cold.
-      trend_state_.Invalidate();
       if (slo_ != nullptr) slo_->NoteDegradation("out_of_order_slot", slot);
       return Status::FailedPrecondition(
           "stale slot " + std::to_string(slot) + " arrived after slot " +
@@ -330,8 +324,8 @@ Result<ServingSession::SlotReport> ServingSession::DoIngest(
   if (sanitized->empty()) return CarryForward(slot, dropped, ctx);
 
   Result<OnlineTrafficMonitor::SlotReport> report = monitor_.Process(
-      slot, *sanitized, opts_.warm_start ? &trend_state_ : nullptr,
-      &workspace_, obs::FlightSink{opts_.observability.flight, slot, ctx});
+      slot, *sanitized, &workspace_,
+      obs::FlightSink{opts_.observability.flight, slot, ctx});
   bool healthy = report.ok();
   if (healthy) {
     // Never serve a non-finite or negative speed, whatever the estimator

@@ -107,16 +107,6 @@ struct ServingOptions {
   /// slot is refused with FailedPrecondition instead of re-serving an
   /// ever-staler estimate. 0 disables carry-forward entirely.
   uint32_t max_stale_slots = 12;
-  /// Cross-slot warm-start for Step 1's belief propagation: the session
-  /// owns a TrendInferenceState, seeds each slot's inference from the
-  /// previous fixed point, and invalidates it whenever slot continuity
-  /// breaks (creation, carry-forward, out-of-order rejection). Warm
-  /// marginals track the cold ones within a few multiples of
-  /// BpOptions::tol. Off by default: replays then stay bitwise
-  /// reproducible slot by slot; turn it on for latency-sensitive
-  /// production streams. Tune the activation threshold via
-  /// PipelineConfig::trend.bp.warm_threshold (validated there).
-  bool warm_start = false;
   /// Observability sinks for this session: the trendspeed_serving_* series
   /// (per-Ingest latency histogram, staleness gauge, slow-ingest counter,
   /// registry mirrors of every ServingStats field) and the "serving/ingest"
@@ -304,11 +294,8 @@ class ServingSession {
   bool has_report_ = false;
   SlotReport last_report_;
   uint32_t stale_streak_ = 0;
-  /// Cross-slot BP warm-start state (used only when opts_.warm_start);
-  /// invalidated whenever slot continuity breaks.
-  TrendInferenceState trend_state_;
-  /// Estimate's seed-set plan and per-slot scratch, passed on every slot
-  /// whatever opts_.warm_start says; a fixed seed set compiles once.
+  /// Estimate's seed-set plan and per-slot scratch, passed on every slot;
+  /// a fixed seed set compiles once.
   EstimateWorkspace workspace_;
 
   // Metric handles; all null when no registry is configured.

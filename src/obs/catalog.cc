@@ -16,8 +16,6 @@ constexpr double kResidualBounds[] = {1e-6, 1e-5, 1e-4, 1e-3,
                                       1e-2, 0.1,  0.5,  1.0};
 constexpr double kGainBounds[] = {0.01, 0.05, 0.1, 0.25, 0.5, 1,
                                   2,    4,    8,   16,   32,  64};
-constexpr double kActiveVarBounds[] = {1,    4,    16,    64,    256,
-                                       1024, 4096, 16384, 65536, 262144};
 
 constexpr size_t N(auto& a) { return sizeof(a) / sizeof(a[0]); }
 
@@ -44,17 +42,6 @@ const MetricDef kBpResidual = {
     "trendspeed_bp_residual", MetricType::kHistogram,
     "Max message change per sweep (convergence residual)", "delta", "",
     kResidualBounds, N(kResidualBounds)};
-const MetricDef kBpWarmStartsTotal = {
-    "trendspeed_bp_warm_starts_total", MetricType::kCounter,
-    "BP runs seeded from a previous slot's fixed point", "1"};
-const MetricDef kBpActiveVars = {
-    "trendspeed_bp_active_vars", MetricType::kHistogram,
-    "Variables in the initial warm-start active set", "variables", "",
-    kActiveVarBounds, N(kActiveVarBounds)};
-const MetricDef kBpSweepsSaved = {
-    "trendspeed_bp_sweeps_saved", MetricType::kHistogram,
-    "Sweeps avoided vs the max_iters budget on a warm run", "sweeps", "",
-    kIterationBounds, N(kIterationBounds)};
 const MetricDef kBpKernelRunsScalar = {
     "trendspeed_bp_kernel_runs_total", MetricType::kCounter,
     "BP runs by executing message-update kernel", "1", "kernel=\"scalar\""};
@@ -65,10 +52,6 @@ const MetricDef kBpKernelSimdFallbacksTotal = {
     "trendspeed_bp_kernel_simd_fallbacks_total", MetricType::kCounter,
     "Runs that requested the SIMD kernel but executed scalar (kernel not "
     "compiled in, or CPU lacks the ISA)", "1"};
-const MetricDef kBpKernelWarmDenseTotal = {
-    "trendspeed_bp_kernel_warm_dense_total", MetricType::kCounter,
-    "Warm runs routed to dense vectorized sweeps by the active-set density "
-    "crossover", "1"};
 
 // --- seed selection --------------------------------------------------------
 const MetricDef kSeedRunsGreedy = {
@@ -287,13 +270,9 @@ const std::vector<const MetricDef*>& AllMetricDefs() {
       &kBpMessageUpdatesTotal,
       &kBpIterations,
       &kBpResidual,
-      &kBpWarmStartsTotal,
-      &kBpActiveVars,
-      &kBpSweepsSaved,
       &kBpKernelRunsScalar,
       &kBpKernelRunsSimd,
       &kBpKernelSimdFallbacksTotal,
-      &kBpKernelWarmDenseTotal,
       &kSeedRunsGreedy,
       &kSeedRunsLazyGreedy,
       &kSeedRunsStochasticGreedy,

@@ -30,13 +30,9 @@ extern const MetricDef kBpSweepsTotal;          ///< message half-sweeps
 extern const MetricDef kBpMessageUpdatesTotal;  ///< directed-edge messages
 extern const MetricDef kBpIterations;           ///< histogram: iters per run
 extern const MetricDef kBpResidual;             ///< histogram: per-sweep max delta
-extern const MetricDef kBpWarmStartsTotal;      ///< runs seeded from a BpState
-extern const MetricDef kBpActiveVars;           ///< histogram: warm active set
-extern const MetricDef kBpSweepsSaved;          ///< histogram: max_iters - iters
 extern const MetricDef kBpKernelRunsScalar;     ///< runs on the scalar kernel
 extern const MetricDef kBpKernelRunsSimd;       ///< runs on the SIMD kernel
 extern const MetricDef kBpKernelSimdFallbacksTotal;  ///< simd asked, scalar ran
-extern const MetricDef kBpKernelWarmDenseTotal;      ///< dense-crossover warms
 
 // --- seed/{greedy,lazy_greedy,stochastic_greedy}.cc ------------------------
 extern const MetricDef kSeedRunsGreedy;

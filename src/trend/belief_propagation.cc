@@ -57,14 +57,12 @@ BpGraph BpGraph::FromMrf(const PairwiseMrf& mrf) {
   }
   size_t dir_edges = g.off[g.num_vars];
   g.rev_slot.resize(dir_edges);
-  g.to.resize(dir_edges);
   g.compat.resize(4 * dir_edges);
   size_t slot = 0;
   for (size_t v = 0; v < g.num_vars; ++v) {
     g.max_degree = std::max(g.max_degree, mrf.Neighbors(v).size());
     for (const MrfEdge& e : mrf.Neighbors(v)) {
       g.rev_slot[slot] = static_cast<uint32_t>(g.off[e.to] + e.rev);
-      g.to[slot] = static_cast<uint32_t>(e.to);
       g.compat[4 * slot + 0] = e.compat[0][0];
       g.compat[4 * slot + 1] = e.compat[0][1];
       g.compat[4 * slot + 2] = e.compat[1][0];
@@ -112,24 +110,14 @@ namespace {
 class BpRunRecorder {
  public:
   /// Opens the run: counts it, on `kernel_runs` (the kernel's run counter)
-  /// too, and for warm runs on the warm-start counter.
-  BpRunRecorder(const BpOptions& opts, const obs::MetricDef& kernel_runs,
-                bool warm)
+  /// too.
+  BpRunRecorder(const BpOptions& opts, const obs::MetricDef& kernel_runs)
       : span_(opts.trace, "bp/infer"),
         metrics_(opts.metrics),
-        max_iters_(opts.max_iters),
-        warm_(warm),
         sweeps_(obs::GetCounter(metrics_, obs::kBpSweepsTotal)),
         residual_(obs::GetHistogram(metrics_, obs::kBpResidual)) {
     obs::Add(obs::GetCounter(metrics_, obs::kBpRunsTotal));
     obs::Add(obs::GetCounter(metrics_, kernel_runs));
-    if (warm_) obs::Add(obs::GetCounter(metrics_, obs::kBpWarmStartsTotal));
-  }
-
-  /// Warm runs: the size of the initial active set.
-  void ActiveVars(size_t count) {
-    obs::Observe(obs::GetHistogram(metrics_, obs::kBpActiveVars),
-                 static_cast<double>(count));
   }
 
   /// One executed sweep and its max message change.
@@ -138,17 +126,12 @@ class BpRunRecorder {
     obs::Observe(residual_, residual);
   }
 
-  /// Closes the run: message updates, iterations, convergence and, for
-  /// warm runs, the sweeps saved against the budget.
+  /// Closes the run: message updates, iterations and convergence.
   void Finish(const BpResult& result) {
     obs::Add(obs::GetCounter(metrics_, obs::kBpMessageUpdatesTotal),
              result.message_updates);
     obs::Observe(obs::GetHistogram(metrics_, obs::kBpIterations),
                  static_cast<double>(result.iterations));
-    if (warm_) {
-      obs::Observe(obs::GetHistogram(metrics_, obs::kBpSweepsSaved),
-                   static_cast<double>(max_iters_ - result.iterations));
-    }
     if (result.converged) {
       obs::Add(obs::GetCounter(metrics_, obs::kBpConvergedTotal));
     }
@@ -157,35 +140,27 @@ class BpRunRecorder {
  private:
   obs::ScopedSpan span_;
   obs::MetricsRegistry* metrics_;
-  uint32_t max_iters_;
-  bool warm_;
   obs::Counter* sweeps_;
   obs::Histogram* residual_;
 };
 
-/// Full cold schedule: damped Jacobi sweeps over every variable. This is
-/// the pre-warm-start inference path, bit for bit; when `final_msg` is
-/// non-null it receives the message vector the reported beliefs were
-/// computed from (the warm-start seed for the next slot).
+/// Scalar schedule (the oracle): damped Jacobi sweeps over every variable
+/// from all-0.5 messages.
 BpResult RunColdBp(const BpGraph& graph, const std::vector<double>& pot,
-                   const BpOptions& opts, std::vector<double>* final_msg) {
+                   const BpOptions& opts) {
   TS_CHECK_GE(opts.damping, 0.0);
   TS_CHECK_LT(opts.damping, 1.0);
   size_t n = graph.num_vars;
   TS_CHECK_EQ(pot.size(), 2 * n);
   size_t dir_edges = graph.off[n];
-  BpRunRecorder rec(opts, obs::kBpKernelRunsScalar, /*warm=*/false);
+  BpRunRecorder rec(opts, obs::kBpKernelRunsScalar);
 
   std::vector<double> msg(2 * dir_edges, 0.5);
   std::vector<double> next(2 * dir_edges, 0.5);
 
   BpResult result;
   result.p_up.assign(n, 0.5);
-  result.active_vars = n;
-  if (n == 0) {
-    if (final_msg != nullptr) final_msg->clear();
-    return result;
-  }
+  if (n == 0) return result;
 
   // One Jacobi half-sweep over the outgoing messages of variables in
   // [begin, end): reads `msg`, writes `next` (slots of these variables
@@ -355,262 +330,29 @@ BpResult RunColdBp(const BpGraph& graph, const std::vector<double>& pot,
         n, threads,
         [&](size_t, size_t begin, size_t end) { beliefs(begin, end); });
   }
-  if (final_msg != nullptr) *final_msg = std::move(msg);
   return result;
 }
 
-/// Warm schedule: messages start at the previous fixed point and only an
-/// active set of variables is swept, highest residual first. Serial and
-/// in-place (Gauss-Seidel order): the win is touching few variables, not
-/// fanning a full sweep out over threads, and in-place propagation of
-/// fresh messages converges in fewer passes than the two-phase schedule.
-BpResult RunWarmBp(const BpGraph& graph, const std::vector<double>& pot,
-                   const BpOptions& opts, BpState* state) {
-  TS_CHECK_GE(opts.damping, 0.0);
-  TS_CHECK_LT(opts.damping, 1.0);
-  size_t n = graph.num_vars;
-  TS_CHECK_EQ(pot.size(), 2 * n);
-
-  BpRunRecorder rec(opts, obs::kBpKernelRunsScalar, /*warm=*/true);
-
-  std::vector<double>& msg = state->msg;
-  BpResult result;
-  result.warm = true;
-  result.p_up.assign(n, 0.5);
-
-  // Initial active set: variables whose effective potentials moved beyond
-  // the warm threshold since their messages were last refreshed.
-  // `residual` carries the sweep priority; `pending` accumulates the next
-  // sweep's activations.
-  std::vector<double> residual(n, 0.0);
-  std::vector<double> pending(n, 0.0);
-  std::vector<uint32_t> active;
-  for (size_t v = 0; v < n; ++v) {
-    double d = std::max(std::fabs(pot[2 * v] - state->last_pot[2 * v]),
-                        std::fabs(pot[2 * v + 1] - state->last_pot[2 * v + 1]));
-    if (d > opts.warm_threshold) {
-      residual[v] = d;
-      active.push_back(static_cast<uint32_t>(v));
-    }
-  }
-  result.active_vars = active.size();
-  rec.ActiveVars(active.size());
-
-  SweepScratch s(graph.max_degree);
-  std::vector<double>& in0 = s.in0;
-  std::vector<double>& in1 = s.in1;
-  std::vector<char> touched(n, 0);
-  std::vector<uint32_t> next_active;
-
-  // Retire/expand at a fraction of tol: the cold schedule already stops
-  // within ~tol of the fixed point, and warm message errors stack on top of
-  // that slack across neighbours and slots. Driving the active set a notch
-  // further keeps the combined warm-vs-cold gap inside the documented
-  // 10x-tol bound at the cost of roughly one extra (cheap) sweep.
-  const double act_tol = 0.5 * opts.tol;
-
-  for (uint32_t iter = 0; iter < opts.max_iters && !active.empty(); ++iter) {
-    // Residual-prioritized, deterministic: largest pending change first,
-    // index tiebreak. In-place updates let high-residual information flow
-    // through the rest of the active set within the same sweep.
-    std::sort(active.begin(), active.end(),
-              [&](uint32_t a, uint32_t b) {
-                if (residual[a] != residual[b]) {
-                  return residual[a] > residual[b];
-                }
-                return a < b;
-              });
-    next_active.clear();
-    double sweep_max = 0.0;
-    for (uint32_t v : active) {
-      touched[v] = 1;
-      size_t off = graph.off[v];
-      size_t deg = graph.off[v + 1] - off;
-      if (deg == 0) continue;
-      double in_prod[2] = {pot[2 * v], pot[2 * v + 1]};
-      bool zero0 = pot[2 * v] == 0.0, zero1 = pot[2 * v + 1] == 0.0;
-      bool any_small = false;
-      for (size_t k = 0; k < deg; ++k) {
-        size_t rs = graph.rev_slot[off + k];
-        in0[k] = msg[2 * rs];
-        in1[k] = msg[2 * rs + 1];
-        in_prod[0] *= in0[k];
-        in_prod[1] *= in1[k];
-        zero0 = zero0 || in0[k] == 0.0;
-        zero1 = zero1 || in1[k] == 0.0;
-        any_small = any_small || in0[k] <= 1e-30 || in1[k] <= 1e-30;
-      }
-      // Same underflow-hardened cavity scheme as the cold sweep (see the
-      // comments there): trustworthy-product check, then a hoisted
-      // prefix/suffix fallback instead of the old O(deg^2) recomputation.
-      bool prod_ok = (in_prod[0] >= kMinNormal || zero0) &&
-                     (in_prod[1] >= kMinNormal || zero1);
-      if (!prod_ok || any_small) {
-        double p0 = pot[2 * v], p1 = pot[2 * v + 1];
-        while (std::max(p0, p1) < kRescaleLo && std::max(p0, p1) > 0.0) {
-          p0 *= kRescaleUp;
-          p1 *= kRescaleUp;
-        }
-        for (size_t k = 0; k < deg; ++k) {
-          s.pre0[k] = p0;
-          s.pre1[k] = p1;
-          p0 *= in0[k];
-          p1 *= in1[k];
-          while (std::max(p0, p1) < kRescaleLo && std::max(p0, p1) > 0.0) {
-            p0 *= kRescaleUp;
-            p1 *= kRescaleUp;
-          }
-        }
-        double q0 = 1.0, q1 = 1.0;
-        for (size_t k = deg; k-- > 0;) {
-          s.suf0[k] = q0;
-          s.suf1[k] = q1;
-          q0 *= in0[k];
-          q1 *= in1[k];
-          while (std::max(q0, q1) < kRescaleLo && std::max(q0, q1) > 0.0) {
-            q0 *= kRescaleUp;
-            q1 *= kRescaleUp;
-          }
-        }
-      }
-      double self_max = 0.0;
-      for (size_t k = 0; k < deg; ++k) {
-        size_t slot = off + k;
-        double cav0, cav1;
-        if (prod_ok && in0[k] > 1e-30 && in1[k] > 1e-30) {
-          cav0 = in_prod[0] / in0[k];
-          cav1 = in_prod[1] / in1[k];
-        } else {
-          cav0 = s.pre0[k] * s.suf0[k];
-          cav1 = s.pre1[k] * s.suf1[k];
-        }
-        const float* c = &graph.compat[4 * slot];
-        double out0 = cav0 * c[0] + cav1 * c[2];
-        double out1 = cav0 * c[1] + cav1 * c[3];
-        double z = out0 + out1;
-        if (z <= 0.0 || !std::isfinite(z)) {
-          out0 = out1 = 0.5;
-        } else {
-          out0 /= z;
-          out1 /= z;
-        }
-        double old0 = msg[2 * slot];
-        double new0 = opts.damping * old0 + (1.0 - opts.damping) * out0;
-        double new1 =
-            opts.damping * msg[2 * slot + 1] + (1.0 - opts.damping) * out1;
-        msg[2 * slot] = new0;
-        msg[2 * slot + 1] = new1;
-        double delta = std::fabs(new0 - old0);
-        if (delta > self_max) self_max = delta;
-        if (delta > act_tol) {
-          // The receiver's belief moved: it must re-send next sweep.
-          uint32_t t = graph.to[slot];
-          if (pending[t] == 0.0) next_active.push_back(t);
-          if (delta > pending[t]) pending[t] = delta;
-        }
-      }
-      result.message_updates += static_cast<uint64_t>(deg);
-      if (self_max > act_tol) {
-        // Damping leaves a geometric residue on v's own outgoing messages;
-        // keep v active until that residue decays below tol.
-        if (pending[v] == 0.0) next_active.push_back(v);
-        if (self_max > pending[v]) pending[v] = self_max;
-      }
-      if (self_max > sweep_max) sweep_max = self_max;
-    }
-    active.clear();
-    for (uint32_t v : next_active) {
-      residual[v] = pending[v];
-      pending[v] = 0.0;
-      active.push_back(v);
-    }
-    result.iterations = iter + 1;
-    rec.Sweep(sweep_max);
-  }
-  result.converged = active.empty();
-  rec.Finish(result);
-
-  for (size_t v = 0; v < n; ++v) {
-    double b0 = pot[2 * v];
-    double b1 = pot[2 * v + 1];
-    for (size_t k = graph.off[v]; k < graph.off[v + 1]; ++k) {
-      size_t rs = graph.rev_slot[k];
-      b0 *= msg[2 * rs];
-      b1 *= msg[2 * rs + 1];
-      if (std::max(b0, b1) < kRescaleLo && std::max(b0, b1) > 0.0) {
-        b0 *= kRescaleUp;
-        b1 *= kRescaleUp;
-      }
-    }
-    double z = b0 + b1;
-    result.p_up[v] = (z > 0.0 && std::isfinite(z)) ? b1 / z : 0.5;
-  }
-
-  // Refresh the stored potentials only where messages were recomputed:
-  // untouched variables keep accumulating their sub-threshold drift, which
-  // is what bounds the steady-state approximation error.
-  for (size_t v = 0; v < n; ++v) {
-    if (touched[v]) {
-      state->last_pot[2 * v] = pot[2 * v];
-      state->last_pot[2 * v + 1] = pot[2 * v + 1];
-    }
-  }
-  return result;
-}
-
-/// Dense Jacobi sweeps on the vectorized SoA kernel: same sweep structure
-/// and convergence rule as RunColdBp, executed by trend/bp_kernel_simd.cc,
-/// from all-0.5 messages or, for a dense warm run, from `seed_msg`.
-/// Per-sweep residuals are replayed from the kernel so the kernel TU stays
-/// free of the obs dependency.
-BpResult RunSimd(const BpGraph& graph, const std::vector<double>& pot,
-                 const BpOptions& opts, const double* seed_msg,
-                 std::vector<double>* final_msg, BpRunRecorder& rec) {
+/// Vectorized schedule: the same sweep structure and convergence rule as
+/// RunColdBp, executed by trend/bp_kernel_simd.cc. Per-sweep residuals are
+/// replayed from the kernel so the kernel TU stays free of the obs
+/// dependency.
+BpResult RunColdSimd(const BpGraph& graph, const std::vector<double>& pot,
+                     const BpOptions& opts) {
   TS_CHECK_GE(opts.damping, 0.0);
   TS_CHECK_LT(opts.damping, 1.0);
   TS_CHECK_EQ(pot.size(), 2 * graph.num_vars);
+  BpRunRecorder rec(opts, obs::kBpKernelRunsSimd);
   BpResult result;
-  result.active_vars = graph.num_vars;
   std::vector<double> sweep_residuals;
   BpSimdRun run;
   run.soa = graph.soa.get();
   run.pot = pot.data();
   run.opts = &opts;
-  run.seed_msg = seed_msg;
-  run.final_msg = final_msg;
   run.result = &result;
   run.sweep_residuals = opts.metrics != nullptr ? &sweep_residuals : nullptr;
   RunBpSweepsSimd(run);
   for (double r : sweep_residuals) rec.Sweep(r);
-  return result;
-}
-
-BpResult RunColdSimd(const BpGraph& graph, const std::vector<double>& pot,
-                     const BpOptions& opts, std::vector<double>* final_msg) {
-  BpRunRecorder rec(opts, obs::kBpKernelRunsSimd, /*warm=*/false);
-  BpResult result = RunSimd(graph, pot, opts, nullptr, final_msg, rec);
-  rec.Finish(result);
-  return result;
-}
-
-/// Warm run above the density crossover: the active set is already most of
-/// the graph, so residual-prioritized scalar sweeps would touch nearly
-/// every edge anyway — dense vectorized Jacobi sweeps seeded from the
-/// stored fixed point are faster. Every message is recomputed, so the
-/// stored state refreshes wholesale.
-BpResult RunWarmDenseSimd(const BpGraph& graph, const std::vector<double>& pot,
-                          const BpOptions& opts, BpState* state,
-                          size_t active_count) {
-  BpRunRecorder rec(opts, obs::kBpKernelRunsSimd, /*warm=*/true);
-  obs::Add(obs::GetCounter(opts.metrics, obs::kBpKernelWarmDenseTotal));
-  rec.ActiveVars(active_count);
-  std::vector<double> new_msg;
-  BpResult result =
-      RunSimd(graph, pot, opts, state->msg.data(), &new_msg, rec);
-  result.warm = true;
-  result.active_vars = active_count;
-  state->msg = std::move(new_msg);
-  state->last_pot = pot;
   rec.Finish(result);
   return result;
 }
@@ -618,8 +360,7 @@ BpResult RunWarmDenseSimd(const BpGraph& graph, const std::vector<double>& pot,
 /// True when this run should execute the vectorized kernel. A kSimd/kAuto
 /// request falls back to scalar — and bumps the fallback counter — when
 /// the kernel is not compiled in (TRENDSPEED_SIMD=OFF leaves graph.soa
-/// null) or the CPU cannot run it. The warm-path density crossover is NOT
-/// a fallback and is decided by the caller.
+/// null) or the CPU cannot run it.
 bool UseSimdKernel(const BpGraph& graph, const BpOptions& opts) {
   if (opts.kernel == BpKernel::kScalar) return false;
   if (ResolveBpKernel(opts.kernel) == BpKernel::kSimd &&
@@ -636,52 +377,8 @@ bool UseSimdKernel(const BpGraph& graph, const BpOptions& opts) {
 BpResult InferMarginalsBpFlat(const BpGraph& graph,
                               const std::vector<double>& pot,
                               const BpOptions& opts) {
-  if (UseSimdKernel(graph, opts)) {
-    return RunColdSimd(graph, pot, opts, nullptr);
-  }
-  return RunColdBp(graph, pot, opts, nullptr);
-}
-
-BpResult InferMarginalsBpFlat(const BpGraph& graph,
-                              const std::vector<double>& pot,
-                              const BpOptions& opts, BpState* state) {
-  if (state == nullptr) return InferMarginalsBpFlat(graph, pot, opts);
-  TS_CHECK_GE(opts.warm_threshold, 0.0);
-  size_t n = graph.num_vars;
-  size_t dir_edges = graph.off[n];
-  bool warm = state->valid && state->msg.size() == 2 * dir_edges &&
-              state->last_pot.size() == 2 * n;
-  bool use_simd = UseSimdKernel(graph, opts);
-  if (warm) {
-    if (use_simd) {
-      // Density crossover (bp_kernel.h): count the variables the scalar
-      // warm schedule would activate; when they exceed the crossover
-      // fraction, the active-set sweeps would touch most of the graph
-      // anyway and dense vectorized sweeps win. Below it, the sparse
-      // scalar schedule stays faster than even a much faster dense sweep.
-      size_t active = 0;
-      for (size_t v = 0; v < n; ++v) {
-        double d =
-            std::max(std::fabs(pot[2 * v] - state->last_pot[2 * v]),
-                     std::fabs(pot[2 * v + 1] - state->last_pot[2 * v + 1]));
-        if (d > opts.warm_threshold) ++active;
-      }
-      if (static_cast<double>(active) >
-          kBpWarmDenseCrossover * static_cast<double>(n)) {
-        return RunWarmDenseSimd(graph, pot, opts, state, active);
-      }
-    }
-    return RunWarmBp(graph, pot, opts, state);
-  }
-  // Cold start that seeds the state: identical schedule and marginals to
-  // the stateless call, plus capturing the fixed point for the next slot.
-  // The seeded message blob is in the kernel-independent interchange
-  // format, so later runs may switch kernels freely.
-  BpResult result = use_simd ? RunColdSimd(graph, pot, opts, &state->msg)
-                             : RunColdBp(graph, pot, opts, &state->msg);
-  state->last_pot = pot;
-  state->valid = true;
-  return result;
+  if (UseSimdKernel(graph, opts)) return RunColdSimd(graph, pot, opts);
+  return RunColdBp(graph, pot, opts);
 }
 
 BpResult InferMarginalsBp(const PairwiseMrf& mrf, const BpOptions& opts) {

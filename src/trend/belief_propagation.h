@@ -53,13 +53,6 @@ struct BpOptions {
   double damping = 0.15;
   /// Convergence threshold on the max message change.
   double tol = 1e-4;
-  /// Warm starts only: a variable joins the initial active set when either
-  /// entry of its effective potential moved by more than this since the
-  /// last run that refreshed its messages. Below-threshold drift is not
-  /// lost — it accumulates in the stored potentials and eventually trips
-  /// the threshold, so steady-state error stays bounded by roughly this
-  /// value. Must be >= 0 (0 activates on any change).
-  double warm_threshold = 1e-4;
   /// Worker threads for the message sweeps (0 = EffectiveThreads). The
   /// update is two-phase (read `msg`, write `next`, swap), so marginals are
   /// bitwise identical for every thread count, including 1; small graphs
@@ -67,10 +60,8 @@ struct BpOptions {
   uint32_t num_threads = 0;
   /// Message-update kernel. kAuto (default) runs the vectorized SoA kernel
   /// wherever the build and CPU have it (tolerance contract above) and the
-  /// scalar oracle elsewhere; kScalar pins the oracle. Warm runs under a
-  /// SIMD-resolved kernel keep the scalar active-set schedule while the
-  /// active set is sparse and switch to dense vectorized sweeps above the
-  /// density crossover (bp_kernel.h kBpWarmDenseCrossover).
+  /// scalar oracle elsewhere; kScalar pins the oracle. Every run starts
+  /// cold from all-0.5 messages, on either kernel.
   BpKernel kernel = BpKernel::kAuto;
   /// Observability hooks (docs/observability.md): when attached, each run
   /// records the trendspeed_bp_* series (sweeps, message updates,
@@ -87,14 +78,7 @@ struct BpResult {
   std::vector<double> p_up;
   uint32_t iterations = 0;
   bool converged = false;
-  /// True when this run was seeded from a previous fixed point (a BpState
-  /// that was valid and size-compatible).
-  bool warm = false;
-  /// Warm runs: variables whose potential change put them in the initial
-  /// active set. Cold runs: num_vars (every variable is swept).
-  size_t active_vars = 0;
-  /// Directed-edge message updates actually computed (cold: edges x sweeps;
-  /// warm: only the active neighbourhoods).
+  /// Directed-edge message updates computed (edges x sweeps).
   uint64_t message_updates = 0;
 };
 
@@ -107,7 +91,6 @@ struct BpGraph {
   size_t num_vars = 0;
   std::vector<size_t> off;        ///< num_vars + 1 offsets
   std::vector<uint32_t> rev_slot; ///< reverse directed-edge slot per edge
-  std::vector<uint32_t> to;       ///< target variable per directed edge
   std::vector<float> compat;      ///< 4 entries per directed edge
   size_t max_degree = 0;
   /// Degree-bucketed structure-of-arrays mirror for the vectorized kernel
@@ -120,49 +103,12 @@ struct BpGraph {
   static BpGraph FromMrf(const PairwiseMrf& mrf);
 };
 
-/// Cross-slot warm-start state: the converged message fixed point of the
-/// previous inference run plus the potentials those messages were computed
-/// under. Owned by the caller (one per serving session / replay stream) and
-/// passed back into InferMarginalsBpFlat; the run updates it in place.
-/// Invalidate() whenever slot continuity breaks (session reset,
-/// carry-forward, out-of-order rejection) — the next run then executes the
-/// full cold schedule and re-seeds the state.
-struct BpState {
-  std::vector<double> msg;       ///< 2 per directed edge
-  std::vector<double> last_pot;  ///< 2 per variable, at last message refresh
-  bool valid = false;
-
-  void Invalidate() {
-    valid = false;
-    msg.clear();
-    last_pot.clear();
-  }
-};
-
 /// Runs damped sum-product over a prebuilt structure. `pot` holds the
 /// *effective* node potentials (2 per variable, evidence applied: clamped
 /// variables carry a hard 0/1 pair).
 BpResult InferMarginalsBpFlat(const BpGraph& graph,
                               const std::vector<double>& pot,
                               const BpOptions& opts = {});
-
-/// Warm-start overload. With a null or invalid `state` the run is the cold
-/// schedule above (bitwise-identical marginals) and, when `state` is
-/// non-null, seeds it for the next call. With a valid `state` the run seeds
-/// messages from the previous fixed point and executes residual-prioritized
-/// sweeps over an active set initialized from the variables whose
-/// potentials moved beyond BpOptions::warm_threshold, expanding along the
-/// graph adjacency wherever a message changes appreciably (a fraction of
-/// tol; see the .cc) — adjacent
-/// slots that differ only locally touch a fraction of the graph. When the
-/// sweep budget lets the cold schedule converge, warm marginals agree with
-/// a cold run's to within a few multiples of tol (tests pin 10x); under the
-/// truncated production default (max_iters 6) the cold run itself can stop
-/// short of the fixed point and the gap grows to roughly the cold run's own
-/// remaining convergence error.
-BpResult InferMarginalsBpFlat(const BpGraph& graph,
-                              const std::vector<double>& pot,
-                              const BpOptions& opts, BpState* state);
 
 /// Convenience wrapper: flattens `mrf` and infers. Exact on trees (with
 /// enough iterations); empirically accurate on the sparse associative

@@ -119,22 +119,13 @@ struct BpGraphSoa {
   static BpGraphSoa Build(const BpGraph& graph);
 };
 
-/// One vectorized inference run over a BpGraphSoa. Inputs mirror the scalar
-/// path; messages cross the API boundary in the scalar interchange format
-/// (interleaved doubles in BpGraph slot order) so BpState warm-start blobs
-/// are interoperable between kernels in both directions.
+/// One vectorized inference run over a BpGraphSoa, from all-0.5 messages.
+/// Inputs mirror the scalar path.
 struct BpSimdRun {
   const BpGraphSoa* soa = nullptr;
   const double* pot = nullptr;       ///< 2 * num_vars, interleaved
   const BpOptions* opts = nullptr;
-  /// Null: cold start (all messages 0.5). Non-null: 2 * num_slots doubles
-  /// in BpGraph slot order — the dense warm schedule seeds from them.
-  const double* seed_msg = nullptr;
-  /// When non-null, receives the final messages in BpGraph slot order (the
-  /// BpState seed for the next slot).
-  std::vector<double>* final_msg = nullptr;
-  /// Receives iterations/converged/message_updates/p_up. active_vars and
-  /// warm are the dispatcher's business.
+  /// Receives iterations/converged/message_updates/p_up.
   BpResult* result = nullptr;
   /// When non-null, receives one max-delta entry per executed sweep so the
   /// caller can replay them into the trendspeed_bp_residual histogram (the
@@ -159,15 +150,6 @@ const char* BpSimdArchName();
 /// Maps the requested kernel to the one that will actually run: kAuto and
 /// kSimd resolve to kSimd when BpSimdKernelAvailable(), else kScalar.
 BpKernel ResolveBpKernel(BpKernel requested);
-
-/// Warm-start density crossover (docs/performance.md): a warm run under a
-/// SIMD-resolved kernel switches from the scalar residual-prioritized
-/// active-set schedule to dense vectorized sweeps (seeded from the stored
-/// fixed point) when the initial active set exceeds this fraction of the
-/// variables. Below it, sweeping only the active neighbourhoods beats even
-/// a 10x-faster dense sweep; above it, the dense kernel wins because warm
-/// sweeps touch most of the graph anyway.
-inline constexpr double kBpWarmDenseCrossover = 0.10;
 
 /// Executes the vectorized sweep schedule. Precondition:
 /// BpSimdKernelAvailable() — dispatch through ResolveBpKernel; the

@@ -9,9 +9,8 @@
 //     per edge / per variable, so scaling a variable's potential pair
 //     cancels);
 //   * only the plane-0 message component is stored (messages are
-//     normalized per edge, so msg1 == 1 - msg0 by construction; the seed
-//     blob is renormalized on ingest) — the plane-1 factors are
-//     reconstructed as (1 - m) where needed;
+//     normalized per edge, so msg1 == 1 - msg0 by construction) — the
+//     plane-1 factors are reconstructed as (1 - m) where needed;
 //   * three compat planes per edge instead of four (cA, cB, cC — see
 //     bp_kernel.h): the contraction is out0 = cav0*cA + cav1*cB with
 //     normalizer z = cav0 + cav1*cC, an exact per-edge reparameterization
@@ -370,10 +369,7 @@ void RunBpSweepsSimd(const BpSimdRun& run) {
 
   BpResult& result = *run.result;
   result.p_up.assign(n, 0.5);
-  if (n == 0) {
-    if (run.final_msg != nullptr) run.final_msg->clear();
-    return;
-  }
+  if (n == 0) return;
 
   // Per-variable potential planes, normalized by the pair max in double
   // before the float cast. Scale-invariant (see file comment); hard 0/1
@@ -392,25 +388,9 @@ void RunBpSweepsSimd(const BpSimdRun& run) {
     pot1[v] = static_cast<float>(p1);
   }
 
-  // Plane-0 message array in SoA order, seeded from the interchange-format
-  // blob (BpGraph slot order, interleaved doubles) or the cold 0.5
-  // constant. The scalar path emits per-edge-normalized pairs, but the
-  // seed is renormalized in double anyway so msg1 == 1 - msg0 holds
-  // exactly even for blobs that only sum to 1 up to rounding.
+  // Plane-0 message array in SoA order, cold-started at 0.5.
   AlignedVector<float> msg0(slots), nxt0(slots);
-  if (run.seed_msg != nullptr) {
-    for (size_t s = 0; s < slots; ++s) {
-      size_t orig = soa.orig_slot[s];
-      double m0 = run.seed_msg[2 * orig];
-      double m1 = run.seed_msg[2 * orig + 1];
-      double z = m0 + m1;
-      msg0[s] = (z > 0.0 && std::isfinite(z))
-                    ? static_cast<float>(m0 / z)
-                    : 0.5f;
-    }
-  } else {
-    std::fill(msg0.begin(), msg0.end(), 0.5f);
-  }
+  std::fill(msg0.begin(), msg0.end(), 0.5f);
 
   const float damp = static_cast<float>(opts.damping);
   const float omd = static_cast<float>(1.0 - opts.damping);
@@ -497,16 +477,6 @@ void RunBpSweepsSimd(const BpSimdRun& run) {
     ThreadPool::Global().ParallelForChunked(
         units, threads,
         [&](size_t, size_t begin, size_t end) { beliefs(begin, end); });
-  }
-
-  if (run.final_msg != nullptr) {
-    run.final_msg->resize(2 * slots);
-    for (size_t s = 0; s < slots; ++s) {
-      size_t orig = soa.orig_slot[s];
-      double m0 = static_cast<double>(msg0[s]);
-      (*run.final_msg)[2 * orig] = m0;
-      (*run.final_msg)[2 * orig + 1] = 1.0 - m0;
-    }
   }
 }
 

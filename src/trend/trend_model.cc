@@ -60,13 +60,6 @@ TrendModel::TrendModel(const CorrelationGraph* graph, const HistoricalDb* db,
 Result<TrendEstimate> TrendModel::Infer(
     uint64_t slot, const std::vector<SeedTrend>& seeds,
     const std::vector<double>* evidence_log_odds) const {
-  return Infer(slot, seeds, evidence_log_odds, nullptr);
-}
-
-Result<TrendEstimate> TrendModel::Infer(
-    uint64_t slot, const std::vector<SeedTrend>& seeds,
-    const std::vector<double>* evidence_log_odds,
-    TrendInferenceState* state) const {
   size_t n = graph_->num_roads();
   if (evidence_log_odds != nullptr && evidence_log_odds->size() != n) {
     return Status::InvalidArgument("evidence size mismatch");
@@ -106,10 +99,8 @@ Result<TrendEstimate> TrendModel::Infer(
 
   TrendEstimate est;
   if (opts_.engine == TrendEngine::kBeliefPropagation) {
-    // Fast path: the flattened structure is cached; no MRF copy. A state
-    // adds the cross-slot warm start.
-    BpState* bp_state = state != nullptr ? &state->bp : nullptr;
-    est.p_up = InferMarginalsBpFlat(bp_graph_, pot, opts_.bp, bp_state).p_up;
+    // Fast path: the flattened structure is cached; no MRF copy.
+    est.p_up = InferMarginalsBpFlat(bp_graph_, pot, opts_.bp).p_up;
   } else if (opts_.engine == TrendEngine::kPriorOnly) {
     est.p_up.resize(n);
     for (size_t v = 0; v < n; ++v) {

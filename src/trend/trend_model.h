@@ -48,14 +48,6 @@ struct TrendModelOptions {
   double prior_pseudo_count = 3.0;
 };
 
-/// Caller-owned cross-slot inference state for the stateful Infer overload.
-/// One per serving stream; Invalidate() whenever slot continuity breaks.
-struct TrendInferenceState {
-  BpState bp;
-
-  void Invalidate() { bp.Invalidate(); }
-};
-
 /// A seed's crowdsourced observation, reduced to its trend.
 struct SeedTrend {
   RoadId road = kInvalidRoad;
@@ -80,22 +72,13 @@ class TrendModel {
   /// log-odds form — positive pushes toward "up" — typically the calibrated
   /// logistic of the influence-weighted seed deviation. Ignored for clamped
   /// (seed) roads.
+  ///
+  /// Calls carry no state from one slot to the next: the BP engine runs one
+  /// cold InferMarginalsBpFlat over the cached flattened structure, so equal
+  /// inputs give bitwise-equal marginals.
   Result<TrendEstimate> Infer(
       uint64_t slot, const std::vector<SeedTrend>& seeds,
       const std::vector<double>* evidence_log_odds = nullptr) const;
-
-  /// Stateful variant: with a non-null `state` (and the BP engine
-  /// selected) the per-slot potential vector is diffed against the
-  /// state's and inference warm-starts from the previous fixed point —
-  /// steady-state slots touch a fraction of the graph. A null/invalid
-  /// state runs the identical cold schedule and seeds the state. Marginals
-  /// of a warm run agree with a cold run's within a few multiples of
-  /// BpOptions::tol; everything else (engines other than BP included)
-  /// behaves exactly like the stateless overload.
-  Result<TrendEstimate> Infer(uint64_t slot,
-                              const std::vector<SeedTrend>& seeds,
-                              const std::vector<double>* evidence_log_odds,
-                              TrendInferenceState* state) const;
 
   const TrendModelOptions& options() const { return opts_; }
 

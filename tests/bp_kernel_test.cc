@@ -352,127 +352,6 @@ TEST(BpKernelPropertyTest, SimdMatchesScalarOnRandomGraphs) {
   EXPECT_LT(converged_runs, kGraphs - 10);
 }
 
-/// Warm-start interchange: a BpState seeded by one kernel must be
-/// continuable by the other, in both directions, with marginals agreeing
-/// with a from-scratch cold run on the new potentials.
-TEST(BpKernelWarmTest, WarmStateInteroperatesAcrossKernels) {
-  if (!BpSimdKernelAvailable()) {
-    GTEST_SKIP() << "SIMD kernel not compiled in or not runnable here";
-  }
-  Rng rng(424242);
-  size_t n = 400;
-  PairwiseMrf mrf(n);
-  for (size_t v = 0; v + 1 < n; ++v) {
-    double compat[2][2] = {{1.4, 0.6}, {0.6, 1.4}};
-    mrf.AddEdge(v, v + 1, compat);
-  }
-  for (size_t e = 0; e < n; ++e) {
-    size_t u = rng.NextBounded(static_cast<uint32_t>(n));
-    size_t v = rng.NextBounded(static_cast<uint32_t>(n));
-    if (u == v) continue;
-    double compat[2][2] = {{1.2, 0.8}, {0.8, 1.2}};
-    mrf.AddEdge(u, v, compat);
-  }
-  BpGraph graph = BpGraph::FromMrf(mrf);
-  std::vector<double> pot(2 * n);
-  for (size_t v = 0; v < n; ++v) {
-    pot[2 * v] = std::exp(U(rng, -1.0, 1.0));
-    pot[2 * v + 1] = std::exp(U(rng, -1.0, 1.0));
-  }
-  // Drift 30% of the variables — above the 10% dense crossover, so the
-  // simd-continued warm run takes the dense vectorized schedule.
-  std::vector<double> pot2 = pot;
-  for (size_t v = 0; v < n; ++v) {
-    if (rng.NextBounded(10) < 3) {
-      pot2[2 * v] *= std::exp(U(rng, -0.5, 0.5));
-      pot2[2 * v + 1] *= std::exp(U(rng, -0.5, 0.5));
-    }
-  }
-
-  // Tight tol: the per-sweep residual understates the remaining distance
-  // to the fixed point by the contraction factor, so stopping at 1e-5
-  // keeps every run (cold ref, dense warm, active-set warm) within ~1e-4
-  // of the true fixed point and the cross-run comparison meaningful.
-  BpOptions opts;
-  opts.max_iters = 60;
-  opts.tol = 1e-5;
-
-  opts.kernel = BpKernel::kScalar;
-  BpResult cold_ref = InferMarginalsBpFlat(graph, pot2, opts);
-
-  // Direction 1: scalar cold seeds the state, SIMD continues warm.
-  {
-    obs::MetricsRegistry reg;
-    BpState state;
-    opts.kernel = BpKernel::kScalar;
-    opts.metrics = nullptr;
-    InferMarginalsBpFlat(graph, pot, opts, &state);
-    opts.kernel = BpKernel::kSimd;
-    opts.metrics = &reg;
-    BpResult warm = InferMarginalsBpFlat(graph, pot2, opts, &state);
-    EXPECT_TRUE(warm.warm);
-    EXPECT_EQ(reg.GetCounter(obs::kBpKernelWarmDenseTotal)->Value(), 1u);
-    for (size_t v = 0; v < n; ++v) {
-      EXPECT_NEAR(warm.p_up[v], cold_ref.p_up[v], 1e-3) << "var " << v;
-    }
-  }
-
-  // Direction 2: SIMD cold seeds the state, scalar continues warm.
-  {
-    obs::MetricsRegistry reg;
-    BpState state;
-    opts.kernel = BpKernel::kSimd;
-    opts.metrics = nullptr;
-    InferMarginalsBpFlat(graph, pot, opts, &state);
-    opts.kernel = BpKernel::kScalar;
-    opts.metrics = &reg;
-    BpResult warm = InferMarginalsBpFlat(graph, pot2, opts, &state);
-    EXPECT_TRUE(warm.warm);
-    EXPECT_EQ(reg.GetCounter(obs::kBpKernelWarmDenseTotal)->Value(), 0u);
-    // Looser than direction 1: the scalar warm path truncates by active
-    // set (contract: a few multiples of tol from the cold fixed point —
-    // observed ~12x here) on top of the float-precision seed.
-    for (size_t v = 0; v < n; ++v) {
-      EXPECT_NEAR(warm.p_up[v], cold_ref.p_up[v], 5e-3) << "var " << v;
-    }
-  }
-}
-
-/// Below the density crossover a SIMD-kernel warm run must keep the sparse
-/// scalar active-set schedule (sweeping the whole graph densely for a
-/// 2-variable drift would throw away the warm-start win).
-TEST(BpKernelWarmTest, SparseWarmRunStaysOnActiveSetSchedule) {
-  if (!BpSimdKernelAvailable()) {
-    GTEST_SKIP() << "SIMD kernel not compiled in or not runnable here";
-  }
-  size_t n = 300;
-  PairwiseMrf mrf(n);
-  for (size_t v = 0; v + 1 < n; ++v) {
-    double compat[2][2] = {{1.3, 0.7}, {0.7, 1.3}};
-    mrf.AddEdge(v, v + 1, compat);
-  }
-  BpGraph graph = BpGraph::FromMrf(mrf);
-  std::vector<double> pot(2 * n, 1.0);
-
-  obs::MetricsRegistry reg;
-  BpOptions opts;
-  opts.kernel = BpKernel::kSimd;
-  opts.metrics = &reg;
-  BpState state;
-  InferMarginalsBpFlat(graph, pot, opts, &state);
-
-  std::vector<double> pot2 = pot;
-  pot2[2 * 150] = 3.0;  // one drifted variable out of 300
-  BpResult warm = InferMarginalsBpFlat(graph, pot2, opts, &state);
-  EXPECT_TRUE(warm.warm);
-  EXPECT_EQ(warm.active_vars, 1u);
-  EXPECT_EQ(reg.GetCounter(obs::kBpKernelWarmDenseTotal)->Value(), 0u);
-  // The dense schedule would have recomputed every directed edge each
-  // sweep; the active-set schedule touches a neighbourhood.
-  EXPECT_LT(warm.message_updates,
-            static_cast<uint64_t>(graph.off[n]));
-}
-
 TEST(BpKernelEdgeCaseTest, EmptyAndIsolatedGraphs) {
   // Zero variables.
   PairwiseMrf empty(0);

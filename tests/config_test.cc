@@ -95,16 +95,6 @@ TEST(ConfigTest, RejectsBadEvidenceBackfillKnobs) {
   EXPECT_TRUE(config.Validate().ok());
 }
 
-TEST(ConfigTest, RejectsBadWarmThreshold) {
-  PipelineConfig config;
-  config.trend.bp.warm_threshold = -1e-6;
-  EXPECT_FALSE(config.Validate().ok());
-  config.trend.bp.warm_threshold = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(config.Validate().ok());
-  config.trend.bp.warm_threshold = 0.0;  // always re-activate: valid
-  EXPECT_TRUE(config.Validate().ok());
-}
-
 TEST(ConfigTest, RejectsOutOfRangeBpKernel) {
   PipelineConfig config;
   // Simulates a config assembled from a raw int (deserialization, FFI)

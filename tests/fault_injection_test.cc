@@ -207,59 +207,13 @@ TEST_F(FaultInjectionTest, OutageDegradesThenRecovers) {
   EXPECT_EQ(recovered->stale_slots, 0u);
 }
 
-// Warm-started inference must stay an approximation of the cold path, not a
-// different answer: replaying a day through a warm session tracks a cold
-// session within a few multiples of the BP convergence tolerance.
-TEST_F(FaultInjectionTest, WarmSessionTracksColdSessionOverReplayedDay) {
-  const uint64_t start = ds().first_test_slot();
-  auto schedule = CleanSchedule(start, 20);
-
-  // The 10x-tol bound is stated against a *converged* cold schedule; the
-  // truncated production default (max_iters 6) can stop ~1e-3 short of the
-  // fixed point, which would swamp the warm-start error. Train a pipeline
-  // whose sweep budget lets BP converge.
-  PipelineConfig config;
-  config.corr.min_co_observed = 8;
-  config.trend.bp.max_iters = 24;
-  auto est = TrafficSpeedEstimator::Train(&ds().net, &ds().history, config);
-  ASSERT_TRUE(est.ok()) << est.status().ToString();
-
-  ServingOptions cold_opts;
-  cold_opts.validation = ValidationPolicy::kFilter;
-  ServingOptions warm_opts = cold_opts;
-  warm_opts.warm_start = true;
-
-  auto cold = ServingSession::Create(&*est, cold_opts);
-  auto warm = ServingSession::Create(&*est, warm_opts);
-  ASSERT_TRUE(cold.ok());
-  ASSERT_TRUE(warm.ok());
-
-  // 10x the BP tol — the documented warm-start error bound.
-  const double kTol = 10.0 * config.trend.bp.tol;
-  for (const Delivery& d : schedule) {
-    auto c = cold->Ingest(d.slot, d.observations);
-    auto w = warm->Ingest(d.slot, d.observations);
-    ASSERT_TRUE(c.ok()) << c.status().ToString();
-    ASSERT_TRUE(w.ok()) << w.status().ToString();
-    const auto& cp = c->monitor.estimate.trends.p_up;
-    const auto& wp = w->monitor.estimate.trends.p_up;
-    ASSERT_EQ(cp.size(), wp.size());
-    for (size_t r = 0; r < cp.size(); ++r) {
-      EXPECT_NEAR(wp[r], cp[r], kTol) << "slot " << d.slot << " road " << r;
-    }
-  }
-  EXPECT_EQ(warm->stats().slots_estimated, schedule.size());
-}
-
-// Carry-forward breaks slot continuity, so the warm state must be dropped:
-// the next fresh slot runs cold and its estimate is bitwise identical to a
-// stateless one-shot Estimate.
+// A carry-forward must leave nothing behind that shapes later inference:
+// the next fresh slot's estimate is bitwise identical to a one-shot
+// Estimate.
 TEST_F(FaultInjectionTest, WarmStateResetsAfterCarryForward) {
   const uint64_t start = ds().first_test_slot();
   auto schedule = CleanSchedule(start, 4);
-  ServingOptions opts;
-  opts.warm_start = true;
-  auto session = ServingSession::Create(estimator_, opts);
+  auto session = ServingSession::Create(estimator_, ServingOptions{});
   ASSERT_TRUE(session.ok());
 
   ASSERT_TRUE(
@@ -275,18 +229,16 @@ TEST_F(FaultInjectionTest, WarmStateResetsAfterCarryForward) {
   auto oneshot = estimator_->Estimate(schedule[3].slot,
                                       schedule[3].observations);
   ASSERT_TRUE(oneshot.ok());
-  // Bitwise: the invalidated state forces the full cold schedule.
   EXPECT_EQ(fresh->monitor.estimate.trends.p_up, oneshot->trends.p_up);
 }
 
-// Idempotent duplicate-slot re-delivery must not touch the warm state:
+// Idempotent duplicate-slot re-delivery must not touch session state:
 // subsequent estimates are bitwise identical to a session that never saw
 // the duplicate.
 TEST_F(FaultInjectionTest, DuplicateSlotReplayLeavesWarmStateUntouched) {
   const uint64_t start = ds().first_test_slot();
   auto schedule = CleanSchedule(start, 3);
   ServingOptions opts;
-  opts.warm_start = true;
 
   auto with_dup = ServingSession::Create(estimator_, opts);
   auto without = ServingSession::Create(estimator_, opts);

@@ -465,7 +465,7 @@ TEST_F(SeedPlanPropertyTest, FixturePlansReachUncoveredRoads) {
   uint64_t slot = SharedTinyDataset().first_test_slot();
   Rng rng(5);
   EstimateWorkspace ws;
-  ASSERT_TRUE(est.Estimate(slot, RandomSeeds(2, slot, &rng), nullptr, &ws)
+  ASSERT_TRUE(est.Estimate(slot, RandomSeeds(2, slot, &rng), &ws)
                   .ok());
   EXPECT_GT(ws.plan.neighbour_means().num_roads(), 0u);
   EXPECT_GE(ws.plan.neighbour_means().num_layers(), 2u);
@@ -494,7 +494,7 @@ TEST_F(SeedPlanPropertyTest, SeedSetsABAMatchReferenceAndRecompile) {
   const std::vector<SeedSpeed>* order[] = {&a, &b, &a, &a};
   const uint64_t compiles[] = {1, 2, 3, 3};  // only a change recompiles
   for (size_t i = 0; i < 4; ++i) {
-    auto out = est.Estimate(slot, *order[i], nullptr, &ws);
+    auto out = est.Estimate(slot, *order[i], &ws);
     ASSERT_TRUE(out.ok());
     ExpectMatchesReference(est, slot, *order[i], *out);
     EXPECT_EQ(ws.plan_compiles, compiles[i]);
@@ -520,7 +520,7 @@ TEST_F(SeedPlanPropertyTest, RandomSeedListsAcrossSlotsMatchReference) {
     } else {
       for (SeedSpeed& s : seeds) s.speed_kmh = ds.truth.at(slot, s.road);
     }
-    auto out = est.Estimate(slot, seeds, nullptr, &ws);
+    auto out = est.Estimate(slot, seeds, &ws);
     ASSERT_TRUE(out.ok());
     ExpectMatchesReference(est, slot, seeds, *out);
   }
@@ -535,7 +535,7 @@ TEST_F(SeedPlanPropertyTest, DuplicateSeedsMatchReference) {
   seeds.push_back(seeds[0]);
   seeds.push_back({seeds[1].road, seeds[1].speed_kmh * 0.8});
   EstimateWorkspace ws;
-  auto out = est.Estimate(slot, seeds, nullptr, &ws);
+  auto out = est.Estimate(slot, seeds, &ws);
   ASSERT_TRUE(out.ok());
   ExpectMatchesReference(est, slot, seeds, *out);
 }
@@ -544,7 +544,7 @@ TEST_F(SeedPlanPropertyTest, EmptySeedSetMatchesReference) {
   const TrafficSpeedEstimator& est = *base_;
   uint64_t slot = SharedTinyDataset().first_test_slot() + 8;
   EstimateWorkspace ws;
-  auto out = est.Estimate(slot, {}, nullptr, &ws);
+  auto out = est.Estimate(slot, {}, &ws);
   ASSERT_TRUE(out.ok());
   ExpectMatchesReference(est, slot, {}, *out);
   EXPECT_TRUE(ws.plan.covered().empty());
@@ -582,7 +582,7 @@ TEST_F(SeedPlanPropertyTest, ConfigVariantsMatchReference) {
     for (uint64_t slot = ds.first_test_slot();
          slot < ds.first_test_slot() + 3; ++slot) {
       std::vector<SeedSpeed> seeds = RandomSeeds(2 + slot % 3, slot, &rng);
-      auto out = est.Estimate(slot, seeds, nullptr, &ws);
+      auto out = est.Estimate(slot, seeds, &ws);
       ASSERT_TRUE(out.ok());
       ExpectMatchesReference(est, slot, seeds, *out);
     }
@@ -611,7 +611,7 @@ TEST_F(SeedPlanPropertyTest, SeedsOutsideTheirOwnCoverMatchReference) {
   Rng rng(31);
   std::vector<SeedSpeed> seeds = RandomSeeds(3, slot, &rng);
   EstimateWorkspace ws;
-  auto out = est->Estimate(slot, seeds, nullptr, &ws);
+  auto out = est->Estimate(slot, seeds, &ws);
   ASSERT_TRUE(out.ok());
   ExpectMatchesReference(*est, slot, seeds, *out);
   EXPECT_TRUE(std::any_of(seeds.begin(), seeds.end(), [&](const SeedSpeed& s) {

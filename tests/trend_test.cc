@@ -198,131 +198,6 @@ TEST(BpTest, EvidencePropagatesAlongChain) {
   }
 }
 
-// Effective potentials in the flat layout InferMarginalsBpFlat consumes.
-std::vector<double> FlatPotentials(const PairwiseMrf& mrf) {
-  std::vector<double> pot(2 * mrf.num_vars());
-  for (size_t v = 0; v < mrf.num_vars(); ++v) {
-    pot[2 * v] = mrf.EffectivePotential(v, 0);
-    pot[2 * v + 1] = mrf.EffectivePotential(v, 1);
-  }
-  return pot;
-}
-
-TEST(BpWarmStartTest, FirstStatefulRunIsBitwiseColdAndSeedsState) {
-  Rng rng(21);
-  PairwiseMrf mrf = RandomMrf(12, 0.3, &rng);
-  mrf.Clamp(0, 1);
-  BpGraph graph = BpGraph::FromMrf(mrf);
-  std::vector<double> pot = FlatPotentials(mrf);
-
-  BpResult cold = InferMarginalsBpFlat(graph, pot);
-  BpState state;
-  BpResult seeded = InferMarginalsBpFlat(graph, pot, {}, &state);
-  EXPECT_FALSE(seeded.warm);
-  EXPECT_EQ(seeded.p_up, cold.p_up);  // bitwise
-  EXPECT_EQ(seeded.iterations, cold.iterations);
-  EXPECT_TRUE(state.valid);
-  EXPECT_EQ(state.last_pot, pot);
-}
-
-TEST(BpWarmStartTest, UnchangedPotentialsNeedNoSweeps) {
-  Rng rng(23);
-  PairwiseMrf mrf = RandomMrf(12, 0.3, &rng);
-  BpGraph graph = BpGraph::FromMrf(mrf);
-  std::vector<double> pot = FlatPotentials(mrf);
-  // The scalar oracle: the stored messages are the ones its beliefs came
-  // from, so recomputing beliefs from them is bitwise the same.
-  BpOptions opts;
-  opts.kernel = BpKernel::kScalar;
-
-  BpState state;
-  BpResult cold = InferMarginalsBpFlat(graph, pot, opts, &state);
-  BpResult warm = InferMarginalsBpFlat(graph, pot, opts, &state);
-  EXPECT_TRUE(warm.warm);
-  EXPECT_EQ(warm.active_vars, 0u);
-  EXPECT_EQ(warm.iterations, 0u);
-  EXPECT_EQ(warm.message_updates, 0u);
-  EXPECT_TRUE(warm.converged);
-  // Beliefs recomputed from the stored fixed point match the cold run.
-  EXPECT_EQ(warm.p_up, cold.p_up);
-}
-
-TEST(BpWarmStartTest, UnchangedPotentialsNeedNoSweepsDefaultKernel) {
-  Rng rng(23);
-  PairwiseMrf mrf = RandomMrf(12, 0.3, &rng);
-  BpGraph graph = BpGraph::FromMrf(mrf);
-  std::vector<double> pot = FlatPotentials(mrf);
-  BpOptions opts;
-  ASSERT_EQ(opts.kernel, BpKernel::kAuto);
-
-  BpState state;
-  BpResult cold = InferMarginalsBpFlat(graph, pot, opts, &state);
-  BpResult warm = InferMarginalsBpFlat(graph, pot, opts, &state);
-  EXPECT_TRUE(warm.warm);
-  EXPECT_EQ(warm.active_vars, 0u);
-  EXPECT_EQ(warm.iterations, 0u);
-  EXPECT_EQ(warm.message_updates, 0u);
-  EXPECT_TRUE(warm.converged);
-  // A SIMD cold run stores its float messages widened to double and the
-  // warm path recomputes beliefs from them in double: equal within the
-  // documented scalar-vs-SIMD contract, not bitwise.
-  ASSERT_EQ(warm.p_up.size(), cold.p_up.size());
-  for (size_t v = 0; v < cold.p_up.size(); ++v) {
-    EXPECT_NEAR(warm.p_up[v], cold.p_up[v], 1e-3) << "var " << v;
-  }
-}
-
-TEST(BpWarmStartTest, PerturbedPotentialsTrackColdWithinTolerance) {
-  Rng rng(25);
-  // The 10x-tol closeness bound is stated against a *converged* cold run;
-  // the truncated production default (max_iters 6) can stop short of the
-  // fixed point, and no warm schedule can match an arbitrary truncation
-  // state. Give both schedules budget to converge.
-  BpOptions opts;
-  opts.max_iters = 200;
-  for (int trial = 0; trial < 6; ++trial) {
-    PairwiseMrf mrf = RandomMrf(20, 0.25, &rng);
-    BpGraph graph = BpGraph::FromMrf(mrf);
-    std::vector<double> pot = FlatPotentials(mrf);
-
-    BpState state;
-    InferMarginalsBpFlat(graph, pot, opts, &state);  // seed from slot t
-    // Slot t+1: a handful of variables move, most stay put.
-    std::vector<double> next = pot;
-    for (int k = 0; k < 4; ++k) {
-      size_t v = static_cast<size_t>(rng.Uniform(0.0, 20.0));
-      double p = rng.Uniform(0.15, 0.85);
-      next[2 * v] = 1.0 - p;
-      next[2 * v + 1] = p;
-    }
-    BpResult cold = InferMarginalsBpFlat(graph, next, opts);
-    ASSERT_TRUE(cold.converged) << "trial " << trial;
-    BpResult warm = InferMarginalsBpFlat(graph, next, opts, &state);
-    EXPECT_TRUE(warm.warm);
-    EXPECT_LT(warm.active_vars, graph.num_vars) << "trial " << trial;
-    for (size_t v = 0; v < graph.num_vars; ++v) {
-      EXPECT_NEAR(warm.p_up[v], cold.p_up[v], 10.0 * opts.tol)
-          << "trial " << trial << " var " << v;
-    }
-  }
-}
-
-TEST(BpWarmStartTest, InvalidatedStateFallsBackToBitwiseCold) {
-  Rng rng(27);
-  PairwiseMrf mrf = RandomMrf(12, 0.3, &rng);
-  BpGraph graph = BpGraph::FromMrf(mrf);
-  std::vector<double> pot = FlatPotentials(mrf);
-
-  BpState state;
-  InferMarginalsBpFlat(graph, pot, {}, &state);
-  state.Invalidate();
-  BpResult cold = InferMarginalsBpFlat(graph, pot);
-  BpResult after = InferMarginalsBpFlat(graph, pot, {}, &state);
-  EXPECT_FALSE(after.warm);
-  EXPECT_EQ(after.p_up, cold.p_up);  // bitwise
-  EXPECT_TRUE(state.valid);  // re-seeded for the next slot
-}
-
 TEST(GibbsTest, MatchesExactOnSmallGraphs) {
   Rng rng(11);
   PairwiseMrf mrf = RandomMrf(8, 0.35, &rng);
