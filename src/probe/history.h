@@ -7,6 +7,18 @@
 //
 // "Trend" throughout the library: T = +1 when the speed is at or above the
 // road's historical mean for that time bucket, -1 when below.
+//
+// Memory layout. The observation matrix obs_ is road-major (all slots of
+// road 0, then road 1, ...) because training walks one road's whole
+// history at a time. The bucket tables (bucket mean, count, up-count) are
+// bucket-major instead: entry BucketOf(slot) * num_roads + road. Serving
+// asks one slot's bucket for every road in turn (the BP trend prior in
+// TrendModel::Infer, the historical mean in Step 2), and with this layout
+// those lookups read each table front to back. The road-major layout put
+// consecutive roads 2 * slots_per_day entries apart (1152 B in the 2-byte
+// count tables and 2304 B in the float means at 288 slots per day), so
+// every lookup touched a new cache line. The layout changes no stored
+// value.
 
 #ifndef TRENDSPEED_PROBE_HISTORY_H_
 #define TRENDSPEED_PROBE_HISTORY_H_
@@ -115,16 +127,17 @@ class HistoricalDb {
     return (clock_.IsWeekend(slot) ? clock_.slots_per_day : 0u) +
            clock_.SlotOfDay(slot);
   }
+  /// Bucket-major: one bucket's roads are contiguous (see file comment).
   size_t BucketIdx(RoadId road, uint64_t slot) const {
-    return static_cast<size_t>(road) * 2 * clock_.slots_per_day +
-           BucketOf(slot);
+    return BucketOf(slot) * num_roads_ + road;
   }
 
   size_t num_roads_ = 0;
   uint64_t num_slots_ = 0;
   SlotClock clock_;
   std::vector<float> obs_;  // NaN = missing; road-major
-  // Per (road, bucket): mean speed, observation count, up-trend count.
+  // Per (bucket, road), bucket-major: mean speed, observation count,
+  // up-trend count.
   std::vector<float> bucket_mean_;
   std::vector<uint16_t> bucket_count_;
   std::vector<uint16_t> bucket_up_;

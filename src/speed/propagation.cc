@@ -12,8 +12,8 @@ namespace {
 Status ValidateSeeds(const std::vector<SeedSpeed>& seeds, size_t n) {
   for (const SeedSpeed& s : seeds) {
     if (s.road >= n) return Status::InvalidArgument("seed road out of range");
-    if (s.speed_kmh <= 0.0) {
-      return Status::InvalidArgument("seed speed must be positive");
+    if (!std::isfinite(s.speed_kmh) || s.speed_kmh <= 0.0) {
+      return Status::InvalidArgument("seed speed must be positive and finite");
     }
   }
   return Status::OK();

@@ -15,10 +15,6 @@ namespace trendspeed {
 
 namespace {
 
-/// Below this variable count a sweep is a few hundred microseconds at most
-/// and pool handoff overhead outweighs the parallel win; run serially.
-constexpr size_t kMinParallelVars = 4096;
-
 /// The division fast path for cavity beliefs is only numerically valid
 /// while the running in_prod is a normal double: gradual underflow zeroes
 /// or denormalizes the product even when every individual message passes

@@ -56,7 +56,7 @@ struct BpOptions {
   /// Worker threads for the message sweeps (0 = EffectiveThreads). The
   /// update is two-phase (read `msg`, write `next`, swap), so marginals are
   /// bitwise identical for every thread count, including 1; small graphs
-  /// run serially regardless (see kMinParallelVars in the .cc).
+  /// run serially regardless (see kMinParallelVars in bp_kernel.h).
   uint32_t num_threads = 0;
   /// Message-update kernel. kAuto (default) runs the vectorized SoA kernel
   /// wherever the build and CPU have it (tolerance contract above) and the

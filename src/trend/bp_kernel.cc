@@ -36,9 +36,13 @@ BpGraphSoa BpGraphSoa::Build(const BpGraph& g) {
     }
     return true;
   };
+  // Block-then-degree order: (v / kLocalityBlock, degree, v). A graph of at
+  // most kLocalityBlock variables is one block, i.e. plain degree order.
   std::vector<uint32_t> order(g.num_vars);
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    uint32_t ba = a / kLocalityBlock, bb = b / kLocalityBlock;
+    if (ba != bb) return ba < bb;
     uint32_t da = degree(a), db = degree(b);
     if (da != db) return da < db;
     return a < b;
@@ -47,15 +51,20 @@ BpGraphSoa BpGraphSoa::Build(const BpGraph& g) {
   s.orig_slot.resize(s.num_slots);
   size_t cursor = 0;
 
-  // Pass 1: full same-degree batches of kLanes batchable variables,
-  // k-major slots. Emitting every batch before any spill variable keeps
-  // each batch's slot base a multiple of kLanes — with the 64-byte plane
-  // alignment that makes every batch access an aligned vector load/store.
+  // Pass 1: full same-degree batches of kLanes batchable variables from
+  // one locality block, k-major slots. Emitting every batch before any
+  // spill variable keeps each batch's slot base a multiple of kLanes —
+  // with the 64-byte plane alignment that makes every batch access an
+  // aligned vector load/store.
   std::vector<uint32_t> bucket;
   for (size_t i = 0; i < order.size();) {
+    uint32_t block = order[i] / kLocalityBlock;
     uint32_t deg = degree(order[i]);
     size_t j = i;
-    while (j < order.size() && degree(order[j]) == deg) ++j;
+    while (j < order.size() && order[j] / kLocalityBlock == block &&
+           degree(order[j]) == deg) {
+      ++j;
+    }
     if (deg >= 1 && deg <= kMaxBatchDegree) {
       bucket.clear();
       for (size_t t = i; t < j; ++t) {
@@ -83,8 +92,9 @@ BpGraphSoa BpGraphSoa::Build(const BpGraph& g) {
   s.num_batch_vars = s.batch_var.size();
   s.spill_slot_base = cursor;
 
-  // Pass 2: everything else (bucket remainders, zero-degree variables,
-  // high-degree outliers, ill-conditioned compat) in var-major order.
+  // Pass 2: everything else (per-block bucket remainders, zero-degree
+  // variables, high-degree outliers, ill-conditioned compat) in var-major
+  // order.
   {
     std::vector<bool> in_batch(g.num_vars, false);
     for (uint32_t v : s.batch_var) in_batch[v] = true;

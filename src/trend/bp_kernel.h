@@ -9,9 +9,13 @@
 //   * split message planes: msg0[] and msg1[] are separate 64-byte-aligned
 //     float arrays (util/aligned.h), so a batch touches two contiguous
 //     cache streams instead of one strided one;
-//   * degree-bucketed variable order: variables are grouped by degree and
-//     packed into batches of kLanes (8) same-degree variables that update
-//     in lockstep, one SIMD lane each;
+//   * block-then-degree variable order: variables are cut into locality
+//     blocks of kLocalityBlock consecutive ids, grouped by degree inside
+//     each block, and packed into batches of kLanes (8) same-degree
+//     variables of one block that update in lockstep, one SIMD lane each.
+//     Graph builders number neighbouring roads close together, so a
+//     thread's contiguous run of batches mostly gathers messages that it
+//     wrote itself in the previous sweep;
 //   * k-major batch slots: the k-th edge of all 8 batch variables is
 //     contiguous (slot_base + k*8 + lane), so the incoming-message gather
 //     indices, the compat planes, and the outgoing-message stores of one
@@ -26,12 +30,12 @@
 //     cancels), leaving cA = c00/R0, cB = c10/R0, cC = R1/R0 with the
 //     contraction out0 = cav0*cA + cav1*cB, z = cav0 + cav1*cC and
 //     r0 = out0/z identical to the 4-plane form in exact arithmetic;
-//   * spill list: per-degree remainders (< 8 variables), zero-degree
-//     variables, degree > kMaxBatchDegree outliers, and variables whose
-//     compat tables are too ill-conditioned for the 3-plane form (row-sum
-//     ratio R1/R0 above kMaxCompatRowRatio, which would overflow cB/cC in
-//     float) run through a scalar single-precision loop that keeps the
-//     raw 4-entry tables.
+//   * spill list: per-block, per-degree remainders (< 8 variables),
+//     zero-degree variables, degree > kMaxBatchDegree outliers, and
+//     variables whose compat tables are too ill-conditioned for the
+//     3-plane form (row-sum ratio R1/R0 above kMaxCompatRowRatio, which
+//     would overflow cB/cC in float) run through a scalar single-precision
+//     loop that keeps the raw 4-entry tables.
 //
 // The kernel itself (bp_kernel_simd.cc, behind the TRENDSPEED_SIMD build
 // option) computes cavity beliefs with prefix/suffix products instead of
@@ -53,6 +57,11 @@
 
 namespace trendspeed {
 
+/// Below this variable count a BP sweep is a few hundred microseconds at
+/// most and pool handoff costs more than the parallel win, so both kernels
+/// run serially.
+inline constexpr size_t kMinParallelVars = 4096;
+
 struct BpGraphSoa {
   /// Lanes per lockstep batch. Fixed at 8 across architectures (AVX2 and
   /// the generic fallback use one 8-wide batch, NEON a pair of 4-wide
@@ -63,6 +72,14 @@ struct BpGraphSoa {
   /// per-batch scratch is sized by the largest batched degree, and a
   /// handful of hub variables is not worth a cache-hostile scratch plane.
   static constexpr uint32_t kMaxBatchDegree = 64;
+  /// Variables per locality block of the batch order (see file comment).
+  /// Smaller blocks keep each thread's gathers closer to its own writes but
+  /// leave more per-block remainders on the serial spill list (7,746 of
+  /// 301,810 slots at 4096, 26,690 at 1024). Slot CPU p50 on perfbench
+  /// metro_replay (39,600 roads, 4-vCPU Xeon, three runs each): 16.9-17.3
+  /// ms at 1024, 15.6-15.8 ms at 4096, 15.8-17.3 ms at 16384, 16.5-19.3 ms
+  /// as one block (degree order only).
+  static constexpr uint32_t kLocalityBlock = 4096;
   /// Maximum compat row-sum ratio R1/R0 (with R0 = c00 + c01 and
   /// R1 = c10 + c11) for a variable to be batch-eligible: the 3-plane form
   /// stores cB = c10/R0 and cC = R1/R0, both bounded by R1/R0, and keeping
@@ -90,8 +107,8 @@ struct BpGraphSoa {
   AlignedVector<uint32_t> batch_var;
   size_t num_batch_vars = 0;  ///< == batch_var.size(); num_vars - spill.size()
 
-  /// Scalar-path variables: bucket remainders, zero-degree variables,
-  /// degree > kMaxBatchDegree outliers, and ill-conditioned-compat
+  /// Scalar-path variables: per-block bucket remainders, zero-degree
+  /// variables, degree > kMaxBatchDegree outliers, and ill-conditioned-compat
   /// variables. Slots are var-major ([slot0, slot0 + deg)).
   struct SpillVar {
     uint32_t var = 0;

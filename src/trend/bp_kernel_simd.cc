@@ -56,10 +56,6 @@ namespace {
 
 using simd::F32x8;
 
-/// Mirrors kMinParallelVars in belief_propagation.cc: below this variable
-/// count pool handoff costs more than the sweep.
-constexpr size_t kMinParallelVars = 4096;
-
 /// Running prefix/suffix products are rescaled (both planes, same lanes)
 /// when max(plane0, plane1) of any lane drops below 2^-60; the 2^64 factor
 /// is a power of two, so the rescale is exact and cancels in the per-edge
@@ -352,6 +348,21 @@ void BeliefsSpill(const BpGraphSoa& soa, const float* pot0, const float* pot1,
   }
 }
 
+/// The buffers of one run. Each calling thread keeps one set and reuses it
+/// for every run, so a served slot overwrites warm pages instead of
+/// faulting in fresh planes. A pool worker has its own (empty) copy of a
+/// thread_local, so the run binds these buffers to references on the
+/// calling thread before any parallel region and hands the references in.
+struct RunScratch {
+  AlignedVector<float> pot0, pot1, msg0, nxt0;
+  std::vector<float> spill_in0, spill_pre0, spill_pre1;
+};
+
+RunScratch& CallerScratch() {
+  thread_local RunScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 const char* BpSimdArchName() { return simd::kArchName; }
@@ -375,7 +386,11 @@ void RunBpSweepsSimd(const BpSimdRun& run) {
   // before the float cast. Scale-invariant (see file comment); hard 0/1
   // evidence pairs stay exactly hard, and all-zero pairs stay zero so the
   // z <= 0 guard fires exactly like the scalar path.
-  AlignedVector<float> pot0(n), pot1(n);
+  RunScratch& scratch = CallerScratch();
+  AlignedVector<float>& pot0 = scratch.pot0;
+  AlignedVector<float>& pot1 = scratch.pot1;
+  pot0.resize(n);
+  pot1.resize(n);
   for (size_t v = 0; v < n; ++v) {
     double p0 = run.pot[2 * v];
     double p1 = run.pot[2 * v + 1];
@@ -388,9 +403,12 @@ void RunBpSweepsSimd(const BpSimdRun& run) {
     pot1[v] = static_cast<float>(p1);
   }
 
-  // Plane-0 message array in SoA order, cold-started at 0.5.
-  AlignedVector<float> msg0(slots), nxt0(slots);
-  std::fill(msg0.begin(), msg0.end(), 0.5f);
+  // Plane-0 message array in SoA order, cold-started at 0.5. Every sweep
+  // writes every slot of nxt0, so its stale contents are never read.
+  AlignedVector<float>& msg0 = scratch.msg0;
+  AlignedVector<float>& nxt0 = scratch.nxt0;
+  msg0.assign(slots, 0.5f);
+  nxt0.resize(slots);
 
   const float damp = static_cast<float>(opts.damping);
   const float omd = static_cast<float>(1.0 - opts.damping);
@@ -404,20 +422,24 @@ void RunBpSweepsSimd(const BpSimdRun& run) {
                                     std::max<size_t>(units, 1));
   const bool parallel = threads > 1 && n >= kMinParallelVars;
 
+  // The spill list is a single work unit, so exactly one chunk per sweep
+  // uses the spill scratch.
   size_t max_spill_deg = 0;
   for (const BpGraphSoa::SpillVar& sv : soa.spill) {
     max_spill_deg = std::max<size_t>(max_spill_deg, sv.deg);
   }
-  std::vector<float> sp_in0(max_spill_deg);
-  std::vector<float> sp_pre0(max_spill_deg), sp_pre1(max_spill_deg);
+  std::vector<float>& sp_in0 = scratch.spill_in0;
+  std::vector<float>& sp_pre0 = scratch.spill_pre0;
+  std::vector<float>& sp_pre1 = scratch.spill_pre1;
+  sp_in0.resize(max_spill_deg);
+  sp_pre0.resize(max_spill_deg);
+  sp_pre1.resize(max_spill_deg);
 
   // Processes work units [begin, end); returns the local residual max.
   // Every unit computes identically regardless of which chunk runs it and
   // the reduction is a max, so — like the scalar cold path — marginals are
   // bitwise deterministic for any thread count.
-  auto run_units = [&](size_t begin, size_t end, std::vector<float>& t_in0,
-                       std::vector<float>& t_pre0,
-                       std::vector<float>& t_pre1) -> float {
+  auto run_units = [&](size_t begin, size_t end) -> float {
     float local = 0.0f;
     size_t batch_end = std::min(end, num_batches);
     if (begin < batch_end) {
@@ -427,23 +449,21 @@ void RunBpSweepsSimd(const BpSimdRun& run) {
     if (end > num_batches) {
       local = std::max(
           local, SweepSpill(soa, pot0.data(), pot1.data(), msg0.data(),
-                            nxt0.data(), damp, omd, t_in0, t_pre0, t_pre1));
+                            nxt0.data(), damp, omd, sp_in0, sp_pre0, sp_pre1));
     }
     return local;
   };
 
+  std::vector<float> chunk_max(parallel ? threads : 0);
   double max_delta = 0.0;
   for (uint32_t iter = 0; iter < opts.max_iters; ++iter) {
     if (!parallel) {
-      max_delta =
-          static_cast<double>(run_units(0, units, sp_in0, sp_pre0, sp_pre1));
+      max_delta = static_cast<double>(run_units(0, units));
     } else {
-      std::vector<float> chunk_max(threads, 0.0f);
+      std::fill(chunk_max.begin(), chunk_max.end(), 0.0f);
       ThreadPool::Global().ParallelForChunked(
           units, threads, [&](size_t chunk, size_t begin, size_t end) {
-            std::vector<float> t0(max_spill_deg);
-            std::vector<float> t1(max_spill_deg), t2(max_spill_deg);
-            chunk_max[chunk] = run_units(begin, end, t0, t1, t2);
+            chunk_max[chunk] = run_units(begin, end);
           });
       max_delta = static_cast<double>(
           *std::max_element(chunk_max.begin(), chunk_max.end()));

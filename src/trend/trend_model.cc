@@ -76,7 +76,10 @@ Result<TrendEstimate> TrendModel::Infer(
     }
     clamped[s.road] = static_cast<int8_t>(TrendIndex(s.trend));
   }
-  std::vector<double> pot(2 * n, 0.0);
+  // Kept per calling thread and reused across slots, so each slot
+  // overwrites warm pages instead of faulting in a fresh 2n-double vector.
+  thread_local std::vector<double> pot;
+  pot.assign(2 * n, 0.0);
   for (size_t v = 0; v < n; ++v) {
     if (clamped[v] >= 0) {
       pot[2 * v] = clamped[v] == 0 ? 1.0 : 0.0;

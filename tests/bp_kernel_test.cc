@@ -121,80 +121,165 @@ TEST(BpKernelNameTest, RoundTrips) {
   EXPECT_FALSE(ParseBpKernel("Scalar", &out));
 }
 
+/// The layout invariants every BpGraphSoa must satisfy: batches and the
+/// spill list partition the variables, batches are same-degree and
+/// aligned and precede the spill region, slots are a bijection with rev
+/// and the compat planes consistent with the source graph.
+void ExpectPartitionInvariants(const BpGraph& g, const BpGraphSoa& soa) {
+  EXPECT_EQ(soa.num_vars, g.num_vars);
+  EXPECT_EQ(soa.num_slots, g.off[g.num_vars]);
+  EXPECT_EQ(soa.num_batch_vars, soa.batches.size() * BpGraphSoa::kLanes);
+  EXPECT_EQ(soa.num_batch_vars + soa.spill.size(), soa.num_vars);
+
+  // Every batch is kLanes same-degree variables on an aligned slot base.
+  std::vector<char> seen(soa.num_vars, 0);
+  for (size_t b = 0; b < soa.batches.size(); ++b) {
+    EXPECT_EQ(soa.batches[b].slot_base % BpGraphSoa::kLanes, 0u);
+    EXPECT_GE(soa.batches[b].deg, 1u);
+    EXPECT_LE(soa.batches[b].deg, BpGraphSoa::kMaxBatchDegree);
+    for (uint32_t lane = 0; lane < BpGraphSoa::kLanes; ++lane) {
+      uint32_t v = soa.batch_var[b * BpGraphSoa::kLanes + lane];
+      EXPECT_EQ(g.off[v + 1] - g.off[v], soa.batches[b].deg);
+      EXPECT_FALSE(seen[v]);
+      seen[v] = 1;
+    }
+  }
+  for (const BpGraphSoa::SpillVar& sv : soa.spill) {
+    EXPECT_EQ(g.off[sv.var + 1] - g.off[sv.var], sv.deg);
+    EXPECT_FALSE(seen[sv.var]);
+    seen[sv.var] = 1;
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+            static_cast<long>(soa.num_vars));
+
+  // Batches precede the spill region.
+  EXPECT_EQ(soa.spill_slot_base,
+            soa.batches.empty()
+                ? 0u
+                : soa.batches.back().slot_base +
+                      static_cast<size_t>(soa.batches.back().deg) *
+                          BpGraphSoa::kLanes);
+  for (const BpGraphSoa::SpillVar& sv : soa.spill) {
+    EXPECT_GE(sv.slot0, soa.spill_slot_base);
+  }
+
+  // orig_slot is a bijection, rev commutes with it, and the compat
+  // planes hold the row-0-normalized 3-plane form (plus the raw table
+  // for the spill region) — computed in double, rounded once to float.
+  std::vector<char> slot_seen(soa.num_slots, 0);
+  for (size_t s = 0; s < soa.num_slots; ++s) {
+    uint32_t orig = soa.orig_slot[s];
+    ASSERT_LT(orig, soa.num_slots);
+    EXPECT_FALSE(slot_seen[orig]);
+    slot_seen[orig] = 1;
+    EXPECT_EQ(soa.orig_slot[soa.rev[s]], g.rev_slot[orig]);
+    double c00 = g.compat[4 * orig + 0];
+    double c01 = g.compat[4 * orig + 1];
+    double c10 = g.compat[4 * orig + 2];
+    double c11 = g.compat[4 * orig + 3];
+    double r0 = c00 + c01;
+    double r1 = c10 + c11;
+    if (r0 > 0.0 && r1 <= r0 * BpGraphSoa::kMaxCompatRowRatio) {
+      EXPECT_EQ(soa.cA[s], static_cast<float>(c00 / r0));
+      EXPECT_EQ(soa.cB[s], static_cast<float>(c10 / r0));
+      EXPECT_EQ(soa.cC[s], static_cast<float>((c10 + c11) / r0));
+    } else {
+      // Ill-conditioned tables only ever reach the spill path.
+      EXPECT_GE(s, soa.spill_slot_base);
+    }
+    if (s >= soa.spill_slot_base) {
+      size_t ci = s - soa.spill_slot_base;
+      EXPECT_EQ(soa.spill_c00[ci], g.compat[4 * orig + 0]);
+      EXPECT_EQ(soa.spill_c01[ci], g.compat[4 * orig + 1]);
+      EXPECT_EQ(soa.spill_c10[ci], g.compat[4 * orig + 2]);
+      EXPECT_EQ(soa.spill_c11[ci], g.compat[4 * orig + 3]);
+    }
+  }
+}
+
 TEST(BpGraphSoaTest, BuildPartitionsEveryVariableAndEdge) {
   Rng rng(7);
   for (int shape = 0; shape < 6; ++shape) {
     RandomCase c = MakeRandomCase(rng, shape);
-    BpGraphSoa soa = BpGraphSoa::Build(c.graph);
-    EXPECT_EQ(soa.num_vars, c.graph.num_vars);
-    EXPECT_EQ(soa.num_slots, c.graph.off[c.graph.num_vars]);
-    EXPECT_EQ(soa.num_batch_vars, soa.batches.size() * BpGraphSoa::kLanes);
-    EXPECT_EQ(soa.num_batch_vars + soa.spill.size(), soa.num_vars);
+    ExpectPartitionInvariants(c.graph, BpGraphSoa::Build(c.graph));
+  }
+}
 
-    // Every batch is kLanes same-degree variables on an aligned slot base.
-    std::vector<char> seen(soa.num_vars, 0);
-    for (size_t b = 0; b < soa.batches.size(); ++b) {
-      EXPECT_EQ(soa.batches[b].slot_base % BpGraphSoa::kLanes, 0u);
-      EXPECT_GE(soa.batches[b].deg, 1u);
-      EXPECT_LE(soa.batches[b].deg, BpGraphSoa::kMaxBatchDegree);
-      for (uint32_t lane = 0; lane < BpGraphSoa::kLanes; ++lane) {
-        uint32_t v = soa.batch_var[b * BpGraphSoa::kLanes + lane];
-        EXPECT_EQ(c.graph.off[v + 1] - c.graph.off[v], soa.batches[b].deg);
-        EXPECT_FALSE(seen[v]);
-        seen[v] = 1;
-      }
+// A graph spanning several locality blocks (plus a partial one) with mixed
+// degrees: the layout keeps every invariant, no batch mixes blocks, and
+// the SIMD kernel still tracks the scalar oracle and stays bitwise
+// deterministic across thread counts.
+TEST(BpGraphSoaTest, BatchesStayInsideOneLocalityBlock) {
+  constexpr uint32_t kBlock = BpGraphSoa::kLocalityBlock;
+  const size_t n = 3 * kBlock + 37;
+  Rng rng(4096);
+  PairwiseMrf mrf(n);
+  auto add = [&](size_t u, size_t v) {
+    double compat[2][2];
+    for (auto& row : compat) {
+      for (double& c : row) c = std::exp(U(rng, -1.0, 1.0));
     }
-    for (const BpGraphSoa::SpillVar& sv : soa.spill) {
-      EXPECT_EQ(c.graph.off[sv.var + 1] - c.graph.off[sv.var], sv.deg);
-      EXPECT_FALSE(seen[sv.var]);
-      seen[sv.var] = 1;
-    }
-    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
-              static_cast<long>(soa.num_vars));
+    mrf.AddEdge(u, v, compat);
+  };
+  for (size_t v = 0; v + 1 < n; ++v) {
+    if (rng.NextBool(0.8)) add(v, v + 1);
+    size_t near = v + 2 + rng.NextBounded(60);
+    if (near < n && rng.NextBool(0.4)) add(v, near);
+    // A few long edges cross block boundaries.
+    size_t far = rng.NextBounded(static_cast<uint32_t>(n));
+    if (far != v && rng.NextBool(0.05)) add(v, far);
+  }
+  BpGraph graph = BpGraph::FromMrf(mrf);
+  BpGraphSoa soa = BpGraphSoa::Build(graph);
+  ExpectPartitionInvariants(graph, soa);
 
-    // Batches precede the spill region.
-    EXPECT_EQ(soa.spill_slot_base,
-              soa.batches.empty()
-                  ? 0u
-                  : soa.batches.back().slot_base +
-                        static_cast<size_t>(soa.batches.back().deg) *
-                            BpGraphSoa::kLanes);
-    for (const BpGraphSoa::SpillVar& sv : soa.spill) {
-      EXPECT_GE(sv.slot0, soa.spill_slot_base);
+  std::vector<char> block_seen(n / kBlock + 1, 0);
+  for (size_t b = 0; b < soa.batches.size(); ++b) {
+    const uint32_t* vars = &soa.batch_var[b * BpGraphSoa::kLanes];
+    uint32_t block = vars[0] / kBlock;
+    block_seen[block] = 1;
+    for (uint32_t lane = 1; lane < BpGraphSoa::kLanes; ++lane) {
+      EXPECT_EQ(vars[lane] / kBlock, block) << "batch " << b;
     }
+    if (b > 0) {
+      // Blocks come in order; degree order restarts inside each.
+      EXPECT_GE(block, soa.batch_var[(b - 1) * BpGraphSoa::kLanes] / kBlock);
+    }
+  }
+  for (size_t block = 0; block < n / kBlock; ++block) {
+    EXPECT_TRUE(block_seen[block]) << "full block " << block;
+  }
+  std::vector<uint32_t> degrees;
+  for (const BpGraphSoa::Batch& batch : soa.batches) {
+    degrees.push_back(batch.deg);
+  }
+  std::sort(degrees.begin(), degrees.end());
+  EXPECT_GE(std::unique(degrees.begin(), degrees.end()) - degrees.begin(), 4);
 
-    // orig_slot is a bijection, rev commutes with it, and the compat
-    // planes hold the row-0-normalized 3-plane form (plus the raw table
-    // for the spill region) — computed in double, rounded once to float.
-    std::vector<char> slot_seen(soa.num_slots, 0);
-    for (size_t s = 0; s < soa.num_slots; ++s) {
-      uint32_t orig = soa.orig_slot[s];
-      ASSERT_LT(orig, soa.num_slots);
-      EXPECT_FALSE(slot_seen[orig]);
-      slot_seen[orig] = 1;
-      EXPECT_EQ(soa.orig_slot[soa.rev[s]], c.graph.rev_slot[orig]);
-      double c00 = c.graph.compat[4 * orig + 0];
-      double c01 = c.graph.compat[4 * orig + 1];
-      double c10 = c.graph.compat[4 * orig + 2];
-      double c11 = c.graph.compat[4 * orig + 3];
-      double r0 = c00 + c01;
-      double r1 = c10 + c11;
-      if (r0 > 0.0 && r1 <= r0 * BpGraphSoa::kMaxCompatRowRatio) {
-        EXPECT_EQ(soa.cA[s], static_cast<float>(c00 / r0));
-        EXPECT_EQ(soa.cB[s], static_cast<float>(c10 / r0));
-        EXPECT_EQ(soa.cC[s], static_cast<float>((c10 + c11) / r0));
-      } else {
-        // Ill-conditioned tables only ever reach the spill path.
-        EXPECT_GE(s, soa.spill_slot_base);
-      }
-      if (s >= soa.spill_slot_base) {
-        size_t ci = s - soa.spill_slot_base;
-        EXPECT_EQ(soa.spill_c00[ci], c.graph.compat[4 * orig + 0]);
-        EXPECT_EQ(soa.spill_c01[ci], c.graph.compat[4 * orig + 1]);
-        EXPECT_EQ(soa.spill_c10[ci], c.graph.compat[4 * orig + 2]);
-        EXPECT_EQ(soa.spill_c11[ci], c.graph.compat[4 * orig + 3]);
-      }
-    }
+  if (!BpSimdKernelAvailable()) return;
+  std::vector<double> pot(2 * n);
+  for (size_t v = 0; v < n; ++v) {
+    pot[2 * v] = U(rng, 0.2, 1.0);
+    pot[2 * v + 1] = U(rng, 0.2, 1.0);
+  }
+  BpOptions opts;
+  opts.max_iters = 8;
+  opts.tol = 1e-3;  // see file comment on decision robustness
+  opts.num_threads = 1;
+  opts.kernel = BpKernel::kScalar;
+  BpResult scalar = InferMarginalsBpFlat(graph, pot, opts);
+  opts.kernel = BpKernel::kSimd;
+  BpResult simd1 = InferMarginalsBpFlat(graph, pot, opts);
+  opts.num_threads = 4;
+  BpResult simd4 = InferMarginalsBpFlat(graph, pot, opts);
+  ASSERT_EQ(scalar.p_up.size(), n);
+  ASSERT_EQ(simd1.p_up.size(), n);
+  ASSERT_EQ(simd4.p_up.size(), n);
+  EXPECT_EQ(scalar.iterations, simd1.iterations);
+  EXPECT_EQ(simd1.iterations, simd4.iterations);
+  for (size_t v = 0; v < n; ++v) {
+    EXPECT_NEAR(scalar.p_up[v], simd1.p_up[v], 1e-3) << "var " << v;
+    EXPECT_EQ(simd1.p_up[v], simd4.p_up[v]) << "var " << v;
   }
 }
 

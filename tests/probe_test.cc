@@ -1,3 +1,4 @@
+#include <bit>
 #include <cmath>
 #include <set>
 
@@ -10,6 +11,7 @@
 #include "roadnet/shortest_path.h"
 #include "test_util.h"
 #include "traffic/simulator.h"
+#include "util/random.h"
 #include "util/stats.h"
 
 namespace trendspeed {
@@ -240,6 +242,125 @@ TEST(HistoricalDbTest, SaturatedCellMeanIsUnbiased) {
   for (int i = 0; i < 1000; ++i) builder.Add(0, 0, 90.0);
   HistoricalDb db = builder.Finish();
   EXPECT_NEAR(db.Observation(0, 0), 40.0, 0.01);
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// Recounts HistoricalDb's bucket aggregates from its cell means, one road
+// at a time, in the road-major (road, bucket) layout: an oracle for the
+// lookups that does not share the db's bucket indexing.
+struct RoadMajorBuckets {
+  explicit RoadMajorBuckets(const HistoricalDb& db)
+      : clock(db.clock()),
+        per_road(2 * db.slots_per_day()),
+        mean(db.num_roads() * per_road, 0.0f),
+        count(db.num_roads() * per_road, 0),
+        up(db.num_roads() * per_road, 0),
+        road_mean(db.num_roads(), 0.0f),
+        road_count(db.num_roads(), 0) {
+    for (RoadId r = 0; r < db.num_roads(); ++r) {
+      std::vector<double> sum(per_road, 0.0);
+      double road_sum = 0.0;
+      for (uint64_t s = 0; s < db.num_slots(); ++s) {
+        if (!db.HasObservation(r, s)) continue;
+        double x = db.Observation(r, s);
+        sum[Bucket(s)] += x;
+        ++count[Idx(r, s)];
+        road_sum += x;
+        ++road_count[r];
+      }
+      for (size_t b = 0; b < per_road; ++b) {
+        size_t i = r * per_road + b;
+        if (count[i] > 0) mean[i] = static_cast<float>(sum[b] / count[i]);
+      }
+      if (road_count[r] > 0) {
+        road_mean[r] = static_cast<float>(road_sum / road_count[r]);
+      }
+      for (uint64_t s = 0; s < db.num_slots(); ++s) {
+        if (!db.HasObservation(r, s)) continue;
+        double x = db.Observation(r, s);
+        if (x >= MeanOr(r, s, x)) ++up[Idx(r, s)];
+      }
+    }
+  }
+
+  size_t Bucket(uint64_t s) const {
+    return (clock.IsWeekend(s) ? clock.slots_per_day : 0u) +
+           clock.SlotOfDay(s);
+  }
+  size_t Idx(RoadId r, uint64_t s) const { return r * per_road + Bucket(s); }
+
+  double MeanOr(RoadId r, uint64_t s, double fallback) const {
+    if (count[Idx(r, s)] >= 3) return mean[Idx(r, s)];
+    if (road_count[r] > 0) return road_mean[r];
+    return fallback;
+  }
+  double TrendUp(RoadId r, uint64_t s, double pseudo) const {
+    double denom = static_cast<double>(count[Idx(r, s)]) + 2.0 * pseudo;
+    if (denom <= 0.0) return 0.5;
+    return (static_cast<double>(up[Idx(r, s)]) + pseudo) / denom;
+  }
+
+  SlotClock clock;
+  size_t per_road;
+  std::vector<float> mean;
+  std::vector<uint32_t> count, up;
+  std::vector<float> road_mean;
+  std::vector<uint32_t> road_count;
+};
+
+TEST(HistoricalDbTest, BucketLookupsMatchRoadMajorReference) {
+  constexpr uint32_t kSlotsPerDay = 6;
+  constexpr uint64_t kSlots = 14 * kSlotsPerDay;  // two weeks, two weekends
+  constexpr size_t kRoads = 6;
+  HistoricalDb::Builder builder(kRoads, kSlots, kSlotsPerDay);
+  SlotClock clock{kSlotsPerDay};
+  Rng rng(77);
+  for (uint64_t s = 0; s < kSlots; ++s) {
+    // Road 0: dense, sometimes two reports per cell.
+    if (rng.NextBool(0.9)) builder.Add(0, s, rng.Uniform(20.0, 60.0));
+    if (rng.NextBool(0.3)) builder.Add(0, s, rng.Uniform(20.0, 60.0));
+    // Road 1: sparse, so most buckets hold fewer than 3 samples.
+    if (rng.NextBool(0.2)) builder.Add(1, s, rng.Uniform(10.0, 50.0));
+    // Road 2: no history at all.
+    // Road 3: weekends only, so its weekday buckets are empty.
+    if (clock.IsWeekend(s)) builder.Add(3, s, rng.Uniform(30.0, 70.0));
+    // Road 4: half the slots, plus one saturated cell below.
+    if (s % 2 == 0) builder.Add(4, s, rng.Uniform(25.0, 45.0));
+  }
+  // Road 5: a single observation.
+  builder.Add(5, 9, 33.0);
+  for (int i = 0; i < 65535; ++i) builder.Add(4, 7, 40.0);
+  for (int i = 0; i < 100; ++i) builder.Add(4, 7, 90.0);
+  HistoricalDb db = builder.Finish();
+  RoadMajorBuckets ref(db);
+  ASSERT_NEAR(db.Observation(4, 7), 40.0, 0.01);
+
+  size_t thin = 0, empty_with_history = 0;
+  for (RoadId r = 0; r < kRoads; ++r) {
+    for (uint64_t s = 0; s < kSlots; ++s) {
+      SCOPED_TRACE(testing::Message() << "road " << r << " slot " << s);
+      uint32_t c = ref.count[ref.Idx(r, s)];
+      if (c > 0 && c < 3) ++thin;
+      if (c == 0 && ref.road_count[r] > 0) ++empty_with_history;
+      double mean = ref.MeanOr(r, s, 77.0);
+      EXPECT_EQ(Bits(db.HistoricalMeanOr(r, s, 77.0)), Bits(mean));
+      EXPECT_EQ(Bits(db.TrendUpProbability(r, s)),
+                Bits(ref.TrendUp(r, s, 3.0)));
+      EXPECT_EQ(Bits(db.TrendUpProbability(r, s, 0.0)),
+                Bits(ref.TrendUp(r, s, 0.0)));
+      for (double speed : {mean - 0.5, mean, mean + 0.5}) {
+        EXPECT_EQ(db.TrendOf(r, s, speed, 77.0), speed >= mean ? +1 : -1);
+      }
+      double mean0 = ref.MeanOr(r, s, 0.0);
+      double dev = mean0 <= 0.0 ? 0.0 : 35.0 / mean0 - 1.0;
+      EXPECT_EQ(Bits(db.DeviationOf(r, s, 35.0)), Bits(dev));
+    }
+  }
+  // The fixture reaches every fallback branch.
+  EXPECT_GT(thin, 0u);
+  EXPECT_GT(empty_with_history, 0u);
+  EXPECT_FALSE(db.HasHistory(2));
 }
 
 TEST(HistoricalDbTest, CoverageStats) {

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -296,6 +297,24 @@ TEST_F(PropagationTest, RejectsInvalidSeeds) {
   EXPECT_FALSE(
       PropagateSpeeds(net_, *graph_, db_, *model_, trends, {{0, -5.0}}, 2, {})
           .ok());
+}
+
+TEST_F(PropagationTest, RejectsNonFiniteSeedSpeeds) {
+  TrendEstimate trends = UniformTrends(0.5);
+  InfluenceAggregate aggregate =
+      AggregateSeedDeviations(*influence_, net_, db_, {{0, 30.0}}, 2);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    std::vector<SeedSpeed> seeds = {{0, bad}};
+    EXPECT_FALSE(
+        PropagateSpeeds(net_, *graph_, db_, *model_, trends, seeds, 2, {})
+            .ok())
+        << bad;
+    EXPECT_FALSE(EstimateSpeedsInfluence(net_, *influence_, db_, *model_,
+                                         trends, seeds, aggregate, 2, {})
+                     .ok())
+        << bad;
+  }
 }
 
 TEST_F(PropagationTest, EstimatesAreBoundedPhysically) {
