@@ -43,7 +43,6 @@
 #include "obs/catalog.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "obs/trace_export.h"
 #include "trend/belief_propagation.h"
 #include "trend/factor_graph.h"
@@ -137,15 +136,15 @@ int Run(const OverheadConfig& cfg) {
   obs::Counter* live_counter = reg.GetCounter(obs::kBpRunsTotal);
   obs::Gauge* live_gauge = reg.GetGauge(obs::kPoolQueueDepth);
   obs::Histogram* live_hist = reg.GetHistogram(obs::kBpResidual);
-  obs::TraceRecorder recorder(1024);
+  obs::FlightRecorder recorder(1024);
 
   obs::Counter* volatile vc_null = nullptr;
   obs::Counter* volatile vc_live = live_counter;
   obs::Gauge* volatile vg_live = live_gauge;
   obs::Histogram* volatile vh_null = nullptr;
   obs::Histogram* volatile vh_live = live_hist;
-  obs::TraceRecorder* volatile vr_null = nullptr;
-  obs::TraceRecorder* volatile vr_live = &recorder;
+  obs::FlightRecorder* volatile vr_null = nullptr;
+  obs::FlightRecorder* volatile vr_live = &recorder;
 
   size_t iters = cfg.op_iters;
   double null_counter_ns = NanosPerOp(iters, [&] { obs::Add(vc_null); });
@@ -154,11 +153,11 @@ int Run(const OverheadConfig& cfg) {
   double hist_ns = NanosPerOp(iters, [&] { obs::Observe(vh_live, 1e-4); });
   double gauge_ns = NanosPerOp(iters, [&] { obs::Set(vg_live, 3.0); });
   size_t span_iters = iters / 100;
-  double null_span_ns = NanosPerOp(span_iters, [&] {
-    obs::ScopedSpan span(vr_null, "bench/op");
+  double null_flight_span_ns = NanosPerOp(span_iters, [&] {
+    obs::FlightSpan span(vr_null, 0, obs::FlightStage::kEstimate);
   });
-  double span_ns = NanosPerOp(span_iters, [&] {
-    obs::ScopedSpan span(vr_live, "bench/op");
+  double flight_span_ns = NanosPerOp(span_iters, [&] {
+    obs::FlightSpan span(vr_live, 0, obs::FlightStage::kEstimate);
   });
   double clock_ns = NanosPerOp(span_iters, [&] { obs::MonotonicNanos(); });
 
@@ -168,8 +167,8 @@ int Run(const OverheadConfig& cfg) {
   std::printf("    \"null_histogram_observe\": %.3f,\n", null_hist_ns);
   std::printf("    \"histogram_observe\": %.3f,\n", hist_ns);
   std::printf("    \"gauge_set\": %.3f,\n", gauge_ns);
-  std::printf("    \"null_span\": %.3f,\n", null_span_ns);
-  std::printf("    \"span\": %.3f,\n", span_ns);
+  std::printf("    \"null_flight_span\": %.3f,\n", null_flight_span_ns);
+  std::printf("    \"flight_span\": %.3f,\n", flight_span_ns);
   std::printf("    \"monotonic_nanos\": %.3f\n", clock_ns);
   std::printf("  },\n");
 
@@ -188,18 +187,15 @@ int Run(const OverheadConfig& cfg) {
     detached_result = InferMarginalsBpFlat(graph, pot, bp);
   });
   bp.metrics = &reg;
-  obs::TraceRecorder bp_trace(1024);
-  bp.trace = &bp_trace;
   double bp_attached_ms = BestMillis(cfg.bp_reps, [&] {
     attached_result = InferMarginalsBpFlat(graph, pot, bp);
   });
   TS_CHECK_LT(MaxAbsDiff(detached_result.p_up, attached_result.p_up), 1e-12);
 
   // Record sites a detached run touches: per iteration two counter adds and
-  // one histogram observe, plus two counters and one histogram per run, six
-  // null registrations, and one null span.
-  double bp_sites =
-      3.0 * cfg.bp_iters + 3.0 + 6.0 /* registrations */ + 1.0 /* span */;
+  // one histogram observe, plus two counters and one histogram per run, and
+  // six null registrations.
+  double bp_sites = 3.0 * cfg.bp_iters + 3.0 + 6.0 /* registrations */;
   double bp_detached_pct =
       bp_sites * null_counter_ns / (bp_detached_ms * 1e6) * 100.0;
   double bp_attached_pct =
@@ -248,14 +244,12 @@ int Run(const OverheadConfig& cfg) {
   double serving_detached_ms =
       timer.ElapsedMillis() / static_cast<double>(cfg.ingests);
 
-  // Attached session: fresh registry + trace so handles are live. The
+  // Attached session: fresh registry so handles are live. The
   // estimator itself stays detached — this isolates the serving layer's own
   // instrumentation, the quantity the <= 2% gate covers.
   obs::MetricsRegistry serving_reg;
-  obs::TraceRecorder serving_trace(1024);
   ServingOptions attached_opts;
   attached_opts.observability.metrics = &serving_reg;
-  attached_opts.observability.trace = &serving_trace;
   auto attached_session = ServingSession::Create(&est.value(), attached_opts);
   TS_CHECK(attached_session.ok());
   timer.Restart();
@@ -264,13 +258,12 @@ int Run(const OverheadConfig& cfg) {
       timer.ElapsedMillis() / static_cast<double>(cfg.ingests);
 
   // Detached Ingest sites: one counter + staleness gauge per slot, the
-  // latency scope (histogram + slow counter), one null trace span, and the
-  // flight/SLO instrumentation added since — the wrapper's null-recorder
-  // check + null-SLO check, plus four null FlightSpans (admission,
-  // estimate envelope, bp_solve, publish) at two predicted branches each
-  // (ctor + dtor, obs/flight.h). Registrations in the constructor amortize
-  // to ~0 over the run.
-  double serving_sites = 15.0;
+  // latency scope (histogram + slow counter), and the flight/SLO
+  // instrumentation — the wrapper's null-recorder check + null-SLO check,
+  // plus four null FlightSpans (admission, estimate envelope, bp_solve,
+  // publish) at two predicted branches each (ctor + dtor, obs/flight.h).
+  // Registrations in the constructor amortize to ~0 over the run.
+  double serving_sites = 14.0;
   double serving_detached_pct =
       serving_sites * null_counter_ns / (serving_detached_ms * 1e6) * 100.0;
   double serving_attached_pct =

@@ -13,7 +13,9 @@
 //                                  fleet of reporter threads would) and
 //                                  Flush() hands the slot batch to the
 //                                  session at the slot boundary
-//   MetricsRegistry/TraceRecorder — every stage records into one registry
+//   MetricsRegistry               — every stage records into one registry
+//   FlightRecorder                — each served slot's stage timeline, for
+//                                  "where did slot N's time go?"
 //                                  (docs/observability.md)
 //
 // At the end the alerts are scored against the simulator's ground truth and
@@ -29,8 +31,8 @@
 #include "core/serving.h"
 #include "crowd/campaign.h"
 #include "io/dataset.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 using namespace trendspeed;
 
@@ -46,13 +48,11 @@ int main() {
     std::fprintf(stderr, "dataset: %s\n", dataset.status().ToString().c_str());
     return 1;
   }
-  // One registry + trace recorder observe the whole run: training, seed
-  // selection, every online estimate, and the serving layer.
+  // One registry observes the whole run: training, seed selection, every
+  // online estimate, and the serving layer.
   obs::MetricsRegistry registry;
-  obs::TraceRecorder trace(256);
   PipelineConfig config;
   config.observability.metrics = &registry;
-  config.observability.trace = &trace;
   auto estimator =
       TrafficSpeedEstimator::Train(&dataset->net, &dataset->history, config);
   if (!estimator.ok()) {
@@ -82,7 +82,9 @@ int main() {
   // count) any malformed report instead of failing the slot.
   serving_opts.validation = ValidationPolicy::kFilter;
   serving_opts.observability.metrics = &registry;
-  serving_opts.observability.trace = &trace;
+  // The flight recorder times every stage each served slot passes through.
+  obs::FlightRecorder flight;
+  serving_opts.observability.flight = &flight;
   // Observations reach the session through the bounded lock-free queue, the
   // same write path a many-reporter deployment uses (core/ingest.h).
   serving_opts.ingest_queue.capacity = 1024;
@@ -106,6 +108,7 @@ int main() {
   std::set<RoadId> flagged_any;
   std::set<RoadId> truly_congested;
   uint64_t start = dataset->first_test_slot();
+  uint64_t last_served = start;
   for (uint64_t slot = start; slot < dataset->num_slots(); slot += 2) {
     auto answers = campaign.Collect(seeds->seeds, dataset->truth.speeds[slot]);
     if (!answers.ok()) return 1;
@@ -122,6 +125,7 @@ int main() {
                    report.status().ToString().c_str());
       continue;
     }
+    last_served = slot;
     for (const TrafficAlert& a : report->monitor.new_alerts) {
       if (a.raised) flagged_any.insert(a.road);
     }
@@ -177,11 +181,20 @@ int main() {
                   : 100.0 * hits / truly_congested.size());
 
   // Scrape-ready view of the same run. A deployment serves this string from
-  // an HTTP /metrics endpoint; trace.ToJson() holds the last spans.
+  // an HTTP /metrics endpoint; obs::ToChromeTraceJson(flight) would export
+  // the slot timelines for chrome://tracing.
   std::printf("\n--- /metrics (Prometheus text format) ---\n%s",
               registry.ToPrometheus().c_str());
-  std::printf("--- trace: %llu spans recorded, last %zu retained ---\n",
-              static_cast<unsigned long long>(trace.total_recorded()),
-              trace.Events().size());
+  const obs::SlotCriticalPath cp = obs::ComputeSlotCriticalPath(
+      flight.CollectSlot(last_served), last_served);
+  auto ms = [](uint64_t ns) { return static_cast<double>(ns) / 1e6; };
+  std::printf("--- flight: %llu stage events recorded ---\n"
+              "slot %llu: %.3f ms total = queue wait %.3f + admission %.3f"
+              " + bp %.3f + publish %.3f + other %.3f (%.0f%% attributed)\n",
+              static_cast<unsigned long long>(flight.total_recorded()),
+              static_cast<unsigned long long>(last_served), ms(cp.total_ns),
+              ms(cp.queue_wait_ns), ms(cp.admission_ns), ms(cp.bp_ns),
+              ms(cp.publish_ns), ms(cp.other_ns),
+              100.0 * cp.AttributedFraction());
   return 0;
 }

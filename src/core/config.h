@@ -7,7 +7,6 @@
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-#include "obs/trace.h"
 #include "seed/objective.h"
 #include "speed/hierarchical_model.h"
 #include "speed/propagation.h"
@@ -16,17 +15,15 @@
 
 namespace trendspeed {
 
-/// Pipeline-wide observability wiring (docs/observability.md). Both
-/// pointers are borrowed and must outlive every estimator / serving session
-/// built from this config; null (the default) disables all recording —
-/// instrumented hot paths then cost one predicted branch per record site
-/// (bench/bench_observability_overhead.cc quantifies this as < 2%).
+/// Pipeline-wide observability wiring (docs/observability.md). The two
+/// sinks, `metrics` and `flight`, are borrowed and must outlive every
+/// estimator / serving session built from this config; null (the default)
+/// disables all recording — instrumented hot paths then cost one predicted
+/// branch per record site (bench/bench_observability_overhead.cc
+/// quantifies this as < 2%).
 struct ObservabilityOptions {
   /// Destination for every trendspeed_* metric the pipeline emits.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Destination for ScopedSpan wall-clock spans ("bp/infer",
-  /// "seed/<algorithm>", "estimator/estimate", "serving/ingest").
-  obs::TraceRecorder* trace = nullptr;
   /// Also attach `metrics` to the process-wide ThreadPool::Global()
   /// (trendspeed_pool_* series). Off by default because the global pool is
   /// shared across estimators; last attach wins.
@@ -34,15 +31,15 @@ struct ObservabilityOptions {
   /// Serving: an Ingest call slower than this bumps
   /// trendspeed_serving_slow_ingests_total. Must be positive and finite.
   double slow_ingest_ms = 250.0;
-  /// Slot-causal flight recorder (obs/flight.h). Borrowed like the other
-  /// sinks; when attached, every pipeline stage a slot passes through —
-  /// queue wait, admission, estimate, BP solve, snapshot publish —
-  /// records into per-thread rings that merge into one causal timeline
-  /// per slot. Null (default): every flight site is one
-  /// predicted branch and results are bitwise identical. Consumed by the
-  /// serving layer only (ServingOptions::observability): the serving
-  /// session hands the recorder down per call as an obs::FlightSink, so a
-  /// recorder set on a PipelineConfig used purely for training is inert.
+  /// Slot-causal flight recorder (obs/flight.h). Borrowed like `metrics`;
+  /// when attached, every pipeline stage a slot passes through — queue
+  /// wait, admission, estimate, BP solve, snapshot publish — records into
+  /// per-thread rings that merge into one causal timeline per slot. Null
+  /// (default): every flight site is one predicted branch and results are
+  /// bitwise identical. Consumed by the serving layer only
+  /// (ServingOptions::observability): the serving session hands the
+  /// recorder down per call as an obs::FlightSink, so a recorder set on a
+  /// PipelineConfig used purely for training is inert.
   obs::FlightRecorder* flight = nullptr;
   /// Per-stage latency SLO budgets + burn-rate policy (obs/slo.h). Only
   /// meaningful on the serving path; enabling any budget requires `flight`

@@ -78,14 +78,8 @@ Result<TrafficSpeedEstimator> TrafficSpeedEstimator::FromComponents(
   if (est.config_.trend.bp.metrics == nullptr) {
     est.config_.trend.bp.metrics = o.metrics;
   }
-  if (est.config_.trend.bp.trace == nullptr) {
-    est.config_.trend.bp.trace = o.trace;
-  }
   if (est.config_.seed_selection.metrics == nullptr) {
     est.config_.seed_selection.metrics = o.metrics;
-  }
-  if (est.config_.seed_selection.trace == nullptr) {
-    est.config_.seed_selection.trace = o.trace;
   }
   if (o.instrument_thread_pool && o.metrics != nullptr) {
     ThreadPool::Global().AttachMetrics(o.metrics);
@@ -110,7 +104,6 @@ Result<SeedSelectionResult> TrafficSpeedEstimator::SelectSeeds(
       StochasticGreedyOptions opts;
       opts.seed = rng_seed;
       opts.metrics = config_.seed_selection.metrics;
-      opts.trace = config_.seed_selection.trace;
       return SelectSeedsStochasticGreedy(*influence_, k, opts);
     }
     case SeedStrategy::kRandom:
@@ -137,7 +130,6 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
     EstimateWorkspace* workspace,
     const obs::FlightSink& flight) const {
   const ObservabilityOptions& o = config_.observability;
-  obs::ScopedSpan span(o.trace, "estimator/estimate");
   // The estimate envelope overlaps bp_solve and is excluded from
   // critical-path attribution (obs/flight.h), but keeps the timeline whole.
   obs::FlightSpan flight_span(flight.recorder, slot,

@@ -170,7 +170,7 @@ Result<std::vector<SeedSpeed>> ServingSession::Sanitize(
   std::vector<SeedSpeed> out;
   out.reserve(observations.size());
   std::vector<size_t> pos(num_roads, SIZE_MAX);  // road -> index in `out`
-  std::vector<uint32_t> merged;  // kMean: observations merged per entry
+  std::vector<uint32_t> merged;  // observations merged per entry
 
   for (const SeedSpeed& s : observations) {
     const char* problem = nullptr;
@@ -193,31 +193,21 @@ Result<std::vector<SeedSpeed>> ServingSession::Sanitize(
       continue;
     }
     if (pos[s.road] != SIZE_MAX) {
-      switch (opts_.dedup) {
-        case DedupPolicy::kReject:
-          return Status::InvalidArgument(
-              "duplicate observation for road " + std::to_string(s.road));
-        case DedupPolicy::kKeepFirst:
-          break;
-        case DedupPolicy::kKeepLast:
-          out[pos[s.road]].speed_kmh = s.speed_kmh;
-          break;
-        case DedupPolicy::kMean:
-          out[pos[s.road]].speed_kmh += s.speed_kmh;
-          ++merged[pos[s.road]];
-          break;
+      if (opts_.dedup == DedupPolicy::kReject) {
+        return Status::InvalidArgument(
+            "duplicate observation for road " + std::to_string(s.road));
       }
+      out[pos[s.road]].speed_kmh += s.speed_kmh;
+      ++merged[pos[s.road]];
       ++*deduplicated;
       continue;
     }
     pos[s.road] = out.size();
     out.push_back(s);
-    if (opts_.dedup == DedupPolicy::kMean) merged.push_back(1);
+    merged.push_back(1);
   }
-  if (opts_.dedup == DedupPolicy::kMean) {
-    for (size_t i = 0; i < out.size(); ++i) {
-      if (merged[i] > 1) out[i].speed_kmh /= merged[i];
-    }
+  for (size_t i = 0; i < out.size(); ++i) {
+    if (merged[i] > 1) out[i].speed_kmh /= merged[i];
   }
   return out;
 }
@@ -284,7 +274,6 @@ ServingStats ServingSession::stats() const {
 Result<ServingSession::SlotReport> ServingSession::DoIngest(
     uint64_t slot, const std::vector<SeedSpeed>& observations,
     obs::SlotTraceContext* ctx) {
-  obs::ScopedSpan span(opts_.observability.trace, "serving/ingest");
   IngestLatencyScope latency(m_ingest_latency_, m_slow_ingests_,
                              opts_.observability.slow_ingest_ms);
   if (has_report_) {

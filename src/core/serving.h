@@ -36,17 +36,14 @@
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-#include "obs/trace.h"
 #include "util/status.h"
 
 namespace trendspeed {
 
 /// Resolution of multiple observations for the same road in one batch.
 enum class DedupPolicy {
-  kMean,       ///< average the duplicate speeds (default)
-  kKeepFirst,  ///< first occurrence wins
-  kKeepLast,   ///< last occurrence wins
-  kReject,     ///< duplicates fail the batch with InvalidArgument
+  kMean,    ///< average the duplicate speeds (default)
+  kReject,  ///< duplicates fail the batch with InvalidArgument
 };
 
 /// Handling of malformed observations (bad road id / non-finite,
@@ -109,10 +106,10 @@ struct ServingOptions {
   uint32_t max_stale_slots = 12;
   /// Observability sinks for this session: the trendspeed_serving_* series
   /// (per-Ingest latency histogram, staleness gauge, slow-ingest counter,
-  /// registry mirrors of every ServingStats field) and the "serving/ingest"
-  /// span. `instrument_thread_pool` is ignored here — pool attachment is
-  /// the estimator's decision (see PipelineConfig::observability). Sinks
-  /// must outlive the session.
+  /// registry mirrors of every ServingStats field) and the flight
+  /// recorder's per-slot stages. `instrument_thread_pool` is ignored here —
+  /// pool attachment is the estimator's decision (see
+  /// PipelineConfig::observability). Sinks must outlive the session.
   ObservabilityOptions observability;
   /// Publish every served slot (fresh or carried forward) through a seqlock
   /// SpeedSnapshotPublisher, giving concurrent readers a non-blocking

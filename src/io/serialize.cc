@@ -193,8 +193,9 @@ Result<HistoricalDb> HistoryFromRecords(const std::vector<RawRecord>& records,
     if (r.road >= num_roads || r.slot >= num_slots) {
       return Status::InvalidArgument("record out of range");
     }
-    if (r.speed_kmh <= 0.0) {
-      return Status::InvalidArgument("record speed must be positive");
+    if (!std::isfinite(r.speed_kmh) || r.speed_kmh <= 0.0) {
+      return Status::InvalidArgument(
+          "record speed must be positive and finite");
     }
     builder.Add(r.road, r.slot, r.speed_kmh);
   }

@@ -1,6 +1,6 @@
 // Monotonic clock for every span / latency measurement in the tree.
 //
-// All observability timing (ScopedSpan, WallTimer, histogram latencies) goes
+// All observability timing (FlightSpan, WallTimer, histogram latencies) goes
 // through MonotonicNanos so the same guarantee holds everywhere: the reading
 // is steady_clock-backed and never runs backwards, so an NTP step on the
 // host cannot produce a negative duration. ElapsedNanosSince additionally

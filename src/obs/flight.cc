@@ -5,7 +5,6 @@
 #include "obs/catalog.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"  // CurrentThreadId is declared there, defined here
 
 namespace trendspeed {
 namespace obs {
@@ -16,7 +15,8 @@ namespace {
 // cache entry from a destroyed recorder can never alias a new one.
 std::atomic<uint64_t> g_next_generation{1};
 
-// Dense process-wide thread ids shared with TraceRecorder (obs/trace.h).
+// Dense process-wide thread ids (0, 1, 2, ... in first-use order; assigned
+// lazily, stable for the thread's lifetime).
 constexpr uint32_t kUnassignedThreadId = 0xffffffffu;
 std::atomic<uint32_t> g_next_thread_id{0};
 thread_local uint32_t tl_thread_id = kUnassignedThreadId;
@@ -29,14 +29,14 @@ struct RingCache {
 };
 thread_local RingCache tl_ring_cache;
 
-}  // namespace
-
 uint32_t CurrentThreadId() {
   if (tl_thread_id == kUnassignedThreadId) {
     tl_thread_id = g_next_thread_id.fetch_add(1, std::memory_order_relaxed);
   }
   return tl_thread_id;
 }
+
+}  // namespace
 
 const char* FlightStageName(FlightStage stage) {
   switch (stage) {

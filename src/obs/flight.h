@@ -72,7 +72,7 @@ struct FlightEvent {
   uint64_t start_ns = 0;     ///< MonotonicNanos at stage entry
   uint64_t duration_ns = 0;  ///< clamped >= 0 (obs/clock.h contract)
   uint64_t index = 0;        ///< per-thread record order (0-based)
-  uint32_t thread_id = 0;    ///< dense process-wide id (obs::CurrentThreadId)
+  uint32_t thread_id = 0;    ///< dense process-wide id, in first-use order
   FlightStage stage = FlightStage::kQueueWait;
   /// 1-based position on the slot's causal backbone (assigned from the
   /// SlotTraceContext stage sequence); 0 = an event recorded without a

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <set>
 
 namespace trendspeed {
 namespace obs {
@@ -34,23 +33,6 @@ void AppendMicros(std::string* out, uint64_t ns, uint64_t base_ns) {
   out->append(buf);
 }
 
-void AppendThreadMeta(std::string* out, uint32_t tid, const std::string& name,
-                      bool* first) {
-  if (!*first) out->append(",\n");
-  *first = false;
-  out->append("{\"ph\":\"M\",\"pid\":1,\"tid\":");
-  out->append(std::to_string(tid));
-  out->append(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
-  AppendEscaped(out, name.c_str());
-  out->append("\"}}");
-}
-
-void CloseTrace(std::string* out, bool empty) {
-  out->append(empty ? "]}" : "\n]}");
-}
-
-constexpr const char kHeader[] = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-
 }  // namespace
 
 std::string ToChromeTraceJson(
@@ -67,13 +49,20 @@ std::string ToChromeTraceJson(
   std::sort(meta.begin(), meta.end());
   uint64_t base_ns = sorted.empty() ? 0 : sorted.front().start_ns;
 
-  std::string out = kHeader;
-  bool first = true;
-  if (!sorted.empty() || !meta.empty()) out.append("\n");
-  for (const auto& t : meta) AppendThreadMeta(&out, t.first, t.second, &first);
+  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  const char* sep = "\n";
+  for (const auto& [tid, label] : meta) {
+    out.append(sep);
+    sep = ",\n";
+    out.append("{\"ph\":\"M\",\"pid\":1,\"tid\":");
+    out.append(std::to_string(tid));
+    out.append(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
+    AppendEscaped(&out, label.c_str());
+    out.append("\"}}");
+  }
   for (const FlightEvent& e : sorted) {
-    if (!first) out.append(",\n");
-    first = false;
+    out.append(sep);
+    sep = ",\n";
     out.append("{\"ph\":\"X\",\"pid\":1,\"tid\":");
     out.append(std::to_string(e.thread_id));
     out.append(",\"cat\":\"flight\",\"name\":\"");
@@ -88,59 +77,12 @@ std::string ToChromeTraceJson(
     out.append(std::to_string(e.path_seq));
     out.append("}}");
   }
-  CloseTrace(&out, first);
+  out.append(sorted.empty() && meta.empty() ? "]}" : "\n]}");
   return out;
 }
 
 std::string ToChromeTraceJson(const FlightRecorder& recorder) {
   return ToChromeTraceJson(recorder.Collect(), recorder.ThreadLabels());
-}
-
-std::string ToChromeTraceJson(const std::vector<TraceEvent>& events) {
-  std::vector<TraceEvent> sorted = events;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
-              if (a.thread_id != b.thread_id) return a.thread_id < b.thread_id;
-              return a.seq < b.seq;
-            });
-  std::set<uint32_t> tids;
-  for (const TraceEvent& e : sorted) tids.insert(e.thread_id);
-  uint64_t base_ns = sorted.empty() ? 0 : sorted.front().start_ns;
-
-  std::string out = kHeader;
-  bool first = true;
-  if (!sorted.empty()) out.append("\n");
-  for (uint32_t tid : tids) {
-    AppendThreadMeta(&out, tid, "thread-" + std::to_string(tid), &first);
-  }
-  for (const TraceEvent& e : sorted) {
-    if (!first) out.append(",\n");
-    first = false;
-    out.append("{\"ph\":\"X\",\"pid\":1,\"tid\":");
-    out.append(std::to_string(e.thread_id));
-    out.append(",\"cat\":\"span\",\"name\":\"");
-    AppendEscaped(&out, e.name);
-    out.append("\",\"ts\":");
-    AppendMicros(&out, e.start_ns, base_ns);
-    out.append(",\"dur\":");
-    AppendMicros(&out, e.duration_ns, 0);
-    out.append(",\"args\":{\"depth\":");
-    out.append(std::to_string(e.depth));
-    out.append(",\"span\":");
-    out.append(std::to_string(e.span_id));
-    out.append(",\"parent\":");
-    out.append(std::to_string(e.parent_id));
-    out.append(",\"seq\":");
-    out.append(std::to_string(e.seq));
-    out.append("}}");
-  }
-  CloseTrace(&out, first);
-  return out;
-}
-
-std::string ToChromeTraceJson(const TraceRecorder& recorder) {
-  return ToChromeTraceJson(recorder.Events());
 }
 
 }  // namespace obs

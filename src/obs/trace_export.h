@@ -1,5 +1,5 @@
 // Chrome trace-event JSON export (catapult / chrome://tracing / Perfetto
-// legacy loader) for the flight recorder and the span TraceRecorder.
+// legacy loader) for the flight recorder.
 //
 // Output contract (tested byte-exact against goldens in
 // tests/trace_export_test.cc):
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "obs/flight.h"
-#include "obs/trace.h"
 
 namespace trendspeed {
 namespace obs {
@@ -41,14 +40,6 @@ std::string ToChromeTraceJson(
 
 /// Collect() + ThreadLabels() of a live recorder, exported.
 std::string ToChromeTraceJson(const FlightRecorder& recorder);
-
-/// Span-recorder events -> Chrome trace JSON: cat "span", args
-/// {"depth":D,"span":I,"parent":P,"seq":S}; thread rows are synthesized as
-/// "thread-<id>" from the ids present.
-std::string ToChromeTraceJson(const std::vector<TraceEvent>& events);
-
-/// Events() of a live TraceRecorder, exported.
-std::string ToChromeTraceJson(const TraceRecorder& recorder);
 
 }  // namespace obs
 }  // namespace trendspeed

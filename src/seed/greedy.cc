@@ -20,7 +20,6 @@ Result<SeedSelectionResult> SelectSeedsGreedy(const InfluenceModel& model,
   ObjectiveState state(&model);
   std::vector<bool> selected(n, false);
 
-  obs::ScopedSpan span(opts.trace, "seed/greedy");
   obs::Counter* m_rounds = obs::GetCounter(opts.metrics, obs::kSeedRoundsTotal);
   obs::Histogram* m_gain =
       obs::GetHistogram(opts.metrics, obs::kSeedMarginalGain);

@@ -19,7 +19,6 @@ Result<SeedSelectionResult> SelectSeedsLazyGreedy(
   SeedSelectionResult result;
   ObjectiveState state(&model);
 
-  obs::ScopedSpan span(opts.trace, "seed/lazy_greedy");
   obs::Counter* m_rounds = obs::GetCounter(opts.metrics, obs::kSeedRoundsTotal);
   obs::Counter* m_repops =
       obs::GetCounter(opts.metrics, obs::kSeedLazyRepopsTotal);

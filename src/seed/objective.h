@@ -23,7 +23,6 @@
 
 #include "corr/correlation_graph.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "probe/history.h"
 #include "util/binary_io.h"
 #include "util/status.h"
@@ -97,14 +96,12 @@ struct SeedSelectionOptions {
   /// (0 = effective thread count). 1 reproduces the serial CELF evaluation
   /// schedule exactly.
   size_t batch = 0;
-  /// Observability hooks (docs/observability.md): when attached, each run
+  /// Observability hook (docs/observability.md): when attached, each run
   /// records the trendspeed_seed_* series (runs and gain evaluations per
   /// algorithm label, committed rounds, marginal-gain histogram, CELF
-  /// re-pops) and a "seed/<algorithm>" span. Null (default) records
-  /// nothing; the selected set is identical either way. Both must outlive
-  /// the selection call.
+  /// re-pops). Null (default) records nothing; the selected set is
+  /// identical either way. Must outlive the selection call.
   obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceRecorder* trace = nullptr;
 };
 
 /// Incremental evaluator of f(S); the workhorse of all greedy variants.

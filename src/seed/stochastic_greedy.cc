@@ -23,7 +23,6 @@ Result<SeedSelectionResult> SelectSeedsStochasticGreedy(
   ObjectiveState state(&model);
   std::vector<bool> selected(n, false);
 
-  obs::ScopedSpan span(opts.trace, "seed/stochastic_greedy");
   obs::Counter* m_rounds = obs::GetCounter(opts.metrics, obs::kSeedRoundsTotal);
   obs::Histogram* m_gain =
       obs::GetHistogram(opts.metrics, obs::kSeedMarginalGain);

@@ -15,11 +15,10 @@ struct StochasticGreedyOptions {
   /// Approximation slack: guarantee becomes (1 - 1/e - epsilon).
   double epsilon = 0.1;
   uint64_t seed = 17;
-  /// Observability hooks, same contract as SeedSelectionOptions: null
+  /// Observability hook, same contract as SeedSelectionOptions: null
   /// (default) records nothing; never affects the sampled candidate
   /// sequence or the selected set.
   obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceRecorder* trace = nullptr;
 };
 
 /// Selects k seeds; each round evaluates only a random candidate sample.

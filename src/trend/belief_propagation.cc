@@ -99,17 +99,16 @@ bool ParseBpKernel(const std::string& name, BpKernel* out) {
 
 namespace {
 
-/// The trendspeed_bp_* series and the "bp/infer" span of one run, shared by
-/// every schedule. Handles are registered once per run (one registry
-/// lookup each), not per sweep; all are null when opts.metrics is null,
-/// making every record below a single predicted branch.
+/// The trendspeed_bp_* series of one run, shared by every schedule. Handles
+/// are registered once per run (one registry lookup each), not per sweep;
+/// all are null when opts.metrics is null, making every record below a
+/// single predicted branch.
 class BpRunRecorder {
  public:
   /// Opens the run: counts it, on `kernel_runs` (the kernel's run counter)
   /// too.
   BpRunRecorder(const BpOptions& opts, const obs::MetricDef& kernel_runs)
-      : span_(opts.trace, "bp/infer"),
-        metrics_(opts.metrics),
+      : metrics_(opts.metrics),
         sweeps_(obs::GetCounter(metrics_, obs::kBpSweepsTotal)),
         residual_(obs::GetHistogram(metrics_, obs::kBpResidual)) {
     obs::Add(obs::GetCounter(metrics_, obs::kBpRunsTotal));
@@ -134,7 +133,6 @@ class BpRunRecorder {
   }
 
  private:
-  obs::ScopedSpan span_;
   obs::MetricsRegistry* metrics_;
   obs::Counter* sweeps_;
   obs::Histogram* residual_;

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "trend/factor_graph.h"
 
 namespace trendspeed {
@@ -63,14 +62,13 @@ struct BpOptions {
   /// scalar oracle elsewhere; kScalar pins the oracle. Every run starts
   /// cold from all-0.5 messages, on either kernel.
   BpKernel kernel = BpKernel::kAuto;
-  /// Observability hooks (docs/observability.md): when attached, each run
+  /// Observability hook (docs/observability.md): when attached, each run
   /// records the trendspeed_bp_* series (sweeps, message updates,
-  /// per-sweep convergence residual, iteration count) and a "bp/infer"
-  /// span. Null (default) disables recording at per-iteration branch cost;
-  /// results are identical either way. Set by the estimator from
-  /// PipelineConfig::observability; both must outlive the inference call.
+  /// per-sweep convergence residual, iteration count). Null (default)
+  /// disables recording at per-iteration branch cost; results are
+  /// identical either way. Set by the estimator from
+  /// PipelineConfig::observability; must outlive the inference call.
   obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceRecorder* trace = nullptr;
 };
 
 struct BpResult {

@@ -2,7 +2,7 @@
 // observability layer's latency histograms.
 //
 // All readings go through obs::MonotonicNanos (steady_clock-backed), the
-// same clock ScopedSpan uses, so an NTP step on the host can never produce
+// same clock FlightSpan uses, so an NTP step on the host can never produce
 // a negative or wildly wrong duration anywhere timing is measured. Elapsed
 // values are additionally clamped at zero — the injected test clock
 // (obs::SetMonotonicClockForTest) is the only source that can run

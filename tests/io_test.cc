@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -110,6 +111,11 @@ TEST(SerializeTest, HistoryFromRecordsValidates) {
   EXPECT_FALSE(HistoryFromRecords({{5, 0, 10.0}}, 2, 10, 144).ok());
   EXPECT_FALSE(HistoryFromRecords({{0, 50, 10.0}}, 2, 10, 144).ok());
   EXPECT_FALSE(HistoryFromRecords({{0, 0, -1.0}}, 2, 10, 144).ok());
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(HistoryFromRecords({{0, 0, bad}}, 2, 10, 144).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(DatasetTest, TinyCityIsWellFormed) {

@@ -1,7 +1,7 @@
 // Tests for the observability layer (src/obs/) and its pipeline wiring:
 // metric primitives, registry registration semantics, exporter goldens,
-// trace ring buffer, the injected-clock regression for util/timer.h, thread
-// pool instrumentation, and the ServingStats <-> registry equivalence
+// the injected-clock regression for util/timer.h, thread pool
+// instrumentation, and the ServingStats <-> registry equivalence
 // contract. Run under TRENDSPEED_SANITIZE=thread to validate the lock-free
 // recording paths.
 
@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,8 +17,8 @@
 #include "obs/catalog.h"
 #include "obs/clock.h"
 #include "obs/export.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "test_util.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -318,96 +317,6 @@ TEST(ExportTest, EmptyRegistryExportsAreWellFormed) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace recorder and spans.
-// ---------------------------------------------------------------------------
-
-TEST(TraceTest, RingBufferKeepsMostRecentEvents) {
-  obs::TraceRecorder rec(4);
-  for (uint64_t i = 0; i < 6; ++i) {
-    rec.Record("e", /*start_ns=*/i, /*duration_ns=*/1, /*depth=*/0);
-  }
-  EXPECT_EQ(rec.total_recorded(), 6u);
-  EXPECT_EQ(rec.dropped(), 2u);
-  std::vector<obs::TraceEvent> events = rec.Events();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest retained first: seq 2..5.
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, i + 2);
-  }
-}
-
-TEST(TraceTest, NullRecorderSpanIsNoOp) {
-  obs::ScopedSpan span(nullptr, "nothing");  // must not crash or record
-}
-
-TEST(TraceTest, NestedSpansRecordDepthAndCloseInnerFirst) {
-  obs::TraceRecorder rec(16);
-  {
-    obs::ScopedSpan outer(&rec, "outer");
-    obs::ScopedSpan inner(&rec, "inner");
-  }
-  std::vector<obs::TraceEvent> events = rec.Events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_STREQ(events[0].name, "inner");
-  EXPECT_EQ(events[0].depth, 1u);
-  EXPECT_STREQ(events[1].name, "outer");
-  EXPECT_EQ(events[1].depth, 0u);
-  // The outer span encloses the inner one on the same clock.
-  EXPECT_GE(events[1].duration_ns, events[0].duration_ns);
-  EXPECT_NE(rec.ToJson().find("\"name\": \"inner\""), std::string::npos);
-}
-
-// Regression (this PR's trace bugfix): events used to carry no thread id or
-// parent linkage, so two pool workers' spans collapsed into one
-// indistinguishable stream and nesting could not be reconstructed from a
-// recorded ring. Spans now stamp (thread_id, span_id, parent_id).
-TEST(TraceTest, NestedSpansCarryParentLinkage) {
-  obs::TraceRecorder rec(16);
-  {
-    obs::ScopedSpan outer(&rec, "outer");
-    obs::ScopedSpan inner(&rec, "inner");
-  }
-  std::vector<obs::TraceEvent> events = rec.Events();
-  ASSERT_EQ(events.size(), 2u);
-  const obs::TraceEvent& inner = events[0];
-  const obs::TraceEvent& outer = events[1];
-  EXPECT_NE(outer.span_id, 0u);
-  EXPECT_NE(inner.span_id, 0u);
-  EXPECT_NE(inner.span_id, outer.span_id);
-  EXPECT_EQ(inner.parent_id, outer.span_id);
-  EXPECT_EQ(outer.parent_id, 0u);  // top-level span has no parent
-  EXPECT_EQ(inner.thread_id, outer.thread_id);
-  std::string json = rec.ToJson();
-  EXPECT_NE(json.find("\"thread_id\""), std::string::npos);
-  EXPECT_NE(json.find("\"parent\""), std::string::npos);
-}
-
-TEST(TraceTest, SpansFromTwoThreadsAreSeparableByThreadId) {
-  obs::TraceRecorder rec(16);
-  auto record_one = [&rec](const char* name) {
-    obs::ScopedSpan span(&rec, name);
-  };
-  std::thread a([&] { record_one("from_a"); });
-  a.join();
-  std::thread b([&] { record_one("from_b"); });
-  b.join();
-  std::vector<obs::TraceEvent> events = rec.Events();
-  ASSERT_EQ(events.size(), 2u);
-  uint32_t tid_a = 0;
-  uint32_t tid_b = 0;
-  for (const obs::TraceEvent& e : events) {
-    if (std::string(e.name) == "from_a") tid_a = e.thread_id;
-    if (std::string(e.name) == "from_b") tid_b = e.thread_id;
-  }
-  // Each thread's spans carry its own dense id; the two must be separable.
-  EXPECT_NE(tid_a, tid_b);
-  // Both threads record top-level spans: thread-local nesting state keeps
-  // one thread's open span from becoming another thread's parent.
-  EXPECT_EQ(events[0].parent_id, 0u);
-  EXPECT_EQ(events[1].parent_id, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Monotonic clock + WallTimer regression (the injected-clock contract).
 // ---------------------------------------------------------------------------
 
@@ -442,18 +351,6 @@ TEST_F(InjectedClockTest, BackwardsClockClampsToZero) {
   EXPECT_DOUBLE_EQ(timer.ElapsedMillis(), 0.0);
   EXPECT_DOUBLE_EQ(timer.ElapsedSeconds(), 0.0);
   EXPECT_EQ(obs::ElapsedNanosSince(1'000'000), 0u);
-}
-
-TEST_F(InjectedClockTest, SpansUseTheInjectedClock) {
-  obs::TraceRecorder rec(4);
-  {
-    obs::ScopedSpan span(&rec, "fake");
-    g_fake_now += 7'000;
-  }
-  std::vector<obs::TraceEvent> events = rec.Events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].start_ns, 1'000'000u);
-  EXPECT_EQ(events[0].duration_ns, 7'000u);
 }
 
 TEST(ClockTest, RealClockIsMonotone) {
@@ -538,11 +435,9 @@ class ObsPipelineTest : public ::testing::Test {
   static void SetUpTestSuite() {
     const Dataset& ds = SharedTinyDataset();
     registry_ = new obs::MetricsRegistry();
-    trace_ = new obs::TraceRecorder(256);
     PipelineConfig config;
     config.corr.min_co_observed = 8;
     config.observability.metrics = registry_;
-    config.observability.trace = trace_;
     auto est = TrafficSpeedEstimator::Train(&ds.net, &ds.history, config);
     TS_CHECK(est.ok()) << est.status().ToString();
     estimator_ = new TrafficSpeedEstimator(std::move(est).value());
@@ -566,30 +461,37 @@ class ObsPipelineTest : public ::testing::Test {
   }
 
   static obs::MetricsRegistry* registry_;
-  static obs::TraceRecorder* trace_;
   static TrafficSpeedEstimator* estimator_;
   static std::vector<RoadId>* seeds_;
 };
 
 obs::MetricsRegistry* ObsPipelineTest::registry_ = nullptr;
-obs::TraceRecorder* ObsPipelineTest::trace_ = nullptr;
 TrafficSpeedEstimator* ObsPipelineTest::estimator_ = nullptr;
 std::vector<RoadId>* ObsPipelineTest::seeds_ = nullptr;
 
 TEST_F(ObsPipelineTest, EstimateRecordsBpAndEstimatorSeries) {
   uint64_t runs_before = CounterValue(obs::kBpRunsTotal);
   uint64_t estimates_before = CounterValue(obs::kEstimatesTotal);
-  auto out = estimator_->Estimate(0, CleanObs(0));
+  const uint64_t slot = 0;
+  obs::FlightRecorder recorder;
+  auto out = estimator_->Estimate(slot, CleanObs(slot), nullptr,
+                                  obs::FlightSink{&recorder, slot, nullptr});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(CounterValue(obs::kEstimatesTotal), estimates_before + 1);
   EXPECT_GT(CounterValue(obs::kBpRunsTotal), runs_before);
   EXPECT_GT(CounterValue(obs::kBpSweepsTotal), runs_before);
   EXPECT_GT(registry_->GetHistogram(obs::kEstimateLatencyMs)->count(), 0u);
   EXPECT_GT(registry_->GetHistogram(obs::kBpIterations)->count(), 0u);
-  // Spans from both layers appear in the trace.
-  std::string trace_json = trace_->ToJson();
-  EXPECT_NE(trace_json.find("estimator/estimate"), std::string::npos);
-  EXPECT_NE(trace_json.find("bp/infer"), std::string::npos);
+  // A direct estimator call is traceable too: both layers record flight
+  // stages for the slot.
+  size_t estimates = 0;
+  size_t bp_solves = 0;
+  for (const obs::FlightEvent& e : recorder.CollectSlot(slot)) {
+    if (e.stage == obs::FlightStage::kEstimate) ++estimates;
+    if (e.stage == obs::FlightStage::kBpSolve) ++bp_solves;
+  }
+  EXPECT_EQ(estimates, 1u);
+  EXPECT_GE(bp_solves, 1u);
 }
 
 TEST_F(ObsPipelineTest, SeedSelectionRecordsPerAlgorithmSeries) {

@@ -14,7 +14,6 @@
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-#include "obs/trace.h"
 
 namespace trendspeed {
 namespace {
