@@ -20,8 +20,8 @@ Status PipelineConfig::Validate() const {
   if (propagation.max_layers == 0) {
     return Status::InvalidArgument("propagation.max_layers must be positive");
   }
-  if (speed.ridge_lambda < 0.0) {
-    return Status::InvalidArgument("speed.ridge_lambda must be >= 0");
+  if (!(speed.ridge_lambda > 0.0)) {  // also rejects NaN
+    return Status::InvalidArgument("speed.ridge_lambda must be > 0");
   }
   if (trend.bp.damping < 0.0 || trend.bp.damping >= 1.0) {
     return Status::InvalidArgument("trend.bp.damping must be in [0, 1)");

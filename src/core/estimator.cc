@@ -64,7 +64,8 @@ Result<TrafficSpeedEstimator> TrafficSpeedEstimator::FromComponents(
   }
   TS_RETURN_NOT_OK(config.Validate());
   if (graph.num_roads() != net->num_roads() ||
-      influence.num_roads() != net->num_roads()) {
+      influence.num_roads() != net->num_roads() ||
+      speed_model.num_roads() != net->num_roads()) {
     return Status::InvalidArgument("components / network size mismatch");
   }
   TrafficSpeedEstimator est;

@@ -38,9 +38,12 @@ Result<HierarchicalSpeedModel> HierarchicalSpeedModel::Train(
   model.road_lines_.resize(n);
   model.road_means_.resize(n);
 
-  // Per-road training in parallel; pooled samples are kept per road and
-  // merged afterwards so results are independent of thread count.
-  std::vector<std::vector<RegressionSample>> pooled(n);
+  // Per-road training in parallel. Each road keeps the sufficient stats of
+  // its samples that have neighbour information, plus their (x, t) points
+  // for the logistic calibration; both are pooled upward in road order
+  // afterwards, so results are independent of thread count.
+  std::vector<TrendFitStats> neighbor_stats(n);
+  std::vector<std::vector<TrendPoint>> points(n);
   ParallelFor(
       n,
       [&](size_t begin, size_t end) {
@@ -51,7 +54,7 @@ Result<HierarchicalSpeedModel> HierarchicalSpeedModel::Train(
           // any parallelism.
           Rng rng(opts.dropout_seed +
                   0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(i) + 1));
-          std::vector<RegressionSample> samples;
+          TrendFitStats all;
           // Incoming influence list: symmetric, so road i's cover list
           // holds the (j, w_ij) pairs of every road whose observation
           // informs i.
@@ -78,48 +81,40 @@ Result<HierarchicalSpeedModel> HierarchicalSpeedModel::Train(
               wsum += mag;
               xsum += c.influence * dj;
             }
-            RegressionSample s;
-            s.y = y;
-            s.t = t;
             if (wsum > 0.0) {
-              s.x = xsum / wsum;
-              s.w = wsum;
-              samples.push_back(s);
-              pooled[i].push_back(s);
+              double x = xsum / wsum;
+              all.Add(x, y, t, wsum);
+              neighbor_stats[i].Add(x, y, t, wsum);
+              points[i].push_back({x, t});
             } else {
               // No neighbour info: still useful for the mean models.
-              s.x = 0.0;
-              samples.push_back(s);
+              all.Add(0.0, y, t, 0.0);
             }
           }
           model.road_lines_[i] = FitWeightedTrendModel(
-              samples, opts.ridge_lambda, opts.min_road_samples);
-          model.road_means_[i] = FitTrendMean(samples, opts.min_road_samples);
+              all, opts.ridge_lambda, opts.min_road_samples);
+          model.road_means_[i] = FitTrendMean(all, opts.min_road_samples);
         }
       },
       opts.num_threads);
 
-  std::vector<RegressionSample> class_samples[3];
-  std::vector<RegressionSample> global_samples;
+  TrendFitStats class_stats[3];
+  TrendFitStats global_stats;
   for (RoadId i = 0; i < n; ++i) {
-    size_t cls = static_cast<size_t>(model.road_class_[i]);
-    class_samples[cls].insert(class_samples[cls].end(), pooled[i].begin(),
-                              pooled[i].end());
-    global_samples.insert(global_samples.end(), pooled[i].begin(),
-                          pooled[i].end());
-    pooled[i].clear();
-    pooled[i].shrink_to_fit();
+    class_stats[static_cast<size_t>(model.road_class_[i])].Merge(
+        neighbor_stats[i]);
+    global_stats.Merge(neighbor_stats[i]);
   }
   for (int c = 0; c < 3; ++c) {
     model.class_lines_[c] = FitWeightedTrendModel(
-        class_samples[c], opts.ridge_lambda, opts.min_class_samples);
+        class_stats[c], opts.ridge_lambda, opts.min_class_samples);
     model.class_means_[c] =
-        FitTrendMean(class_samples[c], opts.min_class_samples);
+        FitTrendMean(class_stats[c], opts.min_class_samples);
   }
   model.global_line_ =
-      FitWeightedTrendModel(global_samples, opts.ridge_lambda, 10);
-  model.global_mean_ = FitTrendMean(global_samples, 10);
-  model.evidence_ = FitLogistic(global_samples);
+      FitWeightedTrendModel(global_stats, opts.ridge_lambda, 10);
+  model.global_mean_ = FitTrendMean(global_stats, 10);
+  model.evidence_ = FitLogistic(points);
   return model;
 }
 
@@ -180,6 +175,10 @@ size_t HierarchicalSpeedModel::num_road_models() const {
   return count;
 }
 
+// HSPD v1 stores both structs as raw bytes; their layout is the format.
+static_assert(sizeof(WeightedTrendModel) == 40);
+static_assert(sizeof(TrendMean) == 32);
+
 void HierarchicalSpeedModel::Serialize(BinaryWriter* writer) const {
   writer->PutTag("HSPD", 1);
   writer->PutF64(opts_.ridge_lambda);
@@ -222,6 +221,11 @@ Result<HierarchicalSpeedModel> HierarchicalSpeedModel::Deserialize(
   size_t n = model.road_class_.size();
   if (model.road_lines_.size() != n || model.road_means_.size() != n) {
     return Status::InvalidArgument("corrupt speed model: size mismatch");
+  }
+  for (RoadClass c : model.road_class_) {
+    if (static_cast<uint8_t>(c) > static_cast<uint8_t>(RoadClass::kLocal)) {
+      return Status::InvalidArgument("corrupt speed model: bad road class");
+    }
   }
   auto one = [&](auto* out) -> Status {
     using T = std::remove_pointer_t<decltype(out)>;

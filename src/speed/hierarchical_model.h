@@ -29,6 +29,7 @@
 namespace trendspeed {
 
 struct HierarchicalModelOptions {
+  /// Ridge penalty added to every level's normal equations; must be > 0.
   double ridge_lambda = 1.0;
   /// Minimum samples to train a road-level model.
   uint32_t min_road_samples = 25;
@@ -56,8 +57,9 @@ class HierarchicalSpeedModel {
   /// Trains all levels from history. For each road and each historical slot
   /// where the road and at least one influence-connected neighbour were
   /// observed, a sample (x = signed-influence-weighted neighbour deviation,
-  /// y = own deviation, t = own trend) feeds the road's model and is pooled
-  /// upward into the class and global models.
+  /// y = own deviation, t = own trend) is added to the road's sufficient
+  /// statistics (TrendFitStats); the per-road stats are merged upward in
+  /// road order into the class and global models.
   static Result<HierarchicalSpeedModel> Train(
       const RoadNetwork& net, const HistoricalDb& db,
       const CorrelationGraph& graph, const InfluenceModel& influence,
@@ -81,6 +83,9 @@ class HierarchicalSpeedModel {
 
   /// Logistic calibration P(trend up | x) for MRF soft evidence.
   const LogisticCalibration& evidence() const { return evidence_; }
+
+  /// Number of roads the model was trained on.
+  size_t num_roads() const { return road_class_.size(); }
 
   /// Number of roads with a trained road-level model.
   size_t num_road_models() const;

@@ -7,13 +7,6 @@
 
 namespace trendspeed {
 
-double TrendLine::PredictHard(double x, int t) const {
-  if (trained[t]) return a[t] + b[t] * x;
-  int other = 1 - t;
-  if (trained[other]) return a[other] + b[other] * x;
-  return x;  // pass-through: assume the road deviates like its neighbours
-}
-
 double TrendMean::PredictHard(int t) const {
   if (trained[t]) return mean[t];
   int other = 1 - t;
@@ -21,92 +14,44 @@ double TrendMean::PredictHard(int t) const {
   return 0.0;  // no information: no deviation from the historical mean
 }
 
-TrendLine FitTrendLine(const std::vector<RegressionSample>& samples,
-                       double ridge_lambda, uint32_t min_samples) {
-  TrendLine line;
+void TrendFitStats::Add(double x, double y, int t, double w) {
+  double row[4] = {1.0, t == 1 ? 1.0 : -1.0, x,
+                   x * std::min(w, WeightedTrendModel::kWeightCap)};
+  double* g = gram;
+  for (int a = 0; a < 4; ++a) {
+    for (int b = a; b < 4; ++b) *g++ += row[a] * row[b];
+    xty[a] += row[a] * y;
+  }
+  ++count[t];
+  y_sum[t] += y;
+}
+
+void TrendFitStats::Merge(const TrendFitStats& other) {
+  for (int k = 0; k < 10; ++k) gram[k] += other.gram[k];
+  for (int k = 0; k < 4; ++k) xty[k] += other.xty[k];
   for (int t = 0; t < 2; ++t) {
-    std::vector<std::vector<double>> design;
-    std::vector<double> targets;
-    for (const RegressionSample& s : samples) {
-      if (s.t != t) continue;
-      design.push_back({1.0, s.x});
-      targets.push_back(s.y);
-    }
-    line.samples[t] = static_cast<uint32_t>(targets.size());
-    if (targets.size() < min_samples) continue;
-    auto fit = RidgeRegression(Matrix::FromRows(design), targets, ridge_lambda);
-    if (!fit.ok()) continue;
-    line.a[t] = (*fit)[0];
-    line.b[t] = (*fit)[1];
-    line.trained[t] = true;
+    count[t] += other.count[t];
+    y_sum[t] += other.y_sum[t];
   }
-  return line;
 }
 
-TrendLine FitTrendAffine(const std::vector<RegressionSample>& samples,
-                         double ridge_lambda, uint32_t min_samples) {
-  TrendLine line;
-  uint32_t per_trend[2] = {0, 0};
-  for (const RegressionSample& s : samples) ++per_trend[s.t];
-  line.samples[0] = per_trend[0];
-  line.samples[1] = per_trend[1];
-  if (samples.size() < min_samples || per_trend[0] == 0 || per_trend[1] == 0) {
-    // Not enough mixed data for the trend shift: fall back to a plain line.
-    if (samples.size() >= min_samples) {
-      std::vector<std::vector<double>> design;
-      std::vector<double> targets;
-      for (const RegressionSample& s : samples) {
-        design.push_back({1.0, s.x});
-        targets.push_back(s.y);
-      }
-      auto fit =
-          RidgeRegression(Matrix::FromRows(design), targets, ridge_lambda);
-      if (fit.ok()) {
-        line.a[0] = line.a[1] = (*fit)[0];
-        line.b[0] = line.b[1] = (*fit)[1];
-        line.trained[0] = line.trained[1] = true;
-      }
-    }
-    return line;
-  }
-  std::vector<std::vector<double>> design;
-  std::vector<double> targets;
-  for (const RegressionSample& s : samples) {
-    design.push_back({1.0, s.x, s.t == 1 ? 1.0 : -1.0});
-    targets.push_back(s.y);
-  }
-  auto fit = RidgeRegression(Matrix::FromRows(design), targets, ridge_lambda);
-  if (!fit.ok()) return line;
-  double a = (*fit)[0];
-  double b = (*fit)[1];
-  double c = (*fit)[2];
-  line.a[0] = a - c;
-  line.a[1] = a + c;
-  line.b[0] = line.b[1] = b;
-  line.trained[0] = line.trained[1] = true;
-  return line;
-}
-
-WeightedTrendModel FitWeightedTrendModel(
-    const std::vector<RegressionSample>& samples, double ridge_lambda,
-    uint32_t min_samples) {
+WeightedTrendModel FitWeightedTrendModel(const TrendFitStats& stats,
+                                         double ridge_lambda,
+                                         uint32_t min_samples) {
   WeightedTrendModel model;
-  uint32_t per_trend[2] = {0, 0};
-  for (const RegressionSample& s : samples) ++per_trend[s.t];
-  model.samples = static_cast<uint32_t>(samples.size());
-  if (samples.size() < min_samples || per_trend[0] == 0 ||
-      per_trend[1] == 0) {
+  model.samples = static_cast<uint32_t>(stats.total());
+  if (stats.total() < min_samples || stats.count[0] == 0 ||
+      stats.count[1] == 0) {
     return model;
   }
-  std::vector<std::vector<double>> design;
-  std::vector<double> targets;
-  design.reserve(samples.size());
-  for (const RegressionSample& s : samples) {
-    double wc = std::min(s.w, WeightedTrendModel::kWeightCap);
-    design.push_back({1.0, s.t == 1 ? 1.0 : -1.0, s.x, s.x * wc});
-    targets.push_back(s.y);
+  Matrix gram(4, 4);
+  const double* g = stats.gram;
+  for (size_t a = 0; a < 4; ++a) {
+    for (size_t b = a; b < 4; ++b) gram(a, b) = gram(b, a) = *g++;
+    gram(a, a) += ridge_lambda;
   }
-  auto fit = RidgeRegression(Matrix::FromRows(design), targets, ridge_lambda);
+  auto fit = CholeskySolve(
+      gram, std::vector<double>(stats.xty, stats.xty + 4));
   if (!fit.ok()) return model;
   model.a = (*fit)[0];
   model.c = (*fit)[1];
@@ -116,26 +61,43 @@ WeightedTrendModel FitWeightedTrendModel(
   return model;
 }
 
-LogisticCalibration FitLogistic(const std::vector<RegressionSample>& samples,
-                                uint32_t min_samples, uint32_t newton_iters) {
+TrendMean FitTrendMean(const TrendFitStats& stats, uint32_t min_samples) {
+  TrendMean out;
+  for (int t = 0; t < 2; ++t) {
+    out.samples[t] = static_cast<uint32_t>(stats.count[t]);
+    if (out.samples[t] >= min_samples) {
+      out.mean[t] = stats.y_sum[t] / out.samples[t];
+      out.trained[t] = true;
+    }
+  }
+  return out;
+}
+
+LogisticCalibration FitLogistic(
+    const std::vector<std::vector<TrendPoint>>& chunks, uint32_t min_samples,
+    uint32_t newton_iters) {
   LogisticCalibration cal;
-  if (samples.size() < min_samples) return cal;
+  size_t n = 0;
+  for (const auto& chunk : chunks) n += chunk.size();
+  if (n < min_samples) return cal;
   double w0 = 0.0, w1 = 0.0;  // bias, gamma
   for (uint32_t iter = 0; iter < newton_iters; ++iter) {
     // Gradient and Hessian of the negative log likelihood (+ tiny ridge).
     double g0 = 1e-6 * w0, g1 = 1e-6 * w1;
     double h00 = 1e-6, h01 = 0.0, h11 = 1e-6;
-    for (const RegressionSample& s : samples) {
-      double z = w0 + w1 * s.x;
-      double p = 1.0 / (1.0 + std::exp(-z));
-      double y = s.t == 1 ? 1.0 : 0.0;
-      double diff = p - y;
-      g0 += diff;
-      g1 += diff * s.x;
-      double v = p * (1.0 - p);
-      h00 += v;
-      h01 += v * s.x;
-      h11 += v * s.x * s.x;
+    for (const auto& chunk : chunks) {
+      for (const TrendPoint& s : chunk) {
+        double z = w0 + w1 * s.x;
+        double p = 1.0 / (1.0 + std::exp(-z));
+        double y = s.t == 1 ? 1.0 : 0.0;
+        double diff = p - y;
+        g0 += diff;
+        g1 += diff * s.x;
+        double v = p * (1.0 - p);
+        h00 += v;
+        h01 += v * s.x;
+        h11 += v * s.x * s.x;
+      }
     }
     double det = h00 * h11 - h01 * h01;
     if (std::fabs(det) < 1e-12) break;
@@ -149,23 +111,6 @@ LogisticCalibration FitLogistic(const std::vector<RegressionSample>& samples,
   cal.gamma = w1;
   cal.trained = true;
   return cal;
-}
-
-TrendMean FitTrendMean(const std::vector<RegressionSample>& samples,
-                       uint32_t min_samples) {
-  TrendMean out;
-  double sum[2] = {0.0, 0.0};
-  for (const RegressionSample& s : samples) {
-    sum[s.t] += s.y;
-    ++out.samples[s.t];
-  }
-  for (int t = 0; t < 2; ++t) {
-    if (out.samples[t] >= min_samples) {
-      out.mean[t] = sum[t] / out.samples[t];
-      out.trained[t] = true;
-    }
-  }
-  return out;
 }
 
 }  // namespace trendspeed

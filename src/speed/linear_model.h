@@ -11,30 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/status.h"
-
 namespace trendspeed {
-
-/// d ≈ a[t] + b[t] * x, one line per trend index t (0 = down, 1 = up),
-/// where x is the correlation-weighted mean deviation of the road's known
-/// neighbours. Untrained trend branches fall back to the other branch or to
-/// the pass-through line (a=0, b=1).
-struct TrendLine {
-  double a[2] = {0.0, 0.0};
-  double b[2] = {1.0, 1.0};
-  uint32_t samples[2] = {0, 0};
-  bool trained[2] = {false, false};
-
-  bool any_trained() const { return trained[0] || trained[1]; }
-
-  /// Predicts d from x for a hard trend index.
-  double PredictHard(double x, int t) const;
-
-  /// Blends the two branches by the trend posterior P(up).
-  double Predict(double x, double p_up) const {
-    return (1.0 - p_up) * PredictHard(x, 0) + p_up * PredictHard(x, 1);
-  }
-};
 
 /// Per-trend intercept-only model: the mean deviation given the trend. Used
 /// when no neighbour information is available at prediction time.
@@ -42,22 +19,15 @@ struct TrendMean {
   double mean[2] = {0.0, 0.0};
   uint32_t samples[2] = {0, 0};
   bool trained[2] = {false, false};
+  /// Explicit zeroed padding: models are serialized as raw bytes, so equal
+  /// models must have equal padding too.
+  uint8_t padding[6] = {};
 
   bool any_trained() const { return trained[0] || trained[1]; }
   double PredictHard(int t) const;
   double Predict(double p_up) const {
     return (1.0 - p_up) * PredictHard(0) + p_up * PredictHard(1);
   }
-};
-
-/// One training sample: neighbour-summary deviation x, own deviation y,
-/// own trend index t, and the total influence weight w backing x (how much
-/// signal the summary aggregates — 0 means x is meaningless).
-struct RegressionSample {
-  double x = 0.0;
-  double y = 0.0;
-  int t = 0;
-  double w = 0.0;
 };
 
 /// Weight-aware affine trend model:
@@ -75,6 +45,8 @@ struct WeightedTrendModel {
   double b1 = 0.0;
   uint32_t samples = 0;
   bool trained = false;
+  /// Explicit zeroed padding (see TrendMean::padding).
+  uint8_t padding[3] = {};
 
   double SlopeAt(double w) const {
     double wc = w < kWeightCap ? w : kWeightCap;
@@ -88,26 +60,41 @@ struct WeightedTrendModel {
   }
 };
 
-/// Fits a WeightedTrendModel with ridge regularization; stays untrained
-/// below `min_samples` or when only one trend is present.
-WeightedTrendModel FitWeightedTrendModel(
-    const std::vector<RegressionSample>& samples, double ridge_lambda,
-    uint32_t min_samples);
+/// Sufficient statistics of the trend-conditioned regressions over a set of
+/// samples (x = neighbour-summary deviation, y = own deviation, t = own
+/// trend index, w = influence weight backing x): the upper triangle of the
+/// Gram matrix of the design row (1, ±1, x, x * min(w, kWeightCap)), where
+/// ±1 is -1 for down and +1 for up; X^T y; and each trend's sample count and
+/// y sum. Adding samples in a fixed order reproduces the sums of the dense
+/// normal equations bitwise; Merge pools the stats of disjoint sample sets.
+struct TrendFitStats {
+  /// Upper triangle, row-major: (0,0) (0,1) (0,2) (0,3) (1,1) ... (3,3).
+  double gram[10] = {};
+  double xty[4] = {};
+  uint64_t count[2] = {0, 0};
+  double y_sum[2] = {0.0, 0.0};
 
-/// Fits a TrendLine over the samples with ridge regularization; branches
-/// with fewer than `min_samples` observations stay untrained. Each branch
-/// gets its own slope and intercept.
-TrendLine FitTrendLine(const std::vector<RegressionSample>& samples,
-                       double ridge_lambda, uint32_t min_samples);
+  void Add(double x, double y, int t, double w);
+  void Merge(const TrendFitStats& other);
+  uint64_t total() const { return count[0] + count[1]; }
+};
 
-/// Fits the *affine trend* form d = a + b*x + c*t (t = -1/+1): a shared
-/// slope with a trend-shifted intercept, returned as a TrendLine with
-/// a[0] = a - c, a[1] = a + c, b[0] = b[1] = b. More robust than two
-/// independent branches when one trend is underrepresented, and blending by
-/// P(up) degrades gracefully (the slope never changes, only the shift).
-/// Requires `min_samples` TOTAL samples with both trends present.
-TrendLine FitTrendAffine(const std::vector<RegressionSample>& samples,
-                         double ridge_lambda, uint32_t min_samples);
+/// Fits a WeightedTrendModel by solving the ridge normal equations
+/// (X^T X + lambda I) beta = X^T y with Cholesky; lambda must be > 0. Stays
+/// untrained below `min_samples` or when only one trend is present.
+WeightedTrendModel FitWeightedTrendModel(const TrendFitStats& stats,
+                                         double ridge_lambda,
+                                         uint32_t min_samples);
+
+/// Fits a TrendMean (per-trend average of y); a trend branch with fewer
+/// than `min_samples` samples stays untrained.
+TrendMean FitTrendMean(const TrendFitStats& stats, uint32_t min_samples);
+
+/// One logistic-calibration sample: neighbour summary x and trend index t.
+struct TrendPoint {
+  double x = 0.0;
+  int t = 0;
+};
 
 /// 1-D logistic calibration P(t = up | x) = sigmoid(bias + gamma * x),
 /// fit by Newton's method. Used to convert the influence-weighted seed
@@ -121,13 +108,11 @@ struct LogisticCalibration {
   double LogOdds(double x) const { return trained ? bias + gamma * x : 0.0; }
 };
 
-LogisticCalibration FitLogistic(const std::vector<RegressionSample>& samples,
-                                uint32_t min_samples = 50,
-                                uint32_t newton_iters = 12);
-
-/// Fits a TrendMean (per-trend average of y).
-TrendMean FitTrendMean(const std::vector<RegressionSample>& samples,
-                       uint32_t min_samples);
+/// Fits the calibration over the concatenation of `chunks`, summed in order
+/// (training passes one chunk per road, in road order).
+LogisticCalibration FitLogistic(
+    const std::vector<std::vector<TrendPoint>>& chunks,
+    uint32_t min_samples = 50, uint32_t newton_iters = 12);
 
 }  // namespace trendspeed
 

@@ -4,94 +4,6 @@
 
 namespace trendspeed {
 
-Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
-  if (rows.empty()) return Matrix();
-  Matrix m(rows.size(), rows[0].size());
-  for (size_t r = 0; r < rows.size(); ++r) {
-    TS_CHECK_EQ(rows[r].size(), m.cols_) << "ragged row " << r;
-    for (size_t c = 0; c < m.cols_; ++c) m(r, c) = rows[r][c];
-  }
-  return m;
-}
-
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n);
-  for (size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::Transpose() const {
-  Matrix t(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r)
-    for (size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  return t;
-}
-
-Matrix Matrix::Multiply(const Matrix& other) const {
-  TS_CHECK_EQ(cols_, other.rows_);
-  Matrix out(rows_, other.cols_);
-  for (size_t i = 0; i < rows_; ++i) {
-    for (size_t k = 0; k < cols_; ++k) {
-      double aik = (*this)(i, k);
-      if (aik == 0.0) continue;
-      for (size_t j = 0; j < other.cols_; ++j) {
-        out(i, j) += aik * other(k, j);
-      }
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::Gram() const {
-  Matrix g(cols_, cols_);
-  for (size_t i = 0; i < rows_; ++i) {
-    const double* row = &data_[i * cols_];
-    for (size_t a = 0; a < cols_; ++a) {
-      double ra = row[a];
-      if (ra == 0.0) continue;
-      for (size_t b = a; b < cols_; ++b) {
-        g(a, b) += ra * row[b];
-      }
-    }
-  }
-  for (size_t a = 0; a < cols_; ++a)
-    for (size_t b = 0; b < a; ++b) g(a, b) = g(b, a);
-  return g;
-}
-
-std::vector<double> Matrix::TransposeTimes(const std::vector<double>& y) const {
-  TS_CHECK_EQ(y.size(), rows_);
-  std::vector<double> out(cols_, 0.0);
-  for (size_t i = 0; i < rows_; ++i) {
-    const double* row = &data_[i * cols_];
-    double yi = y[i];
-    for (size_t c = 0; c < cols_; ++c) out[c] += row[c] * yi;
-  }
-  return out;
-}
-
-std::vector<double> Matrix::Times(const std::vector<double>& x) const {
-  TS_CHECK_EQ(x.size(), cols_);
-  std::vector<double> out(rows_, 0.0);
-  for (size_t i = 0; i < rows_; ++i) {
-    const double* row = &data_[i * cols_];
-    double acc = 0.0;
-    for (size_t c = 0; c < cols_; ++c) acc += row[c] * x[c];
-    out[i] = acc;
-  }
-  return out;
-}
-
-double Matrix::MaxAbsDiff(const Matrix& other) const {
-  TS_CHECK_EQ(rows_, other.rows_);
-  TS_CHECK_EQ(cols_, other.cols_);
-  double m = 0.0;
-  for (size_t i = 0; i < data_.size(); ++i) {
-    m = std::max(m, std::fabs(data_[i] - other.data_[i]));
-  }
-  return m;
-}
-
 Result<std::vector<double>> CholeskySolve(const Matrix& a,
                                           const std::vector<double>& b) {
   size_t n = a.rows();
@@ -134,75 +46,6 @@ Result<std::vector<double>> CholeskySolve(const Matrix& a,
     x[i] = v / l(i, i);
   }
   return x;
-}
-
-Result<std::vector<double>> GaussianSolve(const Matrix& a,
-                                          const std::vector<double>& b) {
-  size_t n = a.rows();
-  if (a.cols() != n) {
-    return Status::InvalidArgument("GaussianSolve: matrix not square");
-  }
-  if (b.size() != n) {
-    return Status::InvalidArgument("GaussianSolve: rhs size mismatch");
-  }
-  Matrix m = a;
-  std::vector<double> rhs = b;
-  for (size_t col = 0; col < n; ++col) {
-    // Partial pivoting: largest magnitude in column at or below the diagonal.
-    size_t pivot = col;
-    double best = std::fabs(m(col, col));
-    for (size_t r = col + 1; r < n; ++r) {
-      double v = std::fabs(m(r, col));
-      if (v > best) {
-        best = v;
-        pivot = r;
-      }
-    }
-    if (best < 1e-12) {
-      return Status::FailedPrecondition("GaussianSolve: singular matrix");
-    }
-    if (pivot != col) {
-      for (size_t c = 0; c < n; ++c) std::swap(m(col, c), m(pivot, c));
-      std::swap(rhs[col], rhs[pivot]);
-    }
-    double inv = 1.0 / m(col, col);
-    for (size_t r = col + 1; r < n; ++r) {
-      double factor = m(r, col) * inv;
-      if (factor == 0.0) continue;
-      for (size_t c = col; c < n; ++c) m(r, c) -= factor * m(col, c);
-      rhs[r] -= factor * rhs[col];
-    }
-  }
-  std::vector<double> x(n);
-  for (size_t ii = n; ii > 0; --ii) {
-    size_t i = ii - 1;
-    double v = rhs[i];
-    for (size_t c = i + 1; c < n; ++c) v -= m(i, c) * x[c];
-    x[i] = v / m(i, i);
-  }
-  return x;
-}
-
-Result<std::vector<double>> RidgeRegression(const Matrix& x,
-                                            const std::vector<double>& y,
-                                            double lambda) {
-  if (x.rows() != y.size()) {
-    return Status::InvalidArgument("RidgeRegression: X/y row mismatch");
-  }
-  if (x.rows() == 0 || x.cols() == 0) {
-    return Status::InvalidArgument("RidgeRegression: empty design matrix");
-  }
-  if (lambda < 0.0) {
-    return Status::InvalidArgument("RidgeRegression: negative lambda");
-  }
-  Matrix gram = x.Gram();
-  for (size_t i = 0; i < gram.rows(); ++i) gram(i, i) += lambda;
-  std::vector<double> xty = x.TransposeTimes(y);
-  auto solved = CholeskySolve(gram, xty);
-  if (solved.ok()) return solved;
-  // Collinear + lambda==0 falls through to the pivoting solver for a best
-  // effort answer before reporting failure.
-  return GaussianSolve(gram, xty);
 }
 
 }  // namespace trendspeed

@@ -1,8 +1,8 @@
-// Small dense linear algebra: column-major Matrix, linear solvers, and
-// ridge-regularized ordinary least squares.
+// Small dense linear algebra: a row-major Matrix and a Cholesky solver for
+// symmetric positive definite systems.
 //
-// Sized for the model-fitting workloads in this library (design matrices with
-// tens of columns); no BLAS, no SIMD heroics, just cache-friendly loops.
+// Sized for the model-fitting workloads in this library (normal equations
+// with tens of unknowns); no BLAS, no SIMD heroics, just cache-friendly loops.
 
 #ifndef TRENDSPEED_UTIL_MATRIX_H_
 #define TRENDSPEED_UTIL_MATRIX_H_
@@ -22,12 +22,6 @@ class Matrix {
   Matrix(size_t rows, size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-  /// Builds from nested initializer-style data; all rows must have equal size.
-  static Matrix FromRows(const std::vector<std::vector<double>>& rows);
-
-  /// Identity matrix of size n.
-  static Matrix Identity(size_t n);
-
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }
@@ -45,21 +39,6 @@ class Matrix {
 
   const std::vector<double>& data() const { return data_; }
 
-  Matrix Transpose() const;
-  Matrix Multiply(const Matrix& other) const;
-
-  /// this^T * this, the Gram matrix (symmetric positive semidefinite).
-  Matrix Gram() const;
-
-  /// this^T * y for a vector y with rows() entries.
-  std::vector<double> TransposeTimes(const std::vector<double>& y) const;
-
-  /// this * x for a vector x with cols() entries.
-  std::vector<double> Times(const std::vector<double>& x) const;
-
-  /// Max absolute entry difference; both must have identical shapes.
-  double MaxAbsDiff(const Matrix& other) const;
-
  private:
   size_t rows_;
   size_t cols_;
@@ -71,21 +50,6 @@ class Matrix {
 /// when A is not positive definite.
 Result<std::vector<double>> CholeskySolve(const Matrix& a,
                                           const std::vector<double>& b);
-
-/// Solves A x = b for a general square A via Gaussian elimination with partial
-/// pivoting. Fails with FailedPrecondition when A is (numerically) singular.
-Result<std::vector<double>> GaussianSolve(const Matrix& a,
-                                          const std::vector<double>& b);
-
-/// Fits ridge regression: argmin_w ||X w - y||^2 + lambda ||w||^2.
-///
-/// X is n x p (n observations), y has n entries, lambda >= 0. With lambda > 0
-/// the normal equations are always positive definite, so this cannot fail for
-/// well-shaped input. lambda == 0 degrades to OLS and may fail on collinear
-/// designs.
-Result<std::vector<double>> RidgeRegression(const Matrix& x,
-                                            const std::vector<double>& y,
-                                            double lambda);
 
 }  // namespace trendspeed
 

@@ -48,6 +48,9 @@ TEST(ConfigTest, RejectsNegativeRidge) {
   PipelineConfig config;
   config.speed.ridge_lambda = -0.5;
   EXPECT_FALSE(config.Validate().ok());
+  // Zero would leave a collinear Gram matrix singular for the Cholesky fit.
+  config.speed.ridge_lambda = 0.0;
+  EXPECT_FALSE(config.Validate().ok());
 }
 
 TEST(ConfigTest, RejectsBadDamping) {

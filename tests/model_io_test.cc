@@ -126,6 +126,29 @@ TEST_F(ModelIoTest, RejectsCorruptBytes) {
       DeserializeTrainedModel(&ds().net, &ds().history, garbled).ok());
   // Empty.
   EXPECT_FALSE(DeserializeTrainedModel(&ds().net, &ds().history, "").ok());
+
+  // The speed model is the file's last section.
+  BinaryWriter speed;
+  estimator_->speed_model().Serialize(&speed);
+  size_t speed_at = bytes.size() - speed.buffer().size();
+  // Road-class byte outside {highway, arterial, local}: tag and version,
+  // six option fields, then the road-class vector's length.
+  std::string bad_class = bytes;
+  bad_class[speed_at + 8 + 40 + 8] = 3;
+  EXPECT_FALSE(
+      DeserializeTrainedModel(&ds().net, &ds().history, bad_class).ok());
+  // A speed model trained on a different network.
+  RoadNetwork other = testing_util::PathNetwork();
+  HistoricalDb other_db = testing_util::AlternatingHistory(other, 64);
+  PipelineConfig config;
+  config.corr.min_co_observed = 8;
+  auto other_est = TrafficSpeedEstimator::Train(&other, &other_db, config);
+  ASSERT_TRUE(other_est.ok());
+  BinaryWriter other_speed;
+  other_est->speed_model().Serialize(&other_speed);
+  std::string spliced = bytes.substr(0, speed_at) + other_speed.buffer();
+  EXPECT_FALSE(
+      DeserializeTrainedModel(&ds().net, &ds().history, spliced).ok());
 }
 
 TEST_F(ModelIoTest, ConfigSurvivesRoundTrip) {

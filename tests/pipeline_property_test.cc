@@ -12,6 +12,7 @@
 #include "core/serving.h"
 #include "crowd/campaign.h"
 #include "test_util.h"
+#include "util/binary_io.h"
 #include "util/random.h"
 
 namespace trendspeed {
@@ -113,6 +114,12 @@ TEST_F(PipelinePropertyTest, TrainingInvariantToThreadCount) {
   ASSERT_TRUE(o1.ok());
   ASSERT_TRUE(o4.ok());
   EXPECT_EQ(o1->speeds.speed_kmh, o4->speeds.speed_kmh);
+  // Every road, class and global coefficient, not just those one slot's
+  // speeds reach.
+  BinaryWriter w1, w4;
+  est1->speed_model().Serialize(&w1);
+  est4->speed_model().Serialize(&w4);
+  EXPECT_TRUE(w1.buffer() == w4.buffer());
 }
 
 TEST_F(PipelinePropertyTest, CrowdObservationsFlowThroughPipeline) {

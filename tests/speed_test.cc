@@ -8,7 +8,6 @@
 #include "speed/linear_model.h"
 #include "speed/propagation.h"
 #include "test_util.h"
-#include "util/random.h"
 
 namespace trendspeed {
 namespace {
@@ -16,71 +15,31 @@ namespace {
 using testing_util::AlternatingHistory;
 using testing_util::SmallGrid;
 
-std::vector<RegressionSample> LineSamples(double a, double b, int t, int n,
-                                          Rng* rng, double noise = 0.0) {
-  std::vector<RegressionSample> out;
-  for (int i = 0; i < n; ++i) {
-    RegressionSample s;
-    s.x = rng->Uniform(-0.5, 0.5);
-    s.y = a + b * s.x + (noise > 0 ? rng->Gaussian(0.0, noise) : 0.0);
-    s.t = t;
-    out.push_back(s);
-  }
-  return out;
-}
-
-TEST(TrendLineTest, FitsPerTrendBranches) {
-  Rng rng(5);
-  auto up = LineSamples(0.05, 0.8, 1, 100, &rng);
-  auto down = LineSamples(-0.1, 1.2, 0, 100, &rng);
-  std::vector<RegressionSample> all = up;
-  all.insert(all.end(), down.begin(), down.end());
-  TrendLine line = FitTrendLine(all, 1e-6, 30);
-  ASSERT_TRUE(line.trained[0]);
-  ASSERT_TRUE(line.trained[1]);
-  EXPECT_NEAR(line.a[1], 0.05, 0.01);
-  EXPECT_NEAR(line.b[1], 0.8, 0.05);
-  EXPECT_NEAR(line.a[0], -0.1, 0.01);
-  EXPECT_NEAR(line.b[0], 1.2, 0.05);
-  EXPECT_EQ(line.samples[0], 100u);
-}
-
-TEST(TrendLineTest, UntrainedBranchFallsBack) {
-  Rng rng(6);
-  TrendLine line = FitTrendLine(LineSamples(0.0, 2.0, 1, 100, &rng), 1e-6, 30);
-  EXPECT_TRUE(line.trained[1]);
-  EXPECT_FALSE(line.trained[0]);
-  // Down branch reuses the up line.
-  EXPECT_NEAR(line.PredictHard(0.1, 0), line.PredictHard(0.1, 1), 1e-9);
-  // Fully untrained: pass-through.
-  TrendLine empty = FitTrendLine({}, 1.0, 10);
-  EXPECT_DOUBLE_EQ(empty.PredictHard(0.3, 1), 0.3);
-}
-
-TEST(TrendLineTest, BlendingInterpolates) {
-  TrendLine line;
-  line.trained[0] = line.trained[1] = true;
-  line.a[0] = -0.2;
-  line.b[0] = 0.0;
-  line.a[1] = 0.2;
-  line.b[1] = 0.0;
-  EXPECT_NEAR(line.Predict(0.0, 0.5), 0.0, 1e-12);
-  EXPECT_NEAR(line.Predict(0.0, 1.0), 0.2, 1e-12);
-  EXPECT_NEAR(line.Predict(0.0, 0.75), 0.1, 1e-12);
-}
-
 TEST(TrendMeanTest, PerTrendAverages) {
-  std::vector<RegressionSample> samples;
+  TrendFitStats stats;
   for (int i = 0; i < 50; ++i) {
-    samples.push_back({0.0, 0.1, 1});
-    samples.push_back({0.0, -0.3, 0});
+    stats.Add(0.0, 0.1, 1, 0.0);
+    stats.Add(0.0, -0.3, 0, 0.0);
   }
-  TrendMean mean = FitTrendMean(samples, 20);
+  TrendMean mean = FitTrendMean(stats, 20);
   EXPECT_NEAR(mean.PredictHard(1), 0.1, 1e-12);
   EXPECT_NEAR(mean.PredictHard(0), -0.3, 1e-12);
   EXPECT_NEAR(mean.Predict(0.5), -0.1, 1e-12);
-  TrendMean empty = FitTrendMean({}, 5);
+  TrendMean empty = FitTrendMean(TrendFitStats{}, 5);
   EXPECT_DOUBLE_EQ(empty.PredictHard(1), 0.0);
+}
+
+TEST(TrendMeanTest, UntrainedBranchFallsBack) {
+  TrendFitStats stats;
+  for (int i = 0; i < 40; ++i) stats.Add(0.0, 0.2, 1, 0.0);
+  for (int i = 0; i < 5; ++i) stats.Add(0.0, -0.4, 0, 0.0);
+  TrendMean mean = FitTrendMean(stats, 20);
+  EXPECT_TRUE(mean.trained[1]);
+  EXPECT_FALSE(mean.trained[0]);
+  EXPECT_EQ(mean.samples[0], 5u);
+  // The down branch reuses the up mean, so blending is flat.
+  EXPECT_NEAR(mean.PredictHard(0), 0.2, 1e-12);
+  EXPECT_NEAR(mean.Predict(0.3), 0.2, 1e-12);
 }
 
 class HierarchicalModelTest : public ::testing::Test {
