@@ -134,7 +134,7 @@ int Run(const OverheadConfig& cfg) {
   // --- primitive op costs -------------------------------------------------
   obs::MetricsRegistry reg;
   obs::Counter* live_counter = reg.GetCounter(obs::kBpRunsTotal);
-  obs::Gauge* live_gauge = reg.GetGauge(obs::kPoolQueueDepth);
+  obs::Gauge* live_gauge = reg.GetGauge(obs::kPoolWorkers);
   obs::Histogram* live_hist = reg.GetHistogram(obs::kBpResidual);
   obs::FlightRecorder recorder(1024);
 

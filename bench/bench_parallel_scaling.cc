@@ -134,7 +134,7 @@ int Run(const ScalingConfig& cfg) {
   BpOptions bp;
   bp.max_iters = cfg.bp_iters;
   bp.tol = 0.0;  // never converge early: every config does identical work
-  bp.kernel = BpKernel::kScalar;  // BENCH_parallel_scaling.json is scalar
+  bp.kernel = BpKernel::kAuto;  // what served slots run
   std::vector<double> serial_marginals;
   std::printf("  \"bp\": {\n    \"iterations\": %u,\n    \"runs\": [",
               cfg.bp_iters);

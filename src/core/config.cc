@@ -74,11 +74,6 @@ Status PipelineConfig::Validate() const {
     return Status::InvalidArgument(
         "observability.slow_ingest_ms must be positive and finite");
   }
-  if (observability.instrument_thread_pool &&
-      observability.metrics == nullptr) {
-    return Status::InvalidArgument(
-        "observability.instrument_thread_pool requires a metrics registry");
-  }
   // obs is the bottom layer and cannot return Status itself; wrap its
   // static reason string here.
   if (const char* msg = observability.slo.Invalid()) {

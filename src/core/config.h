@@ -24,10 +24,6 @@ namespace trendspeed {
 struct ObservabilityOptions {
   /// Destination for every trendspeed_* metric the pipeline emits.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Also attach `metrics` to the process-wide ThreadPool::Global()
-  /// (trendspeed_pool_* series). Off by default because the global pool is
-  /// shared across estimators; last attach wins.
-  bool instrument_thread_pool = false;
   /// Serving: an Ingest call slower than this bumps
   /// trendspeed_serving_slow_ingests_total. Must be positive and finite.
   double slow_ingest_ms = 250.0;

@@ -9,7 +9,6 @@
 #include "seed/heuristics.h"
 #include "seed/lazy_greedy.h"
 #include "seed/stochastic_greedy.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace trendspeed {
@@ -81,9 +80,6 @@ Result<TrafficSpeedEstimator> TrafficSpeedEstimator::FromComponents(
   }
   if (est.config_.seed_selection.metrics == nullptr) {
     est.config_.seed_selection.metrics = o.metrics;
-  }
-  if (o.instrument_thread_pool && o.metrics != nullptr) {
-    ThreadPool::Global().AttachMetrics(o.metrics);
   }
   est.graph_ = std::make_unique<CorrelationGraph>(std::move(graph));
   est.influence_ = std::make_unique<InfluenceModel>(std::move(influence));

@@ -107,9 +107,7 @@ struct ServingOptions {
   /// Observability sinks for this session: the trendspeed_serving_* series
   /// (per-Ingest latency histogram, staleness gauge, slow-ingest counter,
   /// registry mirrors of every ServingStats field) and the flight
-  /// recorder's per-slot stages. `instrument_thread_pool` is ignored here —
-  /// pool attachment is the estimator's decision (see
-  /// PipelineConfig::observability). Sinks must outlive the session.
+  /// recorder's per-slot stages. Sinks must outlive the session.
   ObservabilityOptions observability;
   /// Publish every served slot (fresh or carried forward) through a seqlock
   /// SpeedSnapshotPublisher, giving concurrent readers a non-blocking

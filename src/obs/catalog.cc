@@ -87,23 +87,20 @@ const MetricDef kSeedMarginalGain = {
 // --- thread pool -----------------------------------------------------------
 const MetricDef kPoolTasksTotal = {
     "trendspeed_pool_tasks_total", MetricType::kCounter,
-    "Tasks executed by pool workers", "1"};
+    "Worker joins of parallel regions (helpers woken to claim chunks)", "1"};
 const MetricDef kPoolStealsTotal = {
     "trendspeed_pool_steals_total", MetricType::kCounter,
-    "Tasks stolen from a sibling worker's queue", "1"};
-const MetricDef kPoolQueueDepth = {
-    "trendspeed_pool_queue_depth", MetricType::kGauge,
-    "Tasks queued but not yet started", "tasks"};
+    "Always 0: the fork-join pool has no queues to steal from", "1"};
 const MetricDef kPoolWorkers = {
     "trendspeed_pool_workers", MetricType::kGauge,
     "Worker threads in the pool", "threads"};
 const MetricDef kPoolTaskWaitUs = {
     "trendspeed_pool_task_wait_us", MetricType::kHistogram,
-    "Queue wait: task submit to execution start", "us", "",
+    "Helper wake-up: region publish to helper start", "us", "",
     kMicrosBounds, N(kMicrosBounds)};
 const MetricDef kPoolTaskRunUs = {
     "trendspeed_pool_task_run_us", MetricType::kHistogram,
-    "Task execution time", "us", "",
+    "Helper time in one region, chunks claimed and run", "us", "",
     kMicrosBounds, N(kMicrosBounds)};
 
 // --- estimator -------------------------------------------------------------
@@ -284,7 +281,6 @@ const std::vector<const MetricDef*>& AllMetricDefs() {
       &kSeedMarginalGain,
       &kPoolTasksTotal,
       &kPoolStealsTotal,
-      &kPoolQueueDepth,
       &kPoolWorkers,
       &kPoolTaskWaitUs,
       &kPoolTaskRunUs,

@@ -46,12 +46,11 @@ extern const MetricDef kSeedLazyRepopsTotal;  ///< stale CELF heap re-pops
 extern const MetricDef kSeedMarginalGain;     ///< histogram: committed gains
 
 // --- util/thread_pool.cc ---------------------------------------------------
-extern const MetricDef kPoolTasksTotal;   ///< tasks executed by workers
-extern const MetricDef kPoolStealsTotal;  ///< tasks taken from a sibling queue
-extern const MetricDef kPoolQueueDepth;   ///< gauge: queued-but-unstarted tasks
+extern const MetricDef kPoolTasksTotal;   ///< worker joins of regions
+extern const MetricDef kPoolStealsTotal;  ///< always 0 (no queues)
 extern const MetricDef kPoolWorkers;      ///< gauge: worker thread count
-extern const MetricDef kPoolTaskWaitUs;   ///< histogram: submit -> start
-extern const MetricDef kPoolTaskRunUs;    ///< histogram: task execution time
+extern const MetricDef kPoolTaskWaitUs;   ///< histogram: publish -> join
+extern const MetricDef kPoolTaskRunUs;    ///< histogram: a join's run time
 
 // --- core/estimator.cc -----------------------------------------------------
 extern const MetricDef kEstimatesTotal;

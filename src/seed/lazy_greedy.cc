@@ -88,18 +88,16 @@ Result<SeedSelectionResult> SelectSeedsLazyGreedy(
       pq.pop();
     }
     if (stale.size() > 1) {
-      // Grain 1: each entry is one O(|cover|) evaluation, heavy enough to
-      // hand off individually (the legacy ParallelFor would inline a batch
-      // this small).
-      ThreadPool::Global().ParallelFor(
-          stale.size(), 1,
-          [&](size_t begin, size_t end) {
+      // Each entry is one O(|cover|) evaluation, heavy enough to hand off
+      // even in a batch this small (the free ParallelFor would inline it).
+      ThreadPool::Global().ParallelForChunked(
+          stale.size(), EffectiveThreads(opts.num_threads),
+          [&](size_t, size_t begin, size_t end) {
             for (size_t i = begin; i < end; ++i) {
               stale[i].gain = state.GainOf(stale[i].road);
               stale[i].round = round;
             }
-          },
-          EffectiveThreads(opts.num_threads));
+          });
     } else {
       stale[0].gain = state.GainOf(stale[0].road);
       stale[0].round = round;

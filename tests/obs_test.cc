@@ -6,9 +6,11 @@
 // recording paths.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -131,9 +133,10 @@ TEST(MetricsRegistryTest, EveryCatalogEntryRegistersUnderItsDeclaredType) {
 TEST(MetricsRegistryTest, ConcurrentRegisterAndRecord) {
   obs::MetricsRegistry reg;
   ThreadPool pool(4);
-  pool.AttachMetrics(&reg);  // exercise instrumented Submit concurrently
+  pool.AttachMetrics(&reg);  // exercise instrumented regions concurrently
   constexpr size_t kIters = 4000;
-  pool.ParallelFor(kIters, 1, [&](size_t begin, size_t end) {
+  pool.ParallelForChunked(kIters, kIters, [&](size_t, size_t begin,
+                                              size_t end) {
     for (size_t i = begin; i < end; ++i) {
       // Re-register every time: get-or-register must be thread-safe and
       // idempotent under contention.
@@ -288,9 +291,9 @@ TEST(ExportTest, HistogramCountDerivedFromBuckets) {
 TEST(ExportTest, SnapshotCountMatchesBucketSumUnderConcurrentObserve) {
   obs::MetricsRegistry reg;
   std::atomic<bool> stop{false};
-  ThreadPool pool(3);
+  std::vector<std::thread> observers;
   for (int t = 0; t < 3; ++t) {
-    pool.Submit([&] {
+    observers.emplace_back([&] {
       obs::Histogram* h = reg.GetHistogram(obs::kBpResidual);
       while (!stop.load(std::memory_order_relaxed)) {
         h->Observe(1e-5);
@@ -306,6 +309,7 @@ TEST(ExportTest, SnapshotCountMatchesBucketSumUnderConcurrentObserve) {
     }
   }
   stop.store(true);
+  for (std::thread& t : observers) t.join();
 }
 
 TEST(ExportTest, EmptyRegistryExportsAreWellFormed) {
@@ -364,8 +368,8 @@ TEST(ClockTest, RealClockIsMonotone) {
 // ---------------------------------------------------------------------------
 
 TEST(PoolMetricsTest, InlinePoolRecordsDeterministically) {
-  // A zero-worker pool runs every submitted task inline, so the recorded
-  // counts are exact, not racy.
+  // A zero-worker pool runs every region on the caller; no helper ever
+  // joins, so nothing is recorded.
   obs::MetricsRegistry reg;
   ThreadPool pool(ThreadPool::kInline);
   ASSERT_EQ(pool.num_workers(), 0u);
@@ -373,34 +377,46 @@ TEST(PoolMetricsTest, InlinePoolRecordsDeterministically) {
   EXPECT_EQ(reg.GetGauge(obs::kPoolWorkers)->Value(), 0.0);
   std::atomic<int> ran{0};
   for (int i = 0; i < 5; ++i) {
-    pool.Submit([&] { ran.fetch_add(1); });
+    pool.ParallelForChunked(8, 4, [&](size_t, size_t begin, size_t end) {
+      ran.fetch_add(static_cast<int>(end - begin));
+    });
   }
-  EXPECT_EQ(ran.load(), 5);
-  EXPECT_EQ(reg.GetCounter(obs::kPoolTasksTotal)->Value(), 5u);
-  EXPECT_EQ(reg.GetHistogram(obs::kPoolTaskWaitUs)->count(), 5u);
-  EXPECT_EQ(reg.GetHistogram(obs::kPoolTaskRunUs)->count(), 5u);
-  // Detach: subsequent submissions must not record.
-  pool.AttachMetrics(nullptr);
-  pool.Submit([&] { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 6);
-  EXPECT_EQ(reg.GetCounter(obs::kPoolTasksTotal)->Value(), 5u);
+  EXPECT_EQ(ran.load(), 40);
+  EXPECT_EQ(reg.GetCounter(obs::kPoolTasksTotal)->Value(), 0u);
+  EXPECT_EQ(reg.GetHistogram(obs::kPoolTaskWaitUs)->count(), 0u);
+  EXPECT_EQ(reg.GetHistogram(obs::kPoolTaskRunUs)->count(), 0u);
+  EXPECT_EQ(reg.GetCounter(obs::kPoolStealsTotal)->Value(), 0u);
 }
 
 TEST(PoolMetricsTest, WorkerPoolCountsEveryTask) {
+  // Every helper join of a region is one task with one run time, a region
+  // on a 2-worker pool has at most 2 joins, and detaching stops recording.
   obs::MetricsRegistry reg;
-  constexpr size_t kTasks = 64;
+  obs::Counter* tasks = reg.GetCounter(obs::kPoolTasksTotal);
+  // Chunks long enough that parked workers wake before the caller is done.
+  auto slow_chunk = [](size_t, size_t, size_t) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  };
   {
     ThreadPool pool(2);
     pool.AttachMetrics(&reg);
-    for (size_t i = 0; i < kTasks; ++i) {
-      pool.Submit([] {});
+    uint64_t before = 0;
+    for (int r = 0; r < 64; ++r) {
+      pool.ParallelForChunked(8, 8, slow_chunk);
+      uint64_t after = tasks->Value();
+      EXPECT_LE(after - before, 2u) << "region " << r;
+      before = after;
     }
-    // Destructor joins after the queues drain, so by the end of this scope
-    // every task has executed and recorded.
+    EXPECT_GT(before, 0u);
+    pool.AttachMetrics(nullptr);
+    for (int r = 0; r < 8; ++r) pool.ParallelForChunked(8, 8, slow_chunk);
+    EXPECT_EQ(tasks->Value(), before);
+    // The destructor joins the workers, so every join has recorded its run
+    // time by the end of this scope.
   }
-  EXPECT_EQ(reg.GetCounter(obs::kPoolTasksTotal)->Value(), kTasks);
-  EXPECT_EQ(reg.GetHistogram(obs::kPoolTaskRunUs)->count(), kTasks);
-  EXPECT_EQ(reg.GetGauge(obs::kPoolQueueDepth)->Value(), 0.0);
+  EXPECT_EQ(reg.GetHistogram(obs::kPoolTaskRunUs)->count(), tasks->Value());
+  EXPECT_EQ(reg.GetHistogram(obs::kPoolTaskWaitUs)->count(), tasks->Value());
+  EXPECT_EQ(reg.GetCounter(obs::kPoolStealsTotal)->Value(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -419,10 +435,6 @@ TEST(ObservabilityConfigTest, ValidatesSlowIngestAndPoolFlag) {
       std::numeric_limits<double>::infinity();
   EXPECT_FALSE(config.Validate().ok());
   config.observability.slow_ingest_ms = 250.0;
-  config.observability.instrument_thread_pool = true;  // without a registry
-  EXPECT_FALSE(config.Validate().ok());
-  obs::MetricsRegistry reg;
-  config.observability.metrics = &reg;
   EXPECT_TRUE(config.Validate().ok());
 }
 
