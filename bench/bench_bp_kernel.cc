@@ -158,7 +158,7 @@ SingleThreadResult RunSingleThreadSection(const char* key, const BpGraph& g,
 
   out.simd = BpSimdKernelAvailable();
   if (out.simd) {
-    bp.kernel = BpKernel::kSimd;
+    bp.kernel = BpKernel::kAuto;
     BpResult vec;
     out.simd_ms =
         BestMillis(reps, [&] { vec = InferMarginalsBpFlat(g, pot, bp); });

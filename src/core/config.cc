@@ -1,7 +1,5 @@
 #include "core/config.h"
 
-#include <cmath>
-
 namespace trendspeed {
 
 Status PipelineConfig::Validate() const {
@@ -35,10 +33,8 @@ Status PipelineConfig::Validate() const {
   // Guards configs assembled from raw ints (deserialization, FFI): the
   // kernel knob must be one of the declared enumerators.
   if (trend.bp.kernel != BpKernel::kScalar &&
-      trend.bp.kernel != BpKernel::kSimd &&
       trend.bp.kernel != BpKernel::kAuto) {
-    return Status::InvalidArgument(
-        "trend.bp.kernel must be scalar, simd, or auto");
+    return Status::InvalidArgument("trend.bp.kernel must be scalar or auto");
   }
   // Backfill knobs: a hop count beyond any plausible network diameter is a
   // units mistake, and `!(a > b)` style keeps NaN-poisoned damping invalid.
@@ -61,28 +57,6 @@ Status PipelineConfig::Validate() const {
   if (seed_selection.num_threads > kMaxThreads) {
     return Status::InvalidArgument(
         "seed_selection.num_threads implausibly large");
-  }
-  if (seed_selection.batch > (size_t{1} << 20)) {
-    return Status::InvalidArgument("seed_selection.batch implausibly large");
-  }
-  if (seed_selection.min_parallel_candidates == 0) {
-    return Status::InvalidArgument(
-        "seed_selection.min_parallel_candidates must be positive");
-  }
-  if (!(observability.slow_ingest_ms > 0.0) ||
-      !std::isfinite(observability.slow_ingest_ms)) {  // also rejects NaN
-    return Status::InvalidArgument(
-        "observability.slow_ingest_ms must be positive and finite");
-  }
-  // obs is the bottom layer and cannot return Status itself; wrap its
-  // static reason string here.
-  if (const char* msg = observability.slo.Invalid()) {
-    return Status::InvalidArgument(std::string("observability.slo: ") + msg);
-  }
-  if (observability.slo.enabled() && observability.flight == nullptr) {
-    return Status::InvalidArgument(
-        "observability.slo budgets require observability.flight (the SLO "
-        "engine consumes flight-recorder slot timelines)");
   }
   return Status::OK();
 }

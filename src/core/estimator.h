@@ -15,6 +15,7 @@
 
 #include "core/config.h"
 #include "corr/correlation_graph.h"
+#include "obs/flight.h"
 #include "probe/history.h"
 #include "roadnet/road_network.h"
 #include "seed/objective.h"

@@ -193,10 +193,6 @@ Result<std::vector<SeedSpeed>> ServingSession::Sanitize(
       continue;
     }
     if (pos[s.road] != SIZE_MAX) {
-      if (opts_.dedup == DedupPolicy::kReject) {
-        return Status::InvalidArgument(
-            "duplicate observation for road " + std::to_string(s.road));
-      }
       out[pos[s.road]].speed_kmh += s.speed_kmh;
       ++merged[pos[s.road]];
       ++*deduplicated;

@@ -10,7 +10,7 @@
 //   * strict validation — NaN/negative/absurd speeds and out-of-range roads
 //     are rejected with a Status (never a TS_CHECK abort), either failing
 //     the whole batch (kStrict) or dropping the bad entries (kFilter);
-//   * per-road deduplication by configurable policy;
+//   * per-road deduplication: duplicate observations of a road are averaged;
 //   * idempotent duplicate slots — re-delivering the last slot returns the
 //     cached report without double-applying monitor state;
 //   * graceful rejection of out-of-order (stale) slot arrivals;
@@ -39,12 +39,6 @@
 #include "util/status.h"
 
 namespace trendspeed {
-
-/// Resolution of multiple observations for the same road in one batch.
-enum class DedupPolicy {
-  kMean,    ///< average the duplicate speeds (default)
-  kReject,  ///< duplicates fail the batch with InvalidArgument
-};
 
 /// Handling of malformed observations (bad road id / non-finite,
 /// non-positive, or implausibly large speed).
@@ -93,12 +87,33 @@ struct ProductOptions {
   Status Validate() const;
 };
 
+/// Observability sinks of one serving session (docs/observability.md).
+/// Sinks are borrowed and must outlive the session; null (the default)
+/// disables recording, and results are bitwise identical either way.
+struct ServingObservabilityOptions {
+  /// Destination for the trendspeed_serving_* series.
+  obs::MetricsRegistry* metrics = nullptr;
+  /// An Ingest call slower than this bumps
+  /// trendspeed_serving_slow_ingests_total. Must be positive and finite.
+  double slow_ingest_ms = 250.0;
+  /// Slot-causal flight recorder (obs/flight.h). When attached, every
+  /// stage a slot passes through — queue wait, admission, estimate, BP
+  /// solve, snapshot publish — records into per-thread rings that merge
+  /// into one causal timeline per slot; the session hands the recorder down
+  /// per call as an obs::FlightSink. Null (default): every flight site is
+  /// one predicted branch.
+  obs::FlightRecorder* flight = nullptr;
+  /// Per-stage latency SLO budgets + burn-rate policy (obs/slo.h). Enabling
+  /// any budget requires `flight` (the SLO engine consumes per-slot
+  /// critical paths and dumps the flight ring on breach).
+  obs::SloOptions slo;
+};
+
 struct ServingOptions {
   MonitorOptions monitor;
   /// Observed speeds above this are malformed (sensor garbage / unit
   /// mistakes), not merely fast traffic.
   double max_speed_kmh = 250.0;
-  DedupPolicy dedup = DedupPolicy::kMean;
   ValidationPolicy validation = ValidationPolicy::kStrict;
   /// Consecutive carried-forward slots tolerated before an empty/failed
   /// slot is refused with FailedPrecondition instead of re-serving an
@@ -108,7 +123,7 @@ struct ServingOptions {
   /// (per-Ingest latency histogram, staleness gauge, slow-ingest counter,
   /// registry mirrors of every ServingStats field) and the flight
   /// recorder's per-slot stages. Sinks must outlive the session.
-  ObservabilityOptions observability;
+  ServingObservabilityOptions observability;
   /// Publish every served slot (fresh or carried forward) through a seqlock
   /// SpeedSnapshotPublisher, giving concurrent readers a non-blocking
   /// consistent (slot, speeds, staleness) view — see core/snapshot.h and
@@ -141,14 +156,14 @@ struct ServingStats {
   uint64_t slots_carried_forward = 0;  ///< stale re-serves of the last good
   uint64_t duplicate_slots = 0;        ///< idempotent re-deliveries
   uint64_t out_of_order_slots = 0;     ///< stale arrivals rejected
-  uint64_t rejected_batches = 0;       ///< batches failed by validation/dedup
+  uint64_t rejected_batches = 0;       ///< batches failed by validation
   /// Malformed observations dropped under ValidationPolicy::kFilter. A
   /// rising rate means upstream data quality is degrading — unlike
   /// observations_deduplicated, which is normal retry/multi-worker noise;
   /// the two were one conflated counter before and alerting on it was
   /// impossible.
   uint64_t observations_filtered = 0;
-  /// Well-formed duplicate road observations resolved by the DedupPolicy.
+  /// Well-formed duplicate road observations averaged into one.
   uint64_t observations_deduplicated = 0;
   uint64_t estimation_failures = 0;    ///< estimator/monitor errors absorbed
 };
@@ -181,9 +196,8 @@ class ServingSession {
   /// Ingests one slot of crowd observations and serves the estimate.
   ///
   /// Error statuses (all graceful — the session stays usable):
-  ///   InvalidArgument      malformed batch under kStrict, or duplicate
-  ///                        roads under DedupPolicy::kReject; the slot is
-  ///                        NOT consumed, a corrected batch may be re-sent.
+  ///   InvalidArgument      malformed batch under kStrict; the slot is NOT
+  ///                        consumed, a corrected batch may be re-sent.
   ///   FailedPrecondition   stale (out-of-order) slot arrival, or an
   ///                        empty/failed slot with no carry-forward
   ///                        available (none yet, or staleness limit hit).

@@ -122,7 +122,8 @@ const MetricDef kServingStalenessSlots = {
     "Current consecutive carried-forward slot streak", "slots"};
 const MetricDef kServingSlowIngestsTotal = {
     "trendspeed_serving_slow_ingests_total", MetricType::kCounter,
-    "Ingest calls slower than ObservabilityOptions::slow_ingest_ms", "1"};
+    "Ingest calls slower than ServingObservabilityOptions::slow_ingest_ms",
+    "1"};
 const MetricDef kServingSlotsEstimatedTotal = {
     "trendspeed_serving_slots_estimated_total", MetricType::kCounter,
     "Fresh estimates served", "1"};
@@ -137,13 +138,13 @@ const MetricDef kServingOutOfOrderSlotsTotal = {
     "Stale (out-of-order) slot arrivals rejected", "1"};
 const MetricDef kServingRejectedBatchesTotal = {
     "trendspeed_serving_rejected_batches_total", MetricType::kCounter,
-    "Batches failed by validation or dedup policy", "1"};
+    "Batches failed by validation", "1"};
 const MetricDef kServingObservationsFilteredTotal = {
     "trendspeed_serving_observations_filtered_total", MetricType::kCounter,
     "Malformed observations dropped under ValidationPolicy::kFilter", "1"};
 const MetricDef kServingObservationsDeduplicatedTotal = {
     "trendspeed_serving_observations_deduplicated_total", MetricType::kCounter,
-    "Duplicate road observations resolved by the DedupPolicy", "1"};
+    "Duplicate road observations averaged into one", "1"};
 const MetricDef kServingEstimationFailuresTotal = {
     "trendspeed_serving_estimation_failures_total", MetricType::kCounter,
     "Estimator/monitor errors absorbed by carry-forward", "1"};

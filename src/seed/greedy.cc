@@ -9,6 +9,14 @@
 
 namespace trendspeed {
 
+namespace {
+
+/// Candidate pools smaller than this are scanned serially: gain evaluation
+/// is O(|cover|), so tiny rounds don't amortize the pool handoff.
+constexpr size_t kMinParallelCandidates = 2048;
+
+}  // namespace
+
 Result<SeedSelectionResult> SelectSeedsGreedy(const InfluenceModel& model,
                                               size_t k,
                                               const SeedSelectionOptions& opts) {
@@ -26,7 +34,7 @@ Result<SeedSelectionResult> SelectSeedsGreedy(const InfluenceModel& model,
   obs::Add(obs::GetCounter(opts.metrics, obs::kSeedRunsGreedy));
 
   size_t threads = std::min<size_t>(EffectiveThreads(opts.num_threads), n);
-  bool parallel = threads > 1 && n >= opts.min_parallel_candidates;
+  bool parallel = threads > 1 && n >= kMinParallelCandidates;
   // Per-chunk argmax slots; chunks are reduced in index order below, so the
   // tie-break (strictly-greater, lowest road wins) matches the serial scan.
   std::vector<double> chunk_gain(parallel ? threads : 0);

@@ -6,7 +6,6 @@
 
 #include "obs/catalog.h"
 #include "util/parallel.h"
-#include "util/thread_pool.h"
 
 namespace trendspeed {
 
@@ -31,8 +30,7 @@ Result<SeedSelectionResult> SelectSeedsLazyGreedy(
     RoadId road;
     uint32_t round;  // round the gain was computed in
     // Total order (lower road wins gain ties) so the pop sequence — and
-    // with it the selected set — is identical however entries were pushed,
-    // serially or from a parallel batch.
+    // with it the selected set — does not depend on push order.
     bool operator<(const QEntry& other) const {
       if (gain != other.gain) return gain < other.gain;
       return road > other.road;
@@ -58,11 +56,10 @@ Result<SeedSelectionResult> SelectSeedsLazyGreedy(
     }
   }
 
-  size_t batch = opts.batch > 0
-                     ? opts.batch
-                     : static_cast<size_t>(EffectiveThreads(opts.num_threads));
-  std::vector<QEntry> stale;
-  stale.reserve(batch);
+  // The CELF loop itself is serial: each pop re-evaluates one stale entry,
+  // so the evaluation schedule (and gain_evaluations) is the same at every
+  // thread count. A region per handful of O(|cover|) refreshes costs more
+  // in pool handoff than it saves (docs/performance.md).
   for (uint32_t round = 1; round <= k && !pq.empty();) {
     QEntry top = pq.top();
     pq.pop();
@@ -75,36 +72,14 @@ Result<SeedSelectionResult> SelectSeedsLazyGreedy(
       ++round;
       continue;
     }
-    // Speculatively refresh up to `batch` stale entries from the top of the
-    // heap in one parallel region. Every refreshed gain is exact for the
-    // current state, so pushing them back with this round's stamp preserves
-    // the CELF invariant (an entry commits only when its gain is fresh) and
-    // hence the exact greedy seed set; with batch == 1 the evaluation
-    // schedule is byte-for-byte the serial one.
-    stale.clear();
-    stale.push_back(top);
-    while (stale.size() < batch && !pq.empty() && pq.top().round != round) {
-      stale.push_back(pq.top());
-      pq.pop();
-    }
-    if (stale.size() > 1) {
-      // Each entry is one O(|cover|) evaluation, heavy enough to hand off
-      // even in a batch this small (the free ParallelFor would inline it).
-      ThreadPool::Global().ParallelForChunked(
-          stale.size(), EffectiveThreads(opts.num_threads),
-          [&](size_t, size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) {
-              stale[i].gain = state.GainOf(stale[i].road);
-              stale[i].round = round;
-            }
-          });
-    } else {
-      stale[0].gain = state.GainOf(stale[0].road);
-      stale[0].round = round;
-    }
-    result.gain_evaluations += stale.size();
-    obs::Add(m_repops, stale.size());
-    for (const QEntry& e : stale) pq.push(e);
+    // Stale: refresh against the current state and push back with this
+    // round's stamp. The refreshed gain is exact, so an entry still commits
+    // only when its gain is fresh, which yields the exact greedy seed set.
+    top.gain = state.GainOf(top.road);
+    top.round = round;
+    ++result.gain_evaluations;
+    obs::Add(m_repops);
+    pq.push(top);
   }
   result.seeds = state.seeds();
   result.objective = state.value();

@@ -13,10 +13,9 @@
 
 namespace trendspeed {
 
-/// CELF selection; returns exactly the plain-greedy solution. Stale heap
-/// entries are re-evaluated in parallel batches of opts.batch (speculative:
-/// the seed set is unchanged, but the evaluation count can exceed the
-/// serial schedule's when later batch members would have been skipped).
+/// CELF selection; returns exactly the plain-greedy solution. The initial
+/// gain scan runs on opts.num_threads; the lazy rounds are serial, so the
+/// seeds and gain_evaluations are the same at every thread count.
 Result<SeedSelectionResult> SelectSeedsLazyGreedy(
     const InfluenceModel& model, size_t k, const SeedSelectionOptions& opts);
 /// Overload with default options (kept separate so the function's address

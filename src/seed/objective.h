@@ -82,20 +82,12 @@ class InfluenceModel {
   std::vector<double> sigma_;
 };
 
-/// Tuning knobs shared by the greedy selection algorithms. Defaults leave
-/// results identical to the serial algorithms on any machine; parallelism
-/// only changes wall time (gain evaluations may be batched speculatively in
-/// lazy greedy, so its evaluation *count* can grow slightly).
+/// Tuning knobs shared by the greedy selection algorithms. Results are
+/// identical to the serial algorithms on any machine; parallelism only
+/// changes wall time.
 struct SeedSelectionOptions {
-  /// Worker threads for batched gain evaluation (0 = EffectiveThreads).
+  /// Worker threads for parallel gain scans (0 = EffectiveThreads).
   uint32_t num_threads = 0;
-  /// Candidate pools smaller than this are evaluated serially — gain
-  /// evaluation is O(|cover|), so tiny rounds don't amortize pool handoff.
-  size_t min_parallel_candidates = 2048;
-  /// Lazy greedy: stale heap entries re-evaluated concurrently per sweep
-  /// (0 = effective thread count). 1 reproduces the serial CELF evaluation
-  /// schedule exactly.
-  size_t batch = 0;
   /// Observability hook (docs/observability.md): when attached, each run
   /// records the trendspeed_seed_* series (runs and gain evaluations per
   /// algorithm label, committed rounds, marginal-gain histogram, CELF

@@ -66,35 +66,8 @@ BpGraph BpGraph::FromMrf(const PairwiseMrf& mrf) {
       ++slot;
     }
   }
-#if TRENDSPEED_SIMD_ENABLED
   g.soa = std::make_shared<const BpGraphSoa>(BpGraphSoa::Build(g));
-#endif
   return g;
-}
-
-const char* BpKernelName(BpKernel kernel) {
-  switch (kernel) {
-    case BpKernel::kScalar:
-      return "scalar";
-    case BpKernel::kSimd:
-      return "simd";
-    case BpKernel::kAuto:
-      return "auto";
-  }
-  return "unknown";
-}
-
-bool ParseBpKernel(const std::string& name, BpKernel* out) {
-  if (name == "scalar") {
-    *out = BpKernel::kScalar;
-  } else if (name == "simd") {
-    *out = BpKernel::kSimd;
-  } else if (name == "auto") {
-    *out = BpKernel::kAuto;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 namespace {
@@ -351,16 +324,12 @@ BpResult RunColdSimd(const BpGraph& graph, const std::vector<double>& pot,
   return result;
 }
 
-/// True when this run should execute the vectorized kernel. A kSimd/kAuto
+/// True when this run should execute the vectorized kernel. A kAuto
 /// request falls back to scalar — and bumps the fallback counter — when
-/// the kernel is not compiled in (TRENDSPEED_SIMD=OFF leaves graph.soa
-/// null) or the CPU cannot run it.
-bool UseSimdKernel(const BpGraph& graph, const BpOptions& opts) {
+/// the CPU cannot run it.
+bool UseSimdKernel(const BpOptions& opts) {
   if (opts.kernel == BpKernel::kScalar) return false;
-  if (ResolveBpKernel(opts.kernel) == BpKernel::kSimd &&
-      graph.soa != nullptr) {
-    return true;
-  }
+  if (BpSimdKernelAvailable()) return true;
   obs::Add(
       obs::GetCounter(opts.metrics, obs::kBpKernelSimdFallbacksTotal));
   return false;
@@ -371,7 +340,7 @@ bool UseSimdKernel(const BpGraph& graph, const BpOptions& opts) {
 BpResult InferMarginalsBpFlat(const BpGraph& graph,
                               const std::vector<double>& pot,
                               const BpOptions& opts) {
-  if (UseSimdKernel(graph, opts)) return RunColdSimd(graph, pot, opts);
+  if (UseSimdKernel(opts)) return RunColdSimd(graph, pot, opts);
   return RunColdBp(graph, pot, opts);
 }
 

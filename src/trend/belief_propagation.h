@@ -8,7 +8,6 @@
 #define TRENDSPEED_TREND_BELIEF_PROPAGATION_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -19,9 +18,8 @@ namespace trendspeed {
 /// Which message-update kernel a run executes (docs/performance.md).
 enum class BpKernel {
   /// The original double-precision scalar path: the reference oracle the
-  /// SIMD kernel is tested against, and what every request runs in a
-  /// TRENDSPEED_SIMD=OFF build. Select it for bitwise replays of runs made
-  /// before kAuto became the default.
+  /// SIMD kernel is tested against. Select it for bitwise replays of runs
+  /// made before kAuto became the default.
   kScalar,
   /// The vectorized structure-of-arrays kernel (trend/bp_kernel.h):
   /// single-precision lockstep batches, AVX2/NEON via util/simd.h with a
@@ -29,16 +27,10 @@ enum class BpKernel {
   /// multiple of tol but are NOT bitwise equal: the kernel reassociates
   /// the incoming-message products (prefix/suffix cavities), contracts in
   /// float, and max-reduces residuals per lane. Falls back to kScalar at
-  /// runtime when the binary or CPU lacks the kernel
-  /// (trendspeed_bp_kernel_simd_fallbacks_total counts those).
-  kSimd,
-  /// kSimd whenever available, else kScalar. The default.
+  /// runtime when the CPU cannot run the kernel
+  /// (trendspeed_bp_kernel_simd_fallbacks_total counts those). The default.
   kAuto,
 };
-
-const char* BpKernelName(BpKernel kernel);
-/// Parses "scalar" / "simd" / "auto"; returns false on anything else.
-bool ParseBpKernel(const std::string& name, BpKernel* out);
 
 struct BpOptions {
   /// Truncated BP: on the associative, loopy graphs correlation mining
@@ -58,9 +50,9 @@ struct BpOptions {
   /// run serially regardless (see kMinParallelVars in bp_kernel.h).
   uint32_t num_threads = 0;
   /// Message-update kernel. kAuto (default) runs the vectorized SoA kernel
-  /// wherever the build and CPU have it (tolerance contract above) and the
-  /// scalar oracle elsewhere; kScalar pins the oracle. Every run starts
-  /// cold from all-0.5 messages, on either kernel.
+  /// wherever the CPU can (tolerance contract above) and the scalar oracle
+  /// elsewhere; kScalar pins the oracle. Every run starts cold from all-0.5
+  /// messages, on either kernel.
   BpKernel kernel = BpKernel::kAuto;
   /// Observability hook (docs/observability.md): when attached, each run
   /// records the trendspeed_bp_* series (sweeps, message updates,
@@ -92,10 +84,9 @@ struct BpGraph {
   std::vector<float> compat;      ///< 4 entries per directed edge
   size_t max_degree = 0;
   /// Degree-bucketed structure-of-arrays mirror for the vectorized kernel
-  /// (trend/bp_kernel.h), built alongside the flat arrays when the build
-  /// compiles the kernel in (TRENDSPEED_SIMD=ON; null otherwise — SIMD
-  /// kernel requests then fall back to scalar). Shared so copies of the
-  /// graph stay cheap; the mirror is immutable like the rest.
+  /// (trend/bp_kernel.h), built alongside the flat arrays by FromMrf.
+  /// Shared so copies of the graph stay cheap; the mirror is immutable like
+  /// the rest.
   std::shared_ptr<const BpGraphSoa> soa;
 
   static BpGraph FromMrf(const PairwiseMrf& mrf);

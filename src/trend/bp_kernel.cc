@@ -160,17 +160,8 @@ BpGraphSoa BpGraphSoa::Build(const BpGraph& g) {
   return s;
 }
 
-bool BpSimdKernelCompiled() {
-#if TRENDSPEED_SIMD_ENABLED
-  return true;
-#else
-  return false;
-#endif
-}
-
 bool BpSimdKernelAvailable() {
   static const bool available = [] {
-    if (!BpSimdKernelCompiled()) return false;
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
     if (std::string_view(BpSimdArchName()) == "avx2") {
       return static_cast<bool>(__builtin_cpu_supports("avx2")) &&
@@ -181,18 +172,5 @@ bool BpSimdKernelAvailable() {
   }();
   return available;
 }
-
-BpKernel ResolveBpKernel(BpKernel requested) {
-  if (requested == BpKernel::kScalar) return BpKernel::kScalar;
-  return BpSimdKernelAvailable() ? BpKernel::kSimd : BpKernel::kScalar;
-}
-
-#if !TRENDSPEED_SIMD_ENABLED
-const char* BpSimdArchName() { return "none"; }
-void RunBpSweepsSimd(const BpSimdRun&) {
-  TS_CHECK(false) << "SIMD BP kernel not compiled (TRENDSPEED_SIMD=OFF); "
-                     "dispatch through ResolveBpKernel";
-}
-#endif
 
 }  // namespace trendspeed

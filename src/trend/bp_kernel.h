@@ -37,14 +37,13 @@
 //     would overflow cB/cC in float) run through a scalar single-precision
 //     loop that keeps the raw 4-entry tables.
 //
-// The kernel itself (bp_kernel_simd.cc, behind the TRENDSPEED_SIMD build
-// option) computes cavity beliefs with prefix/suffix products instead of
-// the scalar path's divide-and-fall-back, contracts the compat planes
-// with FMAs, interleaves two same-degree batches per inner loop to hide
-// the 4-cycle multiply latency of the running-product chains, and reduces
-// the convergence residual with a lane max. It is selected per run by
-// BpOptions::kernel, with runtime ISA dispatch — see BpSimdKernelAvailable
-// below and docs/performance.md.
+// The kernel itself (bp_kernel_simd.cc) computes cavity beliefs with
+// prefix/suffix products instead of the scalar path's divide-and-fall-back,
+// contracts the compat planes with FMAs, interleaves two same-degree
+// batches per inner loop to hide the 4-cycle multiply latency of the
+// running-product chains, and reduces the convergence residual with a lane
+// max. It is selected per run by BpOptions::kernel, with runtime ISA
+// dispatch — see BpSimdKernelAvailable below and docs/performance.md.
 
 #ifndef TRENDSPEED_TREND_BP_KERNEL_H_
 #define TRENDSPEED_TREND_BP_KERNEL_H_
@@ -132,7 +131,7 @@ struct BpGraphSoa {
   AlignedVector<float> spill_c00, spill_c01, spill_c10, spill_c11;
 
   /// Rearranges a flattened BpGraph. Called from BpGraph::FromMrf (the
-  /// single build point) when the build compiles the SIMD kernel in.
+  /// single build point).
   static BpGraphSoa Build(const BpGraph& graph);
 };
 
@@ -150,29 +149,19 @@ struct BpSimdRun {
   std::vector<double>* sweep_residuals = nullptr;
 };
 
-/// True when this binary contains the vectorized kernel (TRENDSPEED_SIMD=ON
-/// at configure time).
-bool BpSimdKernelCompiled();
-
-/// True when the kernel is compiled in AND the running CPU can execute it:
-/// on x86-64 the AVX2 variant additionally requires
-/// __builtin_cpu_supports("avx2") at runtime; the NEON and generic variants
-/// are always executable. Resolved once and cached.
+/// True when the running CPU can execute the kernel: on x86-64 the AVX2
+/// variant requires __builtin_cpu_supports("avx2") and ("fma") at
+/// runtime; the NEON and generic variants are always executable. Resolved
+/// once and cached.
 bool BpSimdKernelAvailable();
 
-/// The ISA variant compiled into this binary: "avx2", "neon", or "generic"
-/// ("none" when TRENDSPEED_SIMD=OFF). Hardware-stamped into bench JSONs.
+/// The ISA variant compiled into this binary: "avx2", "neon", or
+/// "generic". Hardware-stamped into bench JSONs.
 const char* BpSimdArchName();
 
-/// Maps the requested kernel to the one that will actually run: kAuto and
-/// kSimd resolve to kSimd when BpSimdKernelAvailable(), else kScalar.
-BpKernel ResolveBpKernel(BpKernel requested);
-
 /// Executes the vectorized sweep schedule. Precondition:
-/// BpSimdKernelAvailable() — dispatch through ResolveBpKernel; the
-/// TRENDSPEED_SIMD=OFF stub aborts via TS_CHECK. Defined in
-/// bp_kernel_simd.cc (stubbed in bp_kernel.cc when the kernel is not
-/// compiled).
+/// BpSimdKernelAvailable() (InferMarginalsBpFlat checks it and falls back
+/// to the scalar oracle). Defined in bp_kernel_simd.cc.
 void RunBpSweepsSimd(const BpSimdRun& run);
 
 }  // namespace trendspeed

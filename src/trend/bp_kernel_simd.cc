@@ -1,4 +1,4 @@
-// Vectorized structure-of-arrays BP sweep kernel (TRENDSPEED_SIMD=ON).
+// Vectorized structure-of-arrays BP sweep kernel.
 //
 // Math contract vs the scalar oracle in belief_propagation.cc: identical
 // update rule (damped sum-product, same z <= 0 guard, same damping blend,

@@ -33,16 +33,16 @@
 #include <cstdint>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define TRENDSPEED_SIMD_ARCH_AVX2 1
+#define TS_SIMD_ARCH_AVX2 1
 #include <immintrin.h>
 #elif defined(__aarch64__)
-#define TRENDSPEED_SIMD_ARCH_NEON 1
+#define TS_SIMD_ARCH_NEON 1
 #include <arm_neon.h>
 #else
-#define TRENDSPEED_SIMD_ARCH_GENERIC 1
+#define TS_SIMD_ARCH_GENERIC 1
 #endif
 
-#if TRENDSPEED_SIMD_ARCH_AVX2
+#if TS_SIMD_ARCH_AVX2
 // Functions containing AVX2/FMA intrinsics (and everything inlined into
 // them) must carry this attribute; always_inline turns a missed inline into
 // a compile error instead of a silent baseline-ISA call into AVX2 code.
@@ -58,7 +58,7 @@ namespace simd {
 
 inline constexpr int kLanes = 8;
 
-#if TRENDSPEED_SIMD_ARCH_AVX2
+#if TS_SIMD_ARCH_AVX2
 
 inline constexpr const char* kArchName = "avx2";
 
@@ -109,7 +109,7 @@ TS_SIMD_INLINE float HorizontalMax(F32x8 v) {
   return _mm_cvtss_f32(m);
 }
 
-#elif TRENDSPEED_SIMD_ARCH_NEON
+#elif TS_SIMD_ARCH_NEON
 
 inline constexpr const char* kArchName = "neon";
 

@@ -426,16 +426,17 @@ TEST(PoolMetricsTest, WorkerPoolCountsEveryTask) {
 TEST(ObservabilityConfigTest, ValidatesSlowIngestAndPoolFlag) {
   PipelineConfig config;
   EXPECT_TRUE(config.Validate().ok());
-  config.observability.slow_ingest_ms = 0.0;
-  EXPECT_FALSE(config.Validate().ok());
-  config.observability.slow_ingest_ms =
-      std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(config.Validate().ok());
-  config.observability.slow_ingest_ms =
-      std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(config.Validate().ok());
-  config.observability.slow_ingest_ms = 250.0;
-  EXPECT_TRUE(config.Validate().ok());
+  // The slow-ingest threshold is a serving option.
+  ServingOptions opts;
+  EXPECT_TRUE(opts.Validate().ok());
+  opts.observability.slow_ingest_ms = 0.0;
+  EXPECT_FALSE(opts.Validate().ok());
+  opts.observability.slow_ingest_ms = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(opts.Validate().ok());
+  opts.observability.slow_ingest_ms = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(opts.Validate().ok());
+  opts.observability.slow_ingest_ms = 250.0;
+  EXPECT_TRUE(opts.Validate().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -554,7 +555,6 @@ TEST_F(ObsPipelineTest, ServingStatsMatchRegistryMirrors) {
   obs::MetricsRegistry reg;  // session-local registry, clean counters
   ServingOptions opts;
   opts.validation = ValidationPolicy::kFilter;
-  opts.dedup = DedupPolicy::kReject;
   opts.observability.metrics = &reg;
   auto session = ServingSession::Create(estimator_, opts);
   ASSERT_TRUE(session.ok());
@@ -567,12 +567,25 @@ TEST_F(ObsPipelineTest, ServingStatsMatchRegistryMirrors) {
   bad.push_back({bad[0].road, -5.0});
   ASSERT_TRUE(session->Ingest(2, bad).ok());
   EXPECT_FALSE(session->Ingest(1, CleanObs(1)).ok());  // out-of-order
-  // Duplicate roads under kReject fail the whole batch.
-  std::vector<SeedSpeed> dupes = CleanObs(3);
-  dupes.push_back(dupes[0]);
-  EXPECT_FALSE(session->Ingest(3, dupes).ok());
+  // The same malformed batch fails whole on a kStrict session. It shares
+  // the registry, so the registry totals are the two sessions' stats summed.
+  ServingOptions strict_opts;
+  strict_opts.validation = ValidationPolicy::kStrict;
+  strict_opts.observability.metrics = &reg;
+  auto strict = ServingSession::Create(estimator_, strict_opts);
+  ASSERT_TRUE(strict.ok());
+  EXPECT_FALSE(strict->Ingest(3, bad).ok());
 
-  const ServingStats& s = session->stats();
+  ServingStats s = session->stats();
+  const ServingStats t = strict->stats();
+  s.slots_estimated += t.slots_estimated;
+  s.slots_carried_forward += t.slots_carried_forward;
+  s.duplicate_slots += t.duplicate_slots;
+  s.out_of_order_slots += t.out_of_order_slots;
+  s.rejected_batches += t.rejected_batches;
+  s.observations_filtered += t.observations_filtered;
+  s.observations_deduplicated += t.observations_deduplicated;
+  s.estimation_failures += t.estimation_failures;
   EXPECT_GT(s.slots_estimated, 0u);
   EXPECT_GT(s.duplicate_slots, 0u);
   EXPECT_GT(s.slots_carried_forward, 0u);

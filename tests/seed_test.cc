@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <queue>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -52,6 +53,44 @@ InfluenceModel RandomInstance(size_t n, Rng* rng) {
   }
   return InfluenceModel::FromCoverLists(n, std::move(covers),
                                         std::move(sigma));
+}
+
+/// Test-local serial CELF: the initial scan, then one stale re-evaluation
+/// per pop, with lower roads winning gain ties. Lazy greedy must follow
+/// exactly this schedule at every thread count.
+SeedSelectionResult SerialCelf(const InfluenceModel& model, size_t k) {
+  struct Entry {
+    double gain;
+    RoadId road;
+    size_t round;
+    bool operator<(const Entry& other) const {
+      if (gain != other.gain) return gain < other.gain;
+      return road > other.road;
+    }
+  };
+  SeedSelectionResult out;
+  ObjectiveState state(&model);
+  std::priority_queue<Entry> pq;
+  for (RoadId j = 0; j < model.num_roads(); ++j) {
+    pq.push(Entry{state.GainOf(j), j, 1});
+    ++out.gain_evaluations;
+  }
+  for (size_t round = 1; round <= k && !pq.empty();) {
+    Entry top = pq.top();
+    pq.pop();
+    if (top.round == round) {
+      state.Add(top.road);
+      ++round;
+      continue;
+    }
+    top.gain = state.GainOf(top.road);
+    top.round = round;
+    ++out.gain_evaluations;
+    pq.push(top);
+  }
+  out.seeds = state.seeds();
+  out.objective = state.value();
+  return out;
 }
 
 TEST(ObjectiveTest, ValueMatchesDefinition) {
@@ -151,6 +190,23 @@ TEST(LazyGreedyTest, FarFewerEvaluationsThanPlain) {
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(lazy.ok());
   EXPECT_LT(lazy->gain_evaluations, plain->gain_evaluations / 2);
+}
+
+TEST(LazyGreedyTest, SameSeedsAndEvaluationsAtEveryThreadCount) {
+  Rng rng(19);
+  InfluenceModel model = RandomInstance(3000, &rng);
+  const size_t k = 40;
+  SeedSelectionResult reference = SerialCelf(model, k);
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    SeedSelectionOptions opts;
+    opts.num_threads = threads;
+    auto lazy = SelectSeedsLazyGreedy(model, k, opts);
+    ASSERT_TRUE(lazy.ok());
+    EXPECT_EQ(lazy->seeds, reference.seeds) << threads << " threads";
+    EXPECT_EQ(lazy->gain_evaluations, reference.gain_evaluations)
+        << threads << " threads";
+    EXPECT_EQ(lazy->objective, reference.objective) << threads << " threads";
+  }
 }
 
 TEST(StochasticGreedyTest, NearGreedyQuality) {

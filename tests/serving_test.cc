@@ -139,7 +139,6 @@ TEST_F(ServingTest, FilterValidationDropsAndCounts) {
 TEST_F(ServingTest, FilteredAndDeduplicatedCountedSeparately) {
   ServingOptions opts;
   opts.validation = ValidationPolicy::kFilter;
-  opts.dedup = DedupPolicy::kMean;
   ServingSession session = Session(opts);
   uint64_t slot = ds().first_test_slot();
 
@@ -154,7 +153,7 @@ TEST_F(ServingTest, FilteredAndDeduplicatedCountedSeparately) {
   EXPECT_EQ(report->observations_dropped, 2u);
 }
 
-TEST_F(ServingTest, DedupPoliciesResolveDuplicateRoads) {
+TEST_F(ServingTest, DuplicateRoadsAreAveraged) {
   uint64_t slot = ds().first_test_slot();
   RoadId road = (*seeds_)[0];
 
@@ -167,31 +166,14 @@ TEST_F(ServingTest, DedupPoliciesResolveDuplicateRoads) {
   };
   std::vector<double> ref_mean = single(40.0);
 
-  auto dup = [&](DedupPolicy policy) {
-    ServingOptions opts;
-    opts.dedup = policy;
-    ServingSession s = Session(opts);
-    return s.Ingest(slot, {{road, 30.0}, {road, 50.0}});
-  };
-
-  auto mean = dup(DedupPolicy::kMean);
+  ServingSession s = Session();
+  auto mean = s.Ingest(slot, {{road, 30.0}, {road, 50.0}});
   ASSERT_TRUE(mean.ok());
   EXPECT_EQ(mean->observations_used, 1u);
   EXPECT_EQ(mean->observations_dropped, 1u);
   EXPECT_EQ(mean->monitor.estimate.speeds.speed_kmh, ref_mean);
-  {
-    ServingOptions o;
-    o.dedup = DedupPolicy::kMean;
-    ServingSession s = Session(o);
-    auto r = s.Ingest(slot, {{road, 30.0}, {road, 50.0}});
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(s.stats().observations_deduplicated, 1u);
-    EXPECT_EQ(s.stats().observations_filtered, 0u);
-  }
-
-  auto reject = dup(DedupPolicy::kReject);
-  EXPECT_FALSE(reject.ok());
-  EXPECT_EQ(reject.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.stats().observations_deduplicated, 1u);
+  EXPECT_EQ(s.stats().observations_filtered, 0u);
 }
 
 TEST_F(ServingTest, DuplicateSlotIsIdempotent) {
