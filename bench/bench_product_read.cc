@@ -1,7 +1,7 @@
 // Read-side product layer bench, emitted as JSON on stdout (saved as
 // BENCH_product_read.json).
 //
-// Three measurement groups:
+// Two measurement groups:
 //
 //   * writer_baseline     — seqlock publish latency with zero readers: the
 //                           floor the product layer must not move.
@@ -12,9 +12,9 @@
 //                           generous noise bound — the "products never
 //                           block the writer" claim as a number, not a
 //                           comment.
-//   * product_read        — single-reader ETA latency split by cache hit
-//                           vs miss (median/p99 over per-query timers) and
-//                           profile fold throughput.
+//
+// Single-reader ETA latency (cache hit vs miss) is measured end to end by
+// perfbench's product.eta_hit_us_p50 and product.eta_miss_us_p50.
 //
 // Flags:
 //   --smoke   tiny instance, used by the `perf`-labelled CTest smoke entry.
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "bench_hardware.h"
-#include "core/routing.h"
 #include "core/snapshot.h"
 #include "product/profile.h"
 #include "product/route_eta.h"
@@ -44,7 +43,6 @@ struct ProductBenchConfig {
   size_t grid_rows = 16;
   size_t grid_cols = 16;
   uint64_t publishes = 20'000;
-  size_t eta_queries = 20'000;
   int readers = 3;
 };
 
@@ -73,15 +71,6 @@ double PercentileUs(std::vector<double>* us, double q) {
   std::sort(us->begin(), us->end());
   size_t idx = static_cast<size_t>(q * static_cast<double>(us->size() - 1));
   return (*us)[idx];
-}
-
-/// NaN is not valid JSON — quote it, like the other bench emitters do.
-void PrintJsonNum(const char* key, double v, bool trailing_comma) {
-  if (std::isnan(v)) {
-    std::printf("    \"%s\": \"nan\"%s\n", key, trailing_comma ? "," : "");
-  } else {
-    std::printf("    \"%s\": %.3f%s\n", key, v, trailing_comma ? "," : "");
-  }
 }
 
 /// One timed publish loop; returns the per-publish latencies in us.
@@ -174,7 +163,7 @@ int Run(const ProductBenchConfig& cfg) {
               static_cast<unsigned long long>(reader_folds));
   std::printf("    \"p50_ratio_vs_baseline\": %.2f\n",
               load_p50 / base_p50);
-  std::printf("  },\n");
+  std::printf("  }\n");
 
   // The load-bearing assertion: attaching folding/routing readers must not
   // move the writer's median publish latency beyond scheduling noise. The
@@ -186,61 +175,6 @@ int Run(const ProductBenchConfig& cfg) {
       << "writer median publish latency moved from " << base_p50
       << "us to " << load_p50 << "us with readers attached";
 
-  // --- single-reader ETA latency, hit vs miss -----------------------------
-  {
-    SpeedSnapshotPublisher pub(net.num_roads());
-    std::vector<double> speeds(net.num_roads(), 45.0);
-    std::vector<double> devs(net.num_roads(), 0.0);
-    pub.Publish(1, speeds, devs, 0, 45.0);
-
-    auto profile = SpeedProfileStore::Create(net.num_roads(), 144, popts);
-    TS_CHECK(profile.ok());
-    auto cache = RouteEtaCache::Create(net, popts, &*profile);
-    TS_CHECK(cache.ok());
-    SpeedSnapshot snap;
-    TS_CHECK(pub.Read(&snap));
-    profile->Fold(snap);
-
-    Rng rng(7);
-    std::vector<double> hit_us, miss_us;
-    hit_us.reserve(cfg.eta_queries);
-    miss_us.reserve(cfg.eta_queries);
-    WallTimer timer;
-    WallTimer fold_timer;
-    for (size_t q = 0; q < cfg.eta_queries; ++q) {
-      NodeId from = static_cast<NodeId>(rng.NextIndex(net.num_nodes()));
-      NodeId to = static_cast<NodeId>(rng.NextIndex(net.num_nodes()));
-      timer.Restart();
-      auto eta = cache->Eta(snap, from, to);
-      double us = timer.ElapsedSeconds() * 1e6;
-      if (!eta.ok()) continue;
-      (eta->cache_hit ? hit_us : miss_us).push_back(us);
-    }
-    // Fold throughput: re-fold a rotating fresh field.
-    const uint64_t fold_rounds = std::max<uint64_t>(64, cfg.publishes / 8);
-    fold_timer.Restart();
-    for (uint64_t v = 0; v < fold_rounds; ++v) {
-      snap.version = 2 + v;
-      snap.slot = v;
-      snap.stale = false;
-      snap.stale_slots = 0;
-      TS_CHECK(profile->Fold(snap));
-    }
-    double folds_per_sec =
-        static_cast<double>(fold_rounds) / fold_timer.ElapsedSeconds();
-
-    const size_t hits = hit_us.size(), misses = miss_us.size();
-    std::printf("  \"product_read\": {\n");
-    std::printf("    \"eta_queries\": %zu,\n", cfg.eta_queries);
-    std::printf("    \"cache_hits\": %zu,\n", hits);
-    std::printf("    \"cache_misses\": %zu,\n", misses);
-    PrintJsonNum("p50_hit_us", PercentileUs(&hit_us, 0.50), true);
-    PrintJsonNum("p99_hit_us", PercentileUs(&hit_us, 0.99), true);
-    PrintJsonNum("p50_miss_us", PercentileUs(&miss_us, 0.50), true);
-    PrintJsonNum("p99_miss_us", PercentileUs(&miss_us, 0.99), true);
-    std::printf("    \"profile_folds_per_sec\": %.0f\n", folds_per_sec);
-    std::printf("  }\n");
-  }
   std::printf("}\n");
   return 0;
 }
@@ -258,7 +192,6 @@ int main(int argc, char** argv) {
       // stale cadence: on a single-CPU host the readers' one guaranteed
       // read is the quiescent last pass, which must be foldable.
       cfg.publishes = 512;
-      cfg.eta_queries = 500;
       cfg.readers = 2;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);

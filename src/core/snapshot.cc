@@ -1,8 +1,8 @@
 #include "core/snapshot.h"
 
 #include "obs/catalog.h"
+#include "obs/clock.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace trendspeed {
 
@@ -50,7 +50,9 @@ void SpeedSnapshotPublisher::Publish(uint64_t slot,
 }
 
 bool SpeedSnapshotPublisher::Read(SpeedSnapshot* out) const {
-  WallTimer timer;
+  // The clock is read only when the latency histogram is attached.
+  const uint64_t start_ns =
+      m_read_latency_us_ != nullptr ? obs::MonotonicNanos() : 0;
   // A failed read must leave no residue: a reused SpeedSnapshot previously
   // filled from another publisher would otherwise keep that publisher's
   // slot/version and a resize()-truncated head of its payload — a stale
@@ -87,7 +89,9 @@ bool SpeedSnapshotPublisher::Read(SpeedSnapshot* out) const {
         out->version = s1 / 2;
         out->stale = out->stale_slots > 0;
         if (m_read_latency_us_ != nullptr) {
-          obs::Observe(m_read_latency_us_, timer.ElapsedMillis() * 1000.0);
+          obs::Observe(m_read_latency_us_,
+                       obs::NanosToMillis(obs::ElapsedNanosSince(start_ns)) *
+                           1000.0);
         }
         return true;
       }

@@ -83,9 +83,12 @@ class SpeedSnapshotPublisher {
 
   size_t num_roads() const { return num_roads_; }
 
-  /// Publishes so far (== version of the latest snapshot); racy read.
+  /// Version of the latest *completed* publish (== publishes so far). An
+  /// acquire load: every publish that completed before this call began is
+  /// counted, so a reader holding a snapshot of this version holds the
+  /// latest field. A publish in progress (odd sequence) is not counted yet.
   uint64_t publishes() const {
-    return seq_.load(std::memory_order_relaxed) / 2;
+    return seq_.load(std::memory_order_acquire) / 2;
   }
 
  private:

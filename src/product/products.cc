@@ -9,10 +9,19 @@ namespace trendspeed {
 
 namespace {
 
-double MicrosSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - start)
-      .count();
+using Clock = std::chrono::steady_clock;
+
+/// Start of a timed read. The clock is read only when the latency histogram
+/// is attached, so a detached read touches no clock at all.
+Clock::time_point ReadStart(const obs::Histogram* latency) {
+  return latency != nullptr ? Clock::now() : Clock::time_point{};
+}
+
+void ObserveRead(obs::Histogram* latency, Clock::time_point start) {
+  if (latency == nullptr) return;
+  obs::Observe(latency, std::chrono::duration<double, std::micro>(
+                            Clock::now() - start)
+                            .count());
 }
 
 }  // namespace
@@ -67,6 +76,14 @@ void CityProducts::AttachMetrics(obs::MetricsRegistry* registry) {
 }
 
 bool CityProducts::ReadLatest() {
+  // Version gate: while no publish has completed since snap_ was read
+  // (publishes() is an acquire load of completed publishes only), snap_ is
+  // still the latest complete field and the O(num_roads) copy is skipped.
+  // It lives here, not in Read, because snap_ is filled only from
+  // publisher_; Read's callers may cycle one buffer across publishers.
+  if (snap_.version != 0 && publisher_->publishes() == snap_.version) {
+    return true;
+  }
   return publisher_->Read(&snap_);
 }
 
@@ -77,7 +94,7 @@ bool CityProducts::Poll() {
 }
 
 Result<RouteEtaCache::EtaResult> CityProducts::Eta(NodeId from, NodeId to) {
-  const auto start = std::chrono::steady_clock::now();
+  const Clock::time_point start = ReadStart(m_read_latency_);
   if (!ReadLatest()) {
     return Status::FailedPrecondition(
         "no snapshot published yet; nothing to route on");
@@ -87,12 +104,12 @@ Result<RouteEtaCache::EtaResult> CityProducts::Eta(NodeId from, NodeId to) {
   profile_->Fold(snap_);
   TS_ASSIGN_OR_RETURN(RouteEtaCache::EtaResult result,
                       eta_cache_->Eta(snap_, from, to));
-  obs::Observe(m_read_latency_, MicrosSince(start));
+  ObserveRead(m_read_latency_, start);
   return result;
 }
 
 Result<SpeedProfileStore::BlendedSpeed> CityProducts::RoadSpeed(RoadId road) {
-  const auto start = std::chrono::steady_clock::now();
+  const Clock::time_point start = ReadStart(m_read_latency_);
   if (!ReadLatest()) {
     return Status::FailedPrecondition(
         "no snapshot published yet; nothing to serve");
@@ -102,7 +119,7 @@ Result<SpeedProfileStore::BlendedSpeed> CityProducts::RoadSpeed(RoadId road) {
   }
   profile_->Fold(snap_);
   SpeedProfileStore::BlendedSpeed speed = profile_->BlendQuery(snap_, road);
-  obs::Observe(m_read_latency_, MicrosSince(start));
+  ObserveRead(m_read_latency_, start);
   return speed;
 }
 

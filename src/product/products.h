@@ -82,7 +82,8 @@ class CityProducts {
                std::unique_ptr<SpeedProfileStore> profile,
                std::unique_ptr<RouteEtaCache> eta_cache);
 
-  /// Refreshes snap_ from the publisher; false before the first publish.
+  /// Refreshes snap_ from the publisher unless it already holds the latest
+  /// completed version (the version gate); false before the first publish.
   bool ReadLatest();
 
   const RoadNetwork* net_;
@@ -91,7 +92,7 @@ class CityProducts {
   /// out of Create) while the cache's pointer into the profile never moves.
   std::unique_ptr<SpeedProfileStore> profile_;
   std::unique_ptr<RouteEtaCache> eta_cache_;
-  SpeedSnapshot snap_;  ///< reused read buffer (no allocation per read)
+  SpeedSnapshot snap_;  ///< reused read buffer, filled only from publisher_
 
   obs::Histogram* m_read_latency_ = nullptr;
 };

@@ -1,8 +1,78 @@
 #include "product/route_eta.h"
 
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <utility>
+
 #include "obs/catalog.h"
+#include "util/logging.h"
 
 namespace trendspeed {
+
+namespace {
+
+constexpr size_t kLandmarks = 16;
+constexpr size_t kQueryLandmarks = 4;
+/// Scales the landmark bound below the true remaining seconds.
+constexpr double kBoundMargin = 1.0 - 1e-9;
+/// The A* answer stands only when the smallest road cost exceeds this share
+/// of the travel time (route_eta.h, tie rule).
+constexpr double kMinRoadShare = 1e-6;
+/// FastestRoute's "not reached" distance: a relaxation must beat the same
+/// sentinel for both searches to agree on reachability.
+constexpr double kUnreached = 1e300;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Free-flow seconds from `source` to every node, or with `reverse` from
+/// every node to `source`; +inf where there is no path.
+void FreeFlowSeconds(const RoadNetwork& net, NodeId source, bool reverse,
+                     std::vector<double>* dist) {
+  dist->assign(net.num_nodes(), kInf);
+  using Entry = std::pair<double, NodeId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
+  (*dist)[source] = 0.0;
+  pq.emplace(0.0, source);
+  while (!pq.empty()) {
+    auto [d, u] = pq.top();
+    pq.pop();
+    if (d > (*dist)[u]) continue;
+    for (RoadId r : reverse ? net.InRoads(u) : net.OutRoads(u)) {
+      const NodeId w = reverse ? net.road(r).from : net.road(r).to;
+      const double nd = d + net.FreeFlowSeconds(r);
+      if (nd < (*dist)[w]) {
+        (*dist)[w] = nd;
+        pq.emplace(nd, w);
+      }
+    }
+  }
+}
+
+/// Free-flow lower bound on the seconds u -> t from one landmark L, by the
+/// triangle inequality both ways: d(L,t) − d(L,u) and d(u,L) − d(t,L).
+/// +inf when t cannot be reached from u; a term with no finite information
+/// (inf − inf) fails both comparisons and is ignored.
+double LandmarkBound(double from_l_to_t, double from_l_to_u,
+                     double u_to_l, double t_to_l) {
+  double best = -kInf;
+  const double ahead = from_l_to_t - from_l_to_u;
+  if (ahead > best) best = ahead;
+  const double behind = u_to_l - t_to_l;
+  if (behind > best) best = behind;
+  return best;
+}
+
+size_t ArgMax(const std::vector<double>& v) {
+  size_t best = 0;
+  for (size_t i = 1; i < v.size(); ++i) {
+    if (v[i] > v[best]) best = i;
+  }
+  return best;
+}
+
+}  // namespace
 
 RouteEtaCache::RouteEtaCache(const RoadNetwork& net,
                              const ProductOptions& opts,
@@ -10,8 +80,50 @@ RouteEtaCache::RouteEtaCache(const RoadNetwork& net,
     : net_(&net),
       profile_(profile),
       capacity_(opts.eta_cache_capacity),
-      num_nodes_(net.num_nodes()) {
+      num_nodes_(net.num_nodes()),
+      search_(net.num_nodes()) {
   entries_.reserve(capacity_);
+  BuildLandmarks();
+}
+
+void RouteEtaCache::BuildLandmarks() {
+  const size_t n = num_nodes_;
+  std::vector<std::vector<double>> from_l, to_l;
+  // Farthest-first: each landmark is the node farthest (free-flow seconds)
+  // from its nearest landmark so far; the farthest node from node 0 starts.
+  std::vector<double> nearest;
+  FreeFlowSeconds(*net_, 0, /*reverse=*/false, &nearest);
+  NodeId next = static_cast<NodeId>(ArgMax(nearest));
+  nearest.assign(n, kInf);
+  while (from_l.size() < kLandmarks) {
+    from_l.emplace_back();
+    to_l.emplace_back();
+    FreeFlowSeconds(*net_, next, /*reverse=*/false, &from_l.back());
+    FreeFlowSeconds(*net_, next, /*reverse=*/true, &to_l.back());
+    for (size_t u = 0; u < n; ++u) {
+      nearest[u] = std::min(nearest[u], from_l.back()[u]);
+    }
+    next = static_cast<NodeId>(ArgMax(nearest));
+    if (!(nearest[next] > 0.0)) break;  // every node is a landmark
+  }
+
+  num_landmarks_ = from_l.size();
+  from_landmark_.resize(n * num_landmarks_);
+  to_landmark_.resize(n * num_landmarks_);
+  double max_seconds = 0.0;
+  for (size_t u = 0; u < n; ++u) {
+    for (size_t l = 0; l < num_landmarks_; ++l) {
+      from_landmark_[u * num_landmarks_ + l] = from_l[l][u];
+      to_landmark_[u * num_landmarks_ + l] = to_l[l][u];
+      for (double d : {from_l[l][u], to_l[l][u]}) {
+        if (d < kInf) max_seconds = std::max(max_seconds, d);
+      }
+    }
+  }
+  // A stored distance sums at most n − 1 rounded road costs, so it is
+  // within (n + 1) · 2^-53 of its real value relative to max_seconds; a
+  // bound subtracts two and rounds once more.
+  landmark_slack_ = static_cast<double>(n + 2) * 0x1p-52 * max_seconds;
 }
 
 Result<RouteEtaCache> RouteEtaCache::Create(const RoadNetwork& net,
@@ -65,8 +177,154 @@ void RouteEtaCache::SyncToSnapshot(const SpeedSnapshot& snap) {
       obs::Add(m_blends_);
     }
   }
+
+  // Price every road once, with FastestRoute's exact expression, so the
+  // search adds the same doubles in the same order as Dijkstra.
+  const std::vector<Road>& roads = net_->roads();
+  road_seconds_.resize(roads.size());
+  rho_ = 1.0;
+  min_road_seconds_ = kInf;
+  for (size_t r = 0; r < roads.size(); ++r) {
+    const double v_kmh = pricing_speeds_[r];
+    if (!(v_kmh > 0.0)) {  // impassable: v <= 0 or NaN
+      road_seconds_[r] = kInf;
+      continue;
+    }
+    const double seconds = roads[r].length_m / (v_kmh / 3.6);
+    road_seconds_[r] = seconds;
+    rho_ = std::max(rho_, v_kmh / roads[r].free_flow_kmh);
+    min_road_seconds_ = std::min(min_road_seconds_, seconds);
+  }
   synced_version_ = snap.version;
   synced_stale_slots_ = snap.stale_slots;
+}
+
+Result<RouteResult> RouteEtaCache::LandmarkRoute(NodeId from, NodeId to) {
+  RouteResult route;
+  if (from == to) return route;  // FastestRoute's defined empty trip
+
+  // The kQueryLandmarks landmarks with the best bound at the source.
+  const size_t nl = num_landmarks_;
+  const double* from_l_t = &from_landmark_[size_t{to} * nl];
+  const double* t_to_l = &to_landmark_[size_t{to} * nl];
+  std::array<double, kLandmarks> source_bound;
+  std::array<size_t, kLandmarks> order;
+  for (size_t l = 0; l < nl; ++l) {
+    source_bound[l] = LandmarkBound(from_l_t[l],
+                                    from_landmark_[size_t{from} * nl + l],
+                                    to_landmark_[size_t{from} * nl + l],
+                                    t_to_l[l]);
+    order[l] = l;
+  }
+  const size_t k = std::min(kQueryLandmarks, nl);
+  std::partial_sort(order.begin(), order.begin() + k, order.begin() + nl,
+                    [&](size_t a, size_t b) {
+                      if (source_bound[a] != source_bound[b]) {
+                        return source_bound[a] > source_bound[b];
+                      }
+                      return a < b;
+                    });
+  auto heuristic = [&](NodeId u) {
+    const double* from_l_u = &from_landmark_[size_t{u} * nl];
+    const double* u_to_l = &to_landmark_[size_t{u} * nl];
+    double best = 0.0;
+    for (size_t i = 0; i < k; ++i) {
+      const size_t l = order[i];
+      best = std::max(best, LandmarkBound(from_l_t[l], from_l_u[l], u_to_l[l],
+                                          t_to_l[l]));
+    }
+    if (best == kInf) return kInf;  // `to` is unreachable from u
+    return std::max(0.0, best - landmark_slack_) / rho_ * kBoundMargin;
+  };
+
+  if (++query_stamp_ == 0) {  // the stamp wrapped: forget every node
+    for (NodeState& s : search_) s.reached = s.settled = 0;
+    query_stamp_ = 1;
+  }
+  const uint32_t stamp = query_stamp_;
+  auto reach = [&](NodeId u) -> NodeState& {
+    NodeState& s = search_[u];
+    if (s.reached != stamp) {
+      s.reached = stamp;
+      s.g = kUnreached;
+      s.h = heuristic(u);
+    }
+    return s;
+  };
+  // Settle order (f, g, node): among equal f the smaller g goes first, so
+  // every node FastestRoute settles before `to` on a tied f is settled here
+  // before `to` too.
+  auto later = [](const HeapEntry& a, const HeapEntry& b) {
+    if (a.f != b.f) return a.f > b.f;
+    if (a.g != b.g) return a.g > b.g;
+    return a.node > b.node;
+  };
+
+  heap_.clear();
+  NodeState& source = reach(from);
+  if (source.h == kInf) return Status::NotFound("target unreachable");
+  source.g = 0.0;
+  heap_.push_back({source.h, 0.0, from});
+  bool found = false;
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const HeapEntry top = heap_.back();
+    heap_.pop_back();
+    NodeState& s = search_[top.node];
+    if (top.g > s.g) continue;  // superseded by a shorter g
+    s.settled = stamp;
+    if (top.node == to) {
+      found = true;
+      break;
+    }
+    for (RoadId r : net_->OutRoads(top.node)) {
+      const double nd = top.g + road_seconds_[r];
+      if (!(nd < kUnreached)) continue;  // impassable, or beyond the sentinel
+      const NodeId w = net_->road(r).to;
+      NodeState& ws = reach(w);
+      if (!(nd < ws.g)) continue;
+      ws.g = nd;
+      if (ws.h == kInf) continue;  // cannot reach `to`; never settled
+      heap_.push_back({nd + ws.h, nd, w});
+      std::push_heap(heap_.begin(), heap_.end(), later);
+    }
+  }
+  if (!found) return Status::NotFound("target unreachable");
+
+  const double g_to = search_[to].g;
+  if (!(min_road_seconds_ > g_to * kMinRoadShare)) {
+    return FastestRoute(*net_, pricing_speeds_, from, to);
+  }
+  // Rebuild FastestRoute's predecessors from `to` backwards. Every road
+  // costs more than the rounding of g here, so a candidate u has
+  // g(u) < g(w) <= g(to): FastestRoute settled it, in (g, node) order,
+  // before `to`, and this search settled it too.
+  route.travel_seconds = g_to;
+  for (NodeId w = to; w != from;) {
+    const double g_w = search_[w].g;
+    RoadId via = kInvalidRoad;
+    NodeId via_node = kInvalidNode;
+    double via_g = 0.0;
+    // InRoads(w) and OutRoads(u) both list roads in id order, so of
+    // parallel roads from one u the first met is the first in OutRoads(u).
+    for (RoadId r : net_->InRoads(w)) {
+      const NodeId u = net_->road(r).from;
+      const NodeState& us = search_[u];
+      if (us.settled != stamp || us.g + road_seconds_[r] != g_w) continue;
+      if (via == kInvalidRoad || us.g < via_g ||
+          (us.g == via_g && u < via_node)) {
+        via = r;
+        via_node = u;
+        via_g = us.g;
+      }
+    }
+    TS_CHECK(via != kInvalidRoad) << "no settled predecessor of node " << w;
+    route.roads.push_back(via);
+    route.length_m += net_->road(via).length_m;
+    w = via_node;
+  }
+  std::reverse(route.roads.begin(), route.roads.end());
+  return route;
 }
 
 Result<RouteEtaCache::EtaResult> RouteEtaCache::Eta(const SpeedSnapshot& snap,
@@ -92,8 +350,7 @@ Result<RouteEtaCache::EtaResult> RouteEtaCache::Eta(const SpeedSnapshot& snap,
 
   ++stats_.misses;
   obs::Add(m_misses_);
-  TS_ASSIGN_OR_RETURN(RouteResult route,
-                      FastestRoute(*net_, pricing_speeds_, from, to));
+  TS_ASSIGN_OR_RETURN(RouteResult route, LandmarkRoute(from, to));
   // The pricing field came from the snapshot, so the staleness stamp does
   // too — a blended route is still a stale route, just a better-priced one.
   route.stale = snap.stale;

@@ -1,24 +1,54 @@
-// Route-ETA cache: memoized FastestRoute answers over the latest published
+// Route-ETA cache: memoized fastest-route answers over the latest published
 // snapshot, invalidated by snapshot version.
 //
 // The serving loop publishes one speed field per slot; between publishes the
 // field is immutable, so every (from, to) query against the same
 // `SpeedSnapshot::version` has exactly one answer. The cache exploits that:
-// a hit returns the stored result without touching Dijkstra, a miss runs
-// FastestRoute once and stores it, and the moment the version moves on every
-// stored entry is dead (checked lazily per entry — no publish-side hook, so
-// the writer never knows the cache exists).
+// a hit returns the stored result without searching, a miss runs one route
+// search and stores it, and the moment the version moves on every stored
+// entry is dead (checked lazily per entry — no publish-side hook, so the
+// writer never knows the cache exists).
 //
 // Correctness contract (tests/product_test.cc pins both):
 //   * cached answers are bitwise-equal to an uncached FastestRoute against
-//     the same snapshot — the cache may never change a route;
+//     the same snapshot — roads, travel_seconds and length_m, ties included;
+//     the cache may never change a route;
 //   * a stale snapshot can never produce an unflagged ETA: provenance
 //     (fresh | carried_forward | profile_blend) rides on every result.
 //
 // With a SpeedProfileStore attached, stale-snapshot queries are priced on
-// the profile-blended speed field instead of the raw carry-forward (the
-// blended field is rebuilt once per (version, staleness) and reused until
-// the version moves).
+// the profile-blended speed field instead of the raw carry-forward.
+//
+// Per-version pass. The first query against a new (version, staleness)
+// identity rebuilds the pricing field once: the speeds (raw, or the profile
+// blend), every road's travel seconds priced with FastestRoute's exact
+// expression `length_m / (v / 3.6)` (impassable roads, v <= 0 or NaN, cost
+// +inf), ρ = max over roads of pricing speed ÷ free-flow speed, floored at
+// 1, and the smallest finite road cost.
+//
+// Misses: landmark A* (ALT). At Create, 16 landmarks are picked
+// farthest-first on free-flow seconds, and the free-flow seconds from and
+// to each landmark are stored node-major (16 × 2 × num_nodes × 8 B, about
+// 2.5 MB for a 10,000-node city; building them is 32 free-flow Dijkstras
+// plus one to seed the choice, about 55 ms there). A query uses the 4
+// landmarks with the best bound at the source. No road is faster than ρ
+// times its free-flow speed in any servable field, so
+//   h(u) = max(0, landmark bound − slack) ÷ ρ × (1 − 1e-9)
+// never overestimates, and no snapshot needs per-version landmark work. The
+// slack bounds the rounding in the stored landmark seconds; the 1e-9
+// margin covers the rest.
+//
+// Tie rule. FastestRoute settles nodes in (g, node) order, keeps the first
+// predecessor that reached a node's final g, and of parallel roads the
+// first in OutRoads(u) order. The A* search settles a different set, so it
+// does not keep its own predecessors: the route is rebuilt from `to`
+// backwards, taking at each node w the settled in-neighbour u with
+// g(u) + cost == g(w) and the smallest (g(u), u, position in OutRoads(u)).
+// The g values add in the same order as Dijkstra's, so the result is bitwise
+// FastestRoute's. That settle order, and the margin above, hold while no
+// road cost is lost in the rounding of a g value; when the smallest road
+// cost is at most 1e-6 × the found travel time (zero-length roads, +inf
+// speeds), the query is answered by FastestRoute itself.
 
 #ifndef TRENDSPEED_PRODUCT_ROUTE_ETA_H_
 #define TRENDSPEED_PRODUCT_ROUTE_ETA_H_
@@ -66,8 +96,8 @@ class RouteEtaCache {
   /// Registers the trendspeed_product_eta_* series. Null detaches.
   void AttachMetrics(obs::MetricsRegistry* registry);
 
-  /// Answers a fastest-route ETA against `snap`. NotFound propagates from
-  /// FastestRoute (unreachable `to`); `from == to` is a defined degenerate
+  /// Answers a fastest-route ETA against `snap`. NotFound when `to` is
+  /// unreachable, as from FastestRoute; `from == to` is a defined degenerate
   /// query (empty route, zero seconds) and caches like any other. Results
   /// for an older snapshot version are discarded on sight, so a query can
   /// never be answered from a field the publisher has since replaced.
@@ -86,9 +116,16 @@ class RouteEtaCache {
     return static_cast<uint64_t>(from) * num_nodes_ + to;
   }
 
-  /// Drops every entry not stamped with `version` and rebuilds the pricing
-  /// field (raw fresh speeds, or the profile blend when stale).
+  /// Drops every entry not stamped with `version` and runs the per-version
+  /// pass: the pricing field (raw fresh speeds, or the profile blend when
+  /// stale), the per-road seconds, ρ and the smallest road cost.
   void SyncToSnapshot(const SpeedSnapshot& snap);
+
+  /// Picks the landmarks and stores their free-flow seconds (at Create).
+  void BuildLandmarks();
+
+  /// FastestRoute's answer on the pricing field, found by landmark A*.
+  Result<RouteResult> LandmarkRoute(NodeId from, NodeId to);
 
   struct Entry {
     EtaResult result;
@@ -104,6 +141,33 @@ class RouteEtaCache {
   uint32_t synced_stale_slots_ = 0;
   std::vector<double> pricing_speeds_;
   SpeedProvenance field_provenance_ = SpeedProvenance::kFresh;
+  std::vector<double> road_seconds_;  ///< per road; +inf when impassable
+  double rho_ = 1.0;                  ///< max pricing ÷ free-flow speed, ≥ 1
+  double min_road_seconds_ = 0.0;     ///< smallest finite road cost
+
+  /// Landmark free-flow seconds, node-major: [node * num_landmarks_ + l].
+  size_t num_landmarks_ = 0;
+  std::vector<double> from_landmark_;  ///< landmark l -> node
+  std::vector<double> to_landmark_;    ///< node -> landmark l
+  /// Upper bound on the rounding error of one landmark bound (seconds).
+  double landmark_slack_ = 0.0;
+
+  /// Per-query search state, valid for a node when its stamp equals
+  /// query_stamp_ (no O(num_nodes) reset per query).
+  struct NodeState {
+    double g = 0.0;
+    double h = 0.0;
+    uint32_t reached = 0;
+    uint32_t settled = 0;
+  };
+  struct HeapEntry {
+    double f;
+    double g;
+    NodeId node;
+  };
+  std::vector<NodeState> search_;
+  std::vector<HeapEntry> heap_;
+  uint32_t query_stamp_ = 0;
 
   std::unordered_map<uint64_t, Entry> entries_;
   Stats stats_;

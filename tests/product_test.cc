@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -219,39 +220,81 @@ TEST(RouteEtaCacheTest, CreateValidates) {
 
 // The load-bearing property: for any snapshot and any endpoints, the cached
 // answer (hit or miss) is bitwise identical to an uncached FastestRoute
-// against the same snapshot. The cache may never change a route.
+// against the same snapshot — ties included. The cache may never change a
+// route. The fields cover random speeds and the cases that stress the
+// landmark search's tie rule and bound: uniform speeds (every route ties),
+// free-flow speeds (three classes on the ring-radial city), three speed
+// levels, impassable roads, +inf speeds (zero-cost roads, ρ = inf) and NaN
+// speeds, on a grid, a dropout grid and a ring-radial network.
 TEST(RouteEtaCacheTest, PropertyCachedEqualsUncachedBitwise) {
-  RoadNetwork net = SmallGrid();
-  auto cache = RouteEtaCache::Create(net, TestOptions(), nullptr);
-  ASSERT_TRUE(cache.ok());
+  GridNetworkOptions dropout_grid;
+  dropout_grid.rows = 8;
+  dropout_grid.cols = 9;
+  dropout_grid.dropout = 0.3;
+  std::vector<RoadNetwork> nets;
+  nets.push_back(SmallGrid());
+  nets.push_back(MakeGridNetwork(dropout_grid).value());
+  nets.push_back(MakeRingRadialNetwork(RingRadialOptions{}).value());
+  const double kInf = std::numeric_limits<double>::infinity();
   Rng rng(20260808);
 
-  uint64_t version = 0;
-  for (int field = 0; field < 8; ++field) {
-    const uint32_t stale_slots = field % 3 == 2 ? 1 + field / 3 : 0;
-    SpeedSnapshot snap = MakeSnapshot(
-        /*slot=*/field, ++version, stale_slots, RandomSpeeds(net, &rng));
-    for (int q = 0; q < 40; ++q) {
-      NodeId from = static_cast<NodeId>(rng.NextIndex(net.num_nodes()));
-      NodeId to = static_cast<NodeId>(rng.NextIndex(net.num_nodes()));
-      auto cached = cache->Eta(snap, from, to);
-      auto direct = FastestRoute(net, snap, from, to);
-      ASSERT_EQ(cached.ok(), direct.ok())
-          << "field " << field << " query " << from << "->" << to;
-      if (!cached.ok()) continue;
-      EXPECT_EQ(cached->route.roads, direct->roads);
-      // Bitwise, not approximate: both sides priced the same field.
-      EXPECT_EQ(cached->route.travel_seconds, direct->travel_seconds);
-      EXPECT_EQ(cached->route.length_m, direct->length_m);
-      EXPECT_EQ(cached->route.stale, direct->stale);
-      EXPECT_EQ(cached->route.stale_slots, direct->stale_slots);
-      EXPECT_EQ(cached->route.slot, direct->slot);
-      EXPECT_EQ(cached->snapshot_version, snap.version);
+  for (size_t n = 0; n < nets.size(); ++n) {
+    const RoadNetwork& net = nets[n];
+    auto cache = RouteEtaCache::Create(net, TestOptions(), nullptr);
+    ASSERT_TRUE(cache.ok());
+    // Eight random fields (every third one stale), then the special ones.
+    std::vector<std::vector<double>> fields;
+    for (int f = 0; f < 8; ++f) fields.push_back(RandomSpeeds(net, &rng));
+    fields.emplace_back(net.num_roads(), 50.0);
+    std::vector<double>& free_flow = fields.emplace_back(net.num_roads());
+    for (RoadId r = 0; r < net.num_roads(); ++r) {
+      free_flow[r] = net.road(r).free_flow_kmh;
     }
+    std::vector<double>& levels = fields.emplace_back(net.num_roads());
+    for (double& v : levels) v = 20.0 + 25.0 * rng.NextIndex(3);
+    for (double special : {0.0, kInf, std::nan("")}) {
+      std::vector<double>& field = fields.emplace_back(RandomSpeeds(net, &rng));
+      for (double& v : field) {
+        if (rng.NextBool(0.15)) v = special;
+      }
+    }
+
+    uint64_t version = 0;
+    for (size_t field = 0; field < fields.size(); ++field) {
+      const uint32_t stale_slots =
+          field < 8 && field % 3 == 2 ? 1 + field / 3 : 0;
+      SpeedSnapshot snap = MakeSnapshot(/*slot=*/field, ++version,
+                                        stale_slots, fields[field]);
+      for (int q = 0; q < 40; ++q) {
+        NodeId from = static_cast<NodeId>(rng.NextIndex(net.num_nodes()));
+        NodeId to = static_cast<NodeId>(rng.NextIndex(net.num_nodes()));
+        auto direct = FastestRoute(net, snap, from, to);
+        // Every fourth query is asked twice; the second ask is a hit.
+        for (int ask = 0; ask < (q % 4 == 0 ? 2 : 1); ++ask) {
+          auto cached = cache->Eta(snap, from, to);
+          ASSERT_EQ(cached.ok(), direct.ok())
+              << "net " << n << " field " << field << " query " << from
+              << "->" << to;
+          if (!cached.ok()) continue;
+          if (ask == 1) {
+            EXPECT_TRUE(cached->cache_hit);
+          }
+          EXPECT_EQ(cached->route.roads, direct->roads)
+              << "net " << n << " field " << field << " query " << from
+              << "->" << to;
+          // Bitwise, not approximate: both sides priced the same field.
+          EXPECT_EQ(cached->route.travel_seconds, direct->travel_seconds);
+          EXPECT_EQ(cached->route.length_m, direct->length_m);
+          EXPECT_EQ(cached->route.stale, direct->stale);
+          EXPECT_EQ(cached->route.stale_slots, direct->stale_slots);
+          EXPECT_EQ(cached->route.slot, direct->slot);
+          EXPECT_EQ(cached->snapshot_version, snap.version);
+        }
+      }
+    }
+    EXPECT_GT(cache->stats().hits, 0u);
+    EXPECT_GT(cache->stats().misses, 0u);
   }
-  // With 40 queries over 16 nodes per field, repeats are guaranteed.
-  EXPECT_GT(cache->stats().hits, 0u);
-  EXPECT_GT(cache->stats().misses, 0u);
 }
 
 TEST(RouteEtaCacheTest, HitsAreServedFromCacheAndInvalidatedByVersion) {
