@@ -1,31 +1,15 @@
-// Ingest front-end throughput bench, emitted as JSON on stdout (saved as
+// Ingest queue throughput bench, emitted as JSON on stdout (saved as
 // BENCH_ingest_throughput.json).
 //
-// Four measurement groups:
-//
-//   * queue    — raw MpscBoundedQueue push+pop throughput, single producer
-//                and multi-producer (the lock-free floor everything else
-//                sits on).
-//   * serving  — the full front-end loop over a trained tiny-city
-//                estimator: Offer per observation, Flush per slot, seqlock
-//                snapshot publishing on, a concurrent reader hammering
-//                Read. Reports observations/sec admitted end to end plus
-//                p99 ingest latency (trendspeed_serving_ingest_latency_ms)
-//                and p99 snapshot read latency
-//                (trendspeed_snapshot_read_latency_us), both read from the
-//                session's own histograms rather than re-instrumented.
-//   * wire     — obs_wire encode/decode throughput for the 8-byte binary
-//                observation records.
-//
-// Percentiles come from histogram buckets, so they are upper bounds at
-// bucket resolution — the same resolution an operator gets from the scrape.
+// Measures raw MpscBoundedQueue push+pop throughput, single producer and
+// multi-producer: the lock-free floor the ingest front-end sits on. The
+// full front-end loop (offer, flush, snapshot reads and retries) is
+// measured end to end by perfbench's crowd_burst workload.
 //
 // Flags:
 //   --smoke   tiny instance, used by the `perf`-labelled CTest smoke entry.
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -33,12 +17,6 @@
 
 #include "bench_hardware.h"
 #include "core/ingest.h"
-#include "core/serving.h"
-#include "core/snapshot.h"
-#include "io/dataset.h"
-#include "io/obs_wire.h"
-#include "obs/catalog.h"
-#include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/mpsc_queue.h"
 #include "util/timer.h"
@@ -49,26 +27,7 @@ namespace {
 struct ThroughputConfig {
   size_t queue_items = 2'000'000;
   size_t queue_capacity = 4096;
-  size_t serving_slots = 300;
-  size_t wire_batches = 2000;
-  size_t wire_obs_per_batch = 256;
 };
-
-/// Smallest bucket upper bound covering the q-quantile; falls back to the
-/// last finite bound for the +Inf bucket. NaN when the histogram is empty.
-double HistogramPercentile(const obs::Histogram& h, double q) {
-  uint64_t total = 0;
-  for (size_t i = 0; i <= h.num_buckets(); ++i) total += h.bucket_count(i);
-  if (total == 0) return std::nan("");
-  const uint64_t target =
-      static_cast<uint64_t>(std::ceil(q * static_cast<double>(total)));
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < h.num_buckets(); ++i) {
-    cumulative += h.bucket_count(i);
-    if (cumulative >= target) return h.bound(i);
-  }
-  return h.bound(h.num_buckets() - 1);  // landed in +Inf
-}
 
 double QueueMopsSingleProducer(const ThroughputConfig& cfg) {
   MpscBoundedQueue<QueuedObservation> q(cfg.queue_capacity);
@@ -122,7 +81,6 @@ int Run(const ThroughputConfig& cfg) {
   std::printf("  \"bench\": \"ingest_throughput\",\n");
   PrintHardwareStamp();
 
-  // --- raw queue ----------------------------------------------------------
   const int producers =
       std::max(1, std::min(4, static_cast<int>(BenchUsableCpus())));
   double spsc_mops = QueueMopsSingleProducer(cfg);
@@ -133,124 +91,6 @@ int Run(const ThroughputConfig& cfg) {
   std::printf("    \"spsc_mops\": %.2f,\n", spsc_mops);
   std::printf("    \"mpsc_producers\": %d,\n", producers);
   std::printf("    \"mpsc_mops\": %.2f\n", mpsc_mops);
-  std::printf("  },\n");
-
-  // --- serving front-end end to end ---------------------------------------
-  auto ds = BuildTinyCity();
-  TS_CHECK(ds.ok()) << ds.status().ToString();
-  PipelineConfig config;
-  config.corr.min_co_observed = 8;
-  auto est = TrafficSpeedEstimator::Train(&ds->net, &ds->history, config);
-  TS_CHECK(est.ok()) << est.status().ToString();
-  auto seeds = est->SelectSeeds(6, SeedStrategy::kLazyGreedy);
-  TS_CHECK(seeds.ok());
-
-  obs::MetricsRegistry reg;
-  ServingOptions opts;
-  opts.observability.metrics = &reg;
-  opts.publish_snapshots = true;
-  opts.ingest_queue.capacity = cfg.queue_capacity;
-  auto session = ServingSession::Create(&est.value(), opts);
-  TS_CHECK(session.ok());
-  auto fe = IngestFrontEnd::Create(&session.value());
-  TS_CHECK(fe.ok()) << fe.status().ToString();
-
-  std::atomic<bool> serving_done{false};
-  std::atomic<uint64_t> snapshot_reads{0};
-  std::thread reader([&] {
-    const SpeedSnapshotPublisher* pub = session->snapshot_publisher();
-    SpeedSnapshot snap;
-    // One extra pass after `serving_done`: on a single-CPU host the serving
-    // loop can finish before this thread is first scheduled, and the stamp
-    // must still report at least one measured read.
-    bool last_pass = false;
-    while (!last_pass) {
-      last_pass = serving_done.load(std::memory_order_acquire);
-      if (pub->Read(&snap)) {
-        snapshot_reads.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  });
-
-  size_t offered = 0;
-  WallTimer timer;
-  for (size_t slot = 0; slot < cfg.serving_slots; ++slot) {
-    for (RoadId r : seeds->seeds) {
-      double v =
-          std::max(1.0, ds->truth.at(slot % ds->num_slots(), r));
-      while (!(*fe)->Offer(slot, SeedSpeed{r, v})) {
-        (*fe)->Drain();
-      }
-      ++offered;
-    }
-    auto report = (*fe)->Flush();
-    TS_CHECK(report.ok()) << report.status().ToString();
-  }
-  double serving_secs = timer.ElapsedSeconds();
-  serving_done.store(true, std::memory_order_release);
-  reader.join();
-
-  obs::Histogram* ingest_ms = reg.GetHistogram(obs::kServingIngestLatencyMs);
-  obs::Histogram* read_us = reg.GetHistogram(obs::kSnapshotReadLatencyUs);
-  IngestStats ist = (*fe)->stats();
-  TS_CHECK_EQ(ist.enqueued, static_cast<uint64_t>(offered));
-  TS_CHECK_EQ(ist.flushed_slots, static_cast<uint64_t>(cfg.serving_slots));
-  std::printf("  \"serving\": {\n");
-  std::printf("    \"slots\": %zu,\n", cfg.serving_slots);
-  std::printf("    \"obs_per_slot\": %zu,\n", seeds->seeds.size());
-  std::printf("    \"obs_per_sec\": %.0f,\n",
-              static_cast<double>(offered) / serving_secs);
-  std::printf("    \"slots_per_sec\": %.1f,\n",
-              static_cast<double>(cfg.serving_slots) / serving_secs);
-  // Empty histograms yield NaN; spell it as a quoted string so the file
-  // stays parseable JSON (same convention as the obs JSON exporter).
-  auto print_json_num = [](const char* key, double v) {
-    if (std::isfinite(v)) {
-      std::printf("    \"%s\": %.3f,\n", key, v);
-    } else {
-      std::printf("    \"%s\": \"NaN\",\n", key);
-    }
-  };
-  print_json_num("p50_ingest_ms", HistogramPercentile(*ingest_ms, 0.50));
-  print_json_num("p99_ingest_ms", HistogramPercentile(*ingest_ms, 0.99));
-  std::printf("    \"snapshot_reads\": %llu,\n",
-              static_cast<unsigned long long>(snapshot_reads.load()));
-  print_json_num("p99_snapshot_read_us", HistogramPercentile(*read_us, 0.99));
-  std::printf("    \"snapshot_read_retries\": %llu\n",
-              static_cast<unsigned long long>(
-                  reg.GetCounter(obs::kSnapshotReadRetriesTotal)->Value()));
-  std::printf("  },\n");
-
-  // --- binary wire format -------------------------------------------------
-  std::vector<ObservationBatch> log;
-  log.reserve(cfg.wire_batches);
-  for (size_t b = 0; b < cfg.wire_batches; ++b) {
-    ObservationBatch batch;
-    batch.slot = b;
-    batch.observations.reserve(cfg.wire_obs_per_batch);
-    for (size_t i = 0; i < cfg.wire_obs_per_batch; ++i) {
-      batch.observations.push_back(
-          SeedSpeed{static_cast<RoadId>(i), 30.0 + (i % 70)});
-    }
-    log.push_back(std::move(batch));
-  }
-  const size_t wire_obs = cfg.wire_batches * cfg.wire_obs_per_batch;
-  timer.Restart();
-  std::string bytes = EncodeObservationLog(log);
-  double encode_secs = timer.ElapsedSeconds();
-  timer.Restart();
-  auto decoded = DecodeObservationLog(bytes);
-  double decode_secs = timer.ElapsedSeconds();
-  TS_CHECK(decoded.ok());
-  TS_CHECK_EQ(decoded->size(), cfg.wire_batches);
-  std::printf("  \"wire\": {\n");
-  std::printf("    \"batches\": %zu,\n", cfg.wire_batches);
-  std::printf("    \"observations\": %zu,\n", wire_obs);
-  std::printf("    \"bytes\": %zu,\n", bytes.size());
-  std::printf("    \"encode_mobs_per_sec\": %.2f,\n",
-              static_cast<double>(wire_obs) / encode_secs / 1e6);
-  std::printf("    \"decode_mobs_per_sec\": %.2f\n",
-              static_cast<double>(wire_obs) / decode_secs / 1e6);
   std::printf("  }\n}\n");
   return 0;
 }
@@ -264,9 +104,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       cfg.queue_items = 100'000;
       cfg.queue_capacity = 256;
-      cfg.serving_slots = 10;
-      cfg.wire_batches = 50;
-      cfg.wire_obs_per_batch = 64;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;

@@ -28,7 +28,7 @@ struct CampaignOptions {
 /// Runs the per-slot collection loop against a worker pool.
 class CrowdCampaign {
  public:
-  /// The pool must outlive the campaign.
+  /// The pool must be non-null and outlive the campaign.
   CrowdCampaign(const WorkerPool* pool, const CampaignOptions& opts);
 
   /// Collects answers for `seed_roads` whose true speeds are given by
@@ -36,13 +36,6 @@ class CrowdCampaign {
   /// observations.
   Result<std::vector<SeedSpeed>> Collect(
       const std::vector<RoadId>& seed_roads,
-      const std::vector<double>& true_speeds);
-
-  /// Same, with an explicit per-seed answer count (see crowd/allocation.h)
-  /// instead of the uniform workers_per_seed.
-  Result<std::vector<SeedSpeed>> CollectAllocated(
-      const std::vector<RoadId>& seed_roads,
-      const std::vector<uint32_t>& answers_per_seed,
       const std::vector<double>& true_speeds);
 
   /// Total worker answers purchased so far.

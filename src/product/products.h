@@ -10,8 +10,8 @@
 //
 // Single-reader contract per CityProducts instance: Poll/Eta mutate the
 // profile and cache, so one instance serves one reader thread. Many reader
-// threads = many CityProducts over the same publisher (profiles can be
-// Merge()d later); the shared surface is only the seqlock.
+// threads = many CityProducts over the same publisher; the shared surface
+// is only the seqlock.
 
 #ifndef TRENDSPEED_PRODUCT_PRODUCTS_H_
 #define TRENDSPEED_PRODUCT_PRODUCTS_H_

@@ -1,19 +1,10 @@
 #include "product/profile.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/catalog.h"
-#include "util/binary_io.h"
 
 namespace trendspeed {
-
-namespace {
-
-constexpr char kProfileTag[4] = {'T', 'S', 'P', 'F'};
-constexpr uint32_t kProfileWireVersion = 1;
-
-}  // namespace
 
 const char* SpeedProvenanceName(SpeedProvenance p) {
   switch (p) {
@@ -130,93 +121,6 @@ SpeedProvenance SpeedProfileStore::BlendSnapshot(const SpeedSnapshot& snap,
   }
   if (blended_roads != nullptr) *blended_roads = blended;
   return weakest;
-}
-
-Status SpeedProfileStore::Merge(const SpeedProfileStore& other) {
-  if (other.num_roads_ != num_roads_ ||
-      other.slots_per_day_ != slots_per_day_ ||
-      other.buckets_per_day_ != buckets_per_day_) {
-    return Status::InvalidArgument(
-        "profile stores have different shapes; refusing to merge");
-  }
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    const Cell& o = other.cells_[i];
-    if (o.count == 0) continue;
-    Cell& c = cells_[i];
-    const uint64_t total = c.count + o.count;
-    c.mean_kmh = (c.mean_kmh * static_cast<double>(c.count) +
-                  o.mean_kmh * static_cast<double>(o.count)) /
-                 static_cast<double>(total);
-    c.count = total;
-  }
-  folds_ += other.folds_;
-  stale_skips_ += other.stale_skips_;
-  last_version_ = std::max(last_version_, other.last_version_);
-  return Status::OK();
-}
-
-std::string EncodeSpeedProfile(const SpeedProfileStore& store) {
-  BinaryWriter w;
-  w.PutTag(kProfileTag, kProfileWireVersion);
-  w.PutU64(store.num_roads_);
-  w.PutU32(store.slots_per_day_);
-  w.PutU32(store.buckets_per_day_);
-  w.PutU64(store.last_version_);
-  w.PutU64(store.folds_);
-  w.PutU64(store.stale_skips_);
-  for (const SpeedProfileStore::Cell& c : store.cells_) {
-    w.PutU64(c.count);
-    w.PutF64(c.mean_kmh);
-  }
-  return w.buffer();
-}
-
-Result<SpeedProfileStore> DecodeSpeedProfile(const std::string& bytes,
-                                             const ProductOptions& opts) {
-  BinaryReader r(bytes);
-  TS_ASSIGN_OR_RETURN(uint32_t version, r.ExpectTag(kProfileTag));
-  if (version != kProfileWireVersion) {
-    return Status::InvalidArgument("unsupported profile wire version " +
-                                   std::to_string(version));
-  }
-  TS_ASSIGN_OR_RETURN(uint64_t num_roads, r.GetU64());
-  TS_ASSIGN_OR_RETURN(uint32_t slots_per_day, r.GetU32());
-  TS_ASSIGN_OR_RETURN(uint32_t buckets_per_day, r.GetU32());
-  if (buckets_per_day != opts.profile_buckets_per_day) {
-    return Status::InvalidArgument(
-        "profile file has " + std::to_string(buckets_per_day) +
-        " buckets/day but options ask for " +
-        std::to_string(opts.profile_buckets_per_day));
-  }
-  // 16 bytes per cell (after a 24-byte fold-state header); a road count
-  // beyond the remaining bytes is truncation/corruption, caught before the
-  // allocation it would size.
-  if (num_roads == 0 || slots_per_day == 0 || buckets_per_day == 0 ||
-      r.remaining() < 24 ||
-      num_roads > (r.remaining() - 24) / (16ull * buckets_per_day)) {
-    return Status::InvalidArgument("profile file truncated or corrupt");
-  }
-  TS_ASSIGN_OR_RETURN(
-      SpeedProfileStore store,
-      SpeedProfileStore::Create(num_roads, slots_per_day, opts));
-  TS_ASSIGN_OR_RETURN(store.last_version_, r.GetU64());
-  TS_ASSIGN_OR_RETURN(store.folds_, r.GetU64());
-  TS_ASSIGN_OR_RETURN(store.stale_skips_, r.GetU64());
-  for (SpeedProfileStore::Cell& c : store.cells_) {
-    TS_ASSIGN_OR_RETURN(c.count, r.GetU64());
-    TS_ASSIGN_OR_RETURN(c.mean_kmh, r.GetF64());
-    if (!std::isfinite(c.mean_kmh)) {
-      return Status::InvalidArgument("non-finite profile mean on the wire");
-    }
-    if (c.count == 0 && c.mean_kmh != 0.0) {
-      return Status::InvalidArgument(
-          "profile cell claims a mean with zero samples");
-    }
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after profile");
-  }
-  return store;
 }
 
 }  // namespace trendspeed

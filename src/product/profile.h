@@ -4,16 +4,8 @@
 // "Street-level Travel-time Estimation via Aggregated Uber Data" (PAPERS.md)
 // motivates the product shape: for each (road, time-of-day bucket) keep a
 // cheap (count, mean) cell that any number of published snapshots fold into.
-// The cells are:
-//
-//   * incremental — Fold() is O(num_roads) per snapshot, one running-mean
-//     update per road, no history kept;
-//   * mergeable — Merge() combines two stores cell by cell with
-//     count-weighted means, so per-reader (or per-process) stores can be
-//     aggregated into one city profile;
-//   * exportable — Encode/DecodeSpeedProfile round-trip the store through
-//     the io layer's framed-binary discipline (util/binary_io.h), so a
-//     profile survives process restarts and ships between tiers.
+// Fold() is O(num_roads) per snapshot, one running-mean update per road, no
+// history kept.
 //
 // Only *fresh* snapshots fold: a carried-forward field re-states the last
 // estimate, and folding it again would weight stale slots as if they were
@@ -29,7 +21,6 @@
 #define TRENDSPEED_PRODUCT_PROFILE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/serving.h"
@@ -97,10 +88,6 @@ class SpeedProfileStore {
                                 std::vector<double>* speeds,
                                 size_t* blended_roads = nullptr) const;
 
-  /// Count-weighted cell-by-cell merge; fails unless the stores share
-  /// num_roads, slots_per_day, and buckets_per_day.
-  Status Merge(const SpeedProfileStore& other);
-
   uint32_t BucketOf(uint64_t slot) const {
     return static_cast<uint32_t>(
         (slot % slots_per_day_) * buckets_per_day_ / slots_per_day_);
@@ -135,21 +122,7 @@ class SpeedProfileStore {
 
   obs::Counter* m_folds_ = nullptr;
   obs::Counter* m_stale_skips_ = nullptr;
-
-  friend std::string EncodeSpeedProfile(const SpeedProfileStore& store);
-  friend Result<SpeedProfileStore> DecodeSpeedProfile(
-      const std::string& bytes, const ProductOptions& opts);
 };
-
-/// Framed binary export ("TSPF" v1, io-layer discipline): dimensions plus
-/// every (count, mean) cell. encode(decode(bytes)) is byte-exact.
-std::string EncodeSpeedProfile(const SpeedProfileStore& store);
-
-/// Strict load: bad tags, truncation, dimension nonsense, non-finite means,
-/// and trailing garbage fail with Status. Query knobs (min_samples, blend
-/// ramp) come from `opts`, not the file — they are policy, not data.
-Result<SpeedProfileStore> DecodeSpeedProfile(const std::string& bytes,
-                                             const ProductOptions& opts);
 
 }  // namespace trendspeed
 

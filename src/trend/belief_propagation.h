@@ -22,13 +22,14 @@ enum class BpKernel {
   /// made before kAuto became the default.
   kScalar,
   /// The vectorized structure-of-arrays kernel (trend/bp_kernel.h):
-  /// single-precision lockstep batches, AVX2/NEON via util/simd.h with a
-  /// portable fallback. Marginals agree with kScalar within a small
+  /// single-precision lockstep batches, AVX2 + FMA via util/simd.h on
+  /// x86-64. Marginals agree with kScalar within a small
   /// multiple of tol but are NOT bitwise equal: the kernel reassociates
   /// the incoming-message products (prefix/suffix cavities), contracts in
   /// float, and max-reduces residuals per lane. Falls back to kScalar at
-  /// runtime when the CPU cannot run the kernel
-  /// (trendspeed_bp_kernel_simd_fallbacks_total counts those). The default.
+  /// runtime when the CPU cannot run the kernel — no AVX2 + FMA, or not
+  /// x86-64 (trendspeed_bp_kernel_simd_fallbacks_total counts those). The
+  /// default.
   kAuto,
 };
 

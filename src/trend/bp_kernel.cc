@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <string_view>
 
 #include "util/logging.h"
 
@@ -158,19 +157,6 @@ BpGraphSoa BpGraphSoa::Build(const BpGraph& g) {
     }
   }
   return s;
-}
-
-bool BpSimdKernelAvailable() {
-  static const bool available = [] {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-    if (std::string_view(BpSimdArchName()) == "avx2") {
-      return static_cast<bool>(__builtin_cpu_supports("avx2")) &&
-             static_cast<bool>(__builtin_cpu_supports("fma"));
-    }
-#endif
-    return true;  // NEON and the generic batch are baseline-executable
-  }();
-  return available;
 }
 
 }  // namespace trendspeed

@@ -62,10 +62,7 @@ namespace trendspeed {
 inline constexpr size_t kMinParallelVars = 4096;
 
 struct BpGraphSoa {
-  /// Lanes per lockstep batch. Fixed at 8 across architectures (AVX2 and
-  /// the generic fallback use one 8-wide batch, NEON a pair of 4-wide
-  /// halves) so the layout — and therefore the arithmetic and its rounding
-  /// — does not depend on the host ISA.
+  /// Lanes per lockstep batch: one AVX2 F32x8 (util/simd.h).
   static constexpr uint32_t kLanes = 8;
   /// Variables above this degree spill to the scalar list: the kernel's
   /// per-batch scratch is sized by the largest batched degree, and a
@@ -149,14 +146,14 @@ struct BpSimdRun {
   std::vector<double>* sweep_residuals = nullptr;
 };
 
-/// True when the running CPU can execute the kernel: on x86-64 the AVX2
-/// variant requires __builtin_cpu_supports("avx2") and ("fma") at
-/// runtime; the NEON and generic variants are always executable. Resolved
-/// once and cached.
+/// True when the running CPU can execute the kernel: on x86-64,
+/// __builtin_cpu_supports("avx2") and ("fma") at runtime, resolved once and
+/// cached; false on every other architecture, where the kernel is not
+/// compiled.
 bool BpSimdKernelAvailable();
 
-/// The ISA variant compiled into this binary: "avx2", "neon", or
-/// "generic". Hardware-stamped into bench JSONs.
+/// The kernel's ISA: "avx2" on x86-64, "none" elsewhere. Hardware-stamped
+/// into bench JSONs.
 const char* BpSimdArchName();
 
 /// Executes the vectorized sweep schedule. Precondition:

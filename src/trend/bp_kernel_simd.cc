@@ -35,7 +35,8 @@
 // ISA safety: every function that touches F32x8 carries TS_SIMD_TARGET
 // (see util/simd.h); this TU is compiled WITHOUT -mavx2 so all remaining
 // code is baseline-ISA, and the kernel only runs behind the
-// BpSimdKernelAvailable() runtime check.
+// BpSimdKernelAvailable() runtime check. Off x86-64 the TU is a stub whose
+// BpSimdKernelAvailable() is false.
 
 #include <algorithm>
 #include <atomic>
@@ -51,6 +52,8 @@
 #include "util/thread_pool.h"
 
 namespace trendspeed {
+
+#if TS_SIMD_ARCH_AVX2
 
 namespace {
 
@@ -365,7 +368,14 @@ RunScratch& CallerScratch() {
 
 }  // namespace
 
-const char* BpSimdArchName() { return simd::kArchName; }
+bool BpSimdKernelAvailable() {
+  static const bool available =
+      static_cast<bool>(__builtin_cpu_supports("avx2")) &&
+      static_cast<bool>(__builtin_cpu_supports("fma"));
+  return available;
+}
+
+const char* BpSimdArchName() { return "avx2"; }
 
 void RunBpSweepsSimd(const BpSimdRun& run) {
   TS_CHECK(run.soa != nullptr);
@@ -499,5 +509,17 @@ void RunBpSweepsSimd(const BpSimdRun& run) {
         [&](size_t, size_t begin, size_t end) { beliefs(begin, end); });
   }
 }
+
+#else  // no SIMD kernel off x86-64: kAuto runs the scalar oracle
+
+bool BpSimdKernelAvailable() { return false; }
+
+const char* BpSimdArchName() { return "none"; }
+
+void RunBpSweepsSimd(const BpSimdRun&) {
+  TS_CHECK(false) << "no SIMD BP kernel on this architecture";
+}
+
+#endif  // TS_SIMD_ARCH_AVX2
 
 }  // namespace trendspeed

@@ -1,22 +1,20 @@
-// Portable 8-lane single-precision SIMD wrapper.
+// 8-lane single-precision SIMD wrapper over AVX2 + FMA.
 //
-// One fixed batch shape — F32x8, eight floats — with three implementations
-// selected at compile time of the *including translation unit*:
+// One fixed batch shape — F32x8, eight floats — compiled only on x86-64
+// with GCC/Clang (TS_SIMD_ARCH_AVX2); elsewhere this header defines
+// nothing, and trend/bp_kernel_simd.cc compiles to a stub whose
+// BpSimdKernelAvailable() is false, so BpKernel::kAuto runs the scalar
+// oracle.
 //
-//   * x86-64 + GCC/Clang: AVX2 + FMA intrinsics. Every wrapper function
-//     carries __attribute__((target("avx2,fma"))), so AVX2 instructions are
-//     emitted only inside functions that explicitly opted in via
-//     TS_SIMD_INLINE — the surrounding TU (and every header-inline it
-//     instantiates) stays baseline-ISA. That is what makes runtime dispatch
-//     safe: no -mavx2 compile flag ever leaks AVX2 code into a symbol the
-//     linker might pick for a non-AVX2 host (the classic fat-TU ODR trap).
-//     Callers must themselves be TS_SIMD_INLINE/TS_SIMD_TARGET functions and
-//     must only run after a runtime __builtin_cpu_supports("avx2") check
-//     (see trend/bp_kernel.h BpSimdKernelAvailable).
-//   * aarch64: NEON (baseline ISA there — no attribute, no dispatch needed),
-//     as a pair of float32x4_t.
-//   * anything else: a plain float[8] struct with scalar loops; correct
-//     everywhere, and simple enough that optimizers commonly vectorize it.
+// Every wrapper function carries __attribute__((target("avx2,fma"))), so
+// AVX2 instructions are emitted only inside functions that explicitly opted
+// in via TS_SIMD_INLINE — the surrounding TU (and every header-inline it
+// instantiates) stays baseline-ISA. That is what makes runtime dispatch
+// safe: no -mavx2 compile flag ever leaks AVX2 code into a symbol the linker
+// might pick for a non-AVX2 host (the classic fat-TU ODR trap). Callers must
+// themselves be TS_SIMD_INLINE/TS_SIMD_TARGET functions and must only run
+// after a runtime __builtin_cpu_supports("avx2") check (see
+// trend/bp_kernel.h BpSimdKernelAvailable).
 //
 // The wrapper deliberately exposes only what the BP kernel needs: aligned
 // load/store, broadcast, +-*/ and FMA, min/max/abs, a gather, a >-mask with
@@ -29,38 +27,21 @@
 #ifndef TRENDSPEED_UTIL_SIMD_H_
 #define TRENDSPEED_UTIL_SIMD_H_
 
-#include <bit>
-#include <cstdint>
-
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define TS_SIMD_ARCH_AVX2 1
-#include <immintrin.h>
-#elif defined(__aarch64__)
-#define TS_SIMD_ARCH_NEON 1
-#include <arm_neon.h>
-#else
-#define TS_SIMD_ARCH_GENERIC 1
-#endif
 
-#if TS_SIMD_ARCH_AVX2
+#include <immintrin.h>
+
+#include <cstdint>
+
 // Functions containing AVX2/FMA intrinsics (and everything inlined into
 // them) must carry this attribute; always_inline turns a missed inline into
 // a compile error instead of a silent baseline-ISA call into AVX2 code.
 #define TS_SIMD_TARGET __attribute__((target("avx2,fma")))
 #define TS_SIMD_INLINE TS_SIMD_TARGET __attribute__((always_inline)) inline
-#else
-#define TS_SIMD_TARGET
-#define TS_SIMD_INLINE inline
-#endif
 
 namespace trendspeed {
 namespace simd {
-
-inline constexpr int kLanes = 8;
-
-#if TS_SIMD_ARCH_AVX2
-
-inline constexpr const char* kArchName = "avx2";
 
 using F32x8 = __m256;
 
@@ -109,175 +90,9 @@ TS_SIMD_INLINE float HorizontalMax(F32x8 v) {
   return _mm_cvtss_f32(m);
 }
 
-#elif TS_SIMD_ARCH_NEON
-
-inline constexpr const char* kArchName = "neon";
-
-struct F32x8 {
-  float32x4_t lo, hi;
-};
-
-TS_SIMD_INLINE F32x8 Load(const float* p) {
-  return {vld1q_f32(p), vld1q_f32(p + 4)};
-}
-TS_SIMD_INLINE void Store(float* p, F32x8 v) {
-  vst1q_f32(p, v.lo);
-  vst1q_f32(p + 4, v.hi);
-}
-TS_SIMD_INLINE F32x8 Broadcast(float x) {
-  return {vdupq_n_f32(x), vdupq_n_f32(x)};
-}
-TS_SIMD_INLINE F32x8 Zero() { return Broadcast(0.0f); }
-TS_SIMD_INLINE F32x8 Gather(const float* base, const uint32_t* idx) {
-  float tmp[8];
-  for (int i = 0; i < 8; ++i) tmp[i] = base[idx[i]];
-  return {vld1q_f32(tmp), vld1q_f32(tmp + 4)};
-}
-TS_SIMD_INLINE F32x8 Add(F32x8 a, F32x8 b) {
-  return {vaddq_f32(a.lo, b.lo), vaddq_f32(a.hi, b.hi)};
-}
-TS_SIMD_INLINE F32x8 Sub(F32x8 a, F32x8 b) {
-  return {vsubq_f32(a.lo, b.lo), vsubq_f32(a.hi, b.hi)};
-}
-TS_SIMD_INLINE F32x8 Mul(F32x8 a, F32x8 b) {
-  return {vmulq_f32(a.lo, b.lo), vmulq_f32(a.hi, b.hi)};
-}
-TS_SIMD_INLINE F32x8 Div(F32x8 a, F32x8 b) {
-  return {vdivq_f32(a.lo, b.lo), vdivq_f32(a.hi, b.hi)};
-}
-TS_SIMD_INLINE F32x8 Fma(F32x8 a, F32x8 b, F32x8 c) {
-  return {vfmaq_f32(c.lo, a.lo, b.lo), vfmaq_f32(c.hi, a.hi, b.hi)};
-}
-TS_SIMD_INLINE F32x8 Min(F32x8 a, F32x8 b) {
-  return {vminq_f32(a.lo, b.lo), vminq_f32(a.hi, b.hi)};
-}
-TS_SIMD_INLINE F32x8 Max(F32x8 a, F32x8 b) {
-  return {vmaxq_f32(a.lo, b.lo), vmaxq_f32(a.hi, b.hi)};
-}
-TS_SIMD_INLINE F32x8 Abs(F32x8 v) {
-  return {vabsq_f32(v.lo), vabsq_f32(v.hi)};
-}
-TS_SIMD_INLINE F32x8 CmpGt(F32x8 a, F32x8 b) {
-  return {vreinterpretq_f32_u32(vcgtq_f32(a.lo, b.lo)),
-          vreinterpretq_f32_u32(vcgtq_f32(a.hi, b.hi))};
-}
-TS_SIMD_INLINE F32x8 Blend(F32x8 mask, F32x8 a, F32x8 b) {
-  return {vbslq_f32(vreinterpretq_u32_f32(mask.lo), a.lo, b.lo),
-          vbslq_f32(vreinterpretq_u32_f32(mask.hi), a.hi, b.hi)};
-}
-TS_SIMD_INLINE bool AnyLt(F32x8 v, float bound) {
-  float32x4_t b = vdupq_n_f32(bound);
-  uint32x4_t m = vorrq_u32(vcltq_f32(v.lo, b), vcltq_f32(v.hi, b));
-  return vmaxvq_u32(m) != 0;
-}
-TS_SIMD_INLINE float HorizontalMax(F32x8 v) {
-  return vmaxvq_f32(vmaxq_f32(v.lo, v.hi));
-}
-
-#else  // generic fallback
-
-inline constexpr const char* kArchName = "generic";
-
-struct F32x8 {
-  float v[8];
-};
-
-TS_SIMD_INLINE F32x8 Load(const float* p) {
-  F32x8 r;
-  for (int i = 0; i < 8; ++i) r.v[i] = p[i];
-  return r;
-}
-TS_SIMD_INLINE void Store(float* p, F32x8 a) {
-  for (int i = 0; i < 8; ++i) p[i] = a.v[i];
-}
-TS_SIMD_INLINE F32x8 Broadcast(float x) {
-  F32x8 r;
-  for (int i = 0; i < 8; ++i) r.v[i] = x;
-  return r;
-}
-TS_SIMD_INLINE F32x8 Zero() { return Broadcast(0.0f); }
-TS_SIMD_INLINE F32x8 Gather(const float* base, const uint32_t* idx) {
-  F32x8 r;
-  for (int i = 0; i < 8; ++i) r.v[i] = base[idx[i]];
-  return r;
-}
-TS_SIMD_INLINE F32x8 Add(F32x8 a, F32x8 b) {
-  F32x8 r;
-  for (int i = 0; i < 8; ++i) r.v[i] = a.v[i] + b.v[i];
-  return r;
-}
-TS_SIMD_INLINE F32x8 Sub(F32x8 a, F32x8 b) {
-  F32x8 r;
-  for (int i = 0; i < 8; ++i) r.v[i] = a.v[i] - b.v[i];
-  return r;
-}
-TS_SIMD_INLINE F32x8 Mul(F32x8 a, F32x8 b) {
-  F32x8 r;
-  for (int i = 0; i < 8; ++i) r.v[i] = a.v[i] * b.v[i];
-  return r;
-}
-TS_SIMD_INLINE F32x8 Div(F32x8 a, F32x8 b) {
-  F32x8 r;
-  for (int i = 0; i < 8; ++i) r.v[i] = a.v[i] / b.v[i];
-  return r;
-}
-TS_SIMD_INLINE F32x8 Fma(F32x8 a, F32x8 b, F32x8 c) {
-  F32x8 r;
-  for (int i = 0; i < 8; ++i) r.v[i] = a.v[i] * b.v[i] + c.v[i];
-  return r;
-}
-TS_SIMD_INLINE F32x8 Min(F32x8 a, F32x8 b) {
-  F32x8 r;
-  for (int i = 0; i < 8; ++i) r.v[i] = a.v[i] < b.v[i] ? a.v[i] : b.v[i];
-  return r;
-}
-TS_SIMD_INLINE F32x8 Max(F32x8 a, F32x8 b) {
-  F32x8 r;
-  for (int i = 0; i < 8; ++i) r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
-  return r;
-}
-TS_SIMD_INLINE F32x8 Abs(F32x8 a) {
-  F32x8 r;
-  for (int i = 0; i < 8; ++i) r.v[i] = a.v[i] < 0.0f ? -a.v[i] : a.v[i];
-  return r;
-}
-namespace detail {
-TS_SIMD_INLINE float MaskBits(bool set) {
-  return std::bit_cast<float>(set ? 0xffffffffu : 0u);
-}
-TS_SIMD_INLINE bool MaskSet(float lane) {
-  return std::bit_cast<uint32_t>(lane) != 0u;
-}
-}  // namespace detail
-TS_SIMD_INLINE F32x8 CmpGt(F32x8 a, F32x8 b) {
-  F32x8 r;
-  for (int i = 0; i < 8; ++i) r.v[i] = detail::MaskBits(a.v[i] > b.v[i]);
-  return r;
-}
-TS_SIMD_INLINE F32x8 Blend(F32x8 mask, F32x8 a, F32x8 b) {
-  F32x8 r;
-  for (int i = 0; i < 8; ++i) {
-    r.v[i] = detail::MaskSet(mask.v[i]) ? a.v[i] : b.v[i];
-  }
-  return r;
-}
-TS_SIMD_INLINE bool AnyLt(F32x8 a, float bound) {
-  for (int i = 0; i < 8; ++i) {
-    if (a.v[i] < bound) return true;
-  }
-  return false;
-}
-TS_SIMD_INLINE float HorizontalMax(F32x8 a) {
-  float m = a.v[0];
-  for (int i = 1; i < 8; ++i) {
-    if (a.v[i] > m) m = a.v[i];
-  }
-  return m;
-}
-
-#endif
-
 }  // namespace simd
 }  // namespace trendspeed
+
+#endif  // TS_SIMD_ARCH_AVX2
 
 #endif  // TRENDSPEED_UTIL_SIMD_H_

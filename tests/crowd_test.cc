@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "crowd/aggregate.h"
-#include "crowd/allocation.h"
 #include "crowd/campaign.h"
 #include "crowd/worker.h"
 #include "util/stats.h"
@@ -205,64 +204,11 @@ TEST(CampaignTest, RejectsOutOfRangeRoads) {
   EXPECT_FALSE(campaign.Collect({5}, truth).ok());
 }
 
-TEST(AllocationTest, ProportionalWithFloor) {
-  auto alloc = AllocateAnswers({3.0, 1.0, 0.0}, 11);
-  ASSERT_TRUE(alloc.ok());
-  // 3 floors + 8 proportional: 6, 2, 0 -> totals 7, 3, 1.
-  EXPECT_EQ((*alloc)[0], 7u);
-  EXPECT_EQ((*alloc)[1], 3u);
-  EXPECT_EQ((*alloc)[2], 1u);
-  uint32_t sum = 0;
-  for (uint32_t a : *alloc) sum += a;
-  EXPECT_EQ(sum, 11u);
-}
-
-TEST(AllocationTest, ExactSumUnderFractionalShares) {
-  Rng rng(5);
-  for (int trial = 0; trial < 50; ++trial) {
-    size_t n = 1 + rng.NextIndex(20);
-    std::vector<double> weights(n);
-    for (double& w : weights) w = rng.Uniform(0.0, 2.0);
-    uint32_t budget = static_cast<uint32_t>(n + rng.NextIndex(100));
-    auto alloc = AllocateAnswers(weights, budget);
-    ASSERT_TRUE(alloc.ok());
-    uint32_t sum = 0;
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_GE((*alloc)[i], 1u);
-      sum += (*alloc)[i];
-    }
-    EXPECT_EQ(sum, budget);
-  }
-}
-
-TEST(AllocationTest, UniformWhenWeightsAllZero) {
-  auto alloc = AllocateAnswers({0.0, 0.0, 0.0, 0.0}, 10);
-  ASSERT_TRUE(alloc.ok());
-  for (uint32_t a : *alloc) {
-    EXPECT_GE(a, 2u);
-    EXPECT_LE(a, 3u);
-  }
-}
-
-TEST(AllocationTest, ValidatesInput) {
-  EXPECT_FALSE(AllocateAnswers({}, 5).ok());
-  EXPECT_FALSE(AllocateAnswers({1.0, 1.0, 1.0}, 2).ok());
-  EXPECT_FALSE(AllocateAnswers({-1.0}, 5).ok());
-}
-
-TEST(CampaignTest, AllocatedCollectionSpendsExactBudget) {
-  WorkerPool pool(CleanPoolOptions());
-  CrowdCampaign campaign(&pool, {});
-  std::vector<double> truth = {30.0, 45.0, 60.0};
-  auto alloc = AllocateAnswers({2.0, 1.0, 1.0}, 9);
-  ASSERT_TRUE(alloc.ok());
-  auto obs = campaign.CollectAllocated({0, 1, 2}, *alloc, truth);
-  ASSERT_TRUE(obs.ok());
-  EXPECT_EQ(campaign.answers_spent(), 9u);
-  EXPECT_EQ(obs->size(), 3u);
-  EXPECT_FALSE(
-      campaign.CollectAllocated({0, 1}, {1, 1, 1}, truth).ok());
-  EXPECT_FALSE(campaign.CollectAllocated({0}, {0}, truth).ok());
+TEST(CampaignTest, NullPoolFailsItsCheck) {
+  // The check must fire before the constructor sizes its tracker from the
+  // pool; a dereference first would crash without the message.
+  EXPECT_DEATH({ CrowdCampaign campaign(nullptr, CampaignOptions{}); },
+               "pool != nullptr");
 }
 
 }  // namespace

@@ -1,17 +1,18 @@
-// MultiCityServer (core/multi_city.h): N independent per-city sessions in
-// one process. Pins the header's central claim — interleaving Ingest calls
-// across cities is equivalent to running each city in its own standalone
-// ServingSession — plus spec validation, name routing, the summed
-// TotalStats view, and the shared-registry deployment shape where several
-// cities export into one scrape endpoint.
+// Several cities in one process: each city is a plain ServingSession, and
+// the sessions share only ThreadPool::Global() and, optionally, one
+// MetricsRegistry. Pins that two sessions ingesting concurrently from two
+// threads serve exactly what each would serve alone — speeds, carry-forward
+// and stats — and that sessions pointed at one registry sum into its
+// counters (one scrape endpoint for the whole fleet).
 
 #include <algorithm>
-#include <cmath>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/multi_city.h"
+#include "core/serving.h"
 #include "obs/catalog.h"
 #include "obs/metrics.h"
 #include "test_util.h"
@@ -23,7 +24,7 @@ using testing_util::SharedTinyDataset;
 
 // Two "cities" over the shared tiny dataset: same road network, different
 // estimation configurations (the default BP kernel, and the scalar oracle
-// kernel) — a mixed fleet behind one server.
+// kernel) — a mixed fleet in one process.
 class MultiCityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -54,6 +55,32 @@ class MultiCityTest : public ::testing::Test {
     return out;
   }
 
+  // One city's stream: slot `base + s` gets the truth scaled by a factor
+  // that cycles with s; `degraded_step` (if any) gets an empty batch.
+  std::vector<std::vector<SeedSpeed>> Stream(size_t slots,
+                                             size_t degraded_step) {
+    std::vector<std::vector<SeedSpeed>> out;
+    uint64_t base = ds().first_test_slot();
+    for (size_t s = 0; s < slots; ++s) {
+      double factor = 0.9 + 0.05 * static_cast<double>(s % 3);
+      out.push_back(s == degraded_step ? std::vector<SeedSpeed>{}
+                                       : Obs(base + s, factor));
+    }
+    return out;
+  }
+
+  // Runs `stream` through `session` from slot first_test_slot() on.
+  std::vector<Result<ServingSession::SlotReport>> Serve(
+      ServingSession* session,
+      const std::vector<std::vector<SeedSpeed>>& stream) {
+    std::vector<Result<ServingSession::SlotReport>> out;
+    uint64_t base = ds().first_test_slot();
+    for (size_t s = 0; s < stream.size(); ++s) {
+      out.push_back(session->Ingest(base + s, stream[s]));
+    }
+    return out;
+  }
+
   static TrafficSpeedEstimator* default_;
   static TrafficSpeedEstimator* scalar_;
   static std::vector<RoadId>* seeds_;
@@ -63,125 +90,108 @@ TrafficSpeedEstimator* MultiCityTest::default_ = nullptr;
 TrafficSpeedEstimator* MultiCityTest::scalar_ = nullptr;
 std::vector<RoadId>* MultiCityTest::seeds_ = nullptr;
 
-TEST_F(MultiCityTest, CreateValidatesSpecs) {
-  EXPECT_FALSE(MultiCityServer::Create({}).ok());
-  EXPECT_FALSE(
-      MultiCityServer::Create({{"", default_, ServingOptions{}}}).ok());
-  EXPECT_FALSE(
-      MultiCityServer::Create({{"a", nullptr, ServingOptions{}}}).ok());
-  EXPECT_FALSE(MultiCityServer::Create({{"a", default_, ServingOptions{}},
-                                        {"a", scalar_, ServingOptions{}}})
-                   .ok());
-  // Bad per-city serving knobs fail Create, not the first Ingest.
-  ServingOptions bad;
-  bad.max_speed_kmh = -1.0;
-  EXPECT_FALSE(MultiCityServer::Create({{"a", default_, bad}}).ok());
+void ExpectSameServing(
+    const std::vector<Result<ServingSession::SlotReport>>& got,
+    const std::vector<Result<ServingSession::SlotReport>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t s = 0; s < got.size(); ++s) {
+    ASSERT_EQ(got[s].ok(), want[s].ok()) << "step " << s;
+    if (!got[s].ok()) continue;
+    EXPECT_EQ(got[s]->stale, want[s]->stale) << "step " << s;
+    EXPECT_EQ(got[s]->stale_slots, want[s]->stale_slots) << "step " << s;
+    EXPECT_EQ(got[s]->observations_used, want[s]->observations_used);
+    EXPECT_EQ(got[s]->monitor.estimate.speeds.speed_kmh,
+              want[s]->monitor.estimate.speeds.speed_kmh)
+        << "step " << s;
+  }
 }
 
-TEST_F(MultiCityTest, RoutesByNameAndIndex) {
-  auto server = MultiCityServer::Create(
-      {{"porto", default_, ServingOptions{}}, {"beijing", scalar_, {}}});
-  ASSERT_TRUE(server.ok());
-  EXPECT_EQ(server->num_cities(), 2u);
-  EXPECT_EQ(server->name(0), "porto");
-  EXPECT_EQ(server->Find("beijing"), 1u);
-  EXPECT_EQ(server->Find("lisbon"), MultiCityServer::kNotFound);
-
-  uint64_t slot = ds().first_test_slot();
-  EXPECT_TRUE(server->Ingest("porto", slot, Obs(slot, 1.0)).ok());
-  EXPECT_FALSE(server->Ingest("lisbon", slot, Obs(slot, 1.0)).ok());
-  EXPECT_FALSE(server->Ingest(7, slot, Obs(slot, 1.0)).ok());
-  EXPECT_TRUE(server->session(0).has_estimate());
-  EXPECT_FALSE(server->session(1).has_estimate());
+void ExpectSameStats(const ServingStats& got, const ServingStats& want) {
+  EXPECT_EQ(got.slots_estimated, want.slots_estimated);
+  EXPECT_EQ(got.slots_carried_forward, want.slots_carried_forward);
+  EXPECT_EQ(got.duplicate_slots, want.duplicate_slots);
+  EXPECT_EQ(got.out_of_order_slots, want.out_of_order_slots);
+  EXPECT_EQ(got.rejected_batches, want.rejected_batches);
+  EXPECT_EQ(got.observations_filtered, want.observations_filtered);
+  EXPECT_EQ(got.observations_deduplicated, want.observations_deduplicated);
+  EXPECT_EQ(got.estimation_failures, want.estimation_failures);
 }
 
 TEST_F(MultiCityTest, InterleavedIngestMatchesStandaloneSessions) {
   ServingOptions opts;
   opts.validation = ValidationPolicy::kFilter;
-  auto server = MultiCityServer::Create(
-      {{"default", default_, opts}, {"scalar", scalar_, opts}});
+  constexpr size_t kSlots = 6;
+  constexpr size_t kNoDegradedStep = kSlots;
+  // The default-kernel city loses one slot's batch, so it carries forward
+  // there; the scalar city never does. Carry-forward must not leak across.
+  const auto default_stream = Stream(kSlots, /*degraded_step=*/2);
+  const auto scalar_stream = Stream(kSlots, kNoDegradedStep);
+
+  auto city_default = ServingSession::Create(default_, opts);
+  auto city_scalar = ServingSession::Create(scalar_, opts);
+  ASSERT_TRUE(city_default.ok());
+  ASSERT_TRUE(city_scalar.ok());
+
+  // Both cities ingest at once, each on its own thread; every parallel
+  // region either session opens runs on the one shared ThreadPool::Global().
+  std::vector<Result<ServingSession::SlotReport>> got_default, got_scalar;
+  std::latch start(2);
+  std::thread thread_default([&] {
+    start.arrive_and_wait();
+    got_default = Serve(&city_default.value(), default_stream);
+  });
+  std::thread thread_scalar([&] {
+    start.arrive_and_wait();
+    got_scalar = Serve(&city_scalar.value(), scalar_stream);
+  });
+  thread_default.join();
+  thread_scalar.join();
+
+  // The same streams, each through a standalone session on this thread.
   auto solo_default = ServingSession::Create(default_, opts);
   auto solo_scalar = ServingSession::Create(scalar_, opts);
-  ASSERT_TRUE(server.ok());
   ASSERT_TRUE(solo_default.ok());
   ASSERT_TRUE(solo_scalar.ok());
+  auto want_default = Serve(&solo_default.value(), default_stream);
+  auto want_scalar = Serve(&solo_scalar.value(), scalar_stream);
 
-  uint64_t base = ds().first_test_slot();
-  // Interleave the two cities' streams, including a degraded (empty) slot
-  // for one city only — per-city carry-forward must not leak across.
-  for (uint64_t s = 0; s < 5; ++s) {
-    uint64_t slot = base + s;
-    double factor = 0.9 + 0.05 * static_cast<double>(s % 3);
-    std::vector<SeedSpeed> obs = Obs(slot, factor);
-    std::vector<SeedSpeed> empty;
-    bool degrade_default = (s == 2);
-
-    auto a = server->Ingest("default", slot, degrade_default ? empty : obs);
-    auto b = server->Ingest("scalar", slot, obs);
-    auto ra = solo_default->Ingest(slot, degrade_default ? empty : obs);
-    auto rb = solo_scalar->Ingest(slot, obs);
-    ASSERT_EQ(a.ok(), ra.ok()) << "slot " << slot;
-    ASSERT_TRUE(b.ok());
-    ASSERT_TRUE(rb.ok());
-    if (a.ok()) {
-      EXPECT_EQ(a->stale, ra->stale);
-      EXPECT_EQ(a->observations_used, ra->observations_used);
-      EXPECT_EQ(a->monitor.estimate.speeds.speed_kmh,
-                ra->monitor.estimate.speeds.speed_kmh)
-          << "slot " << slot;
-    }
-    EXPECT_EQ(b->monitor.estimate.speeds.speed_kmh,
-              rb->monitor.estimate.speeds.speed_kmh)
-        << "slot " << slot;
-  }
-
-  // Per-city counters match the standalone runs field by field.
-  ServingStats sa = server->session(0).stats();
-  ServingStats ra = solo_default->stats();
-  EXPECT_EQ(sa.slots_estimated, ra.slots_estimated);
-  EXPECT_EQ(sa.slots_carried_forward, ra.slots_carried_forward);
-  ServingStats sb = server->session(1).stats();
-  ServingStats rb = solo_scalar->stats();
-  EXPECT_EQ(sb.slots_estimated, rb.slots_estimated);
-  EXPECT_EQ(sb.slots_carried_forward, 0u);
-}
-
-TEST_F(MultiCityTest, TotalStatsSumsCities) {
-  auto server = MultiCityServer::Create(
-      {{"a", default_, ServingOptions{}}, {"b", scalar_, {}}});
-  ASSERT_TRUE(server.ok());
-  uint64_t slot = ds().first_test_slot();
-  ASSERT_TRUE(server->Ingest("a", slot, Obs(slot, 1.0)).ok());
-  ASSERT_TRUE(server->Ingest("a", slot + 1, Obs(slot + 1, 1.0)).ok());
-  ASSERT_TRUE(server->Ingest("b", slot, Obs(slot, 1.0)).ok());
-  // A stale arrival for city b only.
-  EXPECT_FALSE(server->Ingest("b", slot - 1, Obs(slot, 1.0)).ok());
-
-  ServingStats total = server->TotalStats();
-  EXPECT_EQ(total.slots_estimated, 3u);
-  EXPECT_EQ(total.out_of_order_slots, 1u);
-  EXPECT_EQ(server->session(0).stats().out_of_order_slots, 0u);
-  EXPECT_EQ(server->session(1).stats().out_of_order_slots, 1u);
+  ExpectSameServing(got_default, want_default);
+  ExpectSameServing(got_scalar, want_scalar);
+  ExpectSameStats(city_default->stats(), solo_default->stats());
+  ExpectSameStats(city_scalar->stats(), solo_scalar->stats());
+  EXPECT_EQ(city_default->stats().slots_carried_forward, 1u);
+  EXPECT_EQ(city_scalar->stats().slots_carried_forward, 0u);
 }
 
 TEST_F(MultiCityTest, CitiesShareOneMetricsRegistry) {
   obs::MetricsRegistry registry;
   ServingOptions opts;
   opts.observability.metrics = &registry;
-  auto server = MultiCityServer::Create(
-      {{"a", default_, opts}, {"b", scalar_, opts}});
-  ASSERT_TRUE(server.ok());
+  auto a = ServingSession::Create(default_, opts);
+  auto b = ServingSession::Create(scalar_, opts);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
   uint64_t slot = ds().first_test_slot();
-  ASSERT_TRUE(server->Ingest("a", slot, Obs(slot, 1.0)).ok());
-  ASSERT_TRUE(server->Ingest("b", slot, Obs(slot, 1.0)).ok());
-  ASSERT_TRUE(server->Ingest("b", slot + 1, Obs(slot + 1, 1.0)).ok());
-  // One scrape endpoint sees the whole fleet: the shared counter holds the
-  // cross-city sum, matching TotalStats.
+  ASSERT_TRUE(a->Ingest(slot, Obs(slot, 1.0)).ok());
+  ASSERT_TRUE(b->Ingest(slot, Obs(slot, 1.0)).ok());
+  ASSERT_TRUE(b->Ingest(slot + 1, Obs(slot + 1, 1.0)).ok());
+  // A stale arrival for city b only.
+  EXPECT_FALSE(b->Ingest(slot - 1, Obs(slot, 1.0)).ok());
+
+  // One scrape endpoint sees the whole fleet: each shared counter holds the
+  // cross-city sum of the sessions' own stats.
   obs::Counter* estimated =
       registry.GetCounter(obs::kServingSlotsEstimatedTotal);
+  obs::Counter* out_of_order =
+      registry.GetCounter(obs::kServingOutOfOrderSlotsTotal);
   ASSERT_NE(estimated, nullptr);
-  EXPECT_EQ(estimated->Value(), server->TotalStats().slots_estimated);
+  ASSERT_NE(out_of_order, nullptr);
+  EXPECT_EQ(estimated->Value(),
+            a->stats().slots_estimated + b->stats().slots_estimated);
   EXPECT_EQ(estimated->Value(), 3u);
+  EXPECT_EQ(out_of_order->Value(), 1u);
+  EXPECT_EQ(a->stats().out_of_order_slots, 0u);
+  EXPECT_EQ(b->stats().out_of_order_slots, 1u);
 }
 
 }  // namespace

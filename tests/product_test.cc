@@ -1,18 +1,16 @@
 // Tests for the read-side product layer (src/product): the time-of-day
-// profile store (fold/merge/blend/export), the version-invalidated route-ETA
+// profile store (fold/blend), the version-invalidated route-ETA
 // cache — including the seeded property that cached answers are bitwise
 // identical to uncached FastestRoute — the CityProducts glue over a live
 // ServingSession, the detached-products serving-equivalence pin, and the
-// per-city isolation of products under MultiCityServer.
+// isolation of products between two cities' sessions in one process.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
-#include <string>
 #include <vector>
 
-#include "core/multi_city.h"
 #include "core/routing.h"
 #include "core/serving.h"
 #include "core/snapshot.h"
@@ -140,59 +138,6 @@ TEST(SpeedProfileStoreTest, BlendQueryProvenance) {
   auto full = store->BlendQuery(MakeSnapshot(3, 6, 9, {40.0}), 0);
   EXPECT_EQ(full.provenance, SpeedProvenance::kProfileBlend);
   EXPECT_DOUBLE_EQ(full.speed_kmh, 60.0);
-}
-
-TEST(SpeedProfileStoreTest, MergeIsCountWeighted) {
-  auto a = SpeedProfileStore::Create(1, 144, TestOptions());
-  auto b = SpeedProfileStore::Create(1, 144, TestOptions());
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_TRUE(a->Fold(MakeSnapshot(0, 1, 0, {30.0})));
-  ASSERT_TRUE(b->Fold(MakeSnapshot(1, 1, 0, {60.0})));
-  ASSERT_TRUE(b->Fold(MakeSnapshot(2, 2, 0, {60.0})));
-  ASSERT_TRUE(a->Merge(*b).ok());
-  EXPECT_EQ(a->cell(0, 0).count, 3u);
-  EXPECT_DOUBLE_EQ(a->cell(0, 0).mean_kmh, 50.0);  // (30 + 60 + 60) / 3
-  EXPECT_EQ(a->folds(), 3u);
-
-  auto other_shape = SpeedProfileStore::Create(2, 144, TestOptions());
-  ASSERT_TRUE(other_shape.ok());
-  EXPECT_FALSE(a->Merge(*other_shape).ok());
-}
-
-TEST(SpeedProfileStoreTest, ExportRoundTripsAndLoadsStrictly) {
-  ProductOptions opts = TestOptions();
-  auto store = SpeedProfileStore::Create(3, 144, opts);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Fold(MakeSnapshot(7, 1, 0, {30.0, 40.0, 50.0})));
-  ASSERT_TRUE(store->Fold(MakeSnapshot(80, 2, 0, {35.0, 45.0, 55.0})));
-
-  std::string bytes = EncodeSpeedProfile(*store);
-  auto loaded = DecodeSpeedProfile(bytes, opts);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->num_roads(), 3u);
-  EXPECT_EQ(loaded->slots_per_day(), 144u);
-  EXPECT_EQ(loaded->last_version(), 2u);
-  EXPECT_EQ(loaded->folds(), 2u);
-  for (RoadId r = 0; r < 3; ++r) {
-    for (uint32_t bkt = 0; bkt < 24; ++bkt) {
-      EXPECT_EQ(loaded->cell(r, bkt).count, store->cell(r, bkt).count);
-      EXPECT_DOUBLE_EQ(loaded->cell(r, bkt).mean_kmh,
-                       store->cell(r, bkt).mean_kmh);
-    }
-  }
-  // A reloaded store keeps folding where the original left off.
-  EXPECT_FALSE(loaded->Fold(MakeSnapshot(7, 2, 0, {1.0, 1.0, 1.0})));
-  EXPECT_TRUE(loaded->Fold(MakeSnapshot(9, 3, 0, {1.0, 1.0, 1.0})));
-
-  // Strict failures: truncation at every prefix, trailing garbage, and a
-  // bucket-grid mismatch with the loading options.
-  for (size_t cut = 0; cut < bytes.size(); cut += 7) {
-    EXPECT_FALSE(DecodeSpeedProfile(bytes.substr(0, cut), opts).ok());
-  }
-  EXPECT_FALSE(DecodeSpeedProfile(bytes + "x", opts).ok());
-  ProductOptions other = opts;
-  other.profile_buckets_per_day = 12;
-  EXPECT_FALSE(DecodeSpeedProfile(bytes, other).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -564,17 +509,15 @@ TEST_F(ProductServingTest, DetachedProductsServingIsBitwiseIdentical) {
 TEST_F(ProductServingTest, MultiCityProductsStayIsolated) {
   // Two cities over the same estimator but independent sessions: each
   // city's products read its own publisher; folds and caches never mix.
-  MultiCityServer::CitySpec alpha{"alpha", estimator_,
-                                  ProductServingOptions()};
-  MultiCityServer::CitySpec beta{"beta", estimator_, ProductServingOptions()};
-  auto server = MultiCityServer::Create({alpha, beta});
-  ASSERT_TRUE(server.ok());
+  auto alpha = ServingSession::Create(estimator_, ProductServingOptions());
+  auto beta = ServingSession::Create(estimator_, ProductServingOptions());
+  ASSERT_TRUE(alpha.ok() && beta.ok());
 
-  auto products_a = CityProducts::ForSession(ds().net, server->session(0), 144);
-  auto products_b = CityProducts::ForSession(ds().net, server->session(1), 144);
+  auto products_a = CityProducts::ForSession(ds().net, *alpha, 144);
+  auto products_b = CityProducts::ForSession(ds().net, *beta, 144);
   ASSERT_TRUE(products_a.ok() && products_b.ok());
 
-  ASSERT_TRUE(server->Ingest("alpha", 0, CleanObs(0)).ok());
+  ASSERT_TRUE(alpha->Ingest(0, CleanObs(0)).ok());
   EXPECT_TRUE(products_a->Poll());
   // Beta has served nothing: its products see nothing — reading another
   // city's field through a reused snapshot is exactly the stale-tail bug
@@ -584,7 +527,7 @@ TEST_F(ProductServingTest, MultiCityProductsStayIsolated) {
   EXPECT_EQ(products_a->profile().folds(), 1u);
   EXPECT_EQ(products_b->profile().folds(), 0u);
 
-  ASSERT_TRUE(server->Ingest("beta", 0, CleanObs(0)).ok());
+  ASSERT_TRUE(beta->Ingest(0, CleanObs(0)).ok());
   EXPECT_TRUE(products_b->Poll());
   EXPECT_EQ(products_b->profile().folds(), 1u);
   EXPECT_EQ(products_b->last_snapshot().version, 1u);
