@@ -81,8 +81,10 @@ int Run(const ThroughputConfig& cfg) {
   std::printf("  \"bench\": \"ingest_throughput\",\n");
   PrintHardwareStamp();
 
+  // One CPU is left to the consumer thread, so on two or more CPUs the
+  // producers and the consumer never outnumber the cores.
   const int producers =
-      std::max(1, std::min(4, static_cast<int>(BenchUsableCpus())));
+      std::max(1, std::min(4, static_cast<int>(BenchUsableCpus()) - 1));
   double spsc_mops = QueueMopsSingleProducer(cfg);
   double mpsc_mops = QueueMopsMultiProducer(cfg, producers);
   std::printf("  \"queue\": {\n");
@@ -90,6 +92,7 @@ int Run(const ThroughputConfig& cfg) {
   std::printf("    \"items\": %zu,\n", cfg.queue_items);
   std::printf("    \"spsc_mops\": %.2f,\n", spsc_mops);
   std::printf("    \"mpsc_producers\": %d,\n", producers);
+  std::printf("    \"consumer_threads\": 1,\n");
   std::printf("    \"mpsc_mops\": %.2f\n", mpsc_mops);
   std::printf("  }\n}\n");
   return 0;

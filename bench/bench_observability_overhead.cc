@@ -258,12 +258,12 @@ int Run(const OverheadConfig& cfg) {
       timer.ElapsedMillis() / static_cast<double>(cfg.ingests);
 
   // Detached Ingest sites: one counter + staleness gauge per slot, the
-  // latency scope (histogram + slow counter), and the flight/SLO
-  // instrumentation — the wrapper's null-recorder check + null-SLO check,
-  // plus four null FlightSpans (admission, estimate envelope, bp_solve,
+  // latency scope (histogram + slow counter), and the flight
+  // instrumentation — the local-context null-recorder check, plus five null
+  // FlightSpans (ingest envelope, admission, estimate envelope, bp_solve,
   // publish) at two predicted branches each (ctor + dtor, obs/flight.h).
   // Registrations in the constructor amortize to ~0 over the run.
-  double serving_sites = 14.0;
+  double serving_sites = 15.0;
   double serving_detached_pct =
       serving_sites * null_counter_ns / (serving_detached_ms * 1e6) * 100.0;
   double serving_attached_pct =

@@ -68,17 +68,16 @@ obs::SlotTraceContext* IngestFrontEnd::BeginSlotTrace(
   return ctx;
 }
 
-void IngestFrontEnd::FlushPending() {
-  if (!has_pending_) return;
+Result<ServingSession::SlotReport> IngestFrontEnd::FlushPending() {
   Count(stats_.flushed_slots, m_flushed_slots_);
   obs::SlotTraceContext ctx;
   obs::SlotTraceContext* ctx_ptr = BeginSlotTrace(&ctx);
-  // Rejections are the session's call and already land in ServingStats
-  // (out_of_order_slots, rejected_batches, ...); the drain loop moves on.
-  (void)session_->Ingest(pending_slot_, pending_, ctx_ptr);
-  pending_.clear();
+  Result<ServingSession::SlotReport> result =
+      session_->Ingest(pending_slot_, pending_, ctx_ptr);
+  pending_.clear();  // keeps its capacity for the next slot's batch
   has_pending_ = false;
   pending_origin_ns_ = 0;
+  return result;
 }
 
 size_t IngestFrontEnd::Drain() {
@@ -94,7 +93,7 @@ size_t IngestFrontEnd::Drain() {
       NoteStraggler(item.slot);
       continue;
     }
-    if (has_pending_ && item.slot > pending_slot_) FlushPending();
+    if (has_pending_ && item.slot > pending_slot_) (void)FlushPending();
     if (!has_pending_) {
       pending_slot_ = item.slot;
       has_pending_ = true;
@@ -118,15 +117,7 @@ Result<ServingSession::SlotReport> IngestFrontEnd::Flush() {
   if (!has_pending_) {
     return Status::NotFound("no pending observations to flush");
   }
-  Count(stats_.flushed_slots, m_flushed_slots_);
-  uint64_t slot = pending_slot_;
-  obs::SlotTraceContext ctx;
-  obs::SlotTraceContext* ctx_ptr = BeginSlotTrace(&ctx);
-  std::vector<SeedSpeed> batch;
-  batch.swap(pending_);
-  has_pending_ = false;
-  pending_origin_ns_ = 0;
-  return session_->Ingest(slot, batch, ctx_ptr);
+  return FlushPending();
 }
 
 void IngestFrontEnd::NoteStraggler(uint64_t slot) {

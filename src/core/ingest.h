@@ -101,10 +101,12 @@ class IngestFrontEnd {
  private:
   IngestFrontEnd(ServingSession* session, size_t capacity);
 
-  /// Hands the pending batch to the session and resets it. Session-level
-  /// rejections (out-of-order, strict validation) are absorbed here — the
-  /// session counts them — so the drain loop never stalls on bad input.
-  void FlushPending();
+  /// Hands the pending batch to the session, resets it and returns the
+  /// session's result. Precondition: has_pending_. Session-level
+  /// rejections (out-of-order, strict validation) are already counted in
+  /// ServingStats, so Drain discards the result and never stalls on bad
+  /// input.
+  Result<ServingSession::SlotReport> FlushPending();
 
   /// Flight-recorder hookup for the batch about to flush: records the
   /// slot's queue-wait stage (first enqueue -> now) and initializes *ctx

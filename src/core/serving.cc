@@ -96,14 +96,6 @@ Status ServingOptions::Validate() const {
     return Status::InvalidArgument(
         "observability.slow_ingest_ms must be positive and finite");
   }
-  if (const char* msg = observability.slo.Invalid()) {
-    return Status::InvalidArgument(std::string("observability.slo: ") + msg);
-  }
-  if (observability.slo.enabled() && observability.flight == nullptr) {
-    return Status::InvalidArgument(
-        "observability.slo budgets require observability.flight (the SLO "
-        "engine consumes flight-recorder slot timelines)");
-  }
   TS_RETURN_NOT_OK(ingest_queue.Validate());
   TS_RETURN_NOT_OK(products.Validate());
   if (products.enabled && !publish_snapshots) {
@@ -145,12 +137,6 @@ ServingSession::ServingSession(const TrafficSpeedEstimator* estimator,
   m_staleness_ = obs::GetGauge(reg, obs::kServingStalenessSlots);
   if (opts_.observability.flight != nullptr) {
     opts_.observability.flight->AttachMetrics(reg);
-  }
-  if (opts_.observability.slo.enabled()) {
-    // Validate() already required flight != nullptr here.
-    slo_ = std::make_unique<obs::SloEngine>(opts_.observability.slo,
-                                            opts_.observability.flight);
-    slo_->AttachMetrics(reg);
   }
 }
 
@@ -231,7 +217,6 @@ Result<ServingSession::SlotReport> ServingSession::CarryForward(
   last_report_.monitor.new_alerts.clear();
   last_report_.observations_used = 0;
   last_report_.observations_dropped = dropped;
-  if (slo_ != nullptr) slo_->NoteDegradation("carry_forward", slot);
   PublishSnapshot(ctx);
   return last_report_;
 }
@@ -267,9 +252,23 @@ ServingStats ServingSession::stats() const {
   return out;
 }
 
-Result<ServingSession::SlotReport> ServingSession::DoIngest(
+Result<ServingSession::SlotReport> ServingSession::Ingest(
+    uint64_t slot, const std::vector<SeedSpeed>& observations) {
+  return Ingest(slot, observations, nullptr);
+}
+
+Result<ServingSession::SlotReport> ServingSession::Ingest(
     uint64_t slot, const std::vector<SeedSpeed>& observations,
     obs::SlotTraceContext* ctx) {
+  obs::FlightRecorder* flight = opts_.observability.flight;
+  obs::SlotTraceContext local;
+  if (flight != nullptr && ctx == nullptr) {
+    // Direct Ingest call (no front-end): the slot's timeline starts here.
+    local.slot = slot;
+    local.origin_ns = obs::MonotonicNanos();
+    ctx = &local;
+  }
+  obs::FlightSpan envelope(flight, slot, obs::FlightStage::kIngest, ctx);
   IngestLatencyScope latency(m_ingest_latency_, m_slow_ingests_,
                              opts_.observability.slow_ingest_ms);
   if (has_report_) {
@@ -282,7 +281,6 @@ Result<ServingSession::SlotReport> ServingSession::DoIngest(
     }
     if (slot < last_report_.slot) {
       Count(stats_->out_of_order_slots, m_out_of_order_slots_);
-      if (slo_ != nullptr) slo_->NoteDegradation("out_of_order_slot", slot);
       return Status::FailedPrecondition(
           "stale slot " + std::to_string(slot) + " arrived after slot " +
           std::to_string(last_report_.slot) + " was served");
@@ -292,14 +290,13 @@ Result<ServingSession::SlotReport> ServingSession::DoIngest(
   size_t filtered = 0;
   size_t deduplicated = 0;
   Result<std::vector<SeedSpeed>> sanitized = [&] {
-    obs::FlightSpan admission(opts_.observability.flight, slot,
-                              obs::FlightStage::kAdmission, ctx);
+    obs::FlightSpan admission(flight, slot, obs::FlightStage::kAdmission,
+                              ctx);
     return Sanitize(observations, &filtered, &deduplicated);
   }();
   if (!sanitized.ok()) {
     // The slot is not consumed: a corrected batch may be re-sent.
     Count(stats_->rejected_batches, m_rejected_batches_);
-    if (slo_ != nullptr) slo_->NoteDegradation("rejected_batch", slot);
     return sanitized.status();
   }
   Count(stats_->observations_filtered, m_observations_filtered_, filtered);
@@ -310,7 +307,7 @@ Result<ServingSession::SlotReport> ServingSession::DoIngest(
 
   Result<OnlineTrafficMonitor::SlotReport> report = monitor_.Process(
       slot, *sanitized, &workspace_,
-      obs::FlightSink{opts_.observability.flight, slot, ctx});
+      obs::FlightSink{flight, slot, ctx});
   bool healthy = report.ok();
   if (healthy) {
     // Never serve a non-finite or negative speed, whatever the estimator
@@ -324,7 +321,6 @@ Result<ServingSession::SlotReport> ServingSession::DoIngest(
   }
   if (!healthy) {
     Count(stats_->estimation_failures, m_estimation_failures_);
-    if (slo_ != nullptr) slo_->NoteDegradation("estimation_failure", slot);
     return CarryForward(slot, dropped, ctx);
   }
 
@@ -339,38 +335,6 @@ Result<ServingSession::SlotReport> ServingSession::DoIngest(
   has_report_ = true;
   PublishSnapshot(ctx);
   return last_report_;
-}
-
-Result<ServingSession::SlotReport> ServingSession::Ingest(
-    uint64_t slot, const std::vector<SeedSpeed>& observations) {
-  return Ingest(slot, observations, nullptr);
-}
-
-Result<ServingSession::SlotReport> ServingSession::Ingest(
-    uint64_t slot, const std::vector<SeedSpeed>& observations,
-    obs::SlotTraceContext* ctx) {
-  obs::FlightRecorder* flight = opts_.observability.flight;
-  // Detached: one predicted branch, then the PR-3 contract path — no clock
-  // reads, no context, bitwise-identical behaviour.
-  if (flight == nullptr) return DoIngest(slot, observations, nullptr);
-  obs::SlotTraceContext local;
-  if (ctx == nullptr) {
-    // Direct Ingest call (no front-end): the slot's timeline starts here.
-    local.slot = slot;
-    local.origin_ns = obs::MonotonicNanos();
-    ctx = &local;
-  }
-  uint64_t start_ns = obs::MonotonicNanos();
-  Result<SlotReport> result = DoIngest(slot, observations, ctx);
-  // The ingest envelope is recorded manually (not via FlightSpan) so it is
-  // already in the ring when the SLO engine collects this slot's timeline.
-  flight->Record(slot, obs::FlightStage::kIngest, start_ns,
-                 obs::ElapsedNanosSince(start_ns), ++ctx->stage_seq);
-  if (slo_ != nullptr) {
-    slo_->ObserveSlot(
-        obs::ComputeSlotCriticalPath(flight->CollectSlot(slot), slot));
-  }
-  return result;
 }
 
 }  // namespace trendspeed

@@ -35,7 +35,6 @@
 #include "core/snapshot.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/slo.h"
 #include "util/status.h"
 
 namespace trendspeed {
@@ -103,10 +102,6 @@ struct ServingObservabilityOptions {
   /// per call as an obs::FlightSink. Null (default): every flight site is
   /// one predicted branch.
   obs::FlightRecorder* flight = nullptr;
-  /// Per-stage latency SLO budgets + burn-rate policy (obs/slo.h). Enabling
-  /// any budget requires `flight` (the SLO engine consumes per-slot
-  /// critical paths and dumps the flight ring on breach).
-  obs::SloOptions slo;
 };
 
 struct ServingOptions {
@@ -223,11 +218,6 @@ class ServingSession {
     return snapshot_.get();
   }
 
-  /// Latency SLO engine; null unless options().observability.slo has a
-  /// budget enabled. Single-threaded contract: read from the serving
-  /// (drain) thread, like stats().
-  const obs::SloEngine* slo() const { return slo_.get(); }
-
   /// True once any slot has been served (fresh or carried forward).
   bool has_estimate() const { return has_report_; }
   /// Last served report. Precondition: has_estimate().
@@ -252,11 +242,6 @@ class ServingSession {
   Result<std::vector<SeedSpeed>> Sanitize(
       const std::vector<SeedSpeed>& observations, size_t* filtered,
       size_t* deduplicated) const;
-
-  /// The Ingest body shared by both public overloads (ctx may be null).
-  Result<SlotReport> DoIngest(uint64_t slot,
-                              const std::vector<SeedSpeed>& observations,
-                              obs::SlotTraceContext* ctx);
 
   /// Serves the last good estimate for `slot` with the staleness flag, or
   /// explains why it cannot.
@@ -297,9 +282,6 @@ class ServingSession {
   OnlineTrafficMonitor monitor_;
   std::unique_ptr<AtomicStats> stats_;
   std::unique_ptr<SpeedSnapshotPublisher> snapshot_;
-  /// Latency SLO engine; non-null iff observability.slo.enabled(). Heap-held
-  /// like stats_ so the session stays movable.
-  std::unique_ptr<obs::SloEngine> slo_;
   bool has_report_ = false;
   SlotReport last_report_;
   uint32_t stale_streak_ = 0;

@@ -227,39 +227,6 @@ const MetricDef kProductReadLatencyUs = {
     "Wall time of one product-layer read (snapshot read + ETA answer)", "us",
     "", kMicrosBounds, N(kMicrosBounds)};
 
-// --- latency SLO engine (obs/slo.cc) ---------------------------------------
-const MetricDef kSloBreachesTotal = {
-    "trendspeed_slo_breaches_total", MetricType::kCounter,
-    "Stage burn-rate transitions into the breach state", "1"};
-const MetricDef kSloDumpsTotal = {
-    "trendspeed_slo_dumps_total", MetricType::kCounter,
-    "Flight-ring JSON artifacts dumped (breach or degradation)", "1"};
-
-#define TRENDSPEED_SLO_STAGE_SERIES(name, help, unit)                         \
-  {                                                                           \
-    {name, MetricType::kGauge, help, unit, "stage=\"total\""},                \
-        {name, MetricType::kGauge, help, unit, "stage=\"queue_wait\""},       \
-        {name, MetricType::kGauge, help, unit, "stage=\"admission\""},        \
-        {name, MetricType::kGauge, help, unit, "stage=\"bp\""},               \
-        {name, MetricType::kGauge, help, unit, "stage=\"publish\""},          \
-  }
-
-const MetricDef kSloStageState[5] = TRENDSPEED_SLO_STAGE_SERIES(
-    "trendspeed_slo_stage_state",
-    "Burn-rate state of the stage's latency SLO (0 ok, 1 warn, 2 breach)",
-    "state");
-const MetricDef kSloStageP50Ms[5] = TRENDSPEED_SLO_STAGE_SERIES(
-    "trendspeed_slo_stage_p50_ms",
-    "Exact rolling-window median of the stage's per-slot latency", "ms");
-const MetricDef kSloStageP95Ms[5] = TRENDSPEED_SLO_STAGE_SERIES(
-    "trendspeed_slo_stage_p95_ms",
-    "Exact rolling-window p95 of the stage's per-slot latency", "ms");
-const MetricDef kSloStageP99Ms[5] = TRENDSPEED_SLO_STAGE_SERIES(
-    "trendspeed_slo_stage_p99_ms",
-    "Exact rolling-window p99 of the stage's per-slot latency", "ms");
-
-#undef TRENDSPEED_SLO_STAGE_SERIES
-
 const std::vector<const MetricDef*>& AllMetricDefs() {
   static const std::vector<const MetricDef*> all = {
       &kBpRunsTotal,
@@ -318,28 +285,6 @@ const std::vector<const MetricDef*>& AllMetricDefs() {
       &kProductEtaCacheInvalidationsTotal,
       &kProductBlendActivationsTotal,
       &kProductReadLatencyUs,
-      &kSloBreachesTotal,
-      &kSloDumpsTotal,
-      &kSloStageState[0],
-      &kSloStageState[1],
-      &kSloStageState[2],
-      &kSloStageState[3],
-      &kSloStageState[4],
-      &kSloStageP50Ms[0],
-      &kSloStageP50Ms[1],
-      &kSloStageP50Ms[2],
-      &kSloStageP50Ms[3],
-      &kSloStageP50Ms[4],
-      &kSloStageP95Ms[0],
-      &kSloStageP95Ms[1],
-      &kSloStageP95Ms[2],
-      &kSloStageP95Ms[3],
-      &kSloStageP95Ms[4],
-      &kSloStageP99Ms[0],
-      &kSloStageP99Ms[1],
-      &kSloStageP99Ms[2],
-      &kSloStageP99Ms[3],
-      &kSloStageP99Ms[4],
   };
   return all;
 }

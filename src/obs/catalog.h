@@ -101,16 +101,6 @@ extern const MetricDef kProductEtaCacheInvalidationsTotal;
 extern const MetricDef kProductBlendActivationsTotal;
 extern const MetricDef kProductReadLatencyUs;  ///< histogram
 
-// --- obs/slo.cc (latency SLO engine) ----------------------------------------
-extern const MetricDef kSloBreachesTotal;
-extern const MetricDef kSloDumpsTotal;
-/// Per-stage series, indexed by obs::SloStage (5 stages: total, queue_wait,
-/// admission, bp, publish — one `stage="..."` label set each).
-extern const MetricDef kSloStageState[5];  ///< gauge: 0 ok / 1 warn / 2 breach
-extern const MetricDef kSloStageP50Ms[5];  ///< gauge: rolling exact p50
-extern const MetricDef kSloStageP95Ms[5];  ///< gauge: rolling exact p95
-extern const MetricDef kSloStageP99Ms[5];  ///< gauge: rolling exact p99
-
 /// Every catalog entry (one per (name, labels) series). Names may repeat
 /// across label sets.
 const std::vector<const MetricDef*>& AllMetricDefs();

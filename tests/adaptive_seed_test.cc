@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "corr/correlation_graph.h"
-#include "roadnet/stats.h"
 #include "seed/adaptive.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -119,21 +118,6 @@ TEST_F(AdaptiveSeedTest, ValidatesOptions) {
   AdaptivePlanOptions out_of_range;
   out_of_range.period_boundaries_h = {6.0, 25.0};
   EXPECT_FALSE(AdaptiveSeedPlan::Build(*graph_, db_, 3, out_of_range).ok());
-}
-
-TEST(NetworkStatsTest, ComputesSaneNumbers) {
-  RoadNetwork net = SmallGrid();
-  NetworkStats stats = ComputeNetworkStats(net);
-  EXPECT_EQ(stats.num_roads, net.num_roads());
-  EXPECT_EQ(stats.num_nodes, net.num_nodes());
-  EXPECT_GT(stats.total_length_km, 0.0);
-  EXPECT_GT(stats.avg_degree, 1.0);
-  EXPECT_GE(stats.max_degree, static_cast<size_t>(stats.avg_degree));
-  EXPECT_TRUE(stats.connected);
-  EXPECT_GT(stats.diameter_lower_bound, 2u);
-  EXPECT_EQ(stats.roads_by_class[0] + stats.roads_by_class[1] +
-                stats.roads_by_class[2],
-            net.num_roads());
 }
 
 }  // namespace

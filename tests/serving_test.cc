@@ -1,9 +1,11 @@
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/serving.h"
+#include "obs/flight.h"
 #include "test_util.h"
 
 namespace trendspeed {
@@ -267,6 +269,73 @@ TEST_F(ServingTest, CarryForwardDisabledWithZeroLimit) {
   uint64_t start = ds().first_test_slot();
   ASSERT_TRUE(session.Ingest(start, CleanObs(start)).ok());
   EXPECT_FALSE(session.Ingest(start + 1, {}).ok());
+}
+
+// With a flight recorder attached, every Ingest return path records exactly
+// one `ingest` envelope for its slot, and the envelope brackets the stages
+// the call ran; a detached session records nothing.
+TEST_F(ServingTest, EveryIngestPathRecordsOneIngestEnvelope) {
+  obs::FlightRecorder flight;
+  ServingOptions opts;
+  opts.observability.flight = &flight;
+  ServingSession session = Session(opts);
+  auto envelopes = [&](uint64_t slot) {
+    std::vector<obs::FlightEvent> out;
+    for (const obs::FlightEvent& e : flight.CollectSlot(slot)) {
+      if (e.stage == obs::FlightStage::kIngest) out.push_back(e);
+    }
+    return out;
+  };
+  const uint64_t start = ds().first_test_slot();
+
+  // Fresh.
+  ASSERT_TRUE(session.Ingest(start + 1, CleanObs(start + 1)).ok());
+  std::vector<obs::FlightEvent> fresh = envelopes(start + 1);
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_GT(fresh[0].path_seq, 0u);
+  for (const obs::FlightEvent& e : flight.CollectSlot(start + 1)) {
+    EXPECT_GE(e.start_ns, fresh[0].start_ns);
+    EXPECT_LE(e.start_ns + e.duration_ns,
+              fresh[0].start_ns + fresh[0].duration_ns);
+  }
+
+  // Duplicate: the re-delivery adds one envelope to the same slot.
+  auto dup = session.Ingest(start + 1, CleanObs(start + 1));
+  ASSERT_TRUE(dup.ok());
+  EXPECT_TRUE(dup->duplicate);
+  EXPECT_EQ(envelopes(start + 1).size(), 2u);
+
+  // Out-of-order.
+  auto late = session.Ingest(start, CleanObs(start));
+  EXPECT_EQ(late.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(envelopes(start).size(), 1u);
+
+  // Rejected kStrict batch.
+  std::vector<SeedSpeed> bad = CleanObs(start + 2);
+  bad[0].speed_kmh = -5.0;
+  auto rejected = session.Ingest(start + 2, bad);
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(envelopes(start + 2).size(), 1u);
+
+  // Carry-forward.
+  auto stale = session.Ingest(start + 3, {});
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  EXPECT_TRUE(stale->stale);
+  EXPECT_EQ(envelopes(start + 3).size(), 1u);
+  EXPECT_EQ(session.stats().duplicate_slots, 1u);
+  EXPECT_EQ(session.stats().out_of_order_slots, 1u);
+  EXPECT_EQ(session.stats().rejected_batches, 1u);
+  EXPECT_EQ(session.stats().slots_carried_forward, 1u);
+
+  // Detached: the same sequence leaves the recorder untouched.
+  const size_t recorded = flight.Collect().size();
+  ServingSession detached = Session();
+  ASSERT_TRUE(detached.Ingest(start + 1, CleanObs(start + 1)).ok());
+  ASSERT_TRUE(detached.Ingest(start + 1, CleanObs(start + 1)).ok());
+  EXPECT_FALSE(detached.Ingest(start, CleanObs(start)).ok());
+  EXPECT_FALSE(detached.Ingest(start + 2, bad).ok());
+  ASSERT_TRUE(detached.Ingest(start + 3, {}).ok());
+  EXPECT_EQ(flight.Collect().size(), recorded);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Tests for the Chrome trace-event JSON exporter (obs/trace_export.h):
 // a byte-exact golden for flight exports, escaping of caller-supplied
 // thread labels, and a schema check over
-// a real serving replay — the trace a breach dump or --trace-out bench run
-// would hand to chrome://tracing must stay loadable.
+// a real serving replay — the trace a --trace-out bench run would hand to
+// chrome://tracing must stay loadable.
 
 #include <cstdint>
 #include <string>
@@ -138,7 +138,6 @@ TEST(TraceExportTest, ServingReplayExportsLoadableTrace) {
   opts.ingest_queue.capacity = 256;
   opts.publish_snapshots = true;  // the replay must reach the publish stage
   opts.observability.flight = &flight;
-  opts.observability.slo.total_budget_ms = 1e6;  // never breaches
   auto session = ServingSession::Create(&*est, opts);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   auto fe = IngestFrontEnd::Create(&*session);
@@ -181,11 +180,6 @@ TEST(TraceExportTest, ServingReplayExportsLoadableTrace) {
               cp.total_ns)
         << "slot " << slot;
   }
-  // Every slot produced a critical-path decomposition for the SLO engine.
-  ASSERT_NE(session->slo(), nullptr);
-  EXPECT_EQ(session->slo()->slots_observed(), 3u);
-  EXPECT_EQ(session->slo()->state(obs::SloStage::kTotal),
-            obs::SloState::kOk);
 }
 
 }  // namespace
