@@ -257,13 +257,25 @@ int Run(const OverheadConfig& cfg) {
   double serving_attached_ms =
       timer.ElapsedMillis() / static_cast<double>(cfg.ingests);
 
-  // Detached Ingest sites: one counter + staleness gauge per slot, the
-  // latency scope (histogram + slow counter), and the flight
-  // instrumentation — the local-context null-recorder check, plus five null
-  // FlightSpans (ingest envelope, admission, estimate envelope, bp_solve,
-  // publish) at two predicted branches each (ctor + dtor, obs/flight.h).
+  // Detached Ingest sites: three ServingStats mirrors (slots estimated,
+  // observations filtered, observations deduplicated), the staleness
+  // gauge, the latency histogram, the local-context null-recorder check,
+  // and kSpansPerIngest null FlightSpans (ingest envelope, admission,
+  // estimate envelope, bp_solve; these sessions publish no snapshot) at
+  // two predicted branches each (ctor + dtor, obs/flight.h).
   // Registrations in the constructor amortize to ~0 over the run.
-  double serving_sites = 15.0;
+  constexpr uint64_t kSpansPerIngest = 4;
+  const double serving_sites = 6.0 + 2.0 * kSpansPerIngest;
+  // Tie the span count to the code: one Ingest on a session of the same
+  // shape, with a live recorder, records exactly kSpansPerIngest events.
+  obs::FlightRecorder span_check;
+  ServingOptions span_opts;
+  span_opts.observability.flight = &span_check;
+  auto span_session = ServingSession::Create(&est.value(), span_opts);
+  TS_CHECK(span_session.ok());
+  const uint64_t recorded_before = span_check.total_recorded();
+  TS_CHECK(span_session->Ingest(0, make_obs(0)).ok());
+  TS_CHECK_EQ(span_check.total_recorded() - recorded_before, kSpansPerIngest);
   double serving_detached_pct =
       serving_sites * null_counter_ns / (serving_detached_ms * 1e6) * 100.0;
   double serving_attached_pct =

@@ -18,7 +18,7 @@ namespace trendspeed {
 /// (the default) disables all recording — instrumented hot paths then cost
 /// one predicted branch per record site
 /// (bench/bench_observability_overhead.cc quantifies this as < 2%). The
-/// serving-only sinks (flight recorder, slow-ingest threshold) live on
+/// serving-only sink (the flight recorder) lives on
 /// ServingOptions::observability (core/serving.h).
 struct ObservabilityOptions {
   /// Destination for every trendspeed_* metric the pipeline emits.

@@ -118,11 +118,6 @@ Result<SeedSelectionResult> TrafficSpeedEstimator::SelectSeeds(
 }
 
 Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
-    uint64_t slot, const std::vector<SeedSpeed>& seeds) const {
-  return Estimate(slot, seeds, nullptr);
-}
-
-Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
     uint64_t slot, const std::vector<SeedSpeed>& seeds,
     EstimateWorkspace* workspace,
     const obs::FlightSink& flight) const {

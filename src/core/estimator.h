@@ -84,19 +84,15 @@ class TrafficSpeedEstimator {
     TrendEstimate trends;
     SpeedEstimateResult speeds;
   };
-  Result<Output> Estimate(uint64_t slot,
-                          const std::vector<SeedSpeed>& seeds) const;
-
-  /// Serving variant. `workspace` (caller-owned, may be null) keeps the
-  /// seed-set plan and scratch across calls; null uses a temporary one,
-  /// which is the overload above. `flight` carries the serving layer's
-  /// recorder + causal context (the estimator's own config_.observability
-  /// has no recorder — flight hookup is per serving session, not per
-  /// model) and records this call as the slot's `estimate` envelope span
-  /// plus a nested `bp_solve` span. A default (detached) sink records
-  /// nothing.
+  /// `workspace` (caller-owned, may be null) keeps the seed-set plan and
+  /// scratch across calls; null uses a temporary one. `flight` carries the
+  /// serving layer's recorder + causal context (the estimator's own
+  /// config_.observability has no recorder — flight hookup is per serving
+  /// session, not per model) and records this call as the slot's `estimate`
+  /// envelope span plus a nested `bp_solve` span. A default (detached) sink
+  /// records nothing.
   Result<Output> Estimate(uint64_t slot, const std::vector<SeedSpeed>& seeds,
-                          EstimateWorkspace* workspace,
+                          EstimateWorkspace* workspace = nullptr,
                           const obs::FlightSink& flight = {}) const;
 
   const CorrelationGraph& correlation_graph() const { return *graph_; }

@@ -20,11 +20,6 @@ OnlineTrafficMonitor::OnlineTrafficMonitor(
 }
 
 Result<OnlineTrafficMonitor::SlotReport> OnlineTrafficMonitor::Process(
-    uint64_t slot, const std::vector<SeedSpeed>& observations) {
-  return Process(slot, observations, nullptr);
-}
-
-Result<OnlineTrafficMonitor::SlotReport> OnlineTrafficMonitor::Process(
     uint64_t slot, const std::vector<SeedSpeed>& observations,
     EstimateWorkspace* workspace,
     const obs::FlightSink& flight) {

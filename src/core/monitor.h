@@ -55,18 +55,13 @@ class OnlineTrafficMonitor {
 
   /// Processes one slot. Slots must be fed in strictly increasing order;
   /// re-sending the current slot is rejected (it would double-apply the
-  /// EWMA updates and alert streaks).
-  Result<SlotReport> Process(uint64_t slot,
-                             const std::vector<SeedSpeed>& observations);
-
-  /// Serving variant: forwards the caller's EstimateWorkspace (null = a
-  /// temporary one, the overload above) and the serving layer's
-  /// flight-recorder hookup, so the estimator's spans (estimate, BP solve)
-  /// join the slot's causal timeline. A default (detached) sink records
-  /// nothing.
+  /// EWMA updates and alert streaks). `workspace` (null = a temporary one)
+  /// and `flight` are forwarded to the estimator, so its spans (estimate,
+  /// BP solve) join the slot's causal timeline. A default (detached) sink
+  /// records nothing.
   Result<SlotReport> Process(uint64_t slot,
                              const std::vector<SeedSpeed>& observations,
-                             EstimateWorkspace* workspace,
+                             EstimateWorkspace* workspace = nullptr,
                              const obs::FlightSink& flight = {});
 
   /// Roads currently under an active alert.

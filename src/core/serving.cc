@@ -12,24 +12,18 @@ namespace trendspeed {
 namespace {
 
 /// Records the enclosing Ingest call's latency on destruction, whichever
-/// return path is taken, and bumps the slow-ingest counter past the
-/// configured threshold. All-null handles make this a no-op.
+/// return path is taken. A null histogram makes this a no-op.
 class IngestLatencyScope {
  public:
-  IngestLatencyScope(obs::Histogram* latency_ms, obs::Counter* slow,
-                     double slow_ingest_ms)
-      : latency_ms_(latency_ms), slow_(slow), slow_ingest_ms_(slow_ingest_ms) {}
+  explicit IngestLatencyScope(obs::Histogram* latency_ms)
+      : latency_ms_(latency_ms) {}
   ~IngestLatencyScope() {
-    if (latency_ms_ == nullptr && slow_ == nullptr) return;
-    double ms = timer_.ElapsedMillis();
-    obs::Observe(latency_ms_, ms);
-    if (ms > slow_ingest_ms_) obs::Add(slow_);
+    if (latency_ms_ == nullptr) return;
+    latency_ms_->Observe(timer_.ElapsedMillis());
   }
 
  private:
   obs::Histogram* latency_ms_;
-  obs::Counter* slow_;
-  double slow_ingest_ms_;
   WallTimer timer_;
 };
 
@@ -91,11 +85,6 @@ Status ServingOptions::Validate() const {
   if (!(max_speed_kmh > 0.0) || !std::isfinite(max_speed_kmh)) {
     return Status::InvalidArgument("max_speed_kmh must be positive and finite");
   }
-  if (!(observability.slow_ingest_ms > 0.0) ||
-      !std::isfinite(observability.slow_ingest_ms)) {
-    return Status::InvalidArgument(
-        "observability.slow_ingest_ms must be positive and finite");
-  }
   TS_RETURN_NOT_OK(ingest_queue.Validate());
   TS_RETURN_NOT_OK(products.Validate());
   if (products.enabled && !publish_snapshots) {
@@ -132,7 +121,6 @@ ServingSession::ServingSession(const TrafficSpeedEstimator* estimator,
       obs::GetCounter(reg, obs::kServingObservationsDeduplicatedTotal);
   m_estimation_failures_ =
       obs::GetCounter(reg, obs::kServingEstimationFailuresTotal);
-  m_slow_ingests_ = obs::GetCounter(reg, obs::kServingSlowIngestsTotal);
   m_ingest_latency_ = obs::GetHistogram(reg, obs::kServingIngestLatencyMs);
   m_staleness_ = obs::GetGauge(reg, obs::kServingStalenessSlots);
   if (opts_.observability.flight != nullptr) {
@@ -253,11 +241,6 @@ ServingStats ServingSession::stats() const {
 }
 
 Result<ServingSession::SlotReport> ServingSession::Ingest(
-    uint64_t slot, const std::vector<SeedSpeed>& observations) {
-  return Ingest(slot, observations, nullptr);
-}
-
-Result<ServingSession::SlotReport> ServingSession::Ingest(
     uint64_t slot, const std::vector<SeedSpeed>& observations,
     obs::SlotTraceContext* ctx) {
   obs::FlightRecorder* flight = opts_.observability.flight;
@@ -269,8 +252,7 @@ Result<ServingSession::SlotReport> ServingSession::Ingest(
     ctx = &local;
   }
   obs::FlightSpan envelope(flight, slot, obs::FlightStage::kIngest, ctx);
-  IngestLatencyScope latency(m_ingest_latency_, m_slow_ingests_,
-                             opts_.observability.slow_ingest_ms);
+  IngestLatencyScope latency(m_ingest_latency_);
   if (has_report_) {
     if (slot == last_report_.slot) {
       // Idempotent re-delivery: serve the cached report, mutate nothing.

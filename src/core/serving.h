@@ -92,13 +92,11 @@ struct ProductOptions {
 struct ServingObservabilityOptions {
   /// Destination for the trendspeed_serving_* series.
   obs::MetricsRegistry* metrics = nullptr;
-  /// An Ingest call slower than this bumps
-  /// trendspeed_serving_slow_ingests_total. Must be positive and finite.
-  double slow_ingest_ms = 250.0;
   /// Slot-causal flight recorder (obs/flight.h). When attached, every
   /// stage a slot passes through — queue wait, admission, estimate, BP
-  /// solve, snapshot publish — records into per-thread rings that merge
-  /// into one causal timeline per slot; the session hands the recorder down
+  /// solve, snapshot publish — records into the recorder's ring, which
+  /// merges into one causal timeline per slot and may be shared by
+  /// sessions on several threads; the session hands the recorder down
   /// per call as an obs::FlightSink. Null (default): every flight site is
   /// one predicted branch.
   obs::FlightRecorder* flight = nullptr;
@@ -115,9 +113,9 @@ struct ServingOptions {
   /// ever-staler estimate. 0 disables carry-forward entirely.
   uint32_t max_stale_slots = 12;
   /// Observability sinks for this session: the trendspeed_serving_* series
-  /// (per-Ingest latency histogram, staleness gauge, slow-ingest counter,
-  /// registry mirrors of every ServingStats field) and the flight
-  /// recorder's per-slot stages. Sinks must outlive the session.
+  /// (per-Ingest latency histogram, staleness gauge, registry mirrors of
+  /// every ServingStats field) and the flight recorder's per-slot stages.
+  /// Sinks must outlive the session.
   ServingObservabilityOptions observability;
   /// Publish every served slot (fresh or carried forward) through a seqlock
   /// SpeedSnapshotPublisher, giving concurrent readers a non-blocking
@@ -196,17 +194,15 @@ class ServingSession {
   ///   FailedPrecondition   stale (out-of-order) slot arrival, or an
   ///                        empty/failed slot with no carry-forward
   ///                        available (none yet, or staleness limit hit).
-  Result<SlotReport> Ingest(uint64_t slot,
-                            const std::vector<SeedSpeed>& observations);
-
-  /// Ingest with an externally created slot-trace context (the ingest
+  ///
+  /// `ctx` is an externally created slot-trace context (the ingest
   /// front-end passes the one whose queue-wait stage it already recorded).
   /// With a flight recorder attached and ctx null, a local context is
   /// created so direct Ingest callers still get full stage attribution;
   /// detached sessions ignore ctx entirely.
   Result<SlotReport> Ingest(uint64_t slot,
                             const std::vector<SeedSpeed>& observations,
-                            obs::SlotTraceContext* ctx);
+                            obs::SlotTraceContext* ctx = nullptr);
 
   /// Point-in-time snapshot of the cumulative degradation counters.
   ServingStats stats() const;
@@ -298,7 +294,6 @@ class ServingSession {
   obs::Counter* m_observations_filtered_ = nullptr;
   obs::Counter* m_observations_deduplicated_ = nullptr;
   obs::Counter* m_estimation_failures_ = nullptr;
-  obs::Counter* m_slow_ingests_ = nullptr;
   obs::Histogram* m_ingest_latency_ = nullptr;
   obs::Gauge* m_staleness_ = nullptr;
 };

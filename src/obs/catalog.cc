@@ -120,10 +120,6 @@ const MetricDef kServingIngestLatencyMs = {
 const MetricDef kServingStalenessSlots = {
     "trendspeed_serving_staleness_slots", MetricType::kGauge,
     "Current consecutive carried-forward slot streak", "slots"};
-const MetricDef kServingSlowIngestsTotal = {
-    "trendspeed_serving_slow_ingests_total", MetricType::kCounter,
-    "Ingest calls slower than ServingObservabilityOptions::slow_ingest_ms",
-    "1"};
 const MetricDef kServingSlotsEstimatedTotal = {
     "trendspeed_serving_slots_estimated_total", MetricType::kCounter,
     "Fresh estimates served", "1"};
@@ -192,13 +188,10 @@ const MetricDef kServingIngestStragglerWorstCount = {
 // --- flight recorder (obs/flight.cc) ---------------------------------------
 const MetricDef kFlightEventsRecordedTotal = {
     "trendspeed_flight_events_recorded_total", MetricType::kCounter,
-    "Stage events written into the per-thread flight rings", "1"};
+    "Stage events written into the flight ring", "1"};
 const MetricDef kFlightEventsDroppedTotal = {
     "trendspeed_flight_events_dropped_total", MetricType::kCounter,
-    "Flight events lost to ring overwrites or the writer-thread cap", "1"};
-const MetricDef kFlightThreads = {
-    "trendspeed_flight_threads", MetricType::kGauge,
-    "Writer threads with a registered flight ring", "threads"};
+    "Flight events lost to ring overwrites", "1"};
 
 // --- read-side products (product/{profile,route_eta}.cc) -------------------
 const MetricDef kProductProfileFoldsTotal = {
@@ -256,7 +249,6 @@ const std::vector<const MetricDef*>& AllMetricDefs() {
       &kEstimateLatencyMs,
       &kServingIngestLatencyMs,
       &kServingStalenessSlots,
-      &kServingSlowIngestsTotal,
       &kServingSlotsEstimatedTotal,
       &kServingSlotsCarriedForwardTotal,
       &kServingDuplicateSlotsTotal,
@@ -277,7 +269,6 @@ const std::vector<const MetricDef*>& AllMetricDefs() {
       &kServingIngestStragglerWorstCount,
       &kFlightEventsRecordedTotal,
       &kFlightEventsDroppedTotal,
-      &kFlightThreads,
       &kProductProfileFoldsTotal,
       &kProductProfileStaleSkipsTotal,
       &kProductEtaCacheHitsTotal,

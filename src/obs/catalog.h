@@ -59,7 +59,6 @@ extern const MetricDef kEstimateLatencyMs;
 // --- core/serving.cc -------------------------------------------------------
 extern const MetricDef kServingIngestLatencyMs;
 extern const MetricDef kServingStalenessSlots;  ///< gauge: current streak
-extern const MetricDef kServingSlowIngestsTotal;
 // Registry mirrors of the ServingStats counters (same semantics, same
 // values; see the ServingStats <-> registry equivalence test).
 extern const MetricDef kServingSlotsEstimatedTotal;
@@ -90,7 +89,6 @@ extern const MetricDef kServingIngestStragglerWorstCount;  ///< gauge
 // --- obs/flight.cc (slot-causal flight recorder) ----------------------------
 extern const MetricDef kFlightEventsRecordedTotal;
 extern const MetricDef kFlightEventsDroppedTotal;
-extern const MetricDef kFlightThreads;  ///< gauge: registered writer rings
 
 // --- product/{profile,route_eta}.cc (read-side product layer) ---------------
 extern const MetricDef kProductProfileFoldsTotal;

@@ -8,43 +8,6 @@ namespace obs {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        // Remaining control characters are illegal raw inside a JSON
-        // string; \u-encode them so a hostile label value can't produce
-        // an unparseable document.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 // Label sets arrive pre-formatted as `key="value",key="value"`. The 0.0.4
 // exposition format requires backslash, double-quote, and newline escaped
 // inside label values, but MetricDef authors write raw values — so rewrite
@@ -96,19 +59,6 @@ std::string EscapeHelp(const std::string& help) {
   return out;
 }
 
-// JSON has no literal for non-finite numbers; render them as the quoted
-// Prometheus spelling so the document stays parseable.
-std::string JsonNumber(double v) {
-  std::string s = FormatMetricValue(v);
-  return std::isfinite(v) ? s : "\"" + s + "\"";
-}
-
-void AppendIdFields(const MetricId& id, std::string* out) {
-  *out += "\"name\": \"" + JsonEscape(id.name) + "\"";
-  *out += ", \"labels\": \"" + JsonEscape(id.labels) + "\"";
-  *out += ", \"unit\": \"" + JsonEscape(id.unit) + "\"";
-}
-
 /// `name{labels}` or just `name`; extra ("le=...") is appended to the label
 /// set when non-empty.
 std::string Series(const std::string& name, const std::string& labels,
@@ -140,50 +90,6 @@ std::string FormatMetricValue(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%g", v);
   return buf;
-}
-
-std::string ToJsonText(const RegistrySnapshot& snap) {
-  std::string out = "{\n  \"counters\": [";
-  for (size_t i = 0; i < snap.counters.size(); ++i) {
-    const CounterSnapshot& c = snap.counters[i];
-    out += i > 0 ? "," : "";
-    out += "\n    {";
-    AppendIdFields(c.id, &out);
-    out += ", \"value\": " + std::to_string(c.value) + "}";
-  }
-  out += snap.counters.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"gauges\": [";
-  for (size_t i = 0; i < snap.gauges.size(); ++i) {
-    const GaugeSnapshot& g = snap.gauges[i];
-    out += i > 0 ? "," : "";
-    out += "\n    {";
-    AppendIdFields(g.id, &out);
-    out += ", \"value\": " + JsonNumber(g.value) + "}";
-  }
-  out += snap.gauges.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"histograms\": [";
-  for (size_t i = 0; i < snap.histograms.size(); ++i) {
-    const HistogramSnapshot& h = snap.histograms[i];
-    out += i > 0 ? "," : "";
-    out += "\n    {";
-    AppendIdFields(h.id, &out);
-    out += ", \"buckets\": [";
-    uint64_t cumulative = 0;
-    for (size_t b = 0; b < h.counts.size(); ++b) {
-      cumulative += h.counts[b];
-      out += b > 0 ? ", " : "";
-      out += "{\"le\": \"";
-      out += b < h.bounds.size() ? FormatMetricValue(h.bounds[b]) : "inf";
-      out += "\", \"count\": " + std::to_string(cumulative) + "}";
-    }
-    out += "], \"sum\": " + JsonNumber(h.sum);
-    // Total derived from the buckets just rendered, not the separately-read
-    // h.count: the exposition invariant is +Inf bucket == count, and only
-    // the bucket sum is guaranteed consistent with the bucket lines.
-    out += ", \"count\": " + std::to_string(cumulative) + "}";
-  }
-  out += snap.histograms.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
 }
 
 std::string ToPrometheusText(const RegistrySnapshot& snap) {

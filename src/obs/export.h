@@ -1,7 +1,7 @@
-// Exporters over RegistrySnapshot: JSON (benches, tests, log lines) and
-// Prometheus text exposition format (scraping).
+// Exporter over RegistrySnapshot: Prometheus text exposition format, the
+// one export format for metrics (scraping, benches, tests).
 //
-// Both are deterministic for a given snapshot: series are pre-sorted by
+// It is deterministic for a given snapshot: series are pre-sorted by
 // (name, labels) in MetricsRegistry::Snapshot() and numbers are formatted
 // with a fixed shortest-round-trip format, so goldens in tests/obs_test.cc
 // stay stable across platforms.
@@ -16,18 +16,13 @@
 namespace trendspeed {
 namespace obs {
 
-/// One JSON object: {"counters": [...], "gauges": [...], "histograms":
-/// [...]}. Histogram buckets are cumulative with an explicit "inf" bucket,
-/// mirroring the Prometheus exposition so the two exports agree.
-std::string ToJsonText(const RegistrySnapshot& snap);
-
 /// Prometheus text exposition format (version 0.0.4): # HELP / # TYPE
 /// comments, one sample line per series, histograms expanded into
 /// `_bucket{le="..."}` / `_sum` / `_count`.
 std::string ToPrometheusText(const RegistrySnapshot& snap);
 
-/// Shortest %g-style rendering shared by both exporters ("5", "0.25",
-/// "1e+06"); exposed for golden tests.
+/// Shortest %g-style rendering of a sample value ("5", "0.25", "1e+06",
+/// "+Inf"); exposed for golden tests.
 std::string FormatMetricValue(double v);
 
 }  // namespace obs

@@ -1,6 +1,7 @@
 #include "obs/flight.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "obs/catalog.h"
 #include "obs/clock.h"
@@ -11,10 +12,6 @@ namespace obs {
 
 namespace {
 
-// Process-unique recorder generation ids (never reused), so a TLS ring
-// cache entry from a destroyed recorder can never alias a new one.
-std::atomic<uint64_t> g_next_generation{1};
-
 // Dense process-wide thread ids (0, 1, 2, ... in first-use order; assigned
 // lazily, stable for the thread's lifetime).
 constexpr uint32_t kUnassignedThreadId = 0xffffffffu;
@@ -22,12 +19,6 @@ std::atomic<uint32_t> g_next_thread_id{0};
 thread_local uint32_t tl_thread_id = kUnassignedThreadId;
 
 thread_local std::string tl_flight_label;
-
-struct RingCache {
-  uint64_t generation = 0;
-  void* ring = nullptr;  // FlightRecorder::ThreadRing*, cached per recorder
-};
-thread_local RingCache tl_ring_cache;
 
 uint32_t CurrentThreadId() {
   if (tl_thread_id == kUnassignedThreadId) {
@@ -60,95 +51,45 @@ void SetFlightThreadLabel(const char* label) {
   tl_flight_label = label != nullptr ? label : "";
 }
 
-FlightRecorder::FlightRecorder(size_t events_per_thread, size_t max_threads)
-    : events_per_thread_(std::max<size_t>(8, events_per_thread)),
-      max_threads_(std::max<size_t>(1, max_threads)),
-      generation_(g_next_generation.fetch_add(1, std::memory_order_relaxed)) {}
-
-FlightRecorder::~FlightRecorder() = default;
-
-FlightRecorder::ThreadRing* FlightRecorder::RingForThisThread() {
-  if (tl_ring_cache.generation == generation_) {
-    return static_cast<ThreadRing*>(tl_ring_cache.ring);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ThreadRing* ring = nullptr;
-  if (rings_.size() < max_threads_) {
-    rings_.push_back(std::make_unique<ThreadRing>(events_per_thread_));
-    ring = rings_.back().get();
-    ring->thread_id = CurrentThreadId();
-    ring->label = tl_flight_label.empty()
-                      ? "thread-" + std::to_string(ring->thread_id)
-                      : tl_flight_label;
-    Set(m_threads_, static_cast<double>(rings_.size()));
-  }
-  // Cache even the nullptr result: a thread past the max_threads bound
-  // stays on the cheap drop path instead of retaking the mutex per event.
-  tl_ring_cache.generation = generation_;
-  tl_ring_cache.ring = ring;
-  return ring;
+FlightRecorder::FlightRecorder(size_t capacity)
+    : capacity_(std::max<size_t>(8, capacity)) {
+  ring_.reserve(capacity_);
 }
 
 void FlightRecorder::Record(uint64_t slot, FlightStage stage, uint64_t start_ns,
                             uint64_t duration_ns, uint32_t path_seq) {
-  ThreadRing* ring = RingForThisThread();
-  if (ring == nullptr) {
-    dropped_unregistered_.fetch_add(1, std::memory_order_relaxed);
-    Add(m_dropped_);
-    return;
+  FlightEvent e;
+  e.slot = slot;
+  e.start_ns = start_ns;
+  e.duration_ns = duration_ns;
+  e.thread_id = CurrentThreadId();
+  e.stage = stage;
+  e.path_seq = path_seq;
+  std::lock_guard<std::mutex> lock(mu_);
+  const bool new_thread =
+      std::none_of(threads_.begin(), threads_.end(),
+                   [&](const auto& t) { return t.first == e.thread_id; });
+  if (new_thread) {
+    threads_.emplace_back(e.thread_id,
+                          tl_flight_label.empty()
+                              ? "thread-" + std::to_string(e.thread_id)
+                              : tl_flight_label);
   }
-  uint64_t n = ring->count.load(std::memory_order_relaxed);
-  Cell& cell = ring->cells[n % events_per_thread_];
-  // Single writer per ring; the seqlock below only defends the collector.
-  // Same fence protocol as the snapshot publisher (core/snapshot.cc).
-  uint32_t s = cell.seq.load(std::memory_order_relaxed);
-  cell.seq.store(s + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  cell.thread_id.store(ring->thread_id, std::memory_order_relaxed);
-  cell.stage_and_path.store(
-      static_cast<uint32_t>(stage) | (path_seq << 8), std::memory_order_relaxed);
-  cell.slot.store(slot, std::memory_order_relaxed);
-  cell.start_ns.store(start_ns, std::memory_order_relaxed);
-  cell.duration_ns.store(duration_ns, std::memory_order_relaxed);
-  cell.index.store(n, std::memory_order_relaxed);
-  cell.seq.store(s + 2, std::memory_order_release);
-  ring->count.store(n + 1, std::memory_order_release);
-  total_recorded_.fetch_add(1, std::memory_order_relaxed);
+  e.index = recorded_++;
   Add(m_recorded_);
-  if (n >= events_per_thread_) Add(m_dropped_);  // overwrote a live cell
+  if (ring_.size() < capacity_) {
+    ring_.push_back(e);
+  } else {
+    ring_[e.index % capacity_] = e;
+    Add(m_dropped_);
+  }
 }
 
 std::vector<FlightEvent> FlightRecorder::Collect() const {
-  std::vector<ThreadRing*> rings;
+  std::vector<FlightEvent> out;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    rings.reserve(rings_.size());
-    for (const auto& r : rings_) rings.push_back(r.get());
-  }
-  std::vector<FlightEvent> out;
-  for (ThreadRing* ring : rings) {
-    uint64_t n = ring->count.load(std::memory_order_acquire);
-    size_t filled = static_cast<size_t>(
-        std::min<uint64_t>(n, events_per_thread_));
-    for (size_t i = 0; i < filled; ++i) {
-      const Cell& cell = ring->cells[i];
-      uint32_t s1 = cell.seq.load(std::memory_order_acquire);
-      if (s1 == 0 || (s1 & 1) != 0) continue;  // unwritten or mid-write
-      FlightEvent e;
-      e.thread_id = cell.thread_id.load(std::memory_order_relaxed);
-      uint32_t sp = cell.stage_and_path.load(std::memory_order_relaxed);
-      e.stage = static_cast<FlightStage>(sp & 0xff);
-      e.path_seq = sp >> 8;
-      e.slot = cell.slot.load(std::memory_order_relaxed);
-      e.start_ns = cell.start_ns.load(std::memory_order_relaxed);
-      e.duration_ns = cell.duration_ns.load(std::memory_order_relaxed);
-      e.index = cell.index.load(std::memory_order_relaxed);
-      // Pairs with the writer's release fence: if any payload load above
-      // raced an in-flight overwrite, the seq re-read sees its odd store.
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (cell.seq.load(std::memory_order_relaxed) != s1) continue;
-      out.push_back(e);
-    }
+    out = ring_;
   }
   std::sort(out.begin(), out.end(),
             [](const FlightEvent& a, const FlightEvent& b) {
@@ -174,8 +115,7 @@ std::vector<std::pair<uint32_t, std::string>> FlightRecorder::ThreadLabels()
   std::vector<std::pair<uint32_t, std::string>> out;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(rings_.size());
-    for (const auto& r : rings_) out.emplace_back(r->thread_id, r->label);
+    out = threads_;
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -184,28 +124,21 @@ std::vector<std::pair<uint32_t, std::string>> FlightRecorder::ThreadLabels()
 void FlightRecorder::AttachMetrics(MetricsRegistry* registry) {
   m_recorded_ = GetCounter(registry, kFlightEventsRecordedTotal);
   m_dropped_ = GetCounter(registry, kFlightEventsDroppedTotal);
-  m_threads_ = GetGauge(registry, kFlightThreads);
-  std::lock_guard<std::mutex> lock(mu_);
-  Set(m_threads_, static_cast<double>(rings_.size()));
 }
 
 uint64_t FlightRecorder::total_recorded() const {
-  return total_recorded_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  return recorded_;
 }
 
 uint64_t FlightRecorder::dropped() const {
-  uint64_t d = dropped_unregistered_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& r : rings_) {
-    uint64_t n = r->count.load(std::memory_order_relaxed);
-    if (n > events_per_thread_) d += n - events_per_thread_;
-  }
-  return d;
+  return recorded_ - ring_.size();
 }
 
 size_t FlightRecorder::num_threads() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return rings_.size();
+  return threads_.size();
 }
 
 uint64_t FlightSpan::Now() { return MonotonicNanos(); }

@@ -1,5 +1,5 @@
-// Slot-causal flight recorder: per-thread bounded event rings merged into
-// per-slot causal timelines with critical-path attribution.
+// Slot-causal flight recorder: one bounded event ring merged into per-slot
+// causal timelines with critical-path attribution.
 //
 // Motivation (docs/observability.md "Flight recorder"): once a slot's life
 // spans the MPSC ingest queue, the BP solve on the thread pool, and the
@@ -9,20 +9,16 @@
 // solve -> snapshot publish — so the collector can reassemble one slot's
 // stage timeline across every participating thread.
 //
-// Concurrency design:
-//
-//   * One bounded ring per writer thread, single-writer by construction
-//     (lazily registered on first Record, cached in TLS keyed by a
-//     recorder generation id so a destroyed recorder can never be written
-//     through a stale cache entry).
-//   * Each ring cell is an independent seqlock (same fence protocol as
-//     core/snapshot.cc): the writer bumps the cell sequence odd, stores the
-//     payload relaxed, bumps it even with release; the collector skips
-//     cells it catches mid-write or unwritten. Collection never blocks a
-//     writer and writers never wait — an overwritten cell is a counted
-//     drop, not a stall.
-//   * Cells carry only trivially-copyable fields (no strings, no
-//     allocation on the record path).
+// Concurrency design: every flight event is recorded by the thread that
+// calls IngestFrontEnd::Flush or ServingSession::Ingest (pool workers never
+// record), so a recorder has as few writers as it has serving sessions.
+// One mutex guards one ring of trivially-copyable FlightEvents whose
+// capacity covers the whole recorder. A Record is one short critical
+// section. The ring is reserved at construction, so only a thread's first
+// Record allocates (its label). Once the ring is full each Record
+// overwrites the oldest event and counts a drop. Collect copies the ring
+// under the same mutex, so a writer may wait for a concurrent Collect's
+// copy, and ThreadSanitizer sees every access.
 //
 // Detached contract (the PR 3 rule): every record site is null-handle
 // gated. `FlightSpan span(nullptr, ...)` costs two predicted branches and
@@ -32,10 +28,8 @@
 #ifndef TRENDSPEED_OBS_FLIGHT_H_
 #define TRENDSPEED_OBS_FLIGHT_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -45,7 +39,6 @@ namespace trendspeed {
 namespace obs {
 
 class Counter;
-class Gauge;
 class MetricsRegistry;
 
 /// Pipeline stages a slot passes through. kQueueWait/kIngest/kAdmission/
@@ -71,7 +64,7 @@ struct FlightEvent {
   uint64_t slot = 0;
   uint64_t start_ns = 0;     ///< MonotonicNanos at stage entry
   uint64_t duration_ns = 0;  ///< clamped >= 0 (obs/clock.h contract)
-  uint64_t index = 0;        ///< per-thread record order (0-based)
+  uint64_t index = 0;        ///< recorder-wide record order (0-based)
   uint32_t thread_id = 0;    ///< dense process-wide id, in first-use order
   FlightStage stage = FlightStage::kQueueWait;
   /// 1-based position on the slot's causal backbone (assigned from the
@@ -92,32 +85,26 @@ struct SlotTraceContext {
 
 class FlightRecorder {
  public:
-  /// `events_per_thread` bounds each writer ring (rounded up to >= 8);
-  /// `max_threads` bounds how many distinct writer threads may register —
-  /// later threads' events are counted as drops rather than recorded.
-  explicit FlightRecorder(size_t events_per_thread = 4096,
-                          size_t max_threads = 256);
-  ~FlightRecorder();
+  /// `capacity` bounds the one ring every writer thread shares (rounded up
+  /// to >= 8); once it is full each Record overwrites the oldest event.
+  explicit FlightRecorder(size_t capacity = 4096);
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Records one completed stage. Thread-safe, lock-free after the calling
-  /// thread's first Record (which registers its ring under a mutex).
+  /// Records one completed stage. Thread-safe: one short critical section.
   void Record(uint64_t slot, FlightStage stage, uint64_t start_ns,
               uint64_t duration_ns, uint32_t path_seq = 0);
 
-  /// Merged snapshot of every thread ring, sorted by (start_ns, thread_id,
-  /// index). Cells caught mid-write are skipped, never torn. Safe to call
-  /// concurrently with writers.
+  /// Copy of the retained events, sorted by (start_ns, thread_id, index).
+  /// Safe to call concurrently with writers.
   std::vector<FlightEvent> Collect() const;
 
   /// Collect() filtered to one slot.
   std::vector<FlightEvent> CollectSlot(uint64_t slot) const;
 
-  /// (thread_id, label) for every registered writer ring, sorted by id.
-  /// Labels come from SetFlightThreadLabel ("pool-3" for pool workers),
-  /// defaulting to "thread-<id>".
+  /// (thread_id, label) for every thread that has recorded, sorted by id.
+  /// Labels come from SetFlightThreadLabel, defaulting to "thread-<id>".
   std::vector<std::pair<uint32_t, std::string>> ThreadLabels() const;
 
   /// Mirrors recorder activity into the registry (trendspeed_flight_*).
@@ -126,52 +113,26 @@ class FlightRecorder {
 
   /// Events recorded over the recorder's lifetime (retained + overwritten).
   uint64_t total_recorded() const;
-  /// Events lost to ring overwrites or the max_threads bound.
+  /// Events lost to ring overwrites.
   uint64_t dropped() const;
-  size_t events_per_thread() const { return events_per_thread_; }
-  /// Writer rings registered so far.
+  /// Distinct threads that have recorded so far.
   size_t num_threads() const;
 
  private:
-  // One ring cell: an independent seqlock over a trivially-copyable
-  // payload. seq 0 = never written, odd = write in progress.
-  struct Cell {
-    std::atomic<uint32_t> seq{0};
-    std::atomic<uint32_t> thread_id{0};
-    std::atomic<uint32_t> stage_and_path{0};  // stage in low 8, path_seq << 8
-    std::atomic<uint64_t> slot{0};
-    std::atomic<uint64_t> start_ns{0};
-    std::atomic<uint64_t> duration_ns{0};
-    std::atomic<uint64_t> index{0};
-  };
-  struct ThreadRing {
-    explicit ThreadRing(size_t capacity) : cells(capacity) {}
-    uint32_t thread_id = 0;
-    std::string label;
-    std::atomic<uint64_t> count{0};  // events ever written into this ring
-    std::vector<Cell> cells;
-  };
+  const size_t capacity_;
 
-  ThreadRing* RingForThisThread();
-
-  const size_t events_per_thread_;
-  const size_t max_threads_;
-  const uint64_t generation_;  // process-unique id for the TLS ring cache
-
-  mutable std::mutex mu_;  // guards rings_ growth only
-  std::vector<std::unique_ptr<ThreadRing>> rings_;
-
-  std::atomic<uint64_t> total_recorded_{0};
-  std::atomic<uint64_t> dropped_unregistered_{0};
+  mutable std::mutex mu_;
+  std::vector<FlightEvent> ring_;  // grows to capacity_, then wraps
+  uint64_t recorded_ = 0;
+  std::vector<std::pair<uint32_t, std::string>> threads_;
 
   Counter* m_recorded_ = nullptr;
   Counter* m_dropped_ = nullptr;
-  Gauge* m_threads_ = nullptr;
 };
 
-/// Labels the calling thread's flight ring (and Chrome-trace thread row).
-/// Pool workers call this once at startup ("pool-<i>"); the label applies
-/// to rings registered after the call. Pass "" to restore the default.
+/// Labels the calling thread's flight events (and Chrome-trace thread row).
+/// A recorder reads the label on the thread's first Record into it. Pass ""
+/// to restore the default.
 void SetFlightThreadLabel(const char* label);
 
 /// RAII stage span. A null recorder makes the whole object two predicted

@@ -1,9 +1,5 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <functional>
-#include <string_view>
-
 #include "obs/export.h"
 
 namespace trendspeed {
@@ -62,14 +58,9 @@ MetricId MakeId(const MetricDef& def) {
 
 }  // namespace
 
-MetricsRegistry::Shard& MetricsRegistry::ShardFor(const MetricDef& def) {
-  return shards_[std::hash<std::string_view>{}(def.name) % kShards];
-}
-
 MetricsRegistry::Entry* MetricsRegistry::GetEntry(const MetricDef& def) {
-  Shard& shard = ShardFor(def);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto [it, inserted] = shard.entries.try_emplace(EntryKey(def));
+  std::lock_guard<std::mutex> lock(mu_);
+  auto [it, inserted] = entries_.try_emplace(EntryKey(def));
   Entry& entry = it->second;
   if (inserted) {
     entry.def = def;
@@ -107,57 +98,46 @@ Histogram* MetricsRegistry::GetHistogram(const MetricDef& def) {
 
 RegistrySnapshot MetricsRegistry::Snapshot() const {
   RegistrySnapshot snap;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, entry] : shard.entries) {
-      switch (entry.def.type) {
-        case MetricType::kCounter:
-          snap.counters.push_back(
-              CounterSnapshot{MakeId(entry.def), entry.counter->Value()});
-          break;
-        case MetricType::kGauge:
-          snap.gauges.push_back(
-              GaugeSnapshot{MakeId(entry.def), entry.gauge->Value()});
-          break;
-        case MetricType::kHistogram: {
-          const Histogram& h = *entry.histogram;
-          HistogramSnapshot hs;
-          hs.id = MakeId(entry.def);
-          hs.bounds.reserve(h.num_buckets());
-          for (size_t i = 0; i < h.num_buckets(); ++i) {
-            hs.bounds.push_back(h.bound(i));
-          }
-          hs.counts.reserve(h.num_buckets() + 1);
-          // Derive the total from the same per-bucket reads that feed the
-          // cumulative series. Observe() bumps the bucket cell and the
-          // separate total as two relaxed ops, so reading h.count()
-          // independently can disagree with the bucket sum mid-scrape —
-          // which breaks the 0.0.4 invariant that `_bucket{le="+Inf"}`
-          // equals `_count`.
-          hs.count = 0;
-          for (size_t i = 0; i <= h.num_buckets(); ++i) {
-            uint64_t c = h.bucket_count(i);
-            hs.counts.push_back(c);
-            hs.count += c;
-          }
-          hs.sum = h.sum();
-          snap.histograms.push_back(std::move(hs));
-          break;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [key, entry] : entries_) {
+    switch (entry.def.type) {
+      case MetricType::kCounter:
+        snap.counters.push_back(
+            CounterSnapshot{MakeId(entry.def), entry.counter->Value()});
+        break;
+      case MetricType::kGauge:
+        snap.gauges.push_back(
+            GaugeSnapshot{MakeId(entry.def), entry.gauge->Value()});
+        break;
+      case MetricType::kHistogram: {
+        const Histogram& h = *entry.histogram;
+        HistogramSnapshot hs;
+        hs.id = MakeId(entry.def);
+        hs.bounds.reserve(h.num_buckets());
+        for (size_t i = 0; i < h.num_buckets(); ++i) {
+          hs.bounds.push_back(h.bound(i));
         }
+        hs.counts.reserve(h.num_buckets() + 1);
+        // Derive the total from the same per-bucket reads that feed the
+        // cumulative series. Observe() bumps the bucket cell and the
+        // separate total as two relaxed ops, so reading h.count()
+        // independently can disagree with the bucket sum mid-scrape —
+        // which breaks the 0.0.4 invariant that `_bucket{le="+Inf"}`
+        // equals `_count`.
+        hs.count = 0;
+        for (size_t i = 0; i <= h.num_buckets(); ++i) {
+          uint64_t c = h.bucket_count(i);
+          hs.counts.push_back(c);
+          hs.count += c;
+        }
+        hs.sum = h.sum();
+        snap.histograms.push_back(std::move(hs));
+        break;
       }
     }
   }
-  auto by_id = [](const auto& a, const auto& b) {
-    if (a.id.name != b.id.name) return a.id.name < b.id.name;
-    return a.id.labels < b.id.labels;
-  };
-  std::sort(snap.counters.begin(), snap.counters.end(), by_id);
-  std::sort(snap.gauges.begin(), snap.gauges.end(), by_id);
-  std::sort(snap.histograms.begin(), snap.histograms.end(), by_id);
   return snap;
 }
-
-std::string MetricsRegistry::ToJson() const { return ToJsonText(Snapshot()); }
 
 std::string MetricsRegistry::ToPrometheus() const {
   return ToPrometheusText(Snapshot());

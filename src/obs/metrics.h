@@ -3,9 +3,9 @@
 //
 // The contract that keeps instrumentation out of the profile:
 //
-//   * Handles are registered once (mutex-guarded, lock-sharded by metric
-//     name) and are stable pointers for the registry's lifetime; hot-path
-//     code holds the pointer, never the name.
+//   * Handles are registered once (under one mutex) and are stable pointers
+//     for the registry's lifetime; hot-path code holds the pointer, never
+//     the name.
 //   * Recording against a handle is a relaxed atomic add (counters shard
 //     their cells across cache lines so concurrent writers don't ping-pong
 //     one line). No locks, no allocation, no syscalls.
@@ -18,7 +18,7 @@
 // Metric identities come from the central catalog (obs/catalog.h); the
 // catalog is what docs/observability.md is verified against.
 //
-// Exporters (JSON snapshot, Prometheus text) live in obs/export.h.
+// The exporter (Prometheus text) lives in obs/export.h.
 
 #ifndef TRENDSPEED_OBS_METRICS_H_
 #define TRENDSPEED_OBS_METRICS_H_
@@ -27,10 +27,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace trendspeed {
@@ -179,8 +179,7 @@ class MetricsRegistry {
   /// deterministic export.
   RegistrySnapshot Snapshot() const;
 
-  /// Convenience: Snapshot() through the exporters (obs/export.h).
-  std::string ToJson() const;
+  /// Convenience: Snapshot() through the exporter (obs/export.h).
   std::string ToPrometheus() const;
 
  private:
@@ -190,18 +189,13 @@ class MetricsRegistry {
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
-  // Registration is lock-sharded by metric name so concurrent component
-  // attach (e.g. many sessions starting at once) doesn't serialize on one
-  // mutex. Recording never touches these locks.
-  static constexpr size_t kShards = 8;
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, Entry> entries;  // key: name + '\0' + labels
-  };
-  Shard& ShardFor(const MetricDef& def);
+  // Registration happens once per component attach; recording never takes
+  // the lock. Keyed name + '\0' + labels, so iteration is (name, labels)
+  // order.
   Entry* GetEntry(const MetricDef& def);
 
-  std::array<Shard, kShards> shards_;
+  mutable std::mutex mu_;
+  std::map<std::string, Entry> entries_;
 };
 
 // ---------------------------------------------------------------------------

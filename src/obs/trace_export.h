@@ -16,7 +16,7 @@
 //
 // Everything here is a pure function of already-collected events — no
 // clock reads, no recorder mutation — so exports are safe while writers
-// are live (Collect() snapshots via the per-cell seqlocks).
+// are live (Collect() copies the ring under the recorder's mutex).
 
 #ifndef TRENDSPEED_OBS_TRACE_EXPORT_H_
 #define TRENDSPEED_OBS_TRACE_EXPORT_H_

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <exception>
 
 #include "obs/catalog.h"
 #include "obs/clock.h"
-#include "obs/flight.h"
 #include "util/parallel.h"
 
 namespace trendspeed {
@@ -86,7 +84,7 @@ ThreadPool::ThreadPool(size_t num_workers) {
   }
   workers_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -120,14 +118,9 @@ void ThreadPool::AttachMetrics(obs::MetricsRegistry* registry) {
                        std::memory_order_release);
 }
 
-void ThreadPool::WorkerLoop(size_t self) {
+void ThreadPool::WorkerLoop() {
   RegionFrame frame{this, nullptr};
   tl_frames = &frame;
-  // Name this worker's flight-recorder ring (and its Chrome-trace thread
-  // row) after its pool slot, before any region can record a span from here.
-  char label[32];
-  std::snprintf(label, sizeof(label), "pool-%zu", self);
-  obs::SetFlightThreadLabel(label);
   for (;;) {
     std::shared_ptr<Region> region;
     obs::Counter* tasks = nullptr;

@@ -89,7 +89,7 @@ class ThreadPool {
  private:
   struct Region;
 
-  void WorkerLoop(size_t self);
+  void WorkerLoop();
 
   // Held by the caller for the whole of a region: one region at a time.
   std::mutex region_mu_;

@@ -1,5 +1,5 @@
 // Tests for the slot-causal flight recorder (obs/flight.h): stage naming,
-// per-thread ring recording and seqlock collection, overflow accounting,
+// recording into the shared ring and collection, overflow accounting,
 // the detached FlightSpan no-op contract, critical-path attribution, and
 // the TSan torture proof (N writer threads + a live collector). Run under
 // TRENDSPEED_SANITIZE=thread for the full data-race proof.
@@ -35,7 +35,7 @@ TEST(FlightStageTest, NamesAreStable) {
 }
 
 TEST(FlightRecorderTest, RecordsAndCollectsInStartOrder) {
-  obs::FlightRecorder rec(/*events_per_thread=*/64);
+  obs::FlightRecorder rec(/*capacity=*/64);
   rec.Record(7, obs::FlightStage::kAdmission, /*start_ns=*/200,
              /*duration_ns=*/10, /*path_seq=*/2);
   rec.Record(7, obs::FlightStage::kQueueWait, /*start_ns=*/100,
@@ -62,7 +62,7 @@ TEST(FlightRecorderTest, RecordsAndCollectsInStartOrder) {
 }
 
 TEST(FlightRecorderTest, RingOverflowCountsDrops) {
-  obs::FlightRecorder rec(/*events_per_thread=*/8);
+  obs::FlightRecorder rec(/*capacity=*/8);
   for (uint64_t i = 0; i < 20; ++i) {
     rec.Record(1, obs::FlightStage::kIngest, i, 1);
   }
@@ -77,14 +77,13 @@ TEST(FlightRecorderTest, RingOverflowCountsDrops) {
 
 TEST(FlightRecorderTest, MetricsMirrorRecorderActivity) {
   obs::MetricsRegistry reg;
-  obs::FlightRecorder rec(/*events_per_thread=*/8);
+  obs::FlightRecorder rec(/*capacity=*/8);
   rec.AttachMetrics(&reg);
   for (uint64_t i = 0; i < 10; ++i) {
     rec.Record(1, obs::FlightStage::kIngest, i, 1);
   }
   EXPECT_EQ(reg.GetCounter(obs::kFlightEventsRecordedTotal)->Value(), 10u);
   EXPECT_EQ(reg.GetCounter(obs::kFlightEventsDroppedTotal)->Value(), 2u);
-  EXPECT_EQ(reg.GetGauge(obs::kFlightThreads)->Value(), 1.0);
 }
 
 TEST(FlightRecorderTest, ThreadLabelsDefaultAndOverride) {
@@ -205,7 +204,7 @@ TEST(CriticalPathTest, OtherSlotsAreIgnoredAndEmptyIsZero) {
 // ---------------------------------------------------------------------------
 
 TEST(FlightTortureTest, ConcurrentWritersAndCollectorAreRaceFree) {
-  obs::FlightRecorder rec(/*events_per_thread=*/256);
+  obs::FlightRecorder rec(/*capacity=*/256);
   constexpr int kWriters = 4;
   constexpr uint64_t kEventsPerWriter = 20'000;
   std::atomic<bool> writing{true};
@@ -221,7 +220,7 @@ TEST(FlightTortureTest, ConcurrentWritersAndCollectorAreRaceFree) {
     });
   }
   // Live collector: every returned event must be internally consistent —
-  // the seqlock either yields a whole cell or skips it, never a torn mix.
+  // one whole Record, never a torn mix.
   // path_seq carries the writer index, tying the fields of one cell.
   uint64_t collections = 0;
   while (writing.load(std::memory_order_acquire)) {

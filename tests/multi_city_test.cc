@@ -2,12 +2,16 @@
 // the sessions share only ThreadPool::Global() and, optionally, one
 // MetricsRegistry. Pins that two sessions ingesting concurrently from two
 // threads serve exactly what each would serve alone — speeds, carry-forward
-// and stats — that the fleet total is the sum of the sessions' stats, and
-// that sessions pointed at one registry sum into its counters (one scrape
-// endpoint for the whole fleet).
+// and stats — that the fleet total is the sum of the sessions' stats, that
+// sessions pointed at one registry sum into its counters (one scrape
+// endpoint for the whole fleet), and that sessions on two threads can share
+// one flight recorder's ring.
 
 #include <algorithm>
 #include <latch>
+#include <map>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +19,7 @@
 
 #include "core/serving.h"
 #include "obs/catalog.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "test_util.h"
 
@@ -214,6 +219,68 @@ TEST_F(MultiCityTest, CitiesShareOneMetricsRegistry) {
   EXPECT_EQ(estimated->Value(),
             a->stats().slots_estimated + b->stats().slots_estimated);
   EXPECT_EQ(estimated->Value(), 3u);
+}
+
+// Two cities on two threads record into one FlightRecorder at once. Every
+// served slot keeps all its stages, each stamped with the thread that
+// served it, and the recorder's accounting stays whole. Under
+// TRENDSPEED_SANITIZE=thread this is also the data-race check of the
+// shared ring with two live writers.
+TEST_F(MultiCityTest, CitiesShareOneFlightRecorder) {
+  obs::FlightRecorder flight;
+  ServingOptions opts;
+  opts.publish_snapshots = true;  // adds the publish stage
+  opts.observability.flight = &flight;
+  auto a = ServingSession::Create(default_, opts);
+  auto b = ServingSession::Create(scalar_, opts);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+
+  // Disjoint slot ranges, so a slot names the city (and thread) serving it.
+  constexpr uint64_t kSlots = 6;
+  const uint64_t base_a = ds().first_test_slot();
+  const uint64_t base_b = base_a + kSlots;
+  std::latch start(2);
+  auto serve = [&](ServingSession* session, uint64_t base, const char* label) {
+    obs::SetFlightThreadLabel(label);
+    start.arrive_and_wait();
+    for (uint64_t slot = base; slot < base + kSlots; ++slot) {
+      EXPECT_TRUE(session->Ingest(slot, Obs(slot, 1.0)).ok()) << slot;
+    }
+    obs::SetFlightThreadLabel("");
+  };
+  std::thread thread_a(serve, &a.value(), base_a, "city-a");
+  std::thread thread_b(serve, &b.value(), base_b, "city-b");
+  thread_a.join();
+  thread_b.join();
+
+  // Both writer threads are listed, under their labels.
+  std::map<std::string, uint32_t> thread_of;
+  for (const auto& [id, label] : flight.ThreadLabels()) thread_of[label] = id;
+  ASSERT_EQ(thread_of.size(), 2u);
+  ASSERT_EQ(thread_of.count("city-a"), 1u);
+  ASSERT_EQ(thread_of.count("city-b"), 1u);
+  EXPECT_EQ(flight.num_threads(), 2u);
+
+  const std::set<obs::FlightStage> kServedStages = {
+      obs::FlightStage::kIngest, obs::FlightStage::kAdmission,
+      obs::FlightStage::kEstimate, obs::FlightStage::kBpSolve,
+      obs::FlightStage::kPublish};
+  for (uint64_t slot = base_a; slot < base_b + kSlots; ++slot) {
+    const uint32_t server =
+        thread_of[slot < base_b ? "city-a" : "city-b"];
+    std::set<obs::FlightStage> stages;
+    for (const obs::FlightEvent& e : flight.CollectSlot(slot)) {
+      stages.insert(e.stage);
+      EXPECT_EQ(e.thread_id, server) << "slot " << slot;
+    }
+    EXPECT_EQ(stages, kServedStages) << "slot " << slot;
+  }
+
+  // Retained + dropped = recorded.
+  EXPECT_EQ(flight.Collect().size() + flight.dropped(),
+            flight.total_recorded());
+  EXPECT_EQ(flight.total_recorded(), 2 * kSlots * kServedStages.size());
 }
 
 }  // namespace

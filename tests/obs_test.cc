@@ -180,25 +180,6 @@ void FillGoldenRegistry(obs::MetricsRegistry* reg) {
   h->Observe(10.0);  // +Inf
 }
 
-TEST(ExportTest, JsonGolden) {
-  obs::MetricsRegistry reg;
-  FillGoldenRegistry(&reg);
-  const std::string expected = R"({
-  "counters": [
-    {"name": "test_requests_total", "labels": "", "unit": "1", "value": 3},
-    {"name": "test_requests_total", "labels": "code=\"500\"", "unit": "1", "value": 1}
-  ],
-  "gauges": [
-    {"name": "test_temp", "labels": "", "unit": "celsius", "value": -3.5}
-  ],
-  "histograms": [
-    {"name": "test_latency", "labels": "", "unit": "ms", "buckets": [{"le": "0.5", "count": 1}, {"le": "2", "count": 2}, {"le": "inf", "count": 3}], "sum": 11.75, "count": 3}
-  ]
-}
-)";
-  EXPECT_EQ(reg.ToJson(), expected);
-}
-
 TEST(ExportTest, PrometheusGolden) {
   obs::MetricsRegistry reg;
   FillGoldenRegistry(&reg);
@@ -244,14 +225,6 @@ TEST(ExportTest, HostileLabelValuesAndHelpAreEscaped) {
       "# TYPE test_saturation gauge\n"
       "test_saturation +Inf\n";
   EXPECT_EQ(reg.ToPrometheus(), expected);
-
-  // The JSON export of the same registry must stay parseable too: control
-  // characters \u-escaped or \n-escaped, non-finite numbers quoted.
-  const std::string json = reg.ToJson();
-  EXPECT_NE(json.find("\"labels\": \"msg=\\\"a\\\"b\\nc\\\\d\\\"\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"value\": \"+Inf\""), std::string::npos);
-  EXPECT_EQ(json.find('\n', json.find("msg")), json.find("\n  ],"));
 }
 
 TEST(ExportTest, FormatMetricValueSpellsNonFinitePerExposition) {
@@ -281,7 +254,6 @@ TEST(ExportTest, HistogramCountDerivedFromBuckets) {
   const std::string prom = obs::ToPrometheusText(snap);
   EXPECT_NE(prom.find("test_torn_bucket{le=\"+Inf\"} 3\n"), std::string::npos);
   EXPECT_NE(prom.find("test_torn_count 3\n"), std::string::npos);
-  EXPECT_NE(obs::ToJsonText(snap).find("\"count\": 3"), std::string::npos);
 }
 
 // And MetricsRegistry::Snapshot() itself keeps count consistent with the
@@ -314,9 +286,6 @@ TEST(ExportTest, SnapshotCountMatchesBucketSumUnderConcurrentObserve) {
 
 TEST(ExportTest, EmptyRegistryExportsAreWellFormed) {
   obs::MetricsRegistry reg;
-  EXPECT_EQ(reg.ToJson(),
-            "{\n  \"counters\": [],\n  \"gauges\": [],\n"
-            "  \"histograms\": []\n}\n");
   EXPECT_EQ(reg.ToPrometheus(), "");
 }
 
@@ -417,26 +386,6 @@ TEST(PoolMetricsTest, WorkerPoolCountsEveryTask) {
   EXPECT_EQ(reg.GetHistogram(obs::kPoolTaskRunUs)->count(), tasks->Value());
   EXPECT_EQ(reg.GetHistogram(obs::kPoolTaskWaitUs)->count(), tasks->Value());
   EXPECT_EQ(reg.GetCounter(obs::kPoolStealsTotal)->Value(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Config validation of the observability knobs.
-// ---------------------------------------------------------------------------
-
-TEST(ObservabilityConfigTest, ValidatesSlowIngestAndPoolFlag) {
-  PipelineConfig config;
-  EXPECT_TRUE(config.Validate().ok());
-  // The slow-ingest threshold is a serving option.
-  ServingOptions opts;
-  EXPECT_TRUE(opts.Validate().ok());
-  opts.observability.slow_ingest_ms = 0.0;
-  EXPECT_FALSE(opts.Validate().ok());
-  opts.observability.slow_ingest_ms = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(opts.Validate().ok());
-  opts.observability.slow_ingest_ms = std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(opts.Validate().ok());
-  opts.observability.slow_ingest_ms = 250.0;
-  EXPECT_TRUE(opts.Validate().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -616,31 +565,45 @@ TEST_F(ObsPipelineTest, ServingStatsMatchRegistryMirrors) {
   EXPECT_EQ(reg.GetGauge(obs::kServingStalenessSlots)->Value(), 0.0);
 }
 
-TEST_F(ObsPipelineTest, ServingValidatesSlowIngestThreshold) {
-  ServingOptions opts;
-  opts.observability.slow_ingest_ms = -1.0;
-  EXPECT_FALSE(ServingSession::Create(estimator_, opts).ok());
-}
-
+// Slow ingests are read off the latency histogram: `_count` minus
+// `_bucket{le="250"}`. Under the injected clock the one Ingest lands in the
+// bucket its measured latency belongs to, past the 250 ms bound.
 TEST_F(ObsPipelineTest, SlowIngestCounterUsesInjectedClock) {
   obs::MetricsRegistry reg;
   ServingOptions opts;
   opts.observability.metrics = &reg;
-  opts.observability.slow_ingest_ms = 1.0;
   auto session = ServingSession::Create(estimator_, opts);
   ASSERT_TRUE(session.ok());
-  // Fake clock: Ingest appears to take 5 ms, above the 1 ms threshold. The
-  // injected clock advances on every read, which also keeps the estimator's
+  // Fake clock: every read advances 300 ms, so the Ingest call (at least a
+  // start and an end read) appears to take 300 ms or more. The injected
+  // clock advances on every read, which also keeps the estimator's
   // internal timers sane.
   g_fake_now = 0;
   obs::SetMonotonicClockForTest(+[]() -> uint64_t {
-    g_fake_now += 2'500'000;  // each read advances 2.5 ms
+    g_fake_now += 300'000'000;
     return g_fake_now;
   });
   auto report = session->Ingest(0, CleanObs(0));
   obs::SetMonotonicClockForTest(nullptr);
   ASSERT_TRUE(report.ok());
-  EXPECT_GE(reg.GetCounter(obs::kServingSlowIngestsTotal)->Value(), 1u);
+  const obs::Histogram* h = reg.GetHistogram(obs::kServingIngestLatencyMs);
+  ASSERT_EQ(h->count(), 1u);
+  const double ms = h->sum();
+  EXPECT_GE(ms, 300.0);
+  size_t expected_bucket = 0;
+  while (expected_bucket < h->num_buckets() &&
+         ms > h->bound(expected_bucket)) {
+    ++expected_bucket;
+  }
+  for (size_t i = 0; i <= h->num_buckets(); ++i) {
+    EXPECT_EQ(h->bucket_count(i), i == expected_bucket ? 1u : 0u) << i;
+  }
+  // The documented recipe: _count - _bucket{le="250"} = 1 slow ingest.
+  const std::string prom = reg.ToPrometheus();
+  EXPECT_NE(prom.find("trendspeed_serving_ingest_latency_ms_bucket{le=\"250\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("trendspeed_serving_ingest_latency_ms_count 1\n"),
+            std::string::npos);
 }
 
 }  // namespace
