@@ -1,10 +1,22 @@
 // Ingest queue throughput bench, emitted as JSON on stdout (saved as
 // BENCH_ingest_throughput.json).
 //
-// Measures raw MpscBoundedQueue push+pop throughput, single producer and
-// multi-producer: the lock-free floor the ingest front-end sits on. The
-// full front-end loop (offer, flush, snapshot reads and retries) is
-// measured end to end by perfbench's crowd_burst workload.
+// Measures raw MpscBoundedQueue push+pop throughput, the lock-free floor
+// the ingest front-end sits on, in three rows:
+//
+//   * spsc_mops     — one thread pushes until the queue is full, then pops
+//                     it empty. No cross-thread handoff: every cell stays
+//                     in that thread's cache. An upper bound, not a
+//                     serving shape.
+//   * mpsc_1p_mops  — one producer thread and one consumer thread. Every
+//                     item crosses cores, but no producers contend for the
+//                     tail. The handoff cost alone.
+//   * mpsc_mops     — `mpsc_producers` producer threads and one consumer
+//                     thread (one CPU is left to the consumer). The
+//                     handoff plus producer contention on the tail.
+//
+// The full front-end loop (offer, flush, snapshot reads) is measured end
+// to end by perfbench's crowd_burst workload.
 //
 // Flags:
 //   --smoke   tiny instance, used by the `perf`-labelled CTest smoke entry.
@@ -86,11 +98,13 @@ int Run(const ThroughputConfig& cfg) {
   const int producers =
       std::max(1, std::min(4, static_cast<int>(BenchUsableCpus()) - 1));
   double spsc_mops = QueueMopsSingleProducer(cfg);
+  double mpsc_1p_mops = QueueMopsMultiProducer(cfg, 1);
   double mpsc_mops = QueueMopsMultiProducer(cfg, producers);
   std::printf("  \"queue\": {\n");
   std::printf("    \"capacity\": %zu,\n", cfg.queue_capacity);
   std::printf("    \"items\": %zu,\n", cfg.queue_items);
   std::printf("    \"spsc_mops\": %.2f,\n", spsc_mops);
+  std::printf("    \"mpsc_1p_mops\": %.2f,\n", mpsc_1p_mops);
   std::printf("    \"mpsc_producers\": %d,\n", producers);
   std::printf("    \"consumer_threads\": 1,\n");
   std::printf("    \"mpsc_mops\": %.2f\n", mpsc_mops);

@@ -3,14 +3,17 @@
 //
 // Two measurement groups:
 //
-//   * writer_baseline     — seqlock publish latency with zero readers: the
-//                           floor the product layer must not move.
+//   * writer_baseline     — snapshot publish latency with zero readers:
+//                           the floor the product layer must not move.
+//                           A publish copies the field into a new snapshot
+//                           and swaps the latest pointer under the
+//                           publisher's mutex.
 //   * writer_with_readers — the same publish loop while N reader threads
 //                           fold profiles and answer cached route ETAs at
 //                           full speed. The bench ASSERTS the writer's
 //                           median publish latency is unchanged within a
 //                           generous noise bound — the "products never
-//                           block the writer" claim as a number, not a
+//                           hold up the writer" claim as a number, not a
 //                           comment.
 //
 // Single-reader ETA latency (cache hit vs miss) is measured end to end by
@@ -169,8 +172,9 @@ int Run(const ProductBenchConfig& cfg) {
   // move the writer's median publish latency beyond scheduling noise. The
   // bound is deliberately generous (8x or +25us absolute) so an
   // oversubscribed single-CPU CI host doesn't flake, while an actual
-  // reader->writer block (a lock on the publish path) — which would show
-  // up as orders of magnitude, not single digits — still fails loudly.
+  // reader->writer block (a reader holding the publisher's mutex for a
+  // field copy instead of a pointer copy) — which would show up as orders
+  // of magnitude, not single digits — still fails loudly.
   TS_CHECK(load_p50 <= std::max(8.0 * base_p50, base_p50 + 25.0))
       << "writer median publish latency moved from " << base_p50
       << "us to " << load_p50 << "us with readers attached";

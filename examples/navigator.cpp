@@ -12,7 +12,7 @@
 // The estimated navigator consumes speeds the way a real routing tier
 // would: observations go into a ServingSession, and the router reads the
 // served field back through the read-side product layer — a CityProducts
-// stack (docs/products.md) polling the session's seqlock SpeedSnapshot and
+// stack (docs/products.md) polling the session's published SpeedSnapshot and
 // answering fastest-route queries through the version-invalidated ETA
 // cache. Every answer carries the snapshot's staleness stamp, so an aged
 // estimate can never be served as a fresh route (docs/serving.md).

@@ -11,7 +11,8 @@ OnlineTrafficMonitor::OnlineTrafficMonitor(
       ewma_(estimator->network().num_roads(), 0.0),
       ewma_seeded_(estimator->network().num_roads(), 0),
       below_streak_(estimator->network().num_roads(), 0),
-      alert_active_(estimator->network().num_roads(), false) {
+      alert_active_(estimator->network().num_roads(), false),
+      observed_(estimator->network().num_roads(), 0) {
   TS_CHECK(estimator != nullptr);
   TS_CHECK_GT(opts.ewma_alpha, 0.0);
   TS_CHECK_LE(opts.ewma_alpha, 1.0);
@@ -40,14 +41,13 @@ Result<OnlineTrafficMonitor::SlotReport> OnlineTrafficMonitor::Process(
   // monitor_test.cc). Unseeded roads instead accumulate from 0 at the
   // usual alpha, so an inferred slowdown still alarms — after the same
   // debounce every other road gets.
-  std::vector<uint8_t> observed(net.num_roads(), 0);
   for (const SeedSpeed& s : observations) {
-    if (s.road < net.num_roads()) observed[s.road] = 1;
+    if (s.road < net.num_roads()) observed_[s.road] = 1;
   }
   double speed_sum = 0.0;
   for (RoadId r = 0; r < net.num_roads(); ++r) {
     double d = report.estimate.speeds.deviation[r];
-    if (!ewma_seeded_[r] && observed[r]) {
+    if (!ewma_seeded_[r] && observed_[r]) {
       ewma_[r] = d;
       ewma_seeded_[r] = 1;
     } else {
@@ -72,6 +72,9 @@ Result<OnlineTrafficMonitor::SlotReport> OnlineTrafficMonitor::Process(
       below_streak_[r] = 0;
       report.new_alerts.push_back(TrafficAlert{r, slot, false, ewma_[r]});
     }
+  }
+  for (const SeedSpeed& s : observations) {
+    if (s.road < net.num_roads()) observed_[s.road] = 0;
   }
   report.mean_speed_kmh =
       speed_sum / static_cast<double>(net.num_roads());

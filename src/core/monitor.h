@@ -83,6 +83,9 @@ class OnlineTrafficMonitor {
   std::vector<uint8_t> ewma_seeded_;
   std::vector<uint32_t> below_streak_;
   std::vector<bool> alert_active_;
+  /// 1 for the roads observed in the slot being processed; all 0 between
+  /// Process calls, so each slot clears only the roads it set.
+  std::vector<uint8_t> observed_;
   uint64_t last_slot_ = 0;
   size_t slots_processed_ = 0;
 };

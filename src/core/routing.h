@@ -7,8 +7,8 @@
 //
 //   * plain speed-vector overloads — pure functions of (network, speeds);
 //     the caller owns any provenance of where the speeds came from;
-//   * SpeedSnapshot overloads — consume the seqlock-published serving
-//     snapshot (core/snapshot.h) and propagate its staleness provenance
+//   * SpeedSnapshot overloads — consume the published serving snapshot
+//     (core/snapshot.h) and propagate its staleness provenance
 //     into the result. Feeding `SpeedSnapshot::speed_kmh` through the plain
 //     overloads silently discards the `stale`/`stale_slots` flags, so a
 //     route ETA computed from a carried-forward field looked exactly like a

@@ -90,7 +90,7 @@ Status ServingOptions::Validate() const {
   if (products.enabled && !publish_snapshots) {
     return Status::InvalidArgument(
         "products.enabled requires publish_snapshots (the product layer "
-        "reads the seqlock snapshot; there is nothing to serve without it)");
+        "reads the speed snapshot; there is nothing to serve without it)");
   }
   return Status::OK();
 }
@@ -100,7 +100,8 @@ ServingSession::ServingSession(const TrafficSpeedEstimator* estimator,
     : estimator_(estimator),
       opts_(opts),
       monitor_(estimator, opts.monitor),
-      stats_(std::make_unique<AtomicStats>()) {
+      stats_(std::make_unique<AtomicStats>()),
+      pos_(estimator->network().num_roads(), SIZE_MAX) {
   // Register handles once; every hot-path record is then a pointer check.
   obs::MetricsRegistry* reg = opts_.observability.metrics;
   if (opts_.publish_snapshots) {
@@ -139,12 +140,17 @@ Result<ServingSession> ServingSession::Create(
 
 Result<std::vector<SeedSpeed>> ServingSession::Sanitize(
     const std::vector<SeedSpeed>& observations, size_t* filtered,
-    size_t* deduplicated) const {
+    size_t* deduplicated) {
   const size_t num_roads = estimator_->network().num_roads();
   std::vector<SeedSpeed> out;
   out.reserve(observations.size());
-  std::vector<size_t> pos(num_roads, SIZE_MAX);  // road -> index in `out`
   std::vector<uint32_t> merged;  // observations merged per entry
+  // Every road this batch indexes in pos_ is in `out`; resetting those
+  // entries hands the next batch an all-SIZE_MAX index without an
+  // O(num_roads) fill.
+  auto reset_pos = [&] {
+    for (const SeedSpeed& s : out) pos_[s.road] = SIZE_MAX;
+  };
 
   for (const SeedSpeed& s : observations) {
     const char* problem = nullptr;
@@ -159,6 +165,7 @@ Result<std::vector<SeedSpeed>> ServingSession::Sanitize(
     }
     if (problem != nullptr) {
       if (opts_.validation == ValidationPolicy::kStrict) {
+        reset_pos();
         return Status::InvalidArgument("malformed observation for road " +
                                        std::to_string(s.road) + ": " +
                                        problem);
@@ -166,16 +173,18 @@ Result<std::vector<SeedSpeed>> ServingSession::Sanitize(
       ++*filtered;
       continue;
     }
-    if (pos[s.road] != SIZE_MAX) {
-      out[pos[s.road]].speed_kmh += s.speed_kmh;
-      ++merged[pos[s.road]];
+    size_t& pos = pos_[s.road];
+    if (pos != SIZE_MAX) {
+      out[pos].speed_kmh += s.speed_kmh;
+      ++merged[pos];
       ++*deduplicated;
       continue;
     }
-    pos[s.road] = out.size();
+    pos = out.size();
     out.push_back(s);
     merged.push_back(1);
   }
+  reset_pos();
   for (size_t i = 0; i < out.size(); ++i) {
     if (merged[i] > 1) out[i].speed_kmh /= merged[i];
   }

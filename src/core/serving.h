@@ -60,9 +60,9 @@ struct IngestQueueOptions {
 };
 
 /// Knobs for the read-side product layer (src/product: time-of-day speed
-/// profiles and the route-ETA cache served from the seqlock snapshot).
+/// profiles and the route-ETA cache served from the published snapshot).
 /// The serving loop itself never touches products — they run on reader
-/// threads against SpeedSnapshotPublisher::Read — but the knobs ride in
+/// threads against SpeedSnapshotPublisher::Latest — but the knobs ride in
 /// ServingOptions so one validated config describes a city end to end, and
 /// enabling them requires the snapshot path they consume
 /// (publish_snapshots). Detached (enabled = false, the default) the serving
@@ -117,16 +117,17 @@ struct ServingOptions {
   /// every ServingStats field) and the flight recorder's per-slot stages.
   /// Sinks must outlive the session.
   ServingObservabilityOptions observability;
-  /// Publish every served slot (fresh or carried forward) through a seqlock
-  /// SpeedSnapshotPublisher, giving concurrent readers a non-blocking
-  /// consistent (slot, speeds, staleness) view — see core/snapshot.h and
-  /// docs/serving.md. Off by default: snapshot_publisher() is then null.
+  /// Publish every served slot (fresh or carried forward) through a
+  /// SpeedSnapshotPublisher, giving concurrent readers an immutable,
+  /// consistent (slot, speeds, staleness) view shared by pointer — see
+  /// core/snapshot.h and docs/serving.md. Off by default:
+  /// snapshot_publisher() is then null.
   bool publish_snapshots = false;
   /// Lock-free MPSC ingest front-end sizing; capacity 0 (default) = off.
   IngestQueueOptions ingest_queue;
   /// Read-side product layer knobs (profiles + ETA cache); off by default.
   /// products.enabled requires publish_snapshots — the products are views
-  /// over the seqlock snapshot and have nothing to read without it.
+  /// over the published snapshot and have nothing to read without it.
   ProductOptions products;
 
   /// Full validation of every knob (including the wrapped MonitorOptions,
@@ -207,9 +208,10 @@ class ServingSession {
   /// Point-in-time snapshot of the cumulative degradation counters.
   ServingStats stats() const;
 
-  /// Seqlock snapshot read path; null unless options().publish_snapshots.
-  /// Readers on any thread call snapshot_publisher()->Read() and never
-  /// block Ingest. The pointer is stable for the session's lifetime.
+  /// Snapshot read path; null unless options().publish_snapshots.
+  /// Readers on any thread call snapshot_publisher()->Latest() or Read();
+  /// neither holds the publisher's mutex beyond a pointer copy, so they
+  /// never stall Ingest. The pointer is stable for the session's lifetime.
   const SpeedSnapshotPublisher* snapshot_publisher() const {
     return snapshot_.get();
   }
@@ -237,7 +239,7 @@ class ServingSession {
   /// by validation and by dedup respectively.
   Result<std::vector<SeedSpeed>> Sanitize(
       const std::vector<SeedSpeed>& observations, size_t* filtered,
-      size_t* deduplicated) const;
+      size_t* deduplicated);
 
   /// Serves the last good estimate for `slot` with the staleness flag, or
   /// explains why it cannot.
@@ -268,7 +270,7 @@ class ServingSession {
     obs::Add(mirror, n);
   }
 
-  /// Publishes the last served report through the seqlock snapshot (no-op
+  /// Publishes the last served report as a new speed snapshot (no-op
   /// when snapshots are off); records the kPublish flight stage when a
   /// recorder is attached.
   void PublishSnapshot(obs::SlotTraceContext* ctx);
@@ -284,6 +286,8 @@ class ServingSession {
   /// Estimate's seed-set plan and per-slot scratch, passed on every slot;
   /// a fixed seed set compiles once.
   EstimateWorkspace workspace_;
+  /// Sanitize's road -> index-in-batch map, SIZE_MAX between batches.
+  std::vector<size_t> pos_;
 
   // Metric handles; all null when no registry is configured.
   obs::Counter* m_slots_estimated_ = nullptr;

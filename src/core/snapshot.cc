@@ -1,5 +1,7 @@
 #include "core/snapshot.h"
 
+#include <utility>
+
 #include "obs/catalog.h"
 #include "obs/clock.h"
 #include "util/logging.h"
@@ -7,19 +9,12 @@
 namespace trendspeed {
 
 SpeedSnapshotPublisher::SpeedSnapshotPublisher(size_t num_roads)
-    : num_roads_(num_roads),
-      speed_(std::make_unique<std::atomic<double>[]>(num_roads)),
-      deviation_(std::make_unique<std::atomic<double>[]>(num_roads)) {
+    : num_roads_(num_roads) {
   TS_CHECK_GT(num_roads, 0u);
-  for (size_t i = 0; i < num_roads_; ++i) {
-    speed_[i].store(0.0, std::memory_order_relaxed);
-    deviation_[i].store(0.0, std::memory_order_relaxed);
-  }
 }
 
 void SpeedSnapshotPublisher::AttachMetrics(obs::MetricsRegistry* registry) {
   m_publishes_ = obs::GetCounter(registry, obs::kSnapshotPublishesTotal);
-  m_read_retries_ = obs::GetCounter(registry, obs::kSnapshotReadRetriesTotal);
   m_read_latency_us_ =
       obs::GetHistogram(registry, obs::kSnapshotReadLatencyUs);
 }
@@ -31,35 +26,46 @@ void SpeedSnapshotPublisher::Publish(uint64_t slot,
                                      double mean_speed_kmh) {
   TS_CHECK_EQ(speed_kmh.size(), num_roads_);
   TS_CHECK_EQ(deviation.size(), num_roads_);
-  uint64_t s = seq_.load(std::memory_order_relaxed);
-  // Odd = write in progress. The release fence orders the odd store before
-  // every payload store in the visibility order a racing reader sees, so a
-  // reader that observes any of this publish's payload also observes the
-  // odd (or the final even) sequence and retries.
-  seq_.store(s + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  for (size_t i = 0; i < num_roads_; ++i) {
-    speed_[i].store(speed_kmh[i], std::memory_order_relaxed);
-    deviation_[i].store(deviation[i], std::memory_order_relaxed);
+  auto next = std::make_shared<SpeedSnapshot>();
+  next->slot = slot;
+  next->speed_kmh = speed_kmh;
+  next->deviation = deviation;
+  next->stale = stale_slots > 0;
+  next->stale_slots = stale_slots;
+  next->mean_speed_kmh = mean_speed_kmh;
+  // Declared before the lock so the previous field, when no reader holds
+  // it any more, is freed after the mutex is released.
+  std::shared_ptr<const SpeedSnapshot> previous;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    next->version = latest_ == nullptr ? 1 : latest_->version + 1;
+    previous = std::exchange(latest_, std::move(next));
   }
-  slot_.store(slot, std::memory_order_relaxed);
-  stale_slots_.store(stale_slots, std::memory_order_relaxed);
-  mean_speed_.store(mean_speed_kmh, std::memory_order_relaxed);
-  seq_.store(s + 2, std::memory_order_release);
   obs::Add(m_publishes_);
+}
+
+std::shared_ptr<const SpeedSnapshot> SpeedSnapshotPublisher::Latest() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return latest_;
+}
+
+uint64_t SpeedSnapshotPublisher::publishes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return latest_ == nullptr ? 0 : latest_->version;
 }
 
 bool SpeedSnapshotPublisher::Read(SpeedSnapshot* out) const {
   // The clock is read only when the latency histogram is attached.
   const uint64_t start_ns =
       m_read_latency_us_ != nullptr ? obs::MonotonicNanos() : 0;
-  // A failed read must leave no residue: a reused SpeedSnapshot previously
-  // filled from another publisher would otherwise keep that publisher's
-  // slot/version and a resize()-truncated head of its payload — a stale
-  // tail that a multi-city poller cycling one object across per-city
-  // publishers could mistake for this city's field. clear() keeps capacity,
-  // so the reuse stays allocation-free.
-  if (seq_.load(std::memory_order_acquire) == 0) {
+  const std::shared_ptr<const SpeedSnapshot> latest = Latest();
+  if (latest == nullptr) {
+    // A failed read must leave no residue: a reused SpeedSnapshot
+    // previously filled from another publisher would otherwise keep that
+    // publisher's slot/version and payload — a stale field that a
+    // multi-city poller cycling one object across per-city publishers
+    // could mistake for this city's. clear() keeps capacity, so the reuse
+    // stays allocation-free.
     out->speed_kmh.clear();
     out->deviation.clear();
     out->slot = 0;
@@ -67,37 +73,15 @@ bool SpeedSnapshotPublisher::Read(SpeedSnapshot* out) const {
     out->stale = false;
     out->stale_slots = 0;
     out->mean_speed_kmh = 0.0;
-    return false;  // nothing published yet
+    return false;
   }
-  out->speed_kmh.resize(num_roads_);
-  out->deviation.resize(num_roads_);
-  for (;;) {
-    uint64_t s1 = seq_.load(std::memory_order_acquire);
-    if (s1 == 0) return false;  // unreachable: seq_ never decreases
-    if ((s1 & 1) == 0) {
-      for (size_t i = 0; i < num_roads_; ++i) {
-        out->speed_kmh[i] = speed_[i].load(std::memory_order_relaxed);
-        out->deviation[i] = deviation_[i].load(std::memory_order_relaxed);
-      }
-      out->slot = slot_.load(std::memory_order_relaxed);
-      out->stale_slots = stale_slots_.load(std::memory_order_relaxed);
-      out->mean_speed_kmh = mean_speed_.load(std::memory_order_relaxed);
-      // Pairs with the writer's release fence: if any payload load above
-      // saw a concurrent publish, this seq re-read sees its odd store.
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (seq_.load(std::memory_order_relaxed) == s1) {
-        out->version = s1 / 2;
-        out->stale = out->stale_slots > 0;
-        if (m_read_latency_us_ != nullptr) {
-          obs::Observe(m_read_latency_us_,
-                       obs::NanosToMillis(obs::ElapsedNanosSince(start_ns)) *
-                           1000.0);
-        }
-        return true;
-      }
-    }
-    obs::Add(m_read_retries_);
+  *out = *latest;
+  if (m_read_latency_us_ != nullptr) {
+    obs::Observe(m_read_latency_us_,
+                 obs::NanosToMillis(obs::ElapsedNanosSince(start_ns)) *
+                     1000.0);
   }
+  return true;
 }
 
 }  // namespace trendspeed

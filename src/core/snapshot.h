@@ -1,33 +1,25 @@
-// SpeedSnapshotPublisher: a seqlock-published, never-blocking read path for
-// the served speed field.
+// SpeedSnapshotPublisher: each served speed field is published as an
+// immutable SpeedSnapshot and shared by pointer.
 //
-// Millions of navigator/route-ETA readers and one estimator writer must
-// share the per-slot speed field without the readers ever blocking the
-// serving loop (or each other). The publisher keeps one fixed-size payload
-// of relaxed std::atomic cells guarded by a sequence word:
-//
-//   writer   seq: even -> odd, write payload, odd -> even   (one per slot)
-//   reader   read seq (even?), copy payload, re-read seq; retry on change
-//
-// Readers therefore take no locks, perform no allocation after the first
-// Read into a given SpeedSnapshot, and can never observe a torn mix of two
-// slots: any overlap with the writer flips the sequence and the reader
-// retries. Because every payload cell is an atomic accessed with relaxed
-// ordering (fences carry the ordering), the scheme is data-race-free by
-// the letter of the memory model — the seqlock torture test runs clean
-// under ThreadSanitizer (tests/snapshot_test.cc).
-//
-// The writer publishes at most once per slot (ServingSession does it after
-// Ingest returns), so reader retries are vanishingly rare; the
-// trendspeed_snapshot_read_retries_total counter makes them observable.
+// One estimator writer and any number of navigator/route-ETA readers share
+// the per-slot speed field. Publish builds a fresh snapshot outside any
+// lock, then swaps it in as the latest under a mutex held only for the
+// pointer swap; Latest() copies that pointer under the same mutex. A
+// published snapshot never changes, so a reader holding one reads one
+// consistent field for as long as it likes without holding up the writer,
+// and a replaced field is freed when its last holder lets go (each reader
+// keeps at most the one it holds alive). Every step is a mutex or a
+// shared_ptr reference count, which ThreadSanitizer models, so the torture
+// tests in tests/snapshot_test.cc check the whole protocol under
+// TRENDSPEED_SANITIZE=thread.
 
 #ifndef TRENDSPEED_CORE_SNAPSHOT_H_
 #define TRENDSPEED_CORE_SNAPSHOT_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -68,43 +60,37 @@ class SpeedSnapshotPublisher {
                const std::vector<double>& deviation, uint32_t stale_slots,
                double mean_speed_kmh);
 
-  /// Reader side — any number of threads, lock-free, non-blocking.
+  /// Reader side — any number of threads. The latest published snapshot,
+  /// or null before the first publish. The snapshot never changes, and
+  /// holding the pointer keeps that one field alive across later
+  /// publishes.
+  std::shared_ptr<const SpeedSnapshot> Latest() const;
+
+  /// Reader side — a copy of *Latest() into a caller-owned buffer.
   /// Returns false while nothing has been published yet; *out is then reset
   /// to an empty snapshot (slot/version 0, vectors cleared) so a reused
   /// SpeedSnapshot can never present a *previous* publisher's payload under
   /// this publisher's identity — the stale-tail bug multi-city pollers hit
   /// when cycling one snapshot object across per-city publishers of
   /// different num_roads (tests/snapshot_test.cc pins it). On true, *out is
-  /// one internally consistent snapshot; the payload vectors are resized to
-  /// this publisher's num_roads() every call (a no-op re-read, and clears
-  /// keep capacity), so a reused SpeedSnapshot makes Read allocation-free
-  /// after the first successful read against the largest publisher polled.
+  /// one internally consistent snapshot whose vectors have this publisher's
+  /// num_roads() elements. Copies and clears keep capacity, so a reused
+  /// SpeedSnapshot makes Read allocation-free after the first successful
+  /// read against the largest publisher polled.
   bool Read(SpeedSnapshot* out) const;
 
   size_t num_roads() const { return num_roads_; }
 
-  /// Version of the latest *completed* publish (== publishes so far). An
-  /// acquire load: every publish that completed before this call began is
-  /// counted, so a reader holding a snapshot of this version holds the
-  /// latest field. A publish in progress (odd sequence) is not counted yet.
-  uint64_t publishes() const {
-    return seq_.load(std::memory_order_acquire) / 2;
-  }
+  /// Version of the latest publish (== publishes so far; 0 before the
+  /// first). Every publish that returned before this call began is counted.
+  uint64_t publishes() const;
 
  private:
   const size_t num_roads_;
-  /// Even = payload stable (seq/2 publishes completed); odd = writer busy.
-  std::atomic<uint64_t> seq_{0};
-
-  // Payload: plain-old-data cells, every one an atomic accessed relaxed.
-  std::unique_ptr<std::atomic<double>[]> speed_;
-  std::unique_ptr<std::atomic<double>[]> deviation_;
-  std::atomic<uint64_t> slot_{0};
-  std::atomic<uint32_t> stale_slots_{0};
-  std::atomic<double> mean_speed_{0.0};
+  mutable std::mutex mu_;
+  std::shared_ptr<const SpeedSnapshot> latest_;  ///< guarded by mu_
 
   obs::Counter* m_publishes_ = nullptr;
-  obs::Counter* m_read_retries_ = nullptr;
   obs::Histogram* m_read_latency_us_ = nullptr;
 };
 

@@ -170,7 +170,7 @@ const MetricDef kSnapshotPublishesTotal = {
     "Speed-field snapshots published (one per served slot)", "1"};
 const MetricDef kSnapshotReadRetriesTotal = {
     "trendspeed_snapshot_read_retries_total", MetricType::kCounter,
-    "Seqlock reader retries caused by a concurrent publish", "1"};
+    "Always 0: a snapshot read takes a pointer and never retries", "1"};
 const MetricDef kSnapshotReadLatencyUs = {
     "trendspeed_snapshot_read_latency_us", MetricType::kHistogram,
     "Wall time of one consistent SpeedSnapshot read", "us", "",

@@ -77,8 +77,10 @@ extern const MetricDef kServingIngestQueueDepth;       ///< gauge
 extern const MetricDef kServingIngestFlushedSlotsTotal;
 extern const MetricDef kServingIngestStragglersTotal;
 
-// --- core/snapshot.cc (seqlock speed snapshots) -----------------------------
+// --- core/snapshot.cc (speed snapshots shared by pointer) -------------------
 extern const MetricDef kSnapshotPublishesTotal;
+/// Always 0: no snapshot read retries. Nothing registers it; it stays
+/// only because perfbench reports it as snapshot.read_retries.
 extern const MetricDef kSnapshotReadRetriesTotal;
 extern const MetricDef kSnapshotReadLatencyUs;  ///< histogram
 

@@ -3,7 +3,7 @@
 //
 // Motivation (docs/observability.md "Flight recorder"): once a slot's life
 // spans the MPSC ingest queue, the BP solve on the thread pool, and the
-// seqlock snapshot publish, flat counters cannot answer "why was slot 1041
+// speed snapshot publish, flat counters cannot answer "why was slot 1041
 // slow?". The flight recorder threads a SlotTraceContext through the
 // serving pipeline — IngestFrontEnd admission -> Ingest -> Estimate -> BP
 // solve -> snapshot publish — so the collector can reassemble one slot's
@@ -51,7 +51,7 @@ enum class FlightStage : uint8_t {
   kAdmission,      ///< sanitize/dedup of the offered batch
   kEstimate,       ///< Estimator::Estimate envelope (contains kBpSolve)
   kBpSolve,        ///< Step 1's BP solve
-  kPublish,        ///< seqlock snapshot publish
+  kPublish,        ///< speed snapshot publish
 };
 constexpr size_t kNumFlightStages = 6;
 

@@ -75,21 +75,19 @@ void CityProducts::AttachMetrics(obs::MetricsRegistry* registry) {
   m_read_latency_ = obs::GetHistogram(registry, obs::kProductReadLatencyUs);
 }
 
+const SpeedSnapshot& CityProducts::last_snapshot() const {
+  static const SpeedSnapshot kNoSnapshot;
+  return snap_ != nullptr ? *snap_ : kNoSnapshot;
+}
+
 bool CityProducts::ReadLatest() {
-  // Version gate: while no publish has completed since snap_ was read
-  // (publishes() is an acquire load of completed publishes only), snap_ is
-  // still the latest complete field and the O(num_roads) copy is skipped.
-  // It lives here, not in Read, because snap_ is filled only from
-  // publisher_; Read's callers may cycle one buffer across publishers.
-  if (snap_.version != 0 && publisher_->publishes() == snap_.version) {
-    return true;
-  }
-  return publisher_->Read(&snap_);
+  snap_ = publisher_->Latest();
+  return snap_ != nullptr;
 }
 
 bool CityProducts::Poll() {
   if (!ReadLatest()) return false;
-  profile_->Fold(snap_);
+  profile_->Fold(*snap_);
   return true;
 }
 
@@ -101,9 +99,9 @@ Result<RouteEtaCache::EtaResult> CityProducts::Eta(NodeId from, NodeId to) {
   }
   // Keep the profile current before pricing: an Eta between Polls must not
   // blend against an older fold state than the field it prices.
-  profile_->Fold(snap_);
+  profile_->Fold(*snap_);
   TS_ASSIGN_OR_RETURN(RouteEtaCache::EtaResult result,
-                      eta_cache_->Eta(snap_, from, to));
+                      eta_cache_->Eta(*snap_, from, to));
   ObserveRead(m_read_latency_, start);
   return result;
 }
@@ -117,8 +115,8 @@ Result<SpeedProfileStore::BlendedSpeed> CityProducts::RoadSpeed(RoadId road) {
   if (road >= net_->num_roads()) {
     return Status::InvalidArgument("road outside the network");
   }
-  profile_->Fold(snap_);
-  SpeedProfileStore::BlendedSpeed speed = profile_->BlendQuery(snap_, road);
+  profile_->Fold(*snap_);
+  SpeedProfileStore::BlendedSpeed speed = profile_->BlendQuery(*snap_, road);
   ObserveRead(m_read_latency_, start);
   return speed;
 }

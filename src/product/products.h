@@ -1,17 +1,18 @@
 // CityProducts: the read-side product stack for one city — a profile store
-// and a route-ETA cache fed from the city's seqlock snapshot publisher.
+// and a route-ETA cache fed from the city's snapshot publisher.
 //
 // The serving (writer) thread never knows this object exists. Everything
-// here runs on reader threads against SpeedSnapshotPublisher::Read, which
-// never blocks a publish (the seqlock contract; the product torture test
-// runs one writer against N folding/routing readers under TSan to hold the
+// here runs on reader threads against SpeedSnapshotPublisher::Latest, which
+// holds the publisher's mutex only to copy a pointer, so a reader never
+// holds up a publish for longer than that (the product torture test runs
+// one writer against N folding/routing readers under TSan to hold the
 // line). That is also why "products off" is bitwise identical on the
 // serving path: attaching products adds zero instructions to Ingest.
 //
 // Single-reader contract per CityProducts instance: Poll/Eta mutate the
 // profile and cache, so one instance serves one reader thread. Many reader
 // threads = many CityProducts over the same publisher; the shared surface
-// is only the seqlock.
+// is only the publisher's latest-snapshot pointer.
 
 #ifndef TRENDSPEED_PRODUCT_PRODUCTS_H_
 #define TRENDSPEED_PRODUCT_PRODUCTS_H_
@@ -73,17 +74,17 @@ class CityProducts {
 
   const SpeedProfileStore& profile() const { return *profile_; }
   const RouteEtaCache& eta_cache() const { return *eta_cache_; }
-  /// The last snapshot Poll/Eta/RoadSpeed read (version 0 before the first
-  /// successful read).
-  const SpeedSnapshot& last_snapshot() const { return snap_; }
+  /// The last snapshot Poll/Eta/RoadSpeed read (an empty snapshot with
+  /// version 0 before the first successful read).
+  const SpeedSnapshot& last_snapshot() const;
 
  private:
   CityProducts(const RoadNetwork& net, const SpeedSnapshotPublisher* publisher,
                std::unique_ptr<SpeedProfileStore> profile,
                std::unique_ptr<RouteEtaCache> eta_cache);
 
-  /// Refreshes snap_ from the publisher unless it already holds the latest
-  /// completed version (the version gate); false before the first publish.
+  /// Points snap_ at the publisher's latest snapshot; false before the
+  /// first publish.
   bool ReadLatest();
 
   const RoadNetwork* net_;
@@ -92,7 +93,8 @@ class CityProducts {
   /// out of Create) while the cache's pointer into the profile never moves.
   std::unique_ptr<SpeedProfileStore> profile_;
   std::unique_ptr<RouteEtaCache> eta_cache_;
-  SpeedSnapshot snap_;  ///< reused read buffer, filled only from publisher_
+  /// The latest snapshot read from publisher_; null before the first.
+  std::shared_ptr<const SpeedSnapshot> snap_;
 
   obs::Histogram* m_read_latency_ = nullptr;
 };

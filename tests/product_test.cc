@@ -420,6 +420,26 @@ TEST_F(ProductServingTest, ForSessionRequiresTheSnapshotPath) {
   EXPECT_TRUE(CityProducts::ForSession(ds().net, *session, 144).ok());
 }
 
+// Before the first publish there is no snapshot to hold, and
+// last_snapshot() is an empty one with version 0 rather than a dangling
+// reference; after a publish it is the publisher's latest field.
+TEST_F(ProductServingTest, LastSnapshotIsVersionZeroBeforeFirstPublish) {
+  auto session = ServingSession::Create(estimator_, ProductServingOptions());
+  ASSERT_TRUE(session.ok());
+  auto products = CityProducts::ForSession(ds().net, *session, 144);
+  ASSERT_TRUE(products.ok());
+  EXPECT_EQ(products->last_snapshot().version, 0u);
+  EXPECT_FALSE(products->Poll());
+  EXPECT_EQ(products->last_snapshot().version, 0u);
+  EXPECT_TRUE(products->last_snapshot().speed_kmh.empty());
+
+  ASSERT_TRUE(session->Ingest(0, CleanObs(0)).ok());
+  ASSERT_TRUE(products->Poll());
+  EXPECT_EQ(products->last_snapshot().version, 1u);
+  EXPECT_EQ(products->last_snapshot().speed_kmh,
+            session->snapshot_publisher()->Latest()->speed_kmh);
+}
+
 TEST_F(ProductServingTest, PollFoldsAndEtaAnswersOverLiveSession) {
   obs::MetricsRegistry reg;
   auto session = ServingSession::Create(estimator_, ProductServingOptions());

@@ -3,13 +3,13 @@
 // profiles and answer cached route ETAs from their own Read() loops.
 //
 // What this proves (run under TRENDSPEED_SANITIZE=thread for the full
-// claim): product reads never block or race the publisher — the only
-// shared surface is the seqlock, the products' own state is per-reader —
-// and every ETA a reader produces is internally consistent with the
-// snapshot version it was priced on. The writer side asserts progress: all
-// publishes complete while readers hammer the lock. A second test drives
-// CityProducts' version gate (reads skip the copy while the held version
-// is still the latest) against a live writer.
+// claim): product reads never race the publisher — the only shared
+// surface is the publisher's latest-snapshot pointer, the products' own
+// state is per-reader — and every ETA a reader produces is internally
+// consistent with the snapshot version it was priced on. The writer side
+// asserts progress: all publishes complete while readers hammer the
+// publisher. A second test drives CityProducts, which holds the latest
+// snapshot by pointer, against a live writer.
 
 #include <gtest/gtest.h>
 
@@ -66,7 +66,7 @@ TEST(ProductTortureTest, FoldingAndRoutingReadersNeverBlockThePublisher) {
   readers.reserve(kReaders);
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
-      // Per-reader products: the seqlock is the only shared surface.
+      // Per-reader products: the publisher is the only shared surface.
       auto profile = SpeedProfileStore::Create(kRoads, kSlotsPerDay, opts);
       TS_CHECK(profile.ok());
       auto cache = RouteEtaCache::Create(net, opts, &*profile);
@@ -83,7 +83,7 @@ TEST(ProductTortureTest, FoldingAndRoutingReadersNeverBlockThePublisher) {
         auto eta = cache->Eta(snap, from, to);
         if (!eta.ok()) continue;  // NotFound is legitimate on a grid corner
         // The answer must be priced on exactly the field it claims: since
-        // the snapshot was consistent (seqlock) and fresh fields are pure
+        // the snapshot was consistent (immutable) and fresh fields are pure
         // functions of the version, re-pricing the route must reproduce
         // the travel time bit for bit.
         bool consistent = eta->snapshot_version == snap.version &&
@@ -126,16 +126,16 @@ TEST(ProductTortureTest, FoldingAndRoutingReadersNeverBlockThePublisher) {
   EXPECT_GT(folds_total.load(), 0u);
 }
 
-// CityProducts::ReadLatest skips the O(num_roads) copy while the held
-// version is the publisher's latest completed one. Readers call Poll, Eta
-// and RoadSpeed through CityProducts against a live writer, and assert:
+// CityProducts::ReadLatest takes the publisher's latest snapshot pointer
+// on every call. Readers call Poll, Eta and RoadSpeed through CityProducts
+// against a live writer, and assert:
 //   * a publish that completed before a call began is never missed — the
 //     call answers from that version or a later one;
 //   * each reader's versions are monotone;
 //   * every answer comes from one consistent field.
 // The writer waits for every reader's first read before publishing the
-// rest, so a gate that trusts a cached version instead of reloading the
-// sequence is caught even when the readers only run after the writer.
+// rest, so a reader that keeps a cached snapshot instead of taking the
+// latest one is caught even when the readers only run after the writer.
 TEST(ProductTortureTest, VersionGateNeverMissesACompletedPublish) {
   const RoadNetwork net = SmallGrid();
   const size_t kRoads = net.num_roads();

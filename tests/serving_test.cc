@@ -178,6 +178,40 @@ TEST_F(ServingTest, DuplicateRoadsAreAveraged) {
   EXPECT_EQ(s.stats().observations_filtered, 0u);
 }
 
+// Dedup state is per batch: consecutive slots (and a strict-rejected batch
+// between them) that repeat the same roads each merge only their own
+// duplicates, so the second slot serves exactly what a fresh session fed
+// the averaged batch serves.
+TEST_F(ServingTest, ConsecutiveSlotsDeduplicateIndependently) {
+  uint64_t slot = ds().first_test_slot();
+  RoadId a = (*seeds_)[0];
+  RoadId b = (*seeds_)[1];
+
+  ServingSession s = Session();
+  auto first = s.Ingest(slot, {{a, 30.0}, {a, 50.0}, {b, 60.0}});
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->observations_used, 2u);
+  EXPECT_EQ(first->observations_dropped, 1u);
+
+  auto rejected = s.Ingest(
+      slot + 1, {{a, 40.0}, {b, std::numeric_limits<double>::quiet_NaN()}});
+  EXPECT_FALSE(rejected.ok());
+
+  auto second = s.Ingest(slot + 1, {{a, 20.0}, {b, 70.0}, {b, 90.0}});
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->observations_used, 2u);
+  EXPECT_EQ(second->observations_dropped, 1u);
+  EXPECT_EQ(s.stats().observations_deduplicated, 2u);
+
+  ServingSession fresh = Session();
+  auto ref = fresh.Ingest(slot + 1, {{a, 20.0}, {b, 80.0}});
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  EXPECT_EQ(second->monitor.estimate.speeds.speed_kmh,
+            ref->monitor.estimate.speeds.speed_kmh);
+  EXPECT_EQ(second->monitor.estimate.speeds.deviation,
+            ref->monitor.estimate.speeds.deviation);
+}
+
 TEST_F(ServingTest, DuplicateSlotIsIdempotent) {
   ServingSession session = Session();
   uint64_t slot = ds().first_test_slot();

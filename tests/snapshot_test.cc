@@ -1,13 +1,14 @@
-// Tests for the seqlock SpeedSnapshotPublisher (core/snapshot.h): basic
-// publish/read semantics, the writer-vs-many-readers torture test (no torn
-// reads — run under TRENDSPEED_SANITIZE=thread to also prove the payload
-// path race-free), and the ServingSession integration that publishes every
-// served slot.
+// Tests for SpeedSnapshotPublisher (core/snapshot.h): basic publish/read
+// semantics, immutability of a held Latest() snapshot, the
+// writer-vs-many-readers torture test (no torn reads — run under
+// TRENDSPEED_SANITIZE=thread to also prove the publish path race-free), and
+// the ServingSession integration that publishes every served slot.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -56,6 +57,38 @@ TEST(SnapshotTest, PublishThenReadRoundTrips) {
   EXPECT_EQ(pub.publishes(), 2u);
 }
 
+// A snapshot taken from Latest() is never written again: later publishes
+// swap in new snapshots and leave the held one as it was published.
+TEST(SnapshotTest, LatestIsImmutableAcrossPublishes) {
+  constexpr uint64_t kPublishes = 16;
+  SpeedSnapshotPublisher pub(3);
+  EXPECT_EQ(pub.Latest(), nullptr);
+  pub.Publish(1, {11.0, 12.0, 13.0}, {0.1, 0.2, 0.3}, 0, 12.0);
+  const std::shared_ptr<const SpeedSnapshot> held = pub.Latest();
+  ASSERT_NE(held, nullptr);
+  const double* held_speeds = held->speed_kmh.data();
+
+  for (uint64_t v = 2; v <= kPublishes; ++v) {
+    const double x = static_cast<double>(v);
+    pub.Publish(v, {x, x, x}, {-x, -x, -x}, static_cast<uint32_t>(v % 3), x);
+  }
+
+  EXPECT_EQ(held->slot, 1u);
+  EXPECT_EQ(held->version, 1u);
+  EXPECT_EQ(held->speed_kmh, (std::vector<double>{11.0, 12.0, 13.0}));
+  EXPECT_EQ(held->deviation, (std::vector<double>{0.1, 0.2, 0.3}));
+  EXPECT_EQ(held->speed_kmh.data(), held_speeds);
+  EXPECT_FALSE(held->stale);
+  EXPECT_EQ(held->stale_slots, 0u);
+  EXPECT_EQ(held->mean_speed_kmh, 12.0);
+
+  const std::shared_ptr<const SpeedSnapshot> latest = pub.Latest();
+  ASSERT_NE(latest, nullptr);
+  EXPECT_EQ(latest->version, kPublishes);
+  EXPECT_EQ(latest->slot, kPublishes);
+  EXPECT_EQ(pub.publishes(), kPublishes);
+}
+
 // Regression for the stale-tail bug: a SpeedSnapshot reused across
 // publishers (the multi-city poller pattern — one buffer, N cities) must
 // never present a previous publisher's payload under a new publisher's
@@ -92,11 +125,11 @@ TEST(SnapshotTest, ReusedSnapshotIsResetByFailedRead) {
   EXPECT_EQ(snap.speed_kmh, (std::vector<double>{10.0, 20.0}));
 }
 
-// The seqlock torture test: one writer publishing at full speed, several
-// readers hammering Read. Every payload cell of publish v is a pure
-// function of v, so any torn mix of two publishes is detectable in a
-// single read. Failure mode being guarded: a reader observing
-// slot/speeds/staleness from different publishes.
+// The torture test: one writer publishing at full speed, several readers
+// hammering Read and one holding Latest() pointers. Every payload cell of
+// publish v is a pure function of v, so any torn mix of two publishes is
+// detectable in a single read. Failure mode being guarded: a reader
+// observing slot/speeds/staleness from different publishes.
 TEST(SnapshotTest, TortureOneWriterManyReadersNoTornReads) {
   constexpr size_t kRoads = 64;
   constexpr uint64_t kPublishes = 2000;
@@ -115,8 +148,26 @@ TEST(SnapshotTest, TortureOneWriterManyReadersNoTornReads) {
   std::atomic<bool> done{false};
   std::atomic<uint64_t> torn{0};
   std::atomic<uint64_t> reads_ok{0};
+  auto check = [&](const SpeedSnapshot& snap) {
+    bool consistent = snap.slot >= 1 && snap.slot <= kPublishes &&
+                      snap.speed_kmh.size() == kRoads &&
+                      snap.deviation.size() == kRoads &&
+                      snap.stale_slots == snap.slot % 5 &&
+                      snap.stale == (snap.stale_slots > 0) &&
+                      snap.mean_speed_kmh ==
+                          static_cast<double>(snap.slot) * 2.0;
+    for (size_t i = 0; consistent && i < kRoads; ++i) {
+      consistent = snap.speed_kmh[i] == expect_speed(snap.slot, i) &&
+                   snap.deviation[i] == expect_dev(snap.slot, i);
+    }
+    if (consistent) {
+      reads_ok.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      torn.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
   std::vector<std::thread> readers;
-  readers.reserve(kReaders);
+  readers.reserve(kReaders + 1);
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
       SpeedSnapshot snap;  // reused: allocation-free after first Read
@@ -127,25 +178,25 @@ TEST(SnapshotTest, TortureOneWriterManyReadersNoTornReads) {
       while (!last_pass) {
         last_pass = done.load(std::memory_order_acquire);
         if (!pub.Read(&snap)) continue;
-        bool consistent = snap.slot >= 1 && snap.slot <= kPublishes &&
-                          snap.speed_kmh.size() == kRoads &&
-                          snap.deviation.size() == kRoads &&
-                          snap.stale_slots == snap.slot % 5 &&
-                          snap.stale == (snap.stale_slots > 0) &&
-                          snap.mean_speed_kmh ==
-                              static_cast<double>(snap.slot) * 2.0;
-        for (size_t i = 0; consistent && i < kRoads; ++i) {
-          consistent = snap.speed_kmh[i] == expect_speed(snap.slot, i) &&
-                       snap.deviation[i] == expect_dev(snap.slot, i);
-        }
-        if (consistent) {
-          reads_ok.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          torn.fetch_add(1, std::memory_order_relaxed);
-        }
+        check(snap);
       }
     });
   }
+  // A Latest() reader keeps the snapshot it holds alive while the writer
+  // swaps in newer ones, and re-checks it after taking the next one: a
+  // held snapshot must not change under its holder.
+  readers.emplace_back([&] {
+    std::shared_ptr<const SpeedSnapshot> held;
+    bool last_pass = false;
+    while (!last_pass) {
+      last_pass = done.load(std::memory_order_acquire);
+      std::shared_ptr<const SpeedSnapshot> next = pub.Latest();
+      if (next == nullptr) continue;
+      if (held != nullptr) check(*held);
+      check(*next);
+      held = std::move(next);
+    }
+  });
 
   std::vector<double> speeds(kRoads), devs(kRoads);
   for (uint64_t slot = 1; slot <= kPublishes; ++slot) {
@@ -163,8 +214,7 @@ TEST(SnapshotTest, TortureOneWriterManyReadersNoTornReads) {
   EXPECT_GT(reads_ok.load(), 0u);
   EXPECT_EQ(pub.publishes(), kPublishes);
   EXPECT_EQ(reg.GetCounter(obs::kSnapshotPublishesTotal)->Value(), kPublishes);
-  // Retries are possible (writer overlap) but every one must be counted,
-  // never looped on forever — reaching this line at all proves progress.
+  // Reaching this line at all proves every reader made progress.
   EXPECT_GE(reg.GetHistogram(obs::kSnapshotReadLatencyUs)->count(), 0u);
 }
 
