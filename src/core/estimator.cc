@@ -158,6 +158,7 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
   if (!ws.plan.CompiledFor(*influence_, seeds, mean_layers)) {
     ws.plan.Compile(*influence_, *net_, seeds, mean_layers);
     ++ws.plan_compiles;
+    obs::Add(obs::GetCounter(o.metrics, obs::kSeedPlanCompilesTotal));
   }
   // The influence-weighted seed-deviation aggregate is shared by both
   // steps: trend evidence in Step 1, the regression input in Step 2.

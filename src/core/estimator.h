@@ -44,15 +44,19 @@ const char* SeedStrategyName(SeedStrategy strategy);
 /// Per-stream scratch for TrafficSpeedEstimator::Estimate: the seed-set
 /// plan (speed/seed_plan.h) of the last seed list seen, plus the slot's
 /// n-sized buffers. A call whose ordered seed road list matches the last
-/// one reuses the plan; any other list recompiles it. Results are bitwise
-/// identical with a fresh, a reused or no workspace. One per serving
-/// stream, never shared between threads; ServingSession owns one. The plan
-/// points into the estimator's influence model, so a workspace must not
-/// outlive the estimator it serves.
+/// one reuses the plan; any other list, the same roads reordered included,
+/// recompiles it. Estimate stays order-sensitive; ServingSession hands it
+/// seeds in road order, so a fixed road set compiles once whatever order
+/// its reports arrive in. Results are bitwise identical with a fresh, a
+/// reused or no workspace. One per serving stream, never shared between
+/// threads; ServingSession owns one. The plan points into the estimator's
+/// influence model, so a workspace must not outlive the estimator it
+/// serves.
 struct EstimateWorkspace {
   SeedSetPlan plan;
   /// Times `plan` was compiled (a diagnostic: a fixed seed set compiles
-  /// once).
+  /// once). The estimator's registry mirrors it as
+  /// trendspeed_seed_plan_compiles_total.
   uint64_t plan_compiles = 0;
   InfluenceAggregate aggregate;
   std::vector<double> evidence;

@@ -21,7 +21,10 @@
 // Determinism contract: with a single producer and a single drain thread,
 // the sequence of Ingest calls — and therefore every served report, stat,
 // and published snapshot — is bitwise identical to calling Ingest directly
-// with the same per-slot batches (tests/ingest_test.cc pins this).
+// with the same per-slot batches (tests/ingest_test.cc pins this). With
+// several producers a batch's order is a race, but Ingest admits a batch
+// as a function of its multiset, so the served estimate is still that of
+// a direct Ingest (tests/serving_test.cc pins this with two producers).
 //
 // Thread roles: Offer from any thread; Drain/Flush from ONE consumer
 // thread at a time. stats() and queue_depth() are safe anywhere.

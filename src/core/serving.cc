@@ -1,5 +1,6 @@
 #include "core/serving.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -10,6 +11,10 @@
 namespace trendspeed {
 
 namespace {
+
+/// Fixed-point scale of the duplicate merge: 2^32 units per km/h, a
+/// resolution of 2.3e-10 km/h. Dividing by a power of two is exact.
+constexpr double kUnitsPerKmh = 4294967296.0;
 
 /// Records the enclosing Ingest call's latency on destruction, whichever
 /// return path is taken. A null histogram makes this a no-op.
@@ -82,8 +87,9 @@ Status ServingOptions::Validate() const {
   if (monitor.alert_after_slots == 0) {
     return Status::InvalidArgument("monitor.alert_after_slots must be positive");
   }
-  if (!(max_speed_kmh > 0.0) || !std::isfinite(max_speed_kmh)) {
-    return Status::InvalidArgument("max_speed_kmh must be positive and finite");
+  if (!(max_speed_kmh > 0.0) || !(max_speed_kmh <= kMaxSpeedCeilingKmh)) {
+    return Status::InvalidArgument(
+        "max_speed_kmh must be positive and at most 2^20 (1048576)");
   }
   TS_RETURN_NOT_OK(ingest_queue.Validate());
   TS_RETURN_NOT_OK(products.Validate());
@@ -138,18 +144,16 @@ Result<ServingSession> ServingSession::Create(
   return ServingSession(estimator, opts);
 }
 
-Result<std::vector<SeedSpeed>> ServingSession::Sanitize(
-    const std::vector<SeedSpeed>& observations, size_t* filtered,
-    size_t* deduplicated) {
+Status ServingSession::Sanitize(const std::vector<SeedSpeed>& observations,
+                                size_t* filtered, size_t* deduplicated) {
   const size_t num_roads = estimator_->network().num_roads();
-  std::vector<SeedSpeed> out;
-  out.reserve(observations.size());
-  std::vector<uint32_t> merged;  // observations merged per entry
-  // Every road this batch indexes in pos_ is in `out`; resetting those
+  admitted_.clear();
+  merge_.clear();
+  // Every road this batch indexes in pos_ is in admitted_; resetting those
   // entries hands the next batch an all-SIZE_MAX index without an
   // O(num_roads) fill.
   auto reset_pos = [&] {
-    for (const SeedSpeed& s : out) pos_[s.road] = SIZE_MAX;
+    for (const SeedSpeed& s : admitted_) pos_[s.road] = SIZE_MAX;
   };
 
   for (const SeedSpeed& s : observations) {
@@ -173,22 +177,37 @@ Result<std::vector<SeedSpeed>> ServingSession::Sanitize(
       ++*filtered;
       continue;
     }
+    // The speed is in (0, 2^20], so this is in [1, 2^52]; at least one
+    // unit keeps every merged mean positive.
+    const uint64_t units = std::max<uint64_t>(
+        1, static_cast<uint64_t>(s.speed_kmh * kUnitsPerKmh + 0.5));
     size_t& pos = pos_[s.road];
     if (pos != SIZE_MAX) {
-      out[pos].speed_kmh += s.speed_kmh;
-      ++merged[pos];
+      merge_[pos].units += units;
+      ++merge_[pos].reports;
       ++*deduplicated;
       continue;
     }
-    pos = out.size();
-    out.push_back(s);
-    merged.push_back(1);
+    pos = admitted_.size();
+    admitted_.push_back(s);
+    merge_.push_back({units, 1});
   }
   reset_pos();
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (merged[i] > 1) out[i].speed_kmh /= merged[i];
+  for (size_t i = 0; i < admitted_.size(); ++i) {
+    const RoadMerge& m = merge_[i];
+    if (m.reports > 1) {
+      admitted_[i].speed_kmh = static_cast<double>(m.units) / kUnitsPerKmh /
+                               static_cast<double>(m.reports);
+    }
   }
-  return out;
+  // Only the distinct entries are sorted. A fixed road set then reaches
+  // the estimator as the same list every slot, so its seed-set plan is
+  // compiled once.
+  std::sort(admitted_.begin(), admitted_.end(),
+            [](const SeedSpeed& a, const SeedSpeed& b) {
+              return a.road < b.road;
+            });
+  return Status::OK();
 }
 
 Result<ServingSession::SlotReport> ServingSession::CarryForward(
@@ -280,7 +299,7 @@ Result<ServingSession::SlotReport> ServingSession::Ingest(
 
   size_t filtered = 0;
   size_t deduplicated = 0;
-  Result<std::vector<SeedSpeed>> sanitized = [&] {
+  Status sanitized = [&] {
     obs::FlightSpan admission(flight, slot, obs::FlightStage::kAdmission,
                               ctx);
     return Sanitize(observations, &filtered, &deduplicated);
@@ -288,16 +307,16 @@ Result<ServingSession::SlotReport> ServingSession::Ingest(
   if (!sanitized.ok()) {
     // The slot is not consumed: a corrected batch may be re-sent.
     Count(stats_->rejected_batches, m_rejected_batches_);
-    return sanitized.status();
+    return sanitized;
   }
   Count(stats_->observations_filtered, m_observations_filtered_, filtered);
   Count(stats_->observations_deduplicated, m_observations_deduplicated_,
         deduplicated);
   const size_t dropped = filtered + deduplicated;
-  if (sanitized->empty()) return CarryForward(slot, dropped, ctx);
+  if (admitted_.empty()) return CarryForward(slot, dropped, ctx);
 
   Result<OnlineTrafficMonitor::SlotReport> report = monitor_.Process(
-      slot, *sanitized, &workspace_,
+      slot, admitted_, &workspace_,
       obs::FlightSink{flight, slot, ctx});
   bool healthy = report.ok();
   if (healthy) {
@@ -321,7 +340,7 @@ Result<ServingSession::SlotReport> ServingSession::Ingest(
   last_report_ = SlotReport{};
   last_report_.slot = slot;
   last_report_.monitor = std::move(*report);
-  last_report_.observations_used = sanitized->size();
+  last_report_.observations_used = admitted_.size();
   last_report_.observations_dropped = dropped;
   has_report_ = true;
   PublishSnapshot(ctx);

@@ -10,7 +10,10 @@
 //   * strict validation — NaN/negative/absurd speeds and out-of-range roads
 //     are rejected with a Status (never a TS_CHECK abort), either failing
 //     the whole batch (kStrict) or dropping the bad entries (kFilter);
-//   * per-road deduplication: duplicate observations of a road are averaged;
+//   * per-road deduplication: duplicate observations of a road are averaged
+//     in fixed point, and the admitted seeds are handed to the estimator in
+//     road order, so a slot's output depends only on the multiset of
+//     reports, not on the order producers delivered them;
 //   * idempotent duplicate slots — re-delivering the last slot returns the
 //     cached report without double-applying monitor state;
 //   * graceful rejection of out-of-order (stale) slot arrivals;
@@ -105,8 +108,11 @@ struct ServingObservabilityOptions {
 struct ServingOptions {
   MonitorOptions monitor;
   /// Observed speeds above this are malformed (sensor garbage / unit
-  /// mistakes), not merely fast traffic.
+  /// mistakes), not merely fast traffic. At most kMaxSpeedCeilingKmh.
   double max_speed_kmh = 250.0;
+  /// Ceiling on max_speed_kmh (2^20 km/h): it keeps an admitted speed in
+  /// the duplicate merge's 2^-32 km/h fixed point at most 2^52 units.
+  static constexpr double kMaxSpeedCeilingKmh = 1048576.0;
   ValidationPolicy validation = ValidationPolicy::kStrict;
   /// Consecutive carried-forward slots tolerated before an empty/failed
   /// slot is refused with FailedPrecondition instead of re-serving an
@@ -234,12 +240,14 @@ class ServingSession {
   ServingSession(const TrafficSpeedEstimator* estimator,
                  const ServingOptions& opts);
 
-  /// Validates + deduplicates one batch. On success returns the sanitized
-  /// observations and sets *filtered / *deduplicated to the number removed
-  /// by validation and by dedup respectively.
-  Result<std::vector<SeedSpeed>> Sanitize(
-      const std::vector<SeedSpeed>& observations, size_t* filtered,
-      size_t* deduplicated);
+  /// Validates + deduplicates one batch into admitted_: one entry per
+  /// road, in road order, each the fixed-point mean of the road's reports
+  /// (a single report passes through bit for bit). Any permutation of a
+  /// batch admits the same bits. On success sets *filtered /
+  /// *deduplicated to the number removed by validation and by dedup
+  /// respectively.
+  Status Sanitize(const std::vector<SeedSpeed>& observations,
+                  size_t* filtered, size_t* deduplicated);
 
   /// Serves the last good estimate for `slot` with the staleness flag, or
   /// explains why it cannot.
@@ -288,6 +296,18 @@ class ServingSession {
   EstimateWorkspace workspace_;
   /// Sanitize's road -> index-in-batch map, SIZE_MAX between batches.
   std::vector<size_t> pos_;
+  /// One road's reports in the duplicate merge: their speeds summed in
+  /// 2^-32 km/h units. Each report is at most 2^52 units (the max_speed_kmh
+  /// ceiling) and a batch holds fewer than 2^64 reports, so the sum stays
+  /// below 2^116. Integer addition commutes, so the sum is order-free.
+  struct RoadMerge {
+    unsigned __int128 units = 0;
+    uint64_t reports = 0;
+  };
+  /// Sanitize's output and per-entry merge, parallel; kept across slots so
+  /// a warm session admits a batch without allocating.
+  std::vector<SeedSpeed> admitted_;
+  std::vector<RoadMerge> merge_;
 
   // Metric handles; all null when no registry is configured.
   obs::Counter* m_slots_estimated_ = nullptr;

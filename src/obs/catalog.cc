@@ -111,6 +111,11 @@ const MetricDef kEstimateLatencyMs = {
     "trendspeed_estimate_latency_ms", MetricType::kHistogram,
     "Wall time of one Estimate() call", "ms", "",
     kLatencyMsBounds, N(kLatencyMsBounds)};
+const MetricDef kSeedPlanCompilesTotal = {
+    "trendspeed_seed_plan_compiles_total", MetricType::kCounter,
+    "Estimate() calls that compiled their seed-set plan (a fixed seed set "
+    "compiles once per workspace)",
+    "1"};
 
 // --- serving ---------------------------------------------------------------
 const MetricDef kServingIngestLatencyMs = {
@@ -247,6 +252,7 @@ const std::vector<const MetricDef*>& AllMetricDefs() {
       &kPoolTaskRunUs,
       &kEstimatesTotal,
       &kEstimateLatencyMs,
+      &kSeedPlanCompilesTotal,
       &kServingIngestLatencyMs,
       &kServingStalenessSlots,
       &kServingSlotsEstimatedTotal,

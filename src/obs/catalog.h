@@ -55,6 +55,7 @@ extern const MetricDef kPoolTaskRunUs;    ///< histogram: a join's run time
 // --- core/estimator.cc -----------------------------------------------------
 extern const MetricDef kEstimatesTotal;
 extern const MetricDef kEstimateLatencyMs;
+extern const MetricDef kSeedPlanCompilesTotal;  ///< seed-set plan compiles
 
 // --- core/serving.cc -------------------------------------------------------
 extern const MetricDef kServingIngestLatencyMs;

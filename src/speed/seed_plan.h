@@ -15,9 +15,12 @@
 // gather of (seed position, influence) per covered road kept in the order
 // the seeds were listed, and one LayeredMeanPlan that both walks apply.
 // Applying it adds the same terms in the same order as the direct passes,
-// so results are bitwise identical. A serving stream whose seed set stays
-// fixed (a crowdsourcing campaign) compiles once and then pays only the
-// gathers.
+// so results are bitwise identical. The plan is keyed by the *ordered*
+// list, and seed order changes the order of the aggregate's sums; the
+// plan does not canonicalize. ServingSession admits every slot's seeds in
+// road order, so a serving stream whose seed set stays fixed (a
+// crowdsourcing campaign) compiles once, however its reports interleave,
+// and then pays only the gathers.
 
 #ifndef TRENDSPEED_SPEED_SEED_PLAN_H_
 #define TRENDSPEED_SPEED_SEED_PLAN_H_

@@ -1,3 +1,4 @@
+#include <cmath>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -155,6 +156,19 @@ TEST(ServingOptionsTest, RejectsBadServingKnobs) {
   EXPECT_FALSE(opts.Validate().ok());
   opts = ServingOptions{};
   opts.monitor.ewma_alpha = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(opts.Validate().ok());
+}
+
+// The duplicate merge sums speeds in 2^-32 km/h units; the ceiling keeps
+// one admitted speed at most 2^52 units, so the cast and the sum are exact.
+TEST(ServingOptionsTest, MaxSpeedAtMostTheFixedPointCeiling) {
+  ServingOptions opts;
+  opts.max_speed_kmh = ServingOptions::kMaxSpeedCeilingKmh;
+  EXPECT_TRUE(opts.Validate().ok());
+  opts.max_speed_kmh = std::nextafter(ServingOptions::kMaxSpeedCeilingKmh,
+                                      std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(opts.Validate().ok());
+  opts.max_speed_kmh = 1.0e12;
   EXPECT_FALSE(opts.Validate().ok());
 }
 

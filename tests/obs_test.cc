@@ -456,6 +456,23 @@ TEST_F(ObsPipelineTest, EstimateRecordsBpAndEstimatorSeries) {
   EXPECT_GE(bp_solves, 1u);
 }
 
+// The seed-set plan counter is bumped with the workspace's plan_compiles:
+// one compile for a fixed seed set, one more when the set changes.
+TEST_F(ObsPipelineTest, SeedPlanCompilesCounterMatchesWorkspace) {
+  const uint64_t before = CounterValue(obs::kSeedPlanCompilesTotal);
+  auto session = ServingSession::Create(estimator_);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  for (uint64_t slot = 0; slot < 3; ++slot) {
+    ASSERT_TRUE(session->Ingest(slot, CleanObs(slot)).ok());
+  }
+  std::vector<SeedSpeed> fewer = CleanObs(3);
+  fewer.pop_back();
+  ASSERT_TRUE(session->Ingest(3, fewer).ok());
+  EXPECT_EQ(session->estimate_workspace().plan_compiles, 2u);
+  EXPECT_EQ(CounterValue(obs::kSeedPlanCompilesTotal) - before,
+            session->estimate_workspace().plan_compiles);
+}
+
 TEST_F(ObsPipelineTest, SeedSelectionRecordsPerAlgorithmSeries) {
   uint64_t lazy_runs = CounterValue(obs::kSeedRunsLazyGreedy);
   uint64_t lazy_evals = CounterValue(obs::kSeedGainEvalsLazyGreedy);

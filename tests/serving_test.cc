@@ -1,12 +1,15 @@
 #include <cmath>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/ingest.h"
 #include "core/serving.h"
 #include "obs/flight.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace trendspeed {
 namespace {
@@ -35,6 +38,27 @@ class ServingTest : public ::testing::Test {
     for (RoadId r : *seeds_) {
       out.push_back({r, std::max(1.0, ds().truth.at(slot, r) * factor)});
     }
+    return out;
+  }
+
+  /// A crowd-like batch for `slot`: every third road reported one to six
+  /// times around its true speed (most three or more times), plus one
+  /// malformed report of each kind. The road set is the same every slot.
+  std::vector<SeedSpeed> CrowdBatch(uint64_t slot) {
+    Rng rng(slot, 7);
+    const size_t n = ds().net.num_roads();
+    std::vector<SeedSpeed> out;
+    for (RoadId r = 0; r < n; r += 3) {
+      const size_t reports = 1 + rng.NextIndex(6);
+      for (size_t k = 0; k < reports; ++k) {
+        out.push_back({r, std::max(1.0, ds().truth.at(slot, r) +
+                                            rng.Gaussian(0.0, 4.0))});
+      }
+    }
+    out.push_back({0, std::numeric_limits<double>::quiet_NaN()});
+    out.push_back({3, -2.0});
+    out.push_back({6, 1.0e6});
+    out.push_back({static_cast<RoadId>(n), 40.0});
     return out;
   }
 
@@ -210,6 +234,103 @@ TEST_F(ServingTest, ConsecutiveSlotsDeduplicateIndependently) {
             ref->monitor.estimate.speeds.speed_kmh);
   EXPECT_EQ(second->monitor.estimate.speeds.deviation,
             ref->monitor.estimate.speeds.deviation);
+}
+
+// A slot's output is a function of the admitted multiset: every
+// permutation of a crowd batch serves the same bits, and a session whose
+// road set stays fixed compiles its seed-set plan once.
+TEST_F(ServingTest, PermutedCrowdBatchesServeIdenticalBitsFromOnePlan) {
+  ServingOptions opts;
+  opts.validation = ValidationPolicy::kFilter;
+  const uint64_t start = ds().first_test_slot();
+  constexpr uint64_t kSlots = 4;
+  std::vector<SpeedEstimateResult> ref;
+  for (uint64_t perm = 0; perm < 24; ++perm) {
+    ServingSession session = Session(opts);
+    Rng rng(perm, 3);
+    for (uint64_t i = 0; i < kSlots; ++i) {
+      std::vector<SeedSpeed> batch = CrowdBatch(start + i);
+      if (perm > 0) rng.Shuffle(&batch);
+      auto report = session.Ingest(start + i, batch);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      const SpeedEstimateResult& speeds = report->monitor.estimate.speeds;
+      if (perm == 0) {
+        ref.push_back(speeds);
+        continue;
+      }
+      EXPECT_EQ(speeds.speed_kmh, ref[i].speed_kmh)
+          << "permutation " << perm << ", slot " << i;
+      EXPECT_EQ(speeds.deviation, ref[i].deviation)
+          << "permutation " << perm << ", slot " << i;
+    }
+    EXPECT_EQ(session.estimate_workspace().plan_compiles, 1u)
+        << "permutation " << perm;
+  }
+}
+
+// The same contract through the MPSC front-end: two producer threads
+// interleave each slot's reports in whatever order they race to, and the
+// session serves the bits a direct Ingest of the batch serves.
+TEST_F(ServingTest, TwoProducerFrontEndServesTheDirectBits) {
+  ServingOptions opts;
+  opts.validation = ValidationPolicy::kFilter;
+  opts.ingest_queue.capacity = 1024;
+  const uint64_t start = ds().first_test_slot();
+  constexpr uint64_t kSlots = 4;
+  std::vector<SpeedEstimateResult> ref;
+  ServingSession direct = Session(opts);
+  for (uint64_t i = 0; i < kSlots; ++i) {
+    auto report = direct.Ingest(start + i, CrowdBatch(start + i));
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ref.push_back(report->monitor.estimate.speeds);
+  }
+  for (int run = 0; run < 5; ++run) {
+    ServingSession session = Session(opts);
+    auto front = IngestFrontEnd::Create(&session);
+    ASSERT_TRUE(front.ok()) << front.status().ToString();
+    for (uint64_t i = 0; i < kSlots; ++i) {
+      const uint64_t slot = start + i;
+      const std::vector<SeedSpeed> batch = CrowdBatch(slot);
+      std::vector<std::thread> producers;
+      for (size_t p = 0; p < 2; ++p) {
+        producers.emplace_back([&, p] {
+          for (size_t k = p; k < batch.size(); k += 2) {
+            EXPECT_TRUE((*front)->Offer(slot, batch[k]));
+          }
+        });
+      }
+      for (std::thread& t : producers) t.join();
+      auto report = (*front)->Flush();
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      const SpeedEstimateResult& speeds = report->monitor.estimate.speeds;
+      EXPECT_EQ(speeds.speed_kmh, ref[i].speed_kmh)
+          << "run " << run << ", slot " << i;
+      EXPECT_EQ(speeds.deviation, ref[i].deviation)
+          << "run " << run << ", slot " << i;
+    }
+    EXPECT_EQ(session.estimate_workspace().plan_compiles, 1u) << "run " << run;
+  }
+}
+
+// Thousands of reports at the largest admissible speed: 5,000 x 2^52 units
+// is past 2^64, so a 64-bit merge sum would wrap. Both means below are
+// exact, so the merged batch must serve what one report of the mean serves.
+TEST_F(ServingTest, MergeAtSpeedCeilingDoesNotOverflow) {
+  ServingOptions opts;
+  opts.max_speed_kmh = ServingOptions::kMaxSpeedCeilingKmh;
+  const uint64_t slot = ds().first_test_slot();
+  const RoadId road = (*seeds_)[0];
+  auto served = [&](const std::vector<SeedSpeed>& batch) {
+    ServingSession s = Session(opts);
+    auto r = s.Ingest(slot, batch);
+    TS_CHECK(r.ok()) << r.status().ToString();
+    return r->monitor.estimate.speeds.speed_kmh;
+  };
+  const double top = ServingOptions::kMaxSpeedCeilingKmh;
+  std::vector<SeedSpeed> batch(5000, SeedSpeed{road, top});
+  EXPECT_EQ(served(batch), served({{road, top}}));
+  for (size_t i = 0; i < batch.size(); i += 2) batch[i].speed_kmh = 1.0;
+  EXPECT_EQ(served(batch), served({{road, top / 2 + 0.5}}));
 }
 
 TEST_F(ServingTest, DuplicateSlotIsIdempotent) {
