@@ -6,6 +6,18 @@
 // A3: model components — full pipeline vs prior-only trends (no graph
 //     inference) vs no-hierarchy (class/global regressions only) vs
 //     flat-global; isolates the contribution of each step.
+// A4: crowdsourcing quality (workers per seed x aggregation).
+// A5: adaptive (per-period) vs static seed sets.
+// A6: Step 1's sweep count: prior-only and BP truncated at 1, 2, 3 and 6
+//     sweeps, on both cities at K = 20/40/80. BpOptions::max_iters
+//     defaults to the smallest count this table supports, and the run
+//     aborts if the default breaks that rule.
+//
+//   --smoke   A6 only, at K = 40 with one evaluation seed: the tier-1
+//             check that the default sweep count keeps its accuracy.
+
+#include <algorithm>
+#include <cstring>
 
 #include "bench_util.h"
 #include "crowd/campaign.h"
@@ -215,15 +227,156 @@ void A5(const Dataset& ds) {
          std::to_string(plan->num_periods())});
 }
 
+// A6: the sweep budget of Step 1. Row 0 is prior-only (the node
+// potentials with no message passing); every other row runs BP for exactly
+// that many sweeps. A sweep count is admissible when its MAPE is within
+// kSweepMapeSlack of the best row for every city and budget.
+constexpr double kSweepMapeSlack = 0.0005;  // 0.05 pp
+
+struct StepOneScore {
+  double mape = 0.0;
+  double error_rate = 0.0;
+  double trend_accuracy = 0.0;
+};
+
+TrafficSpeedEstimator WithSweeps(const Dataset& ds,
+                                 const TrafficSpeedEstimator& trained,
+                                 uint32_t sweeps) {
+  PipelineConfig config = trained.config();
+  if (sweeps == 0) {
+    config.trend.engine = TrendEngine::kPriorOnly;
+  } else {
+    config.trend.bp.max_iters = sweeps;
+  }
+  auto est = TrafficSpeedEstimator::FromComponents(
+      &ds.net, &ds.history, config, trained.correlation_graph(),
+      trained.influence(), trained.speed_model());
+  TS_CHECK(est.ok()) << est.status().ToString();
+  return std::move(est).value();
+}
+
+// Speed and trend scores over non-seed roads, averaged over `eval_seeds`
+// observation-noise seeds (the seeds Evaluator::RunRepeated draws). One
+// Estimate per test slot feeds all three scores.
+StepOneScore ScoreStepOne(const Dataset& ds, const TrafficSpeedEstimator& est,
+                          const std::vector<RoadId>& seeds,
+                          size_t eval_seeds) {
+  Evaluator eval(&ds);
+  EvalOptions opts = bench::DefaultEval(2);
+  std::vector<bool> is_seed(ds.net.num_roads(), false);
+  for (RoadId r : seeds) is_seed[r] = true;
+  StepOneScore mean;
+  for (size_t rep = 0; rep < eval_seeds; ++rep) {
+    Rng rng(opts.rng_seed + 1000003 * rep);
+    std::vector<double> predicted, truth;
+    std::vector<int> trend, true_trend;
+    for (uint64_t slot : eval.TestSlots(opts.slot_stride)) {
+      auto obs = eval.ObserveSeeds(slot, seeds, opts.seed_noise_kmh, &rng);
+      auto out = est.Estimate(slot, obs);
+      TS_CHECK(out.ok()) << out.status().ToString();
+      std::vector<int> slot_trends = eval.TrueTrends(slot);
+      for (RoadId r = 0; r < ds.net.num_roads(); ++r) {
+        if (is_seed[r]) continue;
+        predicted.push_back(out->speeds.speed_kmh[r]);
+        truth.push_back(ds.truth.at(slot, r));
+        trend.push_back(out->trends.trend[r]);
+        true_trend.push_back(slot_trends[r]);
+      }
+    }
+    SpeedMetrics m = ComputeSpeedMetrics(predicted, truth, opts.error_rate_tau);
+    mean.mape += m.mape / static_cast<double>(eval_seeds);
+    mean.error_rate += m.error_rate / static_cast<double>(eval_seeds);
+    mean.trend_accuracy +=
+        TrendAccuracy(trend, true_trend) / static_cast<double>(eval_seeds);
+  }
+  return mean;
+}
+
+void A6(bool smoke) {
+  const uint32_t default_sweeps = BpOptions{}.max_iters;
+  std::vector<uint32_t> rows = {0, 1, 2, 3, 6};
+  if (std::find(rows.begin(), rows.end(), default_sweeps) == rows.end()) {
+    rows.push_back(default_sweeps);
+    std::sort(rows.begin(), rows.end());
+  }
+  const std::vector<size_t> budgets =
+      smoke ? std::vector<size_t>{40} : std::vector<size_t>{20, 40, 80};
+  const size_t eval_seeds = smoke ? 1 : 3;
+  // admissible[i]: row i is within the slack at every (city, K) so far.
+  std::vector<bool> admissible(rows.size(), true);
+
+  bench::PrintTitle("A6 Step-1 sweep count (mean of " +
+                    std::to_string(eval_seeds) +
+                    " evaluation seeds; 0 = prior only)");
+  bench::Table t({"city", "K", "sweeps", "MAPE", "err-rate", "trend-acc",
+                  "MAPE-best"},
+                 11);
+  t.PrintHeader();
+  for (const char* city : {"CityA", "CityB"}) {
+    auto ds = bench::MakeCity(city);
+    TrafficSpeedEstimator trained = bench::TrainDefault(*ds);
+    for (size_t k : budgets) {
+      auto seeds = trained.SelectSeeds(k, SeedStrategy::kLazyGreedy);
+      TS_CHECK(seeds.ok());
+      std::vector<StepOneScore> scores;
+      for (uint32_t sweeps : rows) {
+        scores.push_back(ScoreStepOne(*ds, WithSweeps(*ds, trained, sweeps),
+                                      seeds->seeds, eval_seeds));
+      }
+      double best = scores[0].mape;
+      for (const StepOneScore& s : scores) best = std::min(best, s.mape);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        double gap = scores[i].mape - best;
+        if (gap > kSweepMapeSlack) admissible[i] = false;
+        t.Row({city, std::to_string(k),
+               std::to_string(rows[i]) +
+                   (rows[i] == default_sweeps ? " *" : ""),
+               bench::FmtPct(scores[i].mape, 2),
+               bench::FmtPct(scores[i].error_rate, 2),
+               bench::FmtPct(scores[i].trend_accuracy, 2),
+               "+" + bench::Fmt(gap * 100.0, 3) + "pp"});
+      }
+    }
+  }
+  size_t pick = rows.size();
+  size_t default_row = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i] > 0 && admissible[i] && pick == rows.size()) pick = i;
+    if (rows[i] == default_sweeps) default_row = i;
+  }
+  std::printf("smallest sweep count within %.2f pp of the best row: %s; "
+              "BpOptions default (*): %u\n",
+              kSweepMapeSlack * 100.0,
+              pick < rows.size() ? std::to_string(rows[pick]).c_str()
+                                 : "none",
+              default_sweeps);
+  std::fflush(stdout);
+  TS_CHECK(admissible[default_row])
+      << "the default sweep count " << default_sweeps
+      << " is more than 0.05 pp MAPE behind the best row";
+}
+
 }  // namespace
 }  // namespace trendspeed
 
-int main() {
-  auto ds = trendspeed::bench::MakeCity("CityA");
-  trendspeed::A1(*ds);
-  trendspeed::A2();
-  trendspeed::A3(*ds);
-  trendspeed::A4(*ds);
-  trendspeed::A5(*ds);
+int main(int argc, char** argv) {
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else {
+      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      return 2;
+    }
+  }
+  if (!smoke) {
+    auto ds = trendspeed::bench::MakeCity("CityA");
+    trendspeed::A1(*ds);
+    trendspeed::A2();
+    trendspeed::A3(*ds);
+    trendspeed::A4(*ds);
+    trendspeed::A5(*ds);
+  }
+  trendspeed::A6(smoke);
   return 0;
 }

@@ -133,7 +133,6 @@ int Run(const ScalingConfig& cfg) {
   BpGraph graph = MakeGridBpGraph(cfg, &pot);
   BpOptions bp;
   bp.max_iters = cfg.bp_iters;
-  bp.tol = 0.0;  // never converge early: every config does identical work
   bp.kernel = BpKernel::kAuto;  // what served slots run
   std::vector<double> serial_marginals;
   std::printf("  \"bp\": {\n    \"iterations\": %u,\n    \"runs\": [",
@@ -144,7 +143,8 @@ int Run(const ScalingConfig& cfg) {
     BpResult result;
     double ms = BestMillis(cfg.reps,
                            [&] { result = InferMarginalsBpFlat(graph, pot, bp); });
-    TS_CHECK_EQ(result.iterations, cfg.bp_iters);
+    TS_CHECK_EQ(result.message_updates,
+                uint64_t{cfg.bp_iters} * graph.off[graph.num_vars]);
     if (i == 0) {
       bp_base_ms = ms;
       serial_marginals = result.p_up;

@@ -27,9 +27,6 @@ Status PipelineConfig::Validate() const {
   if (trend.bp.max_iters == 0) {
     return Status::InvalidArgument("trend.bp.max_iters must be positive");
   }
-  if (!(trend.bp.tol >= 0.0)) {  // also rejects NaN
-    return Status::InvalidArgument("trend.bp.tol must be >= 0");
-  }
   // Guards configs assembled from raw ints (deserialization, FFI): the
   // kernel knob must be one of the declared enumerators.
   if (trend.bp.kernel != BpKernel::kScalar &&

@@ -7,13 +7,15 @@ namespace trendspeed {
 
 namespace {
 constexpr uint32_t kModelVersion = 1;
+/// Version 2 dropped BP's convergence tolerance (version 1 wrote it after
+/// the damping); BP now runs exactly max_iters sweeps.
+constexpr uint32_t kConfigVersion = 2;
 
 void PutConfig(const PipelineConfig& c, BinaryWriter* w) {
-  w->PutTag("CONF", 1);
+  w->PutTag("CONF", kConfigVersion);
   w->PutU8(static_cast<uint8_t>(c.trend.engine));
   w->PutU32(c.trend.bp.max_iters);
   w->PutF64(c.trend.bp.damping);
-  w->PutF64(c.trend.bp.tol);
   w->PutF64(c.trend.edge_compat_power);
   w->PutF64(c.trend.prior_pseudo_count);
   w->PutU8(c.propagation.mode == AggregationMode::kInfluence ? 0 : 1);
@@ -25,7 +27,7 @@ void PutConfig(const PipelineConfig& c, BinaryWriter* w) {
 
 Result<PipelineConfig> GetConfig(BinaryReader* r) {
   TS_ASSIGN_OR_RETURN(uint32_t version, r->ExpectTag("CONF"));
-  if (version != 1) {
+  if (version != kConfigVersion) {
     return Status::InvalidArgument("unsupported config version");
   }
   PipelineConfig c;
@@ -36,7 +38,6 @@ Result<PipelineConfig> GetConfig(BinaryReader* r) {
   c.trend.engine = static_cast<TrendEngine>(engine);
   TS_ASSIGN_OR_RETURN(c.trend.bp.max_iters, r->GetU32());
   TS_ASSIGN_OR_RETURN(c.trend.bp.damping, r->GetF64());
-  TS_ASSIGN_OR_RETURN(c.trend.bp.tol, r->GetF64());
   TS_ASSIGN_OR_RETURN(c.trend.edge_compat_power, r->GetF64());
   TS_ASSIGN_OR_RETURN(c.trend.prior_pseudo_count, r->GetF64());
   TS_ASSIGN_OR_RETURN(uint8_t mode, r->GetU8());

@@ -6,14 +6,11 @@ namespace obs {
 namespace {
 
 // Shared bucket layouts. Latencies are long-tailed, so bounds are roughly
-// geometric; BP residuals span decades, so decades it is.
+// geometric.
 constexpr double kLatencyMsBounds[] = {0.05, 0.1,  0.25, 0.5, 1.0,  2.5, 5.0,
                                        10.0, 25.0, 50.0, 100, 250,  1000};
 constexpr double kMicrosBounds[] = {1,    2,    5,     10,    25,    50,
                                     100,  250,  1000,  5000,  25000, 100000};
-constexpr double kIterationBounds[] = {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64};
-constexpr double kResidualBounds[] = {1e-6, 1e-5, 1e-4, 1e-3,
-                                      1e-2, 0.1,  0.5,  1.0};
 constexpr double kGainBounds[] = {0.01, 0.05, 0.1, 0.25, 0.5, 1,
                                   2,    4,    8,   16,   32,  64};
 
@@ -25,23 +22,18 @@ constexpr size_t N(auto& a) { return sizeof(a) / sizeof(a[0]); }
 const MetricDef kBpRunsTotal = {
     "trendspeed_bp_runs_total", MetricType::kCounter,
     "Belief-propagation inference runs", "1"};
+// Retired: BP runs a fixed number of sweeps and has no convergence test, so
+// nothing increments this. It stays registered only while perfbench still
+// reads it (trend.bp_converged_frac); both go in the next benchmark change.
 const MetricDef kBpConvergedTotal = {
     "trendspeed_bp_converged_total", MetricType::kCounter,
-    "BP runs whose max message change fell below tol", "1"};
+    "Retired, always 0: BP runs a fixed sweep count", "1"};
 const MetricDef kBpSweepsTotal = {
     "trendspeed_bp_sweeps_total", MetricType::kCounter,
     "Jacobi message half-sweeps executed", "1"};
 const MetricDef kBpMessageUpdatesTotal = {
     "trendspeed_bp_message_updates_total", MetricType::kCounter,
     "Directed-edge message updates", "1"};
-const MetricDef kBpIterations = {
-    "trendspeed_bp_iterations", MetricType::kHistogram,
-    "Sweeps needed per BP run", "iterations", "",
-    kIterationBounds, N(kIterationBounds)};
-const MetricDef kBpResidual = {
-    "trendspeed_bp_residual", MetricType::kHistogram,
-    "Max message change per sweep (convergence residual)", "delta", "",
-    kResidualBounds, N(kResidualBounds)};
 const MetricDef kBpKernelRunsScalar = {
     "trendspeed_bp_kernel_runs_total", MetricType::kCounter,
     "BP runs by executing message-update kernel", "1", "kernel=\"scalar\""};
@@ -231,8 +223,6 @@ const std::vector<const MetricDef*>& AllMetricDefs() {
       &kBpConvergedTotal,
       &kBpSweepsTotal,
       &kBpMessageUpdatesTotal,
-      &kBpIterations,
-      &kBpResidual,
       &kBpKernelRunsScalar,
       &kBpKernelRunsSimd,
       &kBpKernelSimdFallbacksTotal,

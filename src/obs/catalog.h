@@ -25,11 +25,9 @@ namespace obs {
 
 // --- trend/belief_propagation.cc -------------------------------------------
 extern const MetricDef kBpRunsTotal;            ///< BP inference invocations
-extern const MetricDef kBpConvergedTotal;       ///< runs that met tol
+extern const MetricDef kBpConvergedTotal;       ///< retired, always 0
 extern const MetricDef kBpSweepsTotal;          ///< message half-sweeps
 extern const MetricDef kBpMessageUpdatesTotal;  ///< directed-edge messages
-extern const MetricDef kBpIterations;           ///< histogram: iters per run
-extern const MetricDef kBpResidual;             ///< histogram: per-sweep max delta
 extern const MetricDef kBpKernelRunsScalar;     ///< runs on the scalar kernel
 extern const MetricDef kBpKernelRunsSimd;       ///< runs on the SIMD kernel
 extern const MetricDef kBpKernelSimdFallbacksTotal;  ///< simd asked, scalar ran

@@ -1,7 +1,6 @@
 #include "trend/belief_propagation.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -72,47 +71,22 @@ BpGraph BpGraph::FromMrf(const PairwiseMrf& mrf) {
 
 namespace {
 
-/// The trendspeed_bp_* series of one run, shared by every schedule. Handles
-/// are registered once per run (one registry lookup each), not per sweep;
-/// all are null when opts.metrics is null, making every record below a
-/// single predicted branch.
-class BpRunRecorder {
- public:
-  /// Opens the run: counts it, on `kernel_runs` (the kernel's run counter)
-  /// too.
-  BpRunRecorder(const BpOptions& opts, const obs::MetricDef& kernel_runs)
-      : metrics_(opts.metrics),
-        sweeps_(obs::GetCounter(metrics_, obs::kBpSweepsTotal)),
-        residual_(obs::GetHistogram(metrics_, obs::kBpResidual)) {
-    obs::Add(obs::GetCounter(metrics_, obs::kBpRunsTotal));
-    obs::Add(obs::GetCounter(metrics_, kernel_runs));
-  }
+/// Records one finished run into the trendspeed_bp_* series: the run on
+/// the total and on `kernel_runs` (the kernel's run counter), its sweeps
+/// and its message updates. Every handle is null when opts.metrics is
+/// null, making each record a single predicted branch.
+void RecordRun(const BpOptions& opts, const obs::MetricDef& kernel_runs,
+               const BpResult& result) {
+  obs::Add(obs::GetCounter(opts.metrics, obs::kBpRunsTotal));
+  obs::Add(obs::GetCounter(opts.metrics, kernel_runs));
+  obs::Add(obs::GetCounter(opts.metrics, obs::kBpSweepsTotal),
+           opts.max_iters);
+  obs::Add(obs::GetCounter(opts.metrics, obs::kBpMessageUpdatesTotal),
+           result.message_updates);
+}
 
-  /// One executed sweep and its max message change.
-  void Sweep(double residual) {
-    obs::Add(sweeps_);
-    obs::Observe(residual_, residual);
-  }
-
-  /// Closes the run: message updates, iterations and convergence.
-  void Finish(const BpResult& result) {
-    obs::Add(obs::GetCounter(metrics_, obs::kBpMessageUpdatesTotal),
-             result.message_updates);
-    obs::Observe(obs::GetHistogram(metrics_, obs::kBpIterations),
-                 static_cast<double>(result.iterations));
-    if (result.converged) {
-      obs::Add(obs::GetCounter(metrics_, obs::kBpConvergedTotal));
-    }
-  }
-
- private:
-  obs::MetricsRegistry* metrics_;
-  obs::Counter* sweeps_;
-  obs::Histogram* residual_;
-};
-
-/// Scalar schedule (the oracle): damped Jacobi sweeps over every variable
-/// from all-0.5 messages.
+/// Scalar schedule (the oracle): max_iters damped Jacobi sweeps over every
+/// variable from all-0.5 messages.
 BpResult RunColdBp(const BpGraph& graph, const std::vector<double>& pot,
                    const BpOptions& opts) {
   TS_CHECK_GE(opts.damping, 0.0);
@@ -120,24 +94,20 @@ BpResult RunColdBp(const BpGraph& graph, const std::vector<double>& pot,
   size_t n = graph.num_vars;
   TS_CHECK_EQ(pot.size(), 2 * n);
   size_t dir_edges = graph.off[n];
-  BpRunRecorder rec(opts, obs::kBpKernelRunsScalar);
 
   std::vector<double> msg(2 * dir_edges, 0.5);
   std::vector<double> next(2 * dir_edges, 0.5);
 
   BpResult result;
   result.p_up.assign(n, 0.5);
-  if (n == 0) return result;
 
   // One Jacobi half-sweep over the outgoing messages of variables in
   // [begin, end): reads `msg`, writes `next` (slots of these variables
-  // only — disjoint across chunks), returns the local max message change.
-  // Per-variable arithmetic is independent of the chunking, so serial and
-  // parallel sweeps are bitwise identical.
-  auto sweep = [&](size_t begin, size_t end, SweepScratch& s) -> double {
+  // only — disjoint across chunks). Per-variable arithmetic is independent
+  // of the chunking, so serial and parallel sweeps are bitwise identical.
+  auto sweep = [&](size_t begin, size_t end, SweepScratch& s) {
     std::vector<double>& in0 = s.in0;
     std::vector<double>& in1 = s.in1;
-    double local_max = 0.0;
     for (size_t v = begin; v < end; ++v) {
       size_t off = graph.off[v];
       size_t deg = graph.off[v + 1] - off;
@@ -220,53 +190,33 @@ BpResult RunColdBp(const BpGraph& graph, const std::vector<double>& pot,
           out0 /= z;
           out1 /= z;
         }
-        double old0 = msg[2 * slot];
-        double new0 = opts.damping * old0 + (1.0 - opts.damping) * out0;
-        double new1 =
+        next[2 * slot] =
+            opts.damping * msg[2 * slot] + (1.0 - opts.damping) * out0;
+        next[2 * slot + 1] =
             opts.damping * msg[2 * slot + 1] + (1.0 - opts.damping) * out1;
-        next[2 * slot] = new0;
-        next[2 * slot + 1] = new1;
-        double delta = std::fabs(new0 - old0);
-        if (delta > local_max) local_max = delta;
       }
     }
-    return local_max;
   };
 
   size_t threads = std::min<size_t>(EffectiveThreads(opts.num_threads), n);
   bool parallel = threads > 1 && n >= kMinParallelVars;
   SweepScratch scratch(graph.max_degree);
 
-  double max_delta = 0.0;
   for (uint32_t iter = 0; iter < opts.max_iters; ++iter) {
     if (!parallel) {
-      max_delta = sweep(0, n, scratch);
+      sweep(0, n, scratch);
     } else {
-      // max() is order-independent, so a CAS-max reduction keeps the
-      // convergence decision — hence the iteration count and the final
-      // marginals — bitwise deterministic for any thread count.
-      std::atomic<double> shared_max{0.0};
       ThreadPool::Global().ParallelForChunked(
           n, threads, [&](size_t, size_t begin, size_t end) {
             SweepScratch t(graph.max_degree);
-            double local = sweep(begin, end, t);
-            double cur = shared_max.load(std::memory_order_relaxed);
-            while (local > cur &&
-                   !shared_max.compare_exchange_weak(cur, local)) {
-            }
+            sweep(begin, end, t);
           });
-      max_delta = shared_max.load();
     }
     msg.swap(next);
-    result.iterations = iter + 1;
-    result.message_updates += static_cast<uint64_t>(dir_edges);
-    rec.Sweep(max_delta);
-    if (max_delta < opts.tol) {
-      result.converged = true;
-      break;
-    }
   }
-  rec.Finish(result);
+  result.message_updates =
+      static_cast<uint64_t>(opts.max_iters) * static_cast<uint64_t>(dir_edges);
+  RecordRun(opts, obs::kBpKernelRunsScalar, result);
 
   // Beliefs. Hard 0/1 potentials (clamped evidence) stay hard because
   // the potential factor multiplies every belief.
@@ -300,27 +250,21 @@ BpResult RunColdBp(const BpGraph& graph, const std::vector<double>& pot,
   return result;
 }
 
-/// Vectorized schedule: the same sweep structure and convergence rule as
-/// RunColdBp, executed by trend/bp_kernel_simd.cc. Per-sweep residuals are
-/// replayed from the kernel so the kernel TU stays free of the obs
-/// dependency.
+/// Vectorized schedule: the same max_iters sweeps as RunColdBp, executed
+/// by trend/bp_kernel_simd.cc.
 BpResult RunColdSimd(const BpGraph& graph, const std::vector<double>& pot,
                      const BpOptions& opts) {
   TS_CHECK_GE(opts.damping, 0.0);
   TS_CHECK_LT(opts.damping, 1.0);
   TS_CHECK_EQ(pot.size(), 2 * graph.num_vars);
-  BpRunRecorder rec(opts, obs::kBpKernelRunsSimd);
   BpResult result;
-  std::vector<double> sweep_residuals;
   BpSimdRun run;
   run.soa = graph.soa.get();
   run.pot = pot.data();
   run.opts = &opts;
   run.result = &result;
-  run.sweep_residuals = opts.metrics != nullptr ? &sweep_residuals : nullptr;
   RunBpSweepsSimd(run);
-  for (double r : sweep_residuals) rec.Sweep(r);
-  rec.Finish(result);
+  RecordRun(opts, obs::kBpKernelRunsSimd, result);
   return result;
 }
 

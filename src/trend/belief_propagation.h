@@ -23,28 +23,29 @@ enum class BpKernel {
   kScalar,
   /// The vectorized structure-of-arrays kernel (trend/bp_kernel.h):
   /// single-precision lockstep batches, AVX2 + FMA via util/simd.h on
-  /// x86-64. Marginals agree with kScalar within a small
-  /// multiple of tol but are NOT bitwise equal: the kernel reassociates
-  /// the incoming-message products (prefix/suffix cavities), contracts in
-  /// float, and max-reduces residuals per lane. Falls back to kScalar at
-  /// runtime when the CPU cannot run the kernel — no AVX2 + FMA, or not
-  /// x86-64 (trendspeed_bp_kernel_simd_fallbacks_total counts those). The
-  /// default.
+  /// x86-64. Marginals agree with kScalar within 1e-3 but are NOT
+  /// bitwise equal: the kernel reassociates the incoming-message products
+  /// (prefix/suffix cavities) and contracts in float. Falls back to
+  /// kScalar at runtime when the CPU cannot run the kernel — no AVX2 +
+  /// FMA, or not x86-64 (trendspeed_bp_kernel_simd_fallbacks_total counts
+  /// those). The default.
   kAuto,
 };
 
 struct BpOptions {
-  /// Truncated BP: on the associative, loopy graphs correlation mining
-  /// produces, long message passing saturates marginals (ferromagnetic
-  /// drift) without improving decisions — and the per-node evidence already
-  /// carries most of the signal. A few sweeps of local refinement are both
-  /// faster and empirically at least as accurate; raise this (and pass
+  /// Sweeps per run: BP is a fixed truncated schedule, every run executes
+  /// exactly this many damped Jacobi sweeps from all-0.5 messages, so a
+  /// road's marginal feels evidence from at most max_iters hops away. On
+  /// the loopy, associative graphs correlation mining produces, longer
+  /// message passing saturates marginals without improving speeds: in
+  /// bench_ablation's A6 sweep-count table (EXPERIMENTS.md M14) 1 sweep is
+  /// the smallest count within 0.05 pp MAPE of the best row on CityA and
+  /// CityB at K = 20, 40 and 80, and the bench's --smoke run (a ctest
+  /// entry) fails if this default breaks that rule. Raise it (and pass
   /// damping 0) for exactness on trees.
-  uint32_t max_iters = 6;
+  uint32_t max_iters = 1;
   /// Fraction of the *old* message retained each update, in [0, 1).
   double damping = 0.15;
-  /// Convergence threshold on the max message change.
-  double tol = 1e-4;
   /// Worker threads for the message sweeps (0 = EffectiveThreads). The
   /// update is two-phase (read `msg`, write `next`, swap), so marginals are
   /// bitwise identical for every thread count, including 1; small graphs
@@ -56,20 +57,17 @@ struct BpOptions {
   /// messages, on either kernel.
   BpKernel kernel = BpKernel::kAuto;
   /// Observability hook (docs/observability.md): when attached, each run
-  /// records the trendspeed_bp_* series (sweeps, message updates,
-  /// per-sweep convergence residual, iteration count). Null (default)
-  /// disables recording at per-iteration branch cost; results are
-  /// identical either way. Set by the estimator from
-  /// PipelineConfig::observability; must outlive the inference call.
+  /// records the trendspeed_bp_* series (runs per kernel, sweeps, message
+  /// updates). Null (default) disables recording; results are identical
+  /// either way. Set by the estimator from PipelineConfig::observability;
+  /// must outlive the inference call.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
 struct BpResult {
   /// Marginal P(x_v = up); clamped variables report 0/1 exactly.
   std::vector<double> p_up;
-  uint32_t iterations = 0;
-  bool converged = false;
-  /// Directed-edge message updates computed (edges x sweeps).
+  /// Directed-edge message updates computed (edges x max_iters).
   uint64_t message_updates = 0;
 };
 

@@ -39,11 +39,11 @@
 //
 // The kernel itself (bp_kernel_simd.cc) computes cavity beliefs with
 // prefix/suffix products instead of the scalar path's divide-and-fall-back,
-// contracts the compat planes with FMAs, interleaves two same-degree
+// contracts the compat planes with FMAs, and interleaves two same-degree
 // batches per inner loop to hide the 4-cycle multiply latency of the
-// running-product chains, and reduces the convergence residual with a lane
-// max. It is selected per run by BpOptions::kernel, with runtime ISA
-// dispatch — see BpSimdKernelAvailable below and docs/performance.md.
+// running-product chains. It is selected per run by BpOptions::kernel,
+// with runtime ISA dispatch — see BpSimdKernelAvailable below and
+// docs/performance.md.
 
 #ifndef TRENDSPEED_TREND_BP_KERNEL_H_
 #define TRENDSPEED_TREND_BP_KERNEL_H_
@@ -132,18 +132,14 @@ struct BpGraphSoa {
   static BpGraphSoa Build(const BpGraph& graph);
 };
 
-/// One vectorized inference run over a BpGraphSoa, from all-0.5 messages.
-/// Inputs mirror the scalar path.
+/// One vectorized inference run over a BpGraphSoa: opts->max_iters sweeps
+/// from all-0.5 messages. Inputs mirror the scalar path.
 struct BpSimdRun {
   const BpGraphSoa* soa = nullptr;
   const double* pot = nullptr;       ///< 2 * num_vars, interleaved
   const BpOptions* opts = nullptr;
-  /// Receives iterations/converged/message_updates/p_up.
+  /// Receives message_updates/p_up.
   BpResult* result = nullptr;
-  /// When non-null, receives one max-delta entry per executed sweep so the
-  /// caller can replay them into the trendspeed_bp_residual histogram (the
-  /// kernel TU stays free of the obs dependency).
-  std::vector<double>* sweep_residuals = nullptr;
 };
 
 /// True when the running CPU can execute the kernel: on x86-64,

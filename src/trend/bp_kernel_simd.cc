@@ -2,7 +2,7 @@
 //
 // Math contract vs the scalar oracle in belief_propagation.cc: identical
 // update rule (damped sum-product, same z <= 0 guard, same damping blend,
-// same plane-0 residual), different arithmetic:
+// same number of sweeps), different arithmetic:
 //
 //   * single precision throughout, with per-variable potential
 //     normalization (scale-invariant: messages and beliefs are normalized
@@ -19,9 +19,9 @@
 //     scalar divide-and-fall-back — no division, no underflow branch, and
 //     a masked power-of-two rescale (exact in binary FP) keeps the running
 //     products out of the subnormal range on deep products;
-//   * FMA contraction and lane-max residual reduction, with two same-degree
-//     batches interleaved per inner loop so the four running-product chains
-//     hide each other's multiply latency.
+//   * FMA contraction, with two same-degree batches interleaved per inner
+//     loop so the four running-product chains hide each other's multiply
+//     latency.
 //
 // The first three are also the bandwidth story: at 100k+ variables the
 // sweep streams its planes from L3/DRAM, and dropping one message plane and
@@ -29,8 +29,8 @@
 // roofline section of docs/performance.md.
 //
 // Products reassociate and round differently, so marginals agree with the
-// scalar kernel within a small multiple of tol, not bitwise — the contract
-// BpOptions::kernel documents and tests/bp_kernel_test.cc pins.
+// scalar kernel within 1e-3, not bitwise — the contract BpOptions::kernel
+// documents and tests/bp_kernel_test.cc pins.
 //
 // ISA safety: every function that touches F32x8 carries TS_SIMD_TARGET
 // (see util/simd.h); this TU is compiled WITHOUT -mavx2 so all remaining
@@ -39,7 +39,6 @@
 // BpSimdKernelAvailable() is false.
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -105,11 +104,11 @@ struct BatchCtx {
 /// Each batch's arithmetic only reads its own data, so the per-batch
 /// results are bitwise identical to processing the batches one at a time —
 /// pairing is a pure ILP transform and chunk boundaries cannot change it.
-TS_SIMD_TARGET F32x8 SweepBatchPair(const BpGraphSoa& soa, BatchCtx a,
-                                    BatchCtx b, uint32_t deg,
-                                    const float* pot0, const float* pot1,
-                                    const float* msg0, float* nxt0, F32x8 vd,
-                                    F32x8 vomd, F32x8 vmax) {
+TS_SIMD_TARGET void SweepBatchPair(const BpGraphSoa& soa, BatchCtx a,
+                                   BatchCtx b, uint32_t deg,
+                                   const float* pot0, const float* pot1,
+                                   const float* msg0, float* nxt0, F32x8 vd,
+                                   F32x8 vomd) {
   const F32x8 one = simd::Broadcast(1.0f);
   const F32x8 half = simd::Broadcast(0.5f);
   F32x8 in0a[BpGraphSoa::kMaxBatchDegree],
@@ -156,12 +155,8 @@ TS_SIMD_TARGET F32x8 SweepBatchPair(const BpGraphSoa& soa, BatchCtx a,
     F32x8 r0a = simd::Blend(oka, simd::Div(o0a, za), half);
     F32x8 r0b = simd::Blend(okb, simd::Div(o0b, zb), half);
     F32x8 olda = simd::Load(&msg0[ska]), oldb = simd::Load(&msg0[skb]);
-    F32x8 newa = simd::Fma(vd, olda, simd::Mul(vomd, r0a));
-    F32x8 newb = simd::Fma(vd, oldb, simd::Mul(vomd, r0b));
-    simd::Store(&nxt0[ska], newa);
-    simd::Store(&nxt0[skb], newb);
-    vmax = simd::Max(vmax, simd::Abs(simd::Sub(newa, olda)));
-    vmax = simd::Max(vmax, simd::Abs(simd::Sub(newb, oldb)));
+    simd::Store(&nxt0[ska], simd::Fma(vd, olda, simd::Mul(vomd, r0a)));
+    simd::Store(&nxt0[skb], simd::Fma(vd, oldb, simd::Mul(vomd, r0b)));
     F32x8 ia = in0a[k], ib = in0b[k];
     s0a = simd::Mul(s0a, ia);
     s1a = simd::Mul(s1a, simd::Sub(one, ia));
@@ -170,16 +165,14 @@ TS_SIMD_TARGET F32x8 SweepBatchPair(const BpGraphSoa& soa, BatchCtx a,
     MaybeRescale(s0a, s1a);
     MaybeRescale(s0b, s1b);
   }
-  return vmax;
 }
 
 /// Single-batch variant for the odd batch at the end of a degree run or
 /// chunk. Same arithmetic as one half of SweepBatchPair.
-TS_SIMD_TARGET F32x8 SweepBatchOne(const BpGraphSoa& soa, BatchCtx a,
-                                   uint32_t deg, const float* pot0,
-                                   const float* pot1, const float* msg0,
-                                   float* nxt0, F32x8 vd, F32x8 vomd,
-                                   F32x8 vmax) {
+TS_SIMD_TARGET void SweepBatchOne(const BpGraphSoa& soa, BatchCtx a,
+                                  uint32_t deg, const float* pot0,
+                                  const float* pot1, const float* msg0,
+                                  float* nxt0, F32x8 vd, F32x8 vomd) {
   const F32x8 one = simd::Broadcast(1.0f);
   const F32x8 half = simd::Broadcast(0.5f);
   F32x8 in0s[BpGraphSoa::kMaxBatchDegree], pre0s[BpGraphSoa::kMaxBatchDegree],
@@ -203,30 +196,26 @@ TS_SIMD_TARGET F32x8 SweepBatchOne(const BpGraphSoa& soa, BatchCtx a,
                          simd::Mul(c1, simd::Load(&soa.cB[sk])));
     F32x8 z = simd::Fma(c1, simd::Load(&soa.cC[sk]), c0);
     F32x8 r0 = simd::Blend(NormOkMask(z), simd::Div(o0, z), half);
-    F32x8 old0 = simd::Load(&msg0[sk]);
-    F32x8 new0 = simd::Fma(vd, old0, simd::Mul(vomd, r0));
-    simd::Store(&nxt0[sk], new0);
-    vmax = simd::Max(vmax, simd::Abs(simd::Sub(new0, old0)));
+    simd::Store(&nxt0[sk],
+                simd::Fma(vd, simd::Load(&msg0[sk]), simd::Mul(vomd, r0)));
     F32x8 i0 = in0s[k];
     s0 = simd::Mul(s0, i0);
     s1 = simd::Mul(s1, simd::Sub(one, i0));
     MaybeRescale(s0, s1);
   }
-  return vmax;
 }
 
 /// One Jacobi half-sweep over the lockstep batches [b0, b1): reads msg0,
-/// writes nxt0 (slots of these batches only — disjoint across chunks),
-/// returns the local plane-0 residual max. Consecutive same-degree batches
-/// are paired for ILP (see SweepBatchPair — per-batch results do not
-/// depend on the pairing, so any chunking stays bitwise deterministic).
-TS_SIMD_TARGET float SweepBatchRange(const BpGraphSoa& soa, size_t b0,
-                                     size_t b1, const float* pot0,
-                                     const float* pot1, const float* msg0,
-                                     float* nxt0, float damp, float omd) {
+/// writes nxt0 (slots of these batches only — disjoint across chunks).
+/// Consecutive same-degree batches are paired for ILP (see SweepBatchPair —
+/// per-batch results do not depend on the pairing, so any chunking stays
+/// bitwise deterministic).
+TS_SIMD_TARGET void SweepBatchRange(const BpGraphSoa& soa, size_t b0,
+                                    size_t b1, const float* pot0,
+                                    const float* pot1, const float* msg0,
+                                    float* nxt0, float damp, float omd) {
   const F32x8 vd = simd::Broadcast(damp);
   const F32x8 vomd = simd::Broadcast(omd);
-  F32x8 vmax = simd::Zero();
   auto ctx = [&](size_t b) {
     return BatchCtx{soa.batches[b].slot_base,
                     &soa.batch_var[b * BpGraphSoa::kLanes]};
@@ -235,16 +224,14 @@ TS_SIMD_TARGET float SweepBatchRange(const BpGraphSoa& soa, size_t b0,
   while (b < b1) {
     uint32_t deg = soa.batches[b].deg;
     if (b + 1 < b1 && soa.batches[b + 1].deg == deg) {
-      vmax = SweepBatchPair(soa, ctx(b), ctx(b + 1), deg, pot0, pot1, msg0,
-                            nxt0, vd, vomd, vmax);
+      SweepBatchPair(soa, ctx(b), ctx(b + 1), deg, pot0, pot1, msg0, nxt0,
+                     vd, vomd);
       b += 2;
     } else {
-      vmax = SweepBatchOne(soa, ctx(b), deg, pot0, pot1, msg0, nxt0, vd,
-                           vomd, vmax);
+      SweepBatchOne(soa, ctx(b), deg, pot0, pot1, msg0, nxt0, vd, vomd);
       b += 1;
     }
   }
-  return simd::HorizontalMax(vmax);
 }
 
 /// Scalar single-precision mirror of the batch sweep for the spill list
@@ -252,11 +239,10 @@ TS_SIMD_TARGET float SweepBatchRange(const BpGraphSoa& soa, size_t b0,
 /// Same prefix/suffix cavity math, one variable at a time, against the raw
 /// 4-entry compat tables (spill_c*, indexed slot - spill_slot_base) since
 /// the 3-plane form's conditioning precondition does not hold here.
-float SweepSpill(const BpGraphSoa& soa, const float* pot0, const float* pot1,
-                 const float* msg0, float* nxt0, float damp, float omd,
-                 std::vector<float>& s_in0, std::vector<float>& s_pre0,
-                 std::vector<float>& s_pre1) {
-  float local_max = 0.0f;
+void SweepSpill(const BpGraphSoa& soa, const float* pot0, const float* pot1,
+                const float* msg0, float* nxt0, float damp, float omd,
+                std::vector<float>& s_in0, std::vector<float>& s_pre0,
+                std::vector<float>& s_pre1) {
   for (const BpGraphSoa::SpillVar& sv : soa.spill) {
     if (sv.deg == 0) continue;
     float pre0 = pot0[sv.var];
@@ -285,11 +271,7 @@ float SweepSpill(const BpGraphSoa& soa, const float* pot0, const float* pot1,
       float r0 = (z > 0.0f && z < std::numeric_limits<float>::max())
                      ? out0 / z
                      : 0.5f;
-      float old0 = msg0[slot];
-      float new0 = damp * old0 + omd * r0;
-      nxt0[slot] = new0;
-      float delta = std::fabs(new0 - old0);
-      if (delta > local_max) local_max = delta;
+      nxt0[slot] = damp * msg0[slot] + omd * r0;
       suf0 *= s_in0[k];
       suf1 *= 1.0f - s_in0[k];
       if (std::max(suf0, suf1) < kRescaleLo) {
@@ -298,7 +280,6 @@ float SweepSpill(const BpGraphSoa& soa, const float* pot0, const float* pot1,
       }
     }
   }
-  return local_max;
 }
 
 TS_SIMD_TARGET void BeliefsBatchRange(const BpGraphSoa& soa, size_t b0,
@@ -445,50 +426,33 @@ void RunBpSweepsSimd(const BpSimdRun& run) {
   sp_pre0.resize(max_spill_deg);
   sp_pre1.resize(max_spill_deg);
 
-  // Processes work units [begin, end); returns the local residual max.
-  // Every unit computes identically regardless of which chunk runs it and
-  // the reduction is a max, so — like the scalar cold path — marginals are
-  // bitwise deterministic for any thread count.
-  auto run_units = [&](size_t begin, size_t end) -> float {
-    float local = 0.0f;
+  // Processes work units [begin, end). Every unit computes identically
+  // regardless of which chunk runs it, so — like the scalar path —
+  // marginals are bitwise deterministic for any thread count.
+  auto run_units = [&](size_t begin, size_t end) {
     size_t batch_end = std::min(end, num_batches);
     if (begin < batch_end) {
-      local = SweepBatchRange(soa, begin, batch_end, pot0.data(), pot1.data(),
-                              msg0.data(), nxt0.data(), damp, omd);
+      SweepBatchRange(soa, begin, batch_end, pot0.data(), pot1.data(),
+                      msg0.data(), nxt0.data(), damp, omd);
     }
     if (end > num_batches) {
-      local = std::max(
-          local, SweepSpill(soa, pot0.data(), pot1.data(), msg0.data(),
-                            nxt0.data(), damp, omd, sp_in0, sp_pre0, sp_pre1));
+      SweepSpill(soa, pot0.data(), pot1.data(), msg0.data(), nxt0.data(),
+                 damp, omd, sp_in0, sp_pre0, sp_pre1);
     }
-    return local;
   };
 
-  std::vector<float> chunk_max(parallel ? threads : 0);
-  double max_delta = 0.0;
   for (uint32_t iter = 0; iter < opts.max_iters; ++iter) {
     if (!parallel) {
-      max_delta = static_cast<double>(run_units(0, units));
+      run_units(0, units);
     } else {
-      std::fill(chunk_max.begin(), chunk_max.end(), 0.0f);
       ThreadPool::Global().ParallelForChunked(
-          units, threads, [&](size_t chunk, size_t begin, size_t end) {
-            chunk_max[chunk] = run_units(begin, end);
-          });
-      max_delta = static_cast<double>(
-          *std::max_element(chunk_max.begin(), chunk_max.end()));
+          units, threads,
+          [&](size_t, size_t begin, size_t end) { run_units(begin, end); });
     }
     msg0.swap(nxt0);
-    result.iterations = iter + 1;
-    result.message_updates += static_cast<uint64_t>(slots);
-    if (run.sweep_residuals != nullptr) {
-      run.sweep_residuals->push_back(max_delta);
-    }
-    if (max_delta < opts.tol) {
-      result.converged = true;
-      break;
-    }
   }
+  result.message_updates =
+      static_cast<uint64_t>(opts.max_iters) * static_cast<uint64_t>(slots);
 
   auto beliefs = [&](size_t begin, size_t end) {
     size_t batch_end = std::min(end, num_batches);

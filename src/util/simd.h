@@ -17,8 +17,8 @@
 // trend/bp_kernel.h BpSimdKernelAvailable).
 //
 // The wrapper deliberately exposes only what the BP kernel needs: aligned
-// load/store, broadcast, +-*/ and FMA, min/max/abs, a gather, a >-mask with
-// blend, an any-lane-below test, and a horizontal max. Semantics notes:
+// load/store, broadcast, +-*/ and FMA, max, a gather, a >-mask with blend,
+// and an any-lane-below test. Semantics notes:
 //   * Blend(mask, a, b) takes the *a* lane where the mask is set.
 //   * CmpGt builds a full-lane mask (all bits set where a > b); with NaN the
 //     comparison is false, so NaN z-values fall to the blend's b-side — the
@@ -63,11 +63,7 @@ TS_SIMD_INLINE F32x8 Div(F32x8 a, F32x8 b) { return _mm256_div_ps(a, b); }
 TS_SIMD_INLINE F32x8 Fma(F32x8 a, F32x8 b, F32x8 c) {
   return _mm256_fmadd_ps(a, b, c);
 }
-TS_SIMD_INLINE F32x8 Min(F32x8 a, F32x8 b) { return _mm256_min_ps(a, b); }
 TS_SIMD_INLINE F32x8 Max(F32x8 a, F32x8 b) { return _mm256_max_ps(a, b); }
-TS_SIMD_INLINE F32x8 Abs(F32x8 v) {
-  return _mm256_andnot_ps(_mm256_set1_ps(-0.0f), v);
-}
 /// All-bits lane mask, set where a > b (false for NaN operands).
 TS_SIMD_INLINE F32x8 CmpGt(F32x8 a, F32x8 b) {
   return _mm256_cmp_ps(a, b, _CMP_GT_OQ);
@@ -80,14 +76,6 @@ TS_SIMD_INLINE F32x8 Blend(F32x8 mask, F32x8 a, F32x8 b) {
 TS_SIMD_INLINE bool AnyLt(F32x8 v, float bound) {
   __m256 m = _mm256_cmp_ps(v, _mm256_set1_ps(bound), _CMP_LT_OQ);
   return _mm256_movemask_ps(m) != 0;
-}
-TS_SIMD_INLINE float HorizontalMax(F32x8 v) {
-  __m128 lo = _mm256_castps256_ps128(v);
-  __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 m = _mm_max_ps(lo, hi);
-  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
-  m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
-  return _mm_cvtss_f32(m);
 }
 
 }  // namespace simd

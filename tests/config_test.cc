@@ -67,9 +67,6 @@ TEST(ConfigTest, RejectsBadBpKnobs) {
   config.trend.bp.max_iters = 0;
   EXPECT_FALSE(config.Validate().ok());
   config = PipelineConfig{};
-  config.trend.bp.tol = -1e-4;
-  EXPECT_FALSE(config.Validate().ok());
-  config = PipelineConfig{};
   config.trend.bp.num_threads = 100000;  // units mistake, not a machine
   EXPECT_FALSE(config.Validate().ok());
   config.trend.bp.num_threads = 8;

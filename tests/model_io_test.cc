@@ -168,5 +168,63 @@ TEST_F(ModelIoTest, ConfigSurvivesRoundTrip) {
   EXPECT_FALSE(loaded->config().use_trend_evidence);
 }
 
+// Model files start with the TSPD tag and the road count; the CONF section
+// follows.
+constexpr size_t kConfigOffset = 4 + 4 + 8;
+// CONF v2: tag + version, then engine, max_iters, damping, compat power,
+// prior pseudo-count, aggregation mode, max layers, max spatial layers,
+// spatial discount and the evidence flag.
+constexpr size_t kConfigV2Bytes = 4 + 4 + 1 + 4 + 8 + 8 + 8 + 1 + 4 + 4 + 8 + 1;
+
+TEST_F(ModelIoTest, ConfigRoundTripsAtVersion2) {
+  const Dataset& d = ds();
+  PipelineConfig config;
+  config.corr.min_co_observed = 8;
+  config.trend.bp.max_iters = 7;
+  config.trend.bp.damping = 0.3;
+  auto est = TrafficSpeedEstimator::Train(&d.net, &d.history, config);
+  ASSERT_TRUE(est.ok());
+  std::string bytes = SerializeTrainedModel(*est);
+  BinaryReader r(bytes.substr(kConfigOffset));
+  auto version = r.ExpectTag("CONF");
+  ASSERT_TRUE(version.ok());
+  EXPECT_EQ(*version, 2u);
+  // The correlation graph starts right after the v2 CONF section.
+  BinaryWriter graph;
+  est->correlation_graph().Serialize(&graph);
+  EXPECT_EQ(bytes.substr(kConfigOffset + kConfigV2Bytes, graph.buffer().size()),
+            graph.buffer());
+  auto loaded = DeserializeTrainedModel(&d.net, &d.history, bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->config().trend.bp.max_iters, 7u);
+  EXPECT_EQ(loaded->config().trend.bp.damping, 0.3);
+}
+
+TEST_F(ModelIoTest, RejectsVersion1Config) {
+  // A version-1 CONF section carries the retired convergence tolerance as
+  // an f64 after the damping; the rest of the file is unchanged.
+  const PipelineConfig& c = estimator_->config();
+  BinaryWriter v1;
+  v1.PutTag("CONF", 1);
+  v1.PutU8(static_cast<uint8_t>(c.trend.engine));
+  v1.PutU32(c.trend.bp.max_iters);
+  v1.PutF64(c.trend.bp.damping);
+  v1.PutF64(1e-4);
+  v1.PutF64(c.trend.edge_compat_power);
+  v1.PutF64(c.trend.prior_pseudo_count);
+  v1.PutU8(c.propagation.mode == AggregationMode::kInfluence ? 0 : 1);
+  v1.PutU32(c.propagation.max_layers);
+  v1.PutU32(c.propagation.max_spatial_layers);
+  v1.PutF64(c.propagation.spatial_discount);
+  v1.PutU8(c.use_trend_evidence ? 1 : 0);
+  std::string bytes = SerializeTrainedModel(*estimator_);
+  std::string old = bytes.substr(0, kConfigOffset) + v1.buffer() +
+                    bytes.substr(kConfigOffset + kConfigV2Bytes);
+  ASSERT_EQ(old.size(), bytes.size() + 8);
+  auto loaded = DeserializeTrainedModel(&ds().net, &ds().history, old);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace trendspeed

@@ -99,7 +99,7 @@ TEST(MetricsRegistryTest, TypeMismatchReturnsNull) {
 TEST(MetricsRegistryTest, NullSafeHelpersNoOpWithoutRegistry) {
   EXPECT_EQ(obs::GetCounter(nullptr, obs::kBpRunsTotal), nullptr);
   EXPECT_EQ(obs::GetGauge(nullptr, obs::kPoolWorkers), nullptr);
-  EXPECT_EQ(obs::GetHistogram(nullptr, obs::kBpIterations), nullptr);
+  EXPECT_EQ(obs::GetHistogram(nullptr, obs::kEstimateLatencyMs), nullptr);
   // Recording against null handles must be a silent no-op.
   obs::Add(static_cast<obs::Counter*>(nullptr));
   obs::Set(static_cast<obs::Gauge*>(nullptr), 1.0);
@@ -142,14 +142,14 @@ TEST(MetricsRegistryTest, ConcurrentRegisterAndRecord) {
       // idempotent under contention.
       obs::Counter* c = reg.GetCounter(obs::kBpRunsTotal);
       obs::Gauge* g = reg.GetGauge(obs::kServingStalenessSlots);
-      obs::Histogram* h = reg.GetHistogram(obs::kBpResidual);
+      obs::Histogram* h = reg.GetHistogram(obs::kEstimateLatencyMs);
       c->Add();
       g->Set(static_cast<double>(i));
       h->Observe(1e-5);
     }
   });
   EXPECT_EQ(reg.GetCounter(obs::kBpRunsTotal)->Value(), kIters);
-  EXPECT_EQ(reg.GetHistogram(obs::kBpResidual)->count(), kIters);
+  EXPECT_EQ(reg.GetHistogram(obs::kEstimateLatencyMs)->count(), kIters);
 }
 
 // ---------------------------------------------------------------------------
@@ -266,7 +266,7 @@ TEST(ExportTest, SnapshotCountMatchesBucketSumUnderConcurrentObserve) {
   std::vector<std::thread> observers;
   for (int t = 0; t < 3; ++t) {
     observers.emplace_back([&] {
-      obs::Histogram* h = reg.GetHistogram(obs::kBpResidual);
+      obs::Histogram* h = reg.GetHistogram(obs::kEstimateLatencyMs);
       while (!stop.load(std::memory_order_relaxed)) {
         h->Observe(1e-5);
       }
@@ -443,7 +443,6 @@ TEST_F(ObsPipelineTest, EstimateRecordsBpAndEstimatorSeries) {
   EXPECT_GT(CounterValue(obs::kBpRunsTotal), runs_before);
   EXPECT_GT(CounterValue(obs::kBpSweepsTotal), runs_before);
   EXPECT_GT(registry_->GetHistogram(obs::kEstimateLatencyMs)->count(), 0u);
-  EXPECT_GT(registry_->GetHistogram(obs::kBpIterations)->count(), 0u);
   // A direct estimator call is traceable too: both layers record flight
   // stages for the slot.
   size_t estimates = 0;

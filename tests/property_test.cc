@@ -53,7 +53,6 @@ TEST_P(BpTreeExactness, MatchesEnumeration) {
   opts.max_iters = 200;
   opts.damping = 0.0;  // trees need no damping
   BpResult bp = InferMarginalsBp(mrf, opts);
-  EXPECT_TRUE(bp.converged);
   for (size_t v = 0; v < param.num_vars; ++v) {
     EXPECT_NEAR(bp.p_up[v], (*exact)[v], 1e-5) << "var " << v;
   }

