@@ -122,6 +122,11 @@ double MeasureStreamBandwidthGBs(size_t footprint_bytes, int reps) {
 /// counted. The single-message-plane and 3-plane-compat layout choices in
 /// bp_kernel.h exist to make this number small.
 constexpr double kSweepBytesPerUpdate = 28.0;
+/// Per-update traffic of sweep 1, which starts from all-0.5 messages and so
+/// is a closed-form map of the potentials and compat planes
+/// (bp_kernel_simd.cc): three compat planes (12) + write-allocate and
+/// writeback of the message plane (4 + 4), with no gather.
+constexpr double kFirstSweepBytesPerUpdate = 20.0;
 
 struct SingleThreadResult {
   double scalar_ms = 0.0;
@@ -132,9 +137,11 @@ struct SingleThreadResult {
 
 /// Runs the scalar-vs-SIMD comparison (both kernels run exactly `iters`
 /// full sweeps) and prints one JSON section, without a trailing separator.
+/// Aborts when the SIMD marginals drift more than `tol` off the oracle.
 SingleThreadResult RunSingleThreadSection(const char* key, const BpGraph& g,
                                           const std::vector<double>& pot,
-                                          uint32_t iters, int reps) {
+                                          uint32_t iters, int reps,
+                                          double tol) {
   size_t n = g.num_vars;
   size_t dir_edges = g.off[n];
   BpOptions bp;
@@ -162,11 +169,7 @@ SingleThreadResult RunSingleThreadSection(const char* key, const BpGraph& g,
         BestMillis(reps, [&] { vec = InferMarginalsBpFlat(g, pot, bp); });
     TS_CHECK_EQ(vec.message_updates, uint64_t{iters} * dir_edges);
     out.diff = MaxAbsDiff(scalar.p_up, vec.p_up);
-    // Float reassociation drift grows with the fixed-schedule length: the
-    // documented 1e-3 contract (docs/performance.md) holds at production
-    // budgets; this 50-sweep stress run sits just under it (~9e-4),
-    // so the inline guard allows 2x headroom before declaring divergence.
-    TS_CHECK_LT(out.diff, 2e-3) << "SIMD marginals drifted off the oracle";
+    TS_CHECK_LT(out.diff, tol) << "SIMD marginals drifted off the oracle";
     std::printf("\n    \"simd\": {\"ms\": %.3f, \"msg_updates_per_sec\": "
                 "%.3g},\n",
                 out.simd_ms, work / (out.simd_ms / 1e3));
@@ -192,8 +195,12 @@ int Run(const KernelBenchConfig& cfg) {
   std::printf("  \"directed_edges\": %zu,\n", dir_edges);
 
   // --- single-thread cold throughput --------------------------------------
+  // Float reassociation drift grows with the fixed-schedule length: the
+  // documented 1e-3 contract (docs/performance.md) holds at production
+  // budgets; this 50-sweep stress run sits just under it (~9e-4), so its
+  // inline guard allows 2x headroom before declaring divergence.
   SingleThreadResult st = RunSingleThreadSection(
-      "single_thread", graph, pot, cfg.bp_iters, cfg.reps);
+      "single_thread", graph, pot, cfg.bp_iters, cfg.reps, 2e-3);
 
   // --- memory roofline ----------------------------------------------------
   // At 100k+ segments the sweep's planes spill past L2 and the kernel is
@@ -206,18 +213,34 @@ int Run(const KernelBenchConfig& cfg) {
     size_t footprint =
         dir_edges * (3 * sizeof(float) + sizeof(uint32_t));  // msg+compat+rev
     double gbs = MeasureStreamBandwidthGBs(footprint, cfg.reps);
-    double ceiling = gbs * 1e9 / kSweepBytesPerUpdate;
+    // Sweep 1 of the schedule moves fewer bytes than the rest.
+    double bytes_per_update =
+        (kFirstSweepBytesPerUpdate +
+         (cfg.bp_iters - 1) * kSweepBytesPerUpdate) /
+        cfg.bp_iters;
+    double ceiling = gbs * 1e9 / bytes_per_update;
     double measured =
         static_cast<double>(dir_edges) * cfg.bp_iters / (st.simd_ms / 1e3);
     std::printf(",\n  \"roofline\": {\n");
     std::printf("    \"stream_bandwidth_gb_per_sec\": %.2f,\n", gbs);
     std::printf("    \"sweep_bytes_per_update\": %.0f,\n",
                 kSweepBytesPerUpdate);
+    std::printf("    \"first_sweep_bytes_per_update\": %.0f,\n",
+                kFirstSweepBytesPerUpdate);
     std::printf("    \"bandwidth_bound_updates_per_sec\": %.3g,\n", ceiling);
     std::printf("    \"simd_fraction_of_roofline\": %.2f\n",
                 measured / ceiling);
     std::printf("  }");
   }
+
+  // --- served schedule ----------------------------------------------------
+  // The default BpOptions sweep count (S = 1) on the same grid: sweep 1 is
+  // the closed-form first sweep alone, so this section times the kernel as
+  // serving runs it — potential normalization, the first-sweep map and the
+  // beliefs pass — held to the 1e-3 contract.
+  std::printf(",\n");
+  RunSingleThreadSection("served_schedule", graph, pot, BpOptions{}.max_iters,
+                         cfg.reps, 1e-3);
 
   // --- L2-resident compute-bound section ----------------------------------
   // Same protocol on a grid whose planes fit in L2, where bandwidth no
@@ -227,7 +250,7 @@ int Run(const KernelBenchConfig& cfg) {
     BpGraph l2_graph = MakeGridBpGraph(cfg.l2_rows, cfg.l2_cols, &l2_pot);
     std::printf(",\n");
     RunSingleThreadSection("l2_resident", l2_graph, l2_pot, cfg.l2_iters,
-                           cfg.reps);
+                           cfg.reps, 2e-3);
   }
 
   std::printf("\n}\n");

@@ -131,6 +131,7 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
   // historical mean.
   std::vector<SeedTrend> seed_trends;
   seed_trends.reserve(seeds.size());
+  const HistoricalDb::BucketView hist = db_->Bucket(slot);
   for (const SeedSpeed& s : seeds) {
     if (s.road >= net_->num_roads()) {
       return Status::InvalidArgument("seed road out of range");
@@ -142,8 +143,8 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
     }
     SeedTrend t;
     t.road = s.road;
-    t.trend = db_->TrendOf(s.road, slot, s.speed_kmh,
-                           net_->road(s.road).free_flow_kmh);
+    t.trend =
+        hist.TrendOf(s.road, s.speed_kmh, net_->road(s.road).free_flow_kmh);
     seed_trends.push_back(t);
   }
   EstimateWorkspace temporary;

@@ -103,31 +103,11 @@ HistoricalDb HistoricalDb::Builder::Finish() {
   return db;
 }
 
-double HistoricalDb::HistoricalMeanOr(RoadId road, uint64_t slot,
-                                      double fallback) const {
-  size_t b = BucketIdx(road, slot);
-  // Require a few samples before trusting a bucket mean; a single noisy
-  // probe record should not define "normal".
-  if (bucket_count_[b] >= 3) return bucket_mean_[b];
-  if (road_count_[road] > 0) return road_mean_[road];
-  return fallback;
-}
-
 double HistoricalDb::DeviationOf(RoadId road, uint64_t slot,
                                  double speed) const {
   double mean = HistoricalMeanOr(road, slot, 0.0);
   if (mean <= 0.0) return 0.0;
   return speed / mean - 1.0;
-}
-
-double HistoricalDb::TrendUpProbability(RoadId road, uint64_t slot,
-                                        double pseudo) const {
-  TS_CHECK_GE(pseudo, 0.0);
-  size_t b = BucketIdx(road, slot);
-  double denom = static_cast<double>(bucket_count_[b]) + 2.0 * pseudo;
-  // Empty bucket and no smoothing: 0/0. The uninformed prior is 0.5.
-  if (denom <= 0.0) return 0.5;
-  return (static_cast<double>(bucket_up_[b]) + pseudo) / denom;
 }
 
 double HistoricalDb::CoverageFraction() const {

@@ -18,7 +18,8 @@
 // consecutive roads 2 * slots_per_day entries apart (1152 B in the 2-byte
 // count tables and 2304 B in the float means at 288 slots per day), so
 // every lookup touched a new cache line. The layout changes no stored
-// value.
+// value. Those loops also take the slot's BucketView once, so the bucket
+// is derived once per slot, not once per road.
 
 #ifndef TRENDSPEED_PROBE_HISTORY_H_
 #define TRENDSPEED_PROBE_HISTORY_H_
@@ -32,6 +33,7 @@
 #include "probe/trips.h"
 #include "roadnet/road_network.h"
 #include "traffic/simulator.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace trendspeed {
@@ -75,9 +77,61 @@ class HistoricalDb {
     return obs_[Idx(road, slot)];
   }
 
-  /// Historical mean for the bucket (slot-of-day x weekday/weekend) of
-  /// `slot`, falling back to the road's overall mean, then to `fallback`.
-  double HistoricalMeanOr(RoadId road, uint64_t slot, double fallback) const;
+  /// One slot's bucket (slot-of-day x weekday/weekend), resolved once.
+  /// Serving asks the same slot for every road in turn; a loop that takes
+  /// the view outside the road loop derives the bucket (a 64-bit division)
+  /// once instead of per road. The per-road lookups below are wrappers
+  /// over it. Cheap to copy; valid while the db is alive and unmodified.
+  class BucketView {
+   public:
+    /// Bucket mean of `road`, falling back to the road's overall mean,
+    /// then to `fallback`.
+    double MeanOr(RoadId road, double fallback) const {
+      // Require a few samples before trusting a bucket mean; a single noisy
+      // probe record should not define "normal".
+      if (count_[road] >= 3) return mean_[road];
+      if (db_->road_count_[road] > 0) return db_->road_mean_[road];
+      return fallback;
+    }
+    /// +1 when `speed` is at or above MeanOr(road, fallback), else -1.
+    int TrendOf(RoadId road, double speed, double fallback) const {
+      return speed >= MeanOr(road, fallback) ? +1 : -1;
+    }
+    /// Empirical P(T = +1) of `road` in this bucket, smoothed toward 0.5
+    /// with `pseudo` (>= 0) pseudo-counts per side; an empty bucket with
+    /// pseudo = 0 returns the uninformed prior 0.5.
+    double TrendUp(RoadId road, double pseudo) const {
+      TS_CHECK_GE(pseudo, 0.0);
+      double denom = static_cast<double>(count_[road]) + 2.0 * pseudo;
+      // Empty bucket and no smoothing: 0/0. The uninformed prior is 0.5.
+      if (denom <= 0.0) return 0.5;
+      return (static_cast<double>(up_[road]) + pseudo) / denom;
+    }
+
+   private:
+    friend class HistoricalDb;
+    BucketView(const HistoricalDb* db, size_t base)
+        : db_(db),
+          mean_(db->bucket_mean_.data() + base),
+          count_(db->bucket_count_.data() + base),
+          up_(db->bucket_up_.data() + base) {}
+
+    const HistoricalDb* db_;
+    const float* mean_;
+    const uint16_t* count_;
+    const uint16_t* up_;
+  };
+
+  /// The bucket of `slot`, for every road.
+  BucketView Bucket(uint64_t slot) const {
+    return BucketView(this, BucketOf(slot) * num_roads_);
+  }
+
+  /// Historical mean for the bucket of `slot`, falling back to the road's
+  /// overall mean, then to `fallback`.
+  double HistoricalMeanOr(RoadId road, uint64_t slot, double fallback) const {
+    return Bucket(slot).MeanOr(road, fallback);
+  }
 
   /// True when the road has any bucket- or road-level history.
   bool HasHistory(RoadId road) const { return road_count_[road] > 0; }
@@ -86,7 +140,7 @@ class HistoricalDb {
   /// -1 below. Uses `fallback` as the mean when no history exists.
   int TrendOf(RoadId road, uint64_t slot, double speed,
               double fallback) const {
-    return speed >= HistoricalMeanOr(road, slot, fallback) ? +1 : -1;
+    return Bucket(slot).TrendOf(road, speed, fallback);
   }
 
   /// Relative deviation (speed / historical mean - 1); 0 when no history.
@@ -97,7 +151,9 @@ class HistoricalDb {
   /// must not overpower real-time evidence). `pseudo` must be >= 0; an empty
   /// bucket with pseudo = 0 returns the uninformed prior 0.5.
   double TrendUpProbability(RoadId road, uint64_t slot,
-                            double pseudo = 3.0) const;
+                            double pseudo = 3.0) const {
+    return Bucket(slot).TrendUp(road, pseudo);
+  }
 
   /// Standard deviation of the road's relative deviation across observed
   /// slots — the "variability" weight used by seed selection.

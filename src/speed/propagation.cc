@@ -19,19 +19,21 @@ Status ValidateSeeds(const std::vector<SeedSpeed>& seeds, size_t n) {
   return Status::OK();
 }
 
-double SeedDeviation(const RoadNetwork& net, const HistoricalDb& db,
-                     const SeedSpeed& s, uint64_t slot) {
-  double hist =
-      db.HistoricalMeanOr(s.road, slot, net.road(s.road).free_flow_kmh);
-  return hist > 0.0 ? s.speed_kmh / hist - 1.0 : 0.0;
+// `hist` is the slot's history bucket.
+double SeedDeviation(const RoadNetwork& net,
+                     const HistoricalDb::BucketView& hist,
+                     const SeedSpeed& s) {
+  double mean = hist.MeanOr(s.road, net.road(s.road).free_flow_kmh);
+  return mean > 0.0 ? s.speed_kmh / mean - 1.0 : 0.0;
 }
 
 // Installs seed deviations/speeds as layer 0 of `out`.
 void SeedLayer(const RoadNetwork& net, const HistoricalDb& db,
                const std::vector<SeedSpeed>& seeds, uint64_t slot,
                SpeedEstimateResult* out) {
+  const HistoricalDb::BucketView hist = db.Bucket(slot);
   for (const SeedSpeed& s : seeds) {
-    out->deviation[s.road] = SeedDeviation(net, db, s, slot);
+    out->deviation[s.road] = SeedDeviation(net, hist, s);
     out->speed_kmh[s.road] = s.speed_kmh;
     out->layer[s.road] = 0;
   }
@@ -81,11 +83,11 @@ void FinishEstimate(const RoadNetwork& net, const HistoricalDb& db,
     }
   }
   // Deviation -> speed, with physical clamps (seeds keep their speed).
+  const HistoricalDb::BucketView hist = db.Bucket(slot);
   for (RoadId v = 0; v < n; ++v) {
     if (out->layer[v] == 0) continue;
     double free_flow = net.road(v).free_flow_kmh;
-    double hist = db.HistoricalMeanOr(v, slot, free_flow);
-    double speed = hist * (1.0 + out->deviation[v]);
+    double speed = hist.MeanOr(v, free_flow) * (1.0 + out->deviation[v]);
     out->speed_kmh[v] = std::clamp(speed, 2.0, free_flow * 1.3);
   }
 }
@@ -109,10 +111,11 @@ void AggregateSeedDeviations(const SeedSetPlan& plan, const RoadNetwork& net,
                              const std::vector<SeedSpeed>& seeds,
                              uint64_t slot, InfluenceAggregate* out) {
   std::vector<double> deviation(seeds.size(), 0.0);
+  const HistoricalDb::BucketView hist = db.Bucket(slot);
   for (size_t i = 0; i < seeds.size(); ++i) {
     // Out-of-range seeds (validated by the caller) have no plan entries.
     if (seeds[i].road < net.num_roads()) {
-      deviation[i] = SeedDeviation(net, db, seeds[i], slot);
+      deviation[i] = SeedDeviation(net, hist, seeds[i]);
     }
   }
   plan.Aggregate(deviation, out);

@@ -41,7 +41,8 @@
 // prefix/suffix products instead of the scalar path's divide-and-fall-back,
 // contracts the compat planes with FMAs, and interleaves two same-degree
 // batches per inner loop to hide the 4-cycle multiply latency of the
-// running-product chains. It is selected per run by BpOptions::kernel,
+// running-product chains. Sweep 1 skips all of that: from the all-0.5 cold
+// start it is a closed-form map of the potentials and compat planes. It is selected per run by BpOptions::kernel,
 // with runtime ISA dispatch — see BpSimdKernelAvailable below and
 // docs/performance.md.
 

@@ -21,7 +21,12 @@
 //     products out of the subnormal range on deep products;
 //   * FMA contraction, with two same-degree batches interleaved per inner
 //     loop so the four running-product chains hide each other's multiply
-//     latency.
+//     latency;
+//   * sweep 1 as a closed-form map of the potentials and compat planes
+//     (FirstSweepBatchRange): from the all-0.5 start every cavity is the
+//     potential pair times a power of two that cancels, so the map equals
+//     the general sweep bit for bit while the scaled cavities stay normal
+//     floats (docs/performance.md, §Tolerance contract).
 //
 // The first three are also the bandwidth story: at 100k+ variables the
 // sweep streams its planes from L3/DRAM, and dropping one message plane and
@@ -282,6 +287,60 @@ void SweepSpill(const BpGraphSoa& soa, const float* pot0, const float* pot1,
   }
 }
 
+/// Sweep 1 from the cold start over the lockstep batches [b0, b1), writing
+/// msg0 directly. With every incoming message at 0.5, the cavity of slot k
+/// is the variable's potential pair times 2^-(deg-1) (times the prefix and
+/// suffix rescales, also powers of two): one common power of two on both
+/// planes, which multiplies out0 and z alike and cancels exactly in r0 as
+/// long as the scaled cavity stays a normal float. So r0 is a map of the
+/// variable's potentials and the slot's compat planes — same FMA shape as
+/// SweepBatchOne, no gather, no running products — and the damping blend
+/// reads the cold 0.5 as a constant.
+TS_SIMD_TARGET void FirstSweepBatchRange(const BpGraphSoa& soa, size_t b0,
+                                         size_t b1, const float* pot0,
+                                         const float* pot1, float* msg0,
+                                         float damp, float omd) {
+  const F32x8 half = simd::Broadcast(0.5f);
+  const F32x8 vd = simd::Broadcast(damp);
+  const F32x8 vomd = simd::Broadcast(omd);
+  for (size_t b = b0; b < b1; ++b) {
+    uint32_t deg = soa.batches[b].deg;
+    size_t base = soa.batches[b].slot_base;
+    const uint32_t* vars = &soa.batch_var[b * BpGraphSoa::kLanes];
+    F32x8 p0 = simd::Gather(pot0, vars), p1 = simd::Gather(pot1, vars);
+    for (uint32_t k = 0; k < deg; ++k) {
+      size_t sk = base + k * BpGraphSoa::kLanes;
+      F32x8 o0 = simd::Fma(p0, simd::Load(&soa.cA[sk]),
+                           simd::Mul(p1, simd::Load(&soa.cB[sk])));
+      F32x8 z = simd::Fma(p1, simd::Load(&soa.cC[sk]), p0);
+      F32x8 r0 = simd::Blend(NormOkMask(z), simd::Div(o0, z), half);
+      simd::Store(&msg0[sk], simd::Fma(vd, half, simd::Mul(vomd, r0)));
+    }
+  }
+}
+
+/// The spill list's sweep 1 from the cold start: SweepSpill's arithmetic
+/// with the common power of two dropped from the cavity (see
+/// FirstSweepBatchRange), against the raw 4-entry tables.
+void FirstSweepSpill(const BpGraphSoa& soa, const float* pot0,
+                     const float* pot1, float* msg0, float damp, float omd) {
+  for (const BpGraphSoa::SpillVar& sv : soa.spill) {
+    const float p0 = pot0[sv.var];
+    const float p1 = pot1[sv.var];
+    for (uint32_t k = 0; k < sv.deg; ++k) {
+      size_t slot = sv.slot0 + k;
+      size_t ci = slot - soa.spill_slot_base;
+      float out0 = p0 * soa.spill_c00[ci] + p1 * soa.spill_c10[ci];
+      float out1 = p0 * soa.spill_c01[ci] + p1 * soa.spill_c11[ci];
+      float z = out0 + out1;
+      float r0 = (z > 0.0f && z < std::numeric_limits<float>::max())
+                     ? out0 / z
+                     : 0.5f;
+      msg0[slot] = damp * 0.5f + omd * r0;
+    }
+  }
+}
+
 TS_SIMD_TARGET void BeliefsBatchRange(const BpGraphSoa& soa, size_t b0,
                                       size_t b1, const float* pot0,
                                       const float* pot1, const float* msg0,
@@ -394,12 +453,19 @@ void RunBpSweepsSimd(const BpSimdRun& run) {
     pot1[v] = static_cast<float>(p1);
   }
 
-  // Plane-0 message array in SoA order, cold-started at 0.5. Every sweep
-  // writes every slot of nxt0, so its stale contents are never read.
+  // Plane-0 message array in SoA order. Sweep 1 starts from all-0.5
+  // messages and writes every slot of msg0 with the closed-form map, so
+  // neither the cold plane nor a second one is materialized for it; sweeps
+  // 2..S run the general sweep into nxt0, which each of them writes in
+  // full. A zero-sweep run reads the cold plane itself.
   AlignedVector<float>& msg0 = scratch.msg0;
   AlignedVector<float>& nxt0 = scratch.nxt0;
-  msg0.assign(slots, 0.5f);
-  nxt0.resize(slots);
+  if (opts.max_iters == 0) {
+    msg0.assign(slots, 0.5f);
+  } else {
+    msg0.resize(slots);
+  }
+  if (opts.max_iters > 1) nxt0.resize(slots);
 
   const float damp = static_cast<float>(opts.damping);
   const float omd = static_cast<float>(1.0 - opts.damping);
@@ -412,6 +478,34 @@ void RunBpSweepsSimd(const BpSimdRun& run) {
   size_t threads = std::min<size_t>(EffectiveThreads(opts.num_threads),
                                     std::max<size_t>(units, 1));
   const bool parallel = threads > 1 && n >= kMinParallelVars;
+
+  // Runs fn(begin, end) over all work units, serially or chunked on the
+  // pool. Every unit computes identically regardless of which chunk runs
+  // it, so — like the scalar path — marginals are bitwise deterministic
+  // for any thread count.
+  auto for_units = [&](auto&& fn) {
+    if (!parallel) {
+      fn(size_t{0}, units);
+    } else {
+      ThreadPool::Global().ParallelForChunked(
+          units, threads,
+          [&](size_t, size_t begin, size_t end) { fn(begin, end); });
+    }
+  };
+
+  if (opts.max_iters > 0) {
+    for_units([&](size_t begin, size_t end) {
+      size_t batch_end = std::min(end, num_batches);
+      if (begin < batch_end) {
+        FirstSweepBatchRange(soa, begin, batch_end, pot0.data(), pot1.data(),
+                             msg0.data(), damp, omd);
+      }
+      if (end > num_batches) {
+        FirstSweepSpill(soa, pot0.data(), pot1.data(), msg0.data(), damp,
+                        omd);
+      }
+    });
+  }
 
   // The spill list is a single work unit, so exactly one chunk per sweep
   // uses the spill scratch.
@@ -426,35 +520,24 @@ void RunBpSweepsSimd(const BpSimdRun& run) {
   sp_pre0.resize(max_spill_deg);
   sp_pre1.resize(max_spill_deg);
 
-  // Processes work units [begin, end). Every unit computes identically
-  // regardless of which chunk runs it, so — like the scalar path —
-  // marginals are bitwise deterministic for any thread count.
-  auto run_units = [&](size_t begin, size_t end) {
-    size_t batch_end = std::min(end, num_batches);
-    if (begin < batch_end) {
-      SweepBatchRange(soa, begin, batch_end, pot0.data(), pot1.data(),
-                      msg0.data(), nxt0.data(), damp, omd);
-    }
-    if (end > num_batches) {
-      SweepSpill(soa, pot0.data(), pot1.data(), msg0.data(), nxt0.data(),
-                 damp, omd, sp_in0, sp_pre0, sp_pre1);
-    }
-  };
-
-  for (uint32_t iter = 0; iter < opts.max_iters; ++iter) {
-    if (!parallel) {
-      run_units(0, units);
-    } else {
-      ThreadPool::Global().ParallelForChunked(
-          units, threads,
-          [&](size_t, size_t begin, size_t end) { run_units(begin, end); });
-    }
+  for (uint32_t iter = 1; iter < opts.max_iters; ++iter) {
+    for_units([&](size_t begin, size_t end) {
+      size_t batch_end = std::min(end, num_batches);
+      if (begin < batch_end) {
+        SweepBatchRange(soa, begin, batch_end, pot0.data(), pot1.data(),
+                        msg0.data(), nxt0.data(), damp, omd);
+      }
+      if (end > num_batches) {
+        SweepSpill(soa, pot0.data(), pot1.data(), msg0.data(), nxt0.data(),
+                   damp, omd, sp_in0, sp_pre0, sp_pre1);
+      }
+    });
     msg0.swap(nxt0);
   }
   result.message_updates =
       static_cast<uint64_t>(opts.max_iters) * static_cast<uint64_t>(slots);
 
-  auto beliefs = [&](size_t begin, size_t end) {
+  for_units([&](size_t begin, size_t end) {
     size_t batch_end = std::min(end, num_batches);
     if (begin < batch_end) {
       BeliefsBatchRange(soa, begin, batch_end, pot0.data(), pot1.data(),
@@ -464,14 +547,7 @@ void RunBpSweepsSimd(const BpSimdRun& run) {
       BeliefsSpill(soa, pot0.data(), pot1.data(), msg0.data(),
                    result.p_up.data());
     }
-  };
-  if (!parallel) {
-    beliefs(0, units);
-  } else {
-    ThreadPool::Global().ParallelForChunked(
-        units, threads,
-        [&](size_t, size_t begin, size_t end) { beliefs(begin, end); });
-  }
+  });
 }
 
 #else  // no SIMD kernel off x86-64: kAuto runs the scalar oracle

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "corr/cotrend.h"
 #include "util/logging.h"
 
 namespace trendspeed {
@@ -64,9 +63,6 @@ Result<TrendEstimate> TrendModel::Infer(
   if (evidence_log_odds != nullptr && evidence_log_odds->size() != n) {
     return Status::InvalidArgument("evidence size mismatch");
   }
-  // Per-slot node beliefs: historical prior combined with soft evidence,
-  // overridden by hard seed clamps (-1 free, else the clamped state).
-  std::vector<int8_t> clamped(n, -1);
   for (const SeedTrend& s : seeds) {
     if (s.road >= n) {
       return Status::InvalidArgument("seed road out of range");
@@ -74,20 +70,18 @@ Result<TrendEstimate> TrendModel::Infer(
     if (s.trend != 1 && s.trend != -1) {
       return Status::InvalidArgument("seed trend must be +1 or -1");
     }
-    clamped[s.road] = static_cast<int8_t>(TrendIndex(s.trend));
   }
+  // Per-slot node beliefs: historical prior combined with soft evidence for
+  // every road, then hard seed clamps written over their roads' priors (a
+  // road seeded twice keeps its last clamp). Priors are clamped to
+  // [0.02, 0.98], so a pair with a zero entry is always a seed clamp.
   // Kept per calling thread and reused across slots, so each slot
   // overwrites warm pages instead of faulting in a fresh 2n-double vector.
   thread_local std::vector<double> pot;
-  pot.assign(2 * n, 0.0);
+  pot.resize(2 * n);
+  const HistoricalDb::BucketView hist = db_->Bucket(slot);
   for (size_t v = 0; v < n; ++v) {
-    if (clamped[v] >= 0) {
-      pot[2 * v] = clamped[v] == 0 ? 1.0 : 0.0;
-      pot[2 * v + 1] = clamped[v] == 1 ? 1.0 : 0.0;
-      continue;
-    }
-    double p = db_->TrendUpProbability(static_cast<RoadId>(v), slot,
-                                       opts_.prior_pseudo_count);
+    double p = hist.TrendUp(static_cast<RoadId>(v), opts_.prior_pseudo_count);
     if (evidence_log_odds != nullptr) {
       // Combine prior odds with the evidence log-odds (clamped: a single
       // soft observation should never be near-certain).
@@ -98,6 +92,10 @@ Result<TrendEstimate> TrendModel::Infer(
     p = std::clamp(p, 0.02, 0.98);
     pot[2 * v] = 1.0 - p;
     pot[2 * v + 1] = p;
+  }
+  for (const SeedTrend& s : seeds) {
+    pot[2 * s.road] = s.trend == 1 ? 0.0 : 1.0;
+    pot[2 * s.road + 1] = s.trend == 1 ? 1.0 : 0.0;
   }
 
   TrendEstimate est;
@@ -114,8 +112,8 @@ Result<TrendEstimate> TrendModel::Infer(
     // structure is shared; only potentials and evidence are duplicated).
     PairwiseMrf mrf = structure_;
     for (size_t v = 0; v < n; ++v) {
-      if (clamped[v] >= 0) {
-        mrf.Clamp(v, clamped[v]);
+      if (pot[2 * v] == 0.0 || pot[2 * v + 1] == 0.0) {
+        mrf.Clamp(v, pot[2 * v + 1] == 1.0 ? 1 : 0);
       } else {
         mrf.SetNodePotential(v, pot[2 * v], pot[2 * v + 1]);
       }

@@ -12,6 +12,7 @@
 // underflow-range potentials.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -402,6 +403,107 @@ TEST(BpKernelPropertyTest, SimdMatchesScalarOnRandomGraphs) {
     for (size_t v = 0; v < scalar.p_up.size(); ++v) {
       EXPECT_NEAR(scalar.p_up[v], simd.p_up[v], 1e-3)
           << "graph " << g << " var " << v;
+    }
+  }
+}
+
+// FNV-1a over the bit patterns of a marginal vector.
+uint64_t HashBits(const std::vector<double>& p_up) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (double p : p_up) {
+    uint64_t bits = std::bit_cast<uint64_t>(p);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+// Served-shape case for the cold-start bit pins: a 70 x 70 grid (past
+// kMinParallelVars, so 4 threads really split the sweep) with compat
+// entries in the tempered co-trend range, a degree-82 hub on the spill
+// list, one ill-conditioned edge (both endpoints spill), six isolated
+// variables, 10% hard 0/1 clamps and priors in the served [0.02, 0.98].
+// Values are integer hundredths (one division each), so no build's
+// floating-point contraction can change the inputs the hashes pin.
+RandomCase MakeServedCase() {
+  constexpr size_t kSide = 70;
+  constexpr size_t kGrid = kSide * kSide;
+  const size_t n = kGrid + 6;
+  Rng rng(2027);
+  PairwiseMrf mrf(n);
+  auto add = [&](size_t u, size_t v) {
+    double compat[2][2];
+    for (auto& row : compat) {
+      for (double& c : row) c = (5 + rng.NextBounded(96)) / 100.0;
+    }
+    mrf.AddEdge(u, v, compat);
+  };
+  for (size_t r = 0; r < kSide; ++r) {
+    for (size_t c = 0; c < kSide; ++c) {
+      size_t v = r * kSide + c;
+      if (c + 1 < kSide) add(v, v + 1);
+      if (r + 1 < kSide) add(v, v + kSide);
+    }
+  }
+  for (size_t i = 0; i < 80; ++i) add(0, 100 + 53 * i);
+  double skewed[2][2] = {{1e-31, 1e-31}, {1e-31, 1.0}};
+  mrf.AddEdge(2000, 3000, skewed);
+
+  RandomCase c;
+  c.graph = BpGraph::FromMrf(mrf);
+  c.pot.resize(2 * n);
+  for (size_t v = 0; v < n; ++v) {
+    if (rng.NextBounded(10) == 0) {
+      bool up = rng.NextBounded(2) == 1;
+      c.pot[2 * v] = up ? 0.0 : 1.0;
+      c.pot[2 * v + 1] = up ? 1.0 : 0.0;
+    } else {
+      double p = (2 + rng.NextBounded(97)) / 100.0;
+      c.pot[2 * v] = 1.0 - p;
+      c.pot[2 * v + 1] = p;
+    }
+  }
+  return c;
+}
+
+// The SIMD kernel's marginals on served-range inputs are pinned bit for
+// bit, at 1 and 4 threads, by hashes recorded before sweep 1 became a
+// closed-form map of the potentials and compat planes. The map is exact
+// whenever the cold-start cavities stay normal floats (docs/performance.md,
+// §Tolerance contract), which every input of this shape guarantees.
+TEST(BpKernelPropertyTest, ColdStartSweepKeepsParentBits) {
+  if (!BpSimdKernelAvailable()) {
+    GTEST_SKIP() << "SIMD kernel not runnable on this CPU";
+  }
+  RandomCase c = MakeServedCase();
+  const BpGraphSoa& soa = *c.graph.soa;
+  bool hub_spilled = false, skew_spilled = false;
+  for (const BpGraphSoa::SpillVar& sv : soa.spill) {
+    hub_spilled |= sv.var == 0 && sv.deg > BpGraphSoa::kMaxBatchDegree;
+    skew_spilled |= sv.var == 2000;
+  }
+  ASSERT_TRUE(hub_spilled);
+  ASSERT_TRUE(skew_spilled);
+
+  const struct {
+    uint32_t sweeps;
+    uint64_t hash;
+  } kPins[] = {
+      {1, 0x0d0b1f65ad9a2d48ull},
+      {2, 0x0587f56bee2660efull},
+      {6, 0xb3d4c92c14ac793full},
+  };
+  for (const auto& pin : kPins) {
+    for (uint32_t threads : {1u, 4u}) {
+      BpOptions opts;
+      opts.max_iters = pin.sweeps;
+      opts.num_threads = threads;
+      BpResult r = InferMarginalsBpFlat(c.graph, c.pot, opts);
+      EXPECT_EQ(HashBits(r.p_up), pin.hash)
+          << std::hex << "S = " << pin.sweeps << ", threads = " << threads
+          << ": 0x" << HashBits(r.p_up);
     }
   }
 }

@@ -309,14 +309,18 @@ struct RoadMajorBuckets {
   std::vector<uint32_t> road_count;
 };
 
-TEST(HistoricalDbTest, BucketLookupsMatchRoadMajorReference) {
-  constexpr uint32_t kSlotsPerDay = 6;
-  constexpr uint64_t kSlots = 14 * kSlotsPerDay;  // two weeks, two weekends
-  constexpr size_t kRoads = 6;
-  HistoricalDb::Builder builder(kRoads, kSlots, kSlotsPerDay);
-  SlotClock clock{kSlotsPerDay};
+constexpr uint32_t kMixedSlotsPerDay = 6;
+constexpr uint64_t kMixedSlots = 14 * kMixedSlotsPerDay;  // two weekends
+constexpr size_t kMixedRoads = 6;
+
+// Six roads over two weeks whose buckets reach every lookup branch: dense,
+// thin (< 3 samples), weekend-only, no history at all, a single report,
+// and one saturated cell.
+HistoricalDb MixedHistory() {
+  HistoricalDb::Builder builder(kMixedRoads, kMixedSlots, kMixedSlotsPerDay);
+  SlotClock clock{kMixedSlotsPerDay};
   Rng rng(77);
-  for (uint64_t s = 0; s < kSlots; ++s) {
+  for (uint64_t s = 0; s < kMixedSlots; ++s) {
     // Road 0: dense, sometimes two reports per cell.
     if (rng.NextBool(0.9)) builder.Add(0, s, rng.Uniform(20.0, 60.0));
     if (rng.NextBool(0.3)) builder.Add(0, s, rng.Uniform(20.0, 60.0));
@@ -332,13 +336,17 @@ TEST(HistoricalDbTest, BucketLookupsMatchRoadMajorReference) {
   builder.Add(5, 9, 33.0);
   for (int i = 0; i < 65535; ++i) builder.Add(4, 7, 40.0);
   for (int i = 0; i < 100; ++i) builder.Add(4, 7, 90.0);
-  HistoricalDb db = builder.Finish();
+  return builder.Finish();
+}
+
+TEST(HistoricalDbTest, BucketLookupsMatchRoadMajorReference) {
+  HistoricalDb db = MixedHistory();
   RoadMajorBuckets ref(db);
   ASSERT_NEAR(db.Observation(4, 7), 40.0, 0.01);
 
   size_t thin = 0, empty_with_history = 0;
-  for (RoadId r = 0; r < kRoads; ++r) {
-    for (uint64_t s = 0; s < kSlots; ++s) {
+  for (RoadId r = 0; r < kMixedRoads; ++r) {
+    for (uint64_t s = 0; s < kMixedSlots; ++s) {
       SCOPED_TRACE(testing::Message() << "road " << r << " slot " << s);
       uint32_t c = ref.count[ref.Idx(r, s)];
       if (c > 0 && c < 3) ++thin;
@@ -361,6 +369,50 @@ TEST(HistoricalDbTest, BucketLookupsMatchRoadMajorReference) {
   EXPECT_GT(thin, 0u);
   EXPECT_GT(empty_with_history, 0u);
   EXPECT_FALSE(db.HasHistory(2));
+}
+
+// The per-slot bucket view serving hoists out of its road loops must
+// answer exactly what the per-road lookups answer, and both what the
+// road-major reference recounts, on weekday and weekend slots and through
+// every fallback: a thin bucket's road mean, a road with no history, and an
+// empty bucket with pseudo = 0 (the uninformed 0.5).
+TEST(HistoricalDbTest, BucketViewMatchesPerRoadLookups) {
+  HistoricalDb db = MixedHistory();
+  RoadMajorBuckets ref(db);
+  const SlotClock& clock = db.clock();
+  size_t weekend_slots = 0, road_mean_fallbacks = 0, uninformed = 0;
+  for (uint64_t s = 0; s < kMixedSlots; ++s) {
+    const HistoricalDb::BucketView view = db.Bucket(s);
+    if (clock.IsWeekend(s)) ++weekend_slots;
+    for (RoadId r = 0; r < kMixedRoads; ++r) {
+      SCOPED_TRACE(testing::Message() << "road " << r << " slot " << s);
+      uint32_t c = ref.count[ref.Idx(r, s)];
+      if (c < 3 && ref.road_count[r] > 0) ++road_mean_fallbacks;
+      double mean = view.MeanOr(r, 77.0);
+      EXPECT_EQ(Bits(mean), Bits(db.HistoricalMeanOr(r, s, 77.0)));
+      EXPECT_EQ(Bits(mean), Bits(ref.MeanOr(r, s, 77.0)));
+      for (double pseudo : {0.0, 3.0}) {
+        double p = view.TrendUp(r, pseudo);
+        EXPECT_EQ(Bits(p), Bits(db.TrendUpProbability(r, s, pseudo)));
+        EXPECT_EQ(Bits(p), Bits(ref.TrendUp(r, s, pseudo)));
+        if (c == 0 && pseudo == 0.0) {
+          EXPECT_EQ(Bits(p), Bits(0.5));
+          ++uninformed;
+        }
+      }
+      for (double speed : {mean - 0.5, mean, mean + 0.5}) {
+        EXPECT_EQ(view.TrendOf(r, speed, 77.0),
+                  db.TrendOf(r, s, speed, 77.0));
+      }
+    }
+  }
+  EXPECT_GT(weekend_slots, 0u);
+  EXPECT_LT(weekend_slots, kMixedSlots);
+  EXPECT_GT(road_mean_fallbacks, 0u);
+  EXPECT_GT(uninformed, 0u);
+  // Road 2 has no history: its mean is the caller's fallback.
+  EXPECT_FALSE(db.HasHistory(2));
+  EXPECT_EQ(Bits(db.Bucket(0).MeanOr(2, 77.0)), Bits(77.0));
 }
 
 TEST(HistoricalDbTest, CoverageStats) {
