@@ -1,7 +1,6 @@
 #include "product/route_eta.h"
 
 #include <algorithm>
-#include <array>
 #include <functional>
 #include <limits>
 #include <queue>
@@ -14,8 +13,7 @@ namespace trendspeed {
 
 namespace {
 
-constexpr size_t kLandmarks = 16;
-constexpr size_t kQueryLandmarks = 4;
+constexpr size_t kLandmarks = 4;
 /// Scales the landmark bound below the true remaining seconds.
 constexpr double kBoundMargin = 1.0 - 1e-9;
 /// The A* answer stands only when the smallest road cost exceeds this share
@@ -203,33 +201,14 @@ Result<RouteResult> RouteEtaCache::LandmarkRoute(NodeId from, NodeId to) {
   RouteResult route;
   if (from == to) return route;  // FastestRoute's defined empty trip
 
-  // The kQueryLandmarks landmarks with the best bound at the source.
   const size_t nl = num_landmarks_;
   const double* from_l_t = &from_landmark_[size_t{to} * nl];
   const double* t_to_l = &to_landmark_[size_t{to} * nl];
-  std::array<double, kLandmarks> source_bound;
-  std::array<size_t, kLandmarks> order;
-  for (size_t l = 0; l < nl; ++l) {
-    source_bound[l] = LandmarkBound(from_l_t[l],
-                                    from_landmark_[size_t{from} * nl + l],
-                                    to_landmark_[size_t{from} * nl + l],
-                                    t_to_l[l]);
-    order[l] = l;
-  }
-  const size_t k = std::min(kQueryLandmarks, nl);
-  std::partial_sort(order.begin(), order.begin() + k, order.begin() + nl,
-                    [&](size_t a, size_t b) {
-                      if (source_bound[a] != source_bound[b]) {
-                        return source_bound[a] > source_bound[b];
-                      }
-                      return a < b;
-                    });
   auto heuristic = [&](NodeId u) {
     const double* from_l_u = &from_landmark_[size_t{u} * nl];
     const double* u_to_l = &to_landmark_[size_t{u} * nl];
     double best = 0.0;
-    for (size_t i = 0; i < k; ++i) {
-      const size_t l = order[i];
+    for (size_t l = 0; l < nl; ++l) {
       best = std::max(best, LandmarkBound(from_l_t[l], from_l_u[l], u_to_l[l],
                                           t_to_l[l]));
     }
@@ -343,7 +322,7 @@ Result<RouteEtaCache::EtaResult> RouteEtaCache::Eta(const SpeedSnapshot& snap,
   if (it != entries_.end()) {
     ++stats_.hits;
     obs::Add(m_hits_);
-    EtaResult hit = it->second.result;
+    EtaResult hit = it->second;
     hit.cache_hit = true;
     return hit;
   }
@@ -368,7 +347,7 @@ Result<RouteEtaCache::EtaResult> RouteEtaCache::Eta(const SpeedSnapshot& snap,
     // version), so any victim preserves correctness; begin() is O(1).
     entries_.erase(entries_.begin());
   }
-  entries_.emplace(key, Entry{result});
+  entries_.emplace(key, result);
   return result;
 }
 

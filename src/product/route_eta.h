@@ -26,13 +26,15 @@
 // +inf), ρ = max over roads of pricing speed ÷ free-flow speed, floored at
 // 1, and the smallest finite road cost.
 //
-// Misses: landmark A* (ALT). At Create, 16 landmarks are picked
+// Misses: landmark A* (ALT). At Create, 4 landmarks are picked
 // farthest-first on free-flow seconds, and the free-flow seconds from and
-// to each landmark are stored node-major (16 × 2 × num_nodes × 8 B, about
-// 2.5 MB for a 10,000-node city; building them is 32 free-flow Dijkstras
-// plus one to seed the choice, about 55 ms there). A query uses the 4
-// landmarks with the best bound at the source. No road is faster than ρ
-// times its free-flow speed in any servable field, so
+// to each landmark are stored node-major (4 × 2 × num_nodes × 8 B, 0.64 MB
+// for a 10,000-node city; building them is 9 free-flow Dijkstras, 8 plus
+// one to seed the choice). Every query bounds with all 4. Picking the best
+// 4 of 16 at each query's source was deleted: on a 100×100 grid it settled
+// more nodes per miss and ran slower (EXPERIMENTS.md M11, M16).
+// No road is faster than ρ times its free-flow speed in any servable
+// field, so
 //   h(u) = max(0, landmark bound − slack) ÷ ρ × (1 − 1e-9)
 // never overestimates, and no snapshot needs per-version landmark work. The
 // slack bounds the rounding in the stored landmark seconds; the 1e-9
@@ -127,10 +129,6 @@ class RouteEtaCache {
   /// FastestRoute's answer on the pricing field, found by landmark A*.
   Result<RouteResult> LandmarkRoute(NodeId from, NodeId to);
 
-  struct Entry {
-    EtaResult result;
-  };
-
   const RoadNetwork* net_;
   const SpeedProfileStore* profile_;  ///< may be null (no blending)
   size_t capacity_;
@@ -169,7 +167,7 @@ class RouteEtaCache {
   std::vector<HeapEntry> heap_;
   uint32_t query_stamp_ = 0;
 
-  std::unordered_map<uint64_t, Entry> entries_;
+  std::unordered_map<uint64_t, EtaResult> entries_;
   Stats stats_;
 
   obs::Counter* m_hits_ = nullptr;

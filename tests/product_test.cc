@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <limits>
+#include <numbers>
 #include <vector>
 
 #include "core/routing.h"
@@ -150,6 +151,30 @@ std::vector<double> RandomSpeeds(const RoadNetwork& net, Rng* rng) {
   return speeds;
 }
 
+/// Seven two-way rings of 3 to 9 nodes with no road between them. The ETA
+/// cache places at most one landmark per component, so at least three rings
+/// have none: there every landmark term is inf − inf = NaN and h is 0.
+RoadNetwork DisconnectedRings() {
+  RoadNetwork::Builder b;
+  for (size_t ring = 0; ring < 7; ++ring) {
+    const size_t size = 3 + ring;
+    const double cx = 5000.0 * ring;
+    const NodeId first = b.AddNode(cx + 400.0, 0.0);
+    NodeId prev = first;
+    for (size_t i = 1; i < size; ++i) {
+      const double angle = 2.0 * std::numbers::pi * i / size;
+      const NodeId node =
+          b.AddNode(cx + 400.0 * std::cos(angle), 400.0 * std::sin(angle));
+      b.AddTwoWay(prev, node, RoadClass::kLocal, 40.0);
+      prev = node;
+    }
+    b.AddTwoWay(prev, first, RoadClass::kLocal, 40.0);
+  }
+  auto net = b.Finish();
+  TS_CHECK(net.ok()) << net.status().ToString();
+  return std::move(net).value();
+}
+
 TEST(RouteEtaCacheTest, CreateValidates) {
   RoadNetwork net = SmallGrid();
   ProductOptions opts = TestOptions();
@@ -170,7 +195,9 @@ TEST(RouteEtaCacheTest, CreateValidates) {
 // landmark search's tie rule and bound: uniform speeds (every route ties),
 // free-flow speeds (three classes on the ring-radial city), three speed
 // levels, impassable roads, +inf speeds (zero-cost roads, ρ = inf) and NaN
-// speeds, on a grid, a dropout grid and a ring-radial network.
+// speeds, on a grid, a dropout grid, a ring-radial network and seven
+// disconnected rings, where queries between rings must reach NotFound
+// through the bound's inf/NaN handling.
 TEST(RouteEtaCacheTest, PropertyCachedEqualsUncachedBitwise) {
   GridNetworkOptions dropout_grid;
   dropout_grid.rows = 8;
@@ -180,6 +207,8 @@ TEST(RouteEtaCacheTest, PropertyCachedEqualsUncachedBitwise) {
   nets.push_back(SmallGrid());
   nets.push_back(MakeGridNetwork(dropout_grid).value());
   nets.push_back(MakeRingRadialNetwork(RingRadialOptions{}).value());
+  nets.push_back(DisconnectedRings());
+  const size_t kDisconnected = nets.size() - 1;
   const double kInf = std::numeric_limits<double>::infinity();
   Rng rng(20260808);
 
@@ -205,6 +234,7 @@ TEST(RouteEtaCacheTest, PropertyCachedEqualsUncachedBitwise) {
     }
 
     uint64_t version = 0;
+    size_t found = 0, not_found = 0;
     for (size_t field = 0; field < fields.size(); ++field) {
       const uint32_t stale_slots =
           field < 8 && field % 3 == 2 ? 1 + field / 3 : 0;
@@ -214,6 +244,7 @@ TEST(RouteEtaCacheTest, PropertyCachedEqualsUncachedBitwise) {
         NodeId from = static_cast<NodeId>(rng.NextIndex(net.num_nodes()));
         NodeId to = static_cast<NodeId>(rng.NextIndex(net.num_nodes()));
         auto direct = FastestRoute(net, snap, from, to);
+        ++(direct.ok() ? found : not_found);
         // Every fourth query is asked twice; the second ask is a hit.
         for (int ask = 0; ask < (q % 4 == 0 ? 2 : 1); ++ask) {
           auto cached = cache->Eta(snap, from, to);
@@ -239,6 +270,10 @@ TEST(RouteEtaCacheTest, PropertyCachedEqualsUncachedBitwise) {
     }
     EXPECT_GT(cache->stats().hits, 0u);
     EXPECT_GT(cache->stats().misses, 0u);
+    if (n == kDisconnected) {
+      EXPECT_GT(found, 0u);
+      EXPECT_GT(not_found, 0u);
+    }
   }
 }
 
