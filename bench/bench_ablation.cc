@@ -279,7 +279,7 @@ StepOneScore ScoreStepOne(const Dataset& ds, const TrafficSpeedEstimator& est,
         if (is_seed[r]) continue;
         predicted.push_back(out->speeds.speed_kmh[r]);
         truth.push_back(ds.truth.at(slot, r));
-        trend.push_back(out->trends.trend[r]);
+        trend.push_back(out->trends.HardTrend(r));
         true_trend.push_back(slot_trends[r]);
       }
     }

@@ -1,16 +1,17 @@
 // Experiment F10 [R] — incident detection quality vs budget K.
 //
 // The application the paper's introduction leads with: spotting abnormal
-// slowdowns in real time from only K observed roads. The OnlineTrafficMonitor
-// flags roads whose estimated deviation collapses; this harness scores its
-// flags against the simulator's ground truth (roads that truly ran >= 35%
-// below their norm) across the test day, sweeping K. Expected shape:
-// precision stays high at all K (alerts are debounced), recall grows with K.
+// slowdowns in real time from only K observed roads. A ServingSession, the
+// composition that is actually served, flags roads whose smoothed estimated
+// deviation collapses; this harness scores its flags against the
+// simulator's ground truth (roads that truly ran >= 35% below their norm)
+// across the test day, sweeping K. Expected shape: precision stays high at
+// all K (alerts are debounced), recall grows with K.
 
 #include <set>
 
 #include "bench_util.h"
-#include "core/monitor.h"
+#include "core/serving.h"
 
 namespace trendspeed {
 namespace {
@@ -36,16 +37,17 @@ void Run() {
   for (size_t k : {10u, 20u, 40u, 80u, 160u}) {
     auto seeds = est.SelectSeeds(k, SeedStrategy::kLazyGreedy);
     TS_CHECK(seeds.ok());
-    MonitorOptions mopts;
-    mopts.alert_deviation = -0.35;
-    OnlineTrafficMonitor monitor(&est, mopts);
+    ServingOptions opts;
+    opts.monitor.alert_deviation = -0.35;
+    auto session = ServingSession::Create(&est, opts);
+    TS_CHECK(session.ok()) << session.status().ToString();
     Rng rng(7);
     std::set<RoadId> flagged;
     for (uint64_t slot : eval.TestSlots(2)) {
       auto obs = eval.ObserveSeeds(slot, seeds->seeds, 1.5, &rng);
-      auto report = monitor.Process(slot, obs);
-      TS_CHECK(report.ok());
-      for (const TrafficAlert& a : report->new_alerts) {
+      auto report = session->Ingest(slot, obs);
+      TS_CHECK(report.ok()) << report.status().ToString();
+      for (const TrafficAlert& a : report->monitor.new_alerts) {
         if (a.raised) flagged.insert(a.road);
       }
     }

@@ -4,12 +4,12 @@
 #include <cmath>
 
 #include "obs/catalog.h"
+#include "obs/clock.h"
 #include "seed/exact.h"
 #include "seed/greedy.h"
 #include "seed/heuristics.h"
 #include "seed/lazy_greedy.h"
 #include "seed/stochastic_greedy.h"
-#include "util/timer.h"
 
 namespace trendspeed {
 
@@ -126,7 +126,8 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
   // critical-path attribution (obs/flight.h), but keeps the timeline whole.
   obs::FlightSpan flight_span(flight.recorder, slot,
                               obs::FlightStage::kEstimate, flight.ctx);
-  WallTimer timer;
+  // A detached estimator never reads the clock.
+  const uint64_t start_ns = o.metrics != nullptr ? obs::MonotonicNanos() : 0;
   // Seed trends come from comparing the crowdsourced speed with the road's
   // historical mean.
   std::vector<SeedTrend> seed_trends;
@@ -216,8 +217,10 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
                         seeds, slot, config_.propagation));
   }
   obs::Add(obs::GetCounter(o.metrics, obs::kEstimatesTotal));
-  obs::Observe(obs::GetHistogram(o.metrics, obs::kEstimateLatencyMs),
-               timer.ElapsedMillis());
+  if (o.metrics != nullptr) {
+    obs::Observe(obs::GetHistogram(o.metrics, obs::kEstimateLatencyMs),
+                 obs::NanosToMillis(obs::ElapsedNanosSince(start_ns)));
+  }
   return out;
 }
 

@@ -124,7 +124,7 @@ Result<double> Evaluator::RunTrendAccuracy(
     std::vector<int> true_trends = TrueTrends(slot);
     for (RoadId r = 0; r < dataset_->net.num_roads(); ++r) {
       if (is_seed[r]) continue;
-      predicted.push_back(out.trends.trend[r]);
+      predicted.push_back(out.trends.HardTrend(r));
       truth.push_back(true_trends[r]);
     }
   }

@@ -49,7 +49,11 @@ bool IngestFrontEnd::Offer(uint64_t slot, const SeedSpeed& obs) {
     return false;
   }
   Count(stats_.enqueued, m_enqueued_);
-  obs::Set(m_queue_depth_, static_cast<double>(queue_.SizeApprox()));
+  // SizeApprox reads the consumer's head line: only an attached gauge pays
+  // for it.
+  if (m_queue_depth_ != nullptr) {
+    m_queue_depth_->Set(static_cast<double>(queue_.SizeApprox()));
+  }
   return true;
 }
 
@@ -107,7 +111,9 @@ size_t IngestFrontEnd::Drain() {
     }
     pending_.push_back(item.obs);
   }
-  obs::Set(m_queue_depth_, static_cast<double>(queue_.SizeApprox()));
+  if (m_queue_depth_ != nullptr) {
+    m_queue_depth_->Set(static_cast<double>(queue_.SizeApprox()));
+  }
   return static_cast<size_t>(
       stats_.flushed_slots.load(std::memory_order_relaxed) - before);
 }

@@ -6,7 +6,6 @@
 
 #include "obs/catalog.h"
 #include "obs/clock.h"
-#include "util/timer.h"
 
 namespace trendspeed {
 
@@ -17,20 +16,31 @@ namespace {
 constexpr double kUnitsPerKmh = 4294967296.0;
 
 /// Records the enclosing Ingest call's latency on destruction, whichever
-/// return path is taken. A null histogram makes this a no-op.
+/// return path is taken. A null histogram makes this a no-op that never
+/// reads the clock.
 class IngestLatencyScope {
  public:
   explicit IngestLatencyScope(obs::Histogram* latency_ms)
-      : latency_ms_(latency_ms) {}
+      : latency_ms_(latency_ms),
+        start_ns_(latency_ms != nullptr ? obs::MonotonicNanos() : 0) {}
   ~IngestLatencyScope() {
     if (latency_ms_ == nullptr) return;
-    latency_ms_->Observe(timer_.ElapsedMillis());
+    latency_ms_->Observe(
+        obs::NanosToMillis(obs::ElapsedNanosSince(start_ns_)));
   }
 
  private:
   obs::Histogram* latency_ms_;
-  WallTimer timer_;
+  uint64_t start_ns_;
 };
+
+/// True when every speed is finite and non-negative: the only fields the
+/// session serves.
+bool Servable(const std::vector<double>& speed_kmh) {
+  return std::all_of(speed_kmh.begin(), speed_kmh.end(), [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  });
+}
 
 }  // namespace
 
@@ -105,9 +115,12 @@ ServingSession::ServingSession(const TrafficSpeedEstimator* estimator,
                                const ServingOptions& opts)
     : estimator_(estimator),
       opts_(opts),
-      monitor_(estimator, opts.monitor),
       stats_(std::make_unique<AtomicStats>()),
-      pos_(estimator->network().num_roads(), SIZE_MAX) {
+      pos_(estimator->network().num_roads(), SIZE_MAX),
+      ewma_(estimator->network().num_roads(), 0.0),
+      ewma_seeded_(estimator->network().num_roads(), 0),
+      below_streak_(estimator->network().num_roads(), 0),
+      alert_active_(estimator->network().num_roads(), false) {
   // Register handles once; every hot-path record is then a pointer check.
   obs::MetricsRegistry* reg = opts_.observability.metrics;
   if (opts_.publish_snapshots) {
@@ -315,21 +328,12 @@ Result<ServingSession::SlotReport> ServingSession::Ingest(
   const size_t dropped = filtered + deduplicated;
   if (admitted_.empty()) return CarryForward(slot, dropped, ctx);
 
-  Result<OnlineTrafficMonitor::SlotReport> report = monitor_.Process(
-      slot, admitted_, &workspace_,
-      obs::FlightSink{flight, slot, ctx});
-  bool healthy = report.ok();
-  if (healthy) {
-    // Never serve a non-finite or negative speed, whatever the estimator
-    // produced; degrade to the last good estimate instead.
-    for (double v : report->estimate.speeds.speed_kmh) {
-      if (!std::isfinite(v) || v < 0.0) {
-        healthy = false;
-        break;
-      }
-    }
-  }
-  if (!healthy) {
+  Result<TrafficSpeedEstimator::Output> estimate = estimator_->Estimate(
+      slot, admitted_, &workspace_, obs::FlightSink{flight, slot, ctx});
+  // Never serve a non-finite or negative speed, whatever the estimator
+  // produced; degrade to the last good estimate instead. The check runs
+  // before UpdateAlerts, so a refused field moves no alert state.
+  if (!estimate.ok() || !Servable(estimate->speeds.speed_kmh)) {
     Count(stats_->estimation_failures, m_estimation_failures_);
     return CarryForward(slot, dropped, ctx);
   }
@@ -339,12 +343,64 @@ Result<ServingSession::SlotReport> ServingSession::Ingest(
   obs::Set(m_staleness_, 0.0);
   last_report_ = SlotReport{};
   last_report_.slot = slot;
-  last_report_.monitor = std::move(*report);
+  last_report_.monitor.estimate = std::move(*estimate);
+  UpdateAlerts(slot, &last_report_.monitor);
   last_report_.observations_used = admitted_.size();
   last_report_.observations_dropped = dropped;
   has_report_ = true;
   PublishSnapshot(ctx);
   return last_report_;
+}
+
+void ServingSession::UpdateAlerts(uint64_t slot, MonitorReport* report) {
+  const MonitorOptions& m = opts_.monitor;
+  const SpeedEstimateResult& speeds = report->estimate.speeds;
+  // Only a real observation may seed a road's EWMA at full weight: an
+  // inferred deviation seeded at full weight could cross alert_deviation
+  // before a single direct measurement existed (regression-tested in
+  // monitor_test.cc). Unseeded roads accumulate from 0 at the usual alpha,
+  // so an inferred slowdown still alarms after the same debounce every
+  // other road gets. admitted_ is road-sorted and distinct, so one cursor
+  // walks the observed roads.
+  auto observed = admitted_.begin();
+  double speed_sum = 0.0;
+  for (RoadId r = 0; r < ewma_.size(); ++r) {
+    const double d = speeds.deviation[r];
+    const bool seen = observed != admitted_.end() && observed->road == r;
+    if (seen) ++observed;
+    if (seen && !ewma_seeded_[r]) {
+      ewma_[r] = d;
+      ewma_seeded_[r] = 1;
+    } else {
+      ewma_[r] = (1.0 - m.ewma_alpha) * ewma_[r] + m.ewma_alpha * d;
+    }
+    speed_sum += speeds.speed_kmh[r];
+    if (ewma_[r] < m.congested_deviation) ++report->congested_roads;
+
+    if (!alert_active_[r]) {
+      if (ewma_[r] <= m.alert_deviation) {
+        if (++below_streak_[r] >= m.alert_after_slots) {
+          alert_active_[r] = true;
+          report->new_alerts.push_back(TrafficAlert{r, slot, true, ewma_[r]});
+        }
+      } else {
+        below_streak_[r] = 0;
+      }
+    } else if (ewma_[r] >= m.clear_deviation) {
+      alert_active_[r] = false;
+      below_streak_[r] = 0;
+      report->new_alerts.push_back(TrafficAlert{r, slot, false, ewma_[r]});
+    }
+  }
+  report->mean_speed_kmh = speed_sum / static_cast<double>(ewma_.size());
+}
+
+std::vector<RoadId> ServingSession::ActiveAlerts() const {
+  std::vector<RoadId> out;
+  for (RoadId r = 0; r < alert_active_.size(); ++r) {
+    if (alert_active_[r]) out.push_back(r);
+  }
+  return out;
 }
 
 }  // namespace trendspeed

@@ -1,11 +1,11 @@
 // ServingSession: the hardened online ingestion/serving layer.
 //
-// OnlineTrafficMonitor assumes a well-behaved caller: strictly increasing
-// slots, one observation per road, physically plausible speeds. Production
-// crowd streams guarantee none of that — reports arrive late, twice, with
-// fat-fingered or sensor-garbage values, or not at all. ServingSession wraps
-// the estimator + monitor behind a single Ingest(slot, observations) call
-// that enforces the contract at the boundary:
+// The estimator assumes a well-behaved caller: one plausible observation
+// per road. Production crowd streams guarantee none of that — reports
+// arrive late, twice, with fat-fingered or sensor-garbage values, or not at
+// all. ServingSession wraps the estimator behind a single
+// Ingest(slot, observations) call that enforces the contract at the
+// boundary and keeps the per-road alert state of the slots it serves:
 //
 //   * strict validation — NaN/negative/absurd speeds and out-of-range roads
 //     are rejected with a Status (never a TS_CHECK abort), either failing
@@ -15,11 +15,14 @@
 //     road order, so a slot's output depends only on the multiset of
 //     reports, not on the order producers delivered them;
 //   * idempotent duplicate slots — re-delivering the last slot returns the
-//     cached report without double-applying monitor state;
+//     cached report without double-applying alert state;
 //   * graceful rejection of out-of-order (stale) slot arrivals;
 //   * carry-forward — when a slot arrives empty (or estimation fails) the
 //     last good estimate is re-served with a staleness flag, up to a
 //     configurable limit;
+//   * incident alerts — per-road EWMA-smoothed deviations with debounce and
+//     hysteresis (the incident-detection consumer the paper's introduction
+//     motivates), moved only by a freshly served slot;
 //   * cumulative degradation counters (ServingStats) for operations.
 //
 // See docs/serving.md for the full contract and tests/fault_injection_test.cc
@@ -34,13 +37,45 @@
 #include <vector>
 
 #include "core/estimator.h"
-#include "core/monitor.h"
 #include "core/snapshot.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "util/status.h"
 
 namespace trendspeed {
+
+/// Per-road congestion alerting on every freshly served slot.
+struct MonitorOptions {
+  /// Estimated relative deviation at or below this arms a road.
+  double alert_deviation = -0.3;
+  /// A road must stay below the threshold for this many consecutive
+  /// freshly served slots before an alert is raised (debounce).
+  uint32_t alert_after_slots = 2;
+  /// An active alert clears once the deviation recovers above this.
+  double clear_deviation = -0.15;
+  /// EWMA factor for the per-road smoothed deviation.
+  double ewma_alpha = 0.4;
+  /// A road counts toward MonitorReport::congested_roads while its smoothed
+  /// deviation sits below this (milder than alert_deviation: a dashboard
+  /// statistic, not an alert).
+  double congested_deviation = -0.15;
+};
+
+/// One raised or cleared alert.
+struct TrafficAlert {
+  RoadId road = kInvalidRoad;
+  uint64_t slot = 0;
+  bool raised = true;  ///< false = cleared
+  double deviation = 0.0;
+};
+
+/// The estimate and alerting output of one freshly served slot.
+struct MonitorReport {
+  TrafficSpeedEstimator::Output estimate;
+  std::vector<TrafficAlert> new_alerts;  ///< raised or cleared this slot
+  double mean_speed_kmh = 0.0;
+  size_t congested_roads = 0;  ///< smoothed deviation < congested_deviation
+};
 
 /// Handling of malformed observations (bad road id / non-finite,
 /// non-positive, or implausibly large speed).
@@ -136,8 +171,8 @@ struct ServingOptions {
   /// over the published snapshot and have nothing to read without it.
   ProductOptions products;
 
-  /// Full validation of every knob (including the wrapped MonitorOptions,
-  /// so user-supplied options never trip the monitor's TS_CHECKs).
+  /// Full validation of every knob, MonitorOptions included; Create
+  /// refuses any options this rejects.
   Status Validate() const;
 };
 
@@ -165,7 +200,9 @@ struct ServingStats {
   uint64_t observations_filtered = 0;
   /// Well-formed duplicate road observations averaged into one.
   uint64_t observations_deduplicated = 0;
-  uint64_t estimation_failures = 0;    ///< estimator/monitor errors absorbed
+  /// Estimator errors and non-finite or negative estimated speeds absorbed
+  /// by carrying the last good estimate forward.
+  uint64_t estimation_failures = 0;
 };
 
 class ServingSession {
@@ -174,7 +211,7 @@ class ServingSession {
   /// remaining fields describe how degraded the serving of this slot was.
   struct SlotReport {
     uint64_t slot = 0;
-    OnlineTrafficMonitor::SlotReport monitor;
+    MonitorReport monitor;
     /// True when this is the last good estimate carried forward, not a
     /// fresh one; `monitor.new_alerts` is empty in that case.
     bool stale = false;
@@ -228,7 +265,10 @@ class ServingSession {
   const SlotReport& last_report() const { return last_report_; }
 
   /// Roads currently under an active alert.
-  std::vector<RoadId> ActiveAlerts() const { return monitor_.ActiveAlerts(); }
+  std::vector<RoadId> ActiveAlerts() const;
+
+  /// Smoothed deviation of a road (0 before its first served slot).
+  double SmoothedDeviation(RoadId road) const { return ewma_[road]; }
 
   const ServingOptions& options() const { return opts_; }
 
@@ -253,6 +293,10 @@ class ServingSession {
   /// explains why it cannot.
   Result<SlotReport> CarryForward(uint64_t slot, size_t dropped,
                                   obs::SlotTraceContext* ctx);
+
+  /// Folds a freshly served estimate into the per-road alert state and
+  /// fills the rest of *report (alerts, mean speed, congested count).
+  void UpdateAlerts(uint64_t slot, MonitorReport* report);
 
   /// Atomic backing store for ServingStats; field order matches. Heap-held
   /// so the session stays movable (Result<ServingSession> moves it out of
@@ -285,7 +329,6 @@ class ServingSession {
 
   const TrafficSpeedEstimator* estimator_;
   ServingOptions opts_;
-  OnlineTrafficMonitor monitor_;
   std::unique_ptr<AtomicStats> stats_;
   std::unique_ptr<SpeedSnapshotPublisher> snapshot_;
   bool has_report_ = false;
@@ -308,6 +351,15 @@ class ServingSession {
   /// a warm session admits a batch without allocating.
   std::vector<SeedSpeed> admitted_;
   std::vector<RoadMerge> merge_;
+  /// Per-road alert state, moved only by UpdateAlerts. ewma_seeded_[r] is 1
+  /// once road r's EWMA has been seeded by a directly observed slot; until
+  /// then the EWMA accumulates from 0 at the normal alpha, so backfilled or
+  /// carried-forward deviations can never arm a road at full weight on its
+  /// first appearance.
+  std::vector<double> ewma_;
+  std::vector<uint8_t> ewma_seeded_;
+  std::vector<uint32_t> below_streak_;
+  std::vector<bool> alert_active_;
 
   // Metric handles; all null when no registry is configured.
   obs::Counter* m_slots_estimated_ = nullptr;

@@ -140,7 +140,7 @@ const MetricDef kServingObservationsDeduplicatedTotal = {
     "Duplicate road observations averaged into one", "1"};
 const MetricDef kServingEstimationFailuresTotal = {
     "trendspeed_serving_estimation_failures_total", MetricType::kCounter,
-    "Estimator/monitor errors absorbed by carry-forward", "1"};
+    "Estimator errors and unservable speeds absorbed by carry-forward", "1"};
 
 // --- ingest front-end (core/ingest.cc) -------------------------------------
 const MetricDef kServingIngestEnqueuedTotal = {

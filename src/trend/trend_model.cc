@@ -131,10 +131,6 @@ Result<TrendEstimate> TrendModel::Infer(
       }
     }
   }
-  est.trend.resize(n);
-  for (size_t v = 0; v < n; ++v) {
-    est.trend[v] = est.p_up[v] >= 0.5 ? +1 : -1;
-  }
   return est;
 }
 

@@ -54,10 +54,12 @@ struct SeedTrend {
   int trend = +1;  ///< +1 up, -1 down
 };
 
-/// Trend marginals and hard decisions for every road.
+/// Trend marginals for every road.
 struct TrendEstimate {
   std::vector<double> p_up;  ///< P(trend = up)
-  std::vector<int> trend;    ///< hard decision in {+1, -1}
+
+  /// Hard decision of road v in {+1, -1}.
+  int HardTrend(size_t v) const { return p_up[v] >= 0.5 ? +1 : -1; }
 };
 
 class TrendModel {

@@ -139,12 +139,12 @@ TEST_F(AntiCorrelationTest, MrfInfersOppositeTrendForAntiRoad) {
   }
   auto est = model.Infer(/*slot=*/2, seeds);
   ASSERT_TRUE(est.ok());
-  EXPECT_EQ(est->trend[anti_], +1)
+  EXPECT_EQ(est->HardTrend(anti_), +1)
       << "p_up(anti) = " << est->p_up[anti_];
   // A normal unclamped neighbour of a seed follows the seeds downward.
   RoadId normal = net_.RoadSuccessors(0)[1];
   ASSERT_NE(normal, anti_);
-  EXPECT_EQ(est->trend[normal], -1);
+  EXPECT_EQ(est->HardTrend(normal), -1);
 }
 
 TEST_F(AntiCorrelationTest, AggregationFlipsSignThroughNegativeEdge) {

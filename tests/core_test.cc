@@ -79,10 +79,11 @@ TEST_F(CoreTest, EstimateProducesFullCoverage) {
   auto out = est().Estimate(slot, obs);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->speeds.speed_kmh.size(), ds().net.num_roads());
-  EXPECT_EQ(out->trends.trend.size(), ds().net.num_roads());
+  EXPECT_EQ(out->trends.p_up.size(), ds().net.num_roads());
   for (RoadId r = 0; r < ds().net.num_roads(); ++r) {
     EXPECT_GT(out->speeds.speed_kmh[r], 0.0);
-    EXPECT_TRUE(out->trends.trend[r] == 1 || out->trends.trend[r] == -1);
+    EXPECT_TRUE(out->trends.HardTrend(r) == 1 ||
+                out->trends.HardTrend(r) == -1);
     EXPECT_GE(out->trends.p_up[r], 0.0);
     EXPECT_LE(out->trends.p_up[r], 1.0);
   }

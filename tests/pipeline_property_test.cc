@@ -152,19 +152,6 @@ TEST_F(PipelinePropertyTest, CrowdObservationsFlowThroughPipeline) {
   }
 }
 
-TEST_F(PipelinePropertyTest, PUpAndTrendAreConsistent) {
-  auto seeds = estimator_->SelectSeeds(6, SeedStrategy::kLazyGreedy);
-  ASSERT_TRUE(seeds.ok());
-  uint64_t slot = ds().first_test_slot() + 2;
-  std::vector<SeedSpeed> obs;
-  for (RoadId r : seeds->seeds) obs.push_back({r, ds().truth.at(slot, r)});
-  auto out = estimator_->Estimate(slot, obs);
-  ASSERT_TRUE(out.ok());
-  for (RoadId r = 0; r < ds().net.num_roads(); ++r) {
-    EXPECT_EQ(out->trends.trend[r], out->trends.p_up[r] >= 0.5 ? 1 : -1);
-  }
-}
-
 
 // ---------------------------------------------------------------------------
 // Seed-set plans (speed/seed_plan.h) against a reference copy of the direct

@@ -1,14 +1,19 @@
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <limits>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/ingest.h"
+#include "core/model_io.h"
 #include "core/serving.h"
 #include "obs/flight.h"
 #include "test_util.h"
+#include "util/binary_io.h"
 #include "util/random.h"
 
 namespace trendspeed {
@@ -390,6 +395,84 @@ TEST_F(ServingTest, EmptySlotCarriesForwardLastGoodEstimate) {
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE(recovered->stale);
   EXPECT_EQ(recovered->stale_slots, 0u);
+}
+
+// A model with a NaN coefficient in one road's line estimates a NaN speed
+// for that road whenever the road is inferred rather than observed. Every
+// such slot is refused and carried forward, and alert state must move only
+// with the slots the session serves.
+TEST_F(ServingTest, RefusedSlotsMoveNoAlertState) {
+  const size_t n = ds().net.num_roads();
+  const uint64_t start = ds().first_test_slot();
+  const HierarchicalSpeedModel& speed = estimator_->speed_model();
+  auto clean = estimator_->Estimate(start, CleanObs(start));
+  ASSERT_TRUE(clean.ok());
+  // An inferred road that Step 2 serves from its own road-level line.
+  RoadId bad = kInvalidRoad;
+  for (RoadId r = 0; r < n && bad == kInvalidRoad; ++r) {
+    const uint32_t layer = clean->speeds.layer[r];
+    if (layer != 0 && layer != kUnreachedLayer &&
+        speed.LevelFor(r, /*has_x=*/true) == ModelLevel::kRoad) {
+      bad = r;
+    }
+  }
+  ASSERT_NE(bad, kInvalidRoad);
+
+  // The speed model is the file's last section: tag and version, six
+  // option fields, the road-class vector (length, one byte per road), then
+  // the road-line vector (length, entries).
+  std::string bytes = SerializeTrainedModel(*estimator_);
+  BinaryWriter speed_section;
+  speed.Serialize(&speed_section);
+  const size_t coefficient = bytes.size() - speed_section.buffer().size() +
+                             8 + 40 + 8 + n + 8 +
+                             bad * sizeof(WeightedTrendModel) +
+                             offsetof(WeightedTrendModel, c);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::memcpy(&bytes[coefficient], &nan, sizeof(nan));
+  auto patched = DeserializeTrainedModel(&ds().net, &ds().history, bytes);
+  ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+
+  auto created = ServingSession::Create(&*patched, {});
+  ASSERT_TRUE(created.ok());
+  ServingSession session = std::move(created).value();
+  // A sustained slowdown. Even slots also observe `bad`, so its line goes
+  // unused and the slot is served; odd slots infer it and are refused.
+  std::set<RoadId> reported_active;
+  uint64_t refused = 0;
+  for (uint64_t i = 0; i < 10; ++i) {
+    const uint64_t slot = start + i;
+    std::vector<SeedSpeed> obs = CleanObs(slot, 0.45);
+    if (i % 2 == 0) {
+      obs.push_back({bad, std::max(1.0, ds().truth.at(slot, bad) * 0.45)});
+    }
+    std::vector<double> before(n);
+    for (RoadId r = 0; r < n; ++r) before[r] = session.SmoothedDeviation(r);
+    auto report = session.Ingest(slot, obs);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->stale, i % 2 == 1) << "slot " << i;
+    if (report->stale) {
+      ++refused;
+      EXPECT_TRUE(report->monitor.new_alerts.empty());
+      for (RoadId r = 0; r < n; ++r) {
+        EXPECT_EQ(session.SmoothedDeviation(r), before[r])
+            << "refused slot " << i << " moved road " << r;
+      }
+    }
+    for (const TrafficAlert& a : report->monitor.new_alerts) {
+      if (a.raised) {
+        reported_active.insert(a.road);
+      } else {
+        reported_active.erase(a.road);
+      }
+    }
+  }
+  EXPECT_EQ(refused, 5u);
+  EXPECT_EQ(session.stats().estimation_failures, refused);
+  EXPECT_FALSE(reported_active.empty());
+  EXPECT_EQ(session.ActiveAlerts(),
+            std::vector<RoadId>(reported_active.begin(),
+                                reported_active.end()));
 }
 
 TEST_F(ServingTest, NoCarryForwardBeforeFirstEstimate) {

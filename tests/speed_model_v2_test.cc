@@ -484,7 +484,6 @@ TEST_F(InfluenceAggregationTest, InfluenceEstimationCoversEveryRoad) {
   ASSERT_TRUE(model.ok());
   TrendEstimate trends;
   trends.p_up.assign(net_.num_roads(), 0.5);
-  trends.trend.assign(net_.num_roads(), 1);
   uint64_t slot = 4;
   double hist = db_.HistoricalMeanOr(0, slot, net_.road(0).free_flow_kmh);
   std::vector<SeedSpeed> seeds = {{0, hist * 0.8}};
@@ -512,7 +511,6 @@ TEST_F(InfluenceAggregationTest, EstimationValidatesInput) {
   ASSERT_TRUE(model.ok());
   TrendEstimate trends;
   trends.p_up.assign(net_.num_roads(), 0.5);
-  trends.trend.assign(net_.num_roads(), 1);
   InfluenceAggregate agg =
       AggregateSeedDeviations(*influence_, net_, db_, {}, 0);
   EXPECT_FALSE(EstimateSpeedsInfluence(net_, *influence_, db_, *model, trends,

@@ -141,7 +141,6 @@ class PropagationTest : public HierarchicalModelTest {
   TrendEstimate UniformTrends(double p_up) {
     TrendEstimate t;
     t.p_up.assign(net_.num_roads(), p_up);
-    t.trend.assign(net_.num_roads(), p_up >= 0.5 ? +1 : -1);
     return t;
   }
 

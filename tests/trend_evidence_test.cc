@@ -114,7 +114,7 @@ TEST_F(EvidenceTest, EvidenceIgnoredOnSeeds) {
   std::vector<double> evidence(net_.num_roads(), 4.0);  // says "up"
   auto est = model.Infer(3, {{0, -1}}, &evidence);  // seed says "down"
   ASSERT_TRUE(est.ok());
-  EXPECT_EQ(est->trend[0], -1);
+  EXPECT_EQ(est->HardTrend(0), -1);
   EXPECT_DOUBLE_EQ(est->p_up[0], 0.0);
 }
 
@@ -133,7 +133,7 @@ TEST_F(EvidenceTest, PriorOnlyEngineUsesEvidence) {
   auto est = model.Infer(2, {}, &evidence);
   ASSERT_TRUE(est.ok());
   // Slot 2 is an "up"-leaning slot; the strong negative evidence overrides.
-  EXPECT_EQ(est->trend[5], -1);
+  EXPECT_EQ(est->HardTrend(5), -1);
 }
 
 TEST_F(EvidenceTest, TemperedEdgesWeakerThanFull) {

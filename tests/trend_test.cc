@@ -298,10 +298,10 @@ TEST(TrendModelTest, SeedsDriveNeighbourTrends) {
   std::vector<SeedTrend> seeds = {{0, -1}, {10, -1}, {20, -1}};
   auto est = model.Infer(/*slot=*/3, seeds);
   ASSERT_TRUE(est.ok());
-  EXPECT_EQ(est->trend[0], -1);
+  EXPECT_EQ(est->HardTrend(0), -1);
   size_t down = 0;
-  for (int t : est->trend) {
-    if (t == -1) ++down;
+  for (size_t v = 0; v < est->p_up.size(); ++v) {
+    if (est->HardTrend(v) == -1) ++down;
   }
   EXPECT_GT(down, net.num_roads() / 2);
 }
@@ -323,11 +323,13 @@ TEST(TrendModelTest, AllEnginesAgreeOnStrongEvidence) {
     auto est = model.Infer(2, seeds);
     ASSERT_TRUE(est.ok());
     if (reference.empty()) {
-      reference = est->trend;
+      for (size_t v = 0; v < est->p_up.size(); ++v) {
+        reference.push_back(est->HardTrend(v));
+      }
     } else {
       size_t agree = 0;
       for (size_t v = 0; v < reference.size(); ++v) {
-        if (reference[v] == est->trend[v]) ++agree;
+        if (reference[v] == est->HardTrend(v)) ++agree;
       }
       EXPECT_GT(static_cast<double>(agree) / reference.size(), 0.9)
           << TrendEngineName(engine);
@@ -355,10 +357,10 @@ TEST(TrendModelTest, PriorOnlyIgnoresGraph) {
   TrendModel model(&*graph, &db, topts);
   auto est = model.Infer(2, {{0, -1}});
   ASSERT_TRUE(est.ok());
-  EXPECT_EQ(est->trend[0], -1);  // the clamp itself
+  EXPECT_EQ(est->HardTrend(0), -1);  // the clamp itself
   // Non-seed roads follow the historical prior: slot 2 is an "up" slot in
   // the alternating history.
-  EXPECT_EQ(est->trend[5], +1);
+  EXPECT_EQ(est->HardTrend(5), +1);
 }
 
 }  // namespace
