@@ -313,13 +313,13 @@ int Run(const OverheadConfig& cfg) {
 
   // Detached Ingest sites: three ServingStats mirrors (slots estimated,
   // observations filtered, observations deduplicated), the staleness
-  // gauge, the latency histogram, the local-context null-recorder check,
-  // and kSpansPerIngest null FlightSpans (ingest envelope, admission,
-  // estimate envelope, bp_solve; these sessions publish no snapshot) at
-  // two predicted branches each (ctor + dtor, obs/flight.h).
-  // Registrations in the constructor amortize to ~0 over the run.
+  // gauge, the latency histogram, and kSpansPerIngest null FlightSpans
+  // (ingest envelope, admission, estimate envelope, bp_solve; these
+  // sessions publish no snapshot) at two predicted branches each (ctor +
+  // dtor, obs/flight.h). Registrations in the constructor amortize to ~0
+  // over the run.
   constexpr uint64_t kSpansPerIngest = 4;
-  const double serving_sites = 6.0 + 2.0 * kSpansPerIngest;
+  const double serving_sites = 5.0 + 2.0 * kSpansPerIngest;
   // Tie the span count to the code: one Ingest on a session of the same
   // shape, with a live recorder, records exactly kSpansPerIngest events.
   obs::FlightRecorder span_check;

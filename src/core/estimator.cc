@@ -119,13 +119,11 @@ Result<SeedSelectionResult> TrafficSpeedEstimator::SelectSeeds(
 
 Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
     uint64_t slot, const std::vector<SeedSpeed>& seeds,
-    EstimateWorkspace* workspace,
-    const obs::FlightSink& flight) const {
+    EstimateWorkspace* workspace, obs::FlightRecorder* flight) const {
   const ObservabilityOptions& o = config_.observability;
   // The estimate envelope overlaps bp_solve and is excluded from
   // critical-path attribution (obs/flight.h), but keeps the timeline whole.
-  obs::FlightSpan flight_span(flight.recorder, slot,
-                              obs::FlightStage::kEstimate, flight.ctx);
+  obs::FlightSpan flight_span(flight, slot, obs::FlightStage::kEstimate);
   // A detached estimator never reads the clock.
   const uint64_t start_ns = o.metrics != nullptr ? obs::MonotonicNanos() : 0;
   // Seed trends come from comparing the crowdsourced speed with the road's
@@ -189,8 +187,7 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
     evidence_ptr = &evidence;
   }
   {  // Scoped so the bp_solve span closes before Step 2.
-    obs::FlightSpan bp_span(flight.recorder, slot, obs::FlightStage::kBpSolve,
-                            flight.ctx);
+    obs::FlightSpan bp_span(flight, slot, obs::FlightStage::kBpSolve);
     TS_ASSIGN_OR_RETURN(out.trends,
                         trend_model_->Infer(slot, seed_trends, evidence_ptr));
   }

@@ -89,15 +89,15 @@ class TrafficSpeedEstimator {
     SpeedEstimateResult speeds;
   };
   /// `workspace` (caller-owned, may be null) keeps the seed-set plan and
-  /// scratch across calls; null uses a temporary one. `flight` carries the
-  /// serving layer's recorder + causal context (the estimator's own
-  /// config_.observability has no recorder — flight hookup is per serving
-  /// session, not per model) and records this call as the slot's `estimate`
-  /// envelope span plus a nested `bp_solve` span. A default (detached) sink
-  /// records nothing.
+  /// scratch across calls; null uses a temporary one. A non-null `flight`
+  /// recorder (the serving session's: the estimator's own
+  /// config_.observability has no recorder, since flight hookup is per
+  /// serving session, not per model) records this call as `slot`'s
+  /// `estimate` envelope span plus a nested `bp_solve` span. Null records
+  /// nothing.
   Result<Output> Estimate(uint64_t slot, const std::vector<SeedSpeed>& seeds,
                           EstimateWorkspace* workspace = nullptr,
-                          const obs::FlightSink& flight = {}) const;
+                          obs::FlightRecorder* flight = nullptr) const;
 
   const CorrelationGraph& correlation_graph() const { return *graph_; }
   const InfluenceModel& influence() const { return *influence_; }

@@ -57,27 +57,20 @@ bool IngestFrontEnd::Offer(uint64_t slot, const SeedSpeed& obs) {
   return true;
 }
 
-obs::SlotTraceContext* IngestFrontEnd::BeginSlotTrace(
-    obs::SlotTraceContext* ctx) {
-  if (flight_ == nullptr) return nullptr;
-  uint64_t now = obs::MonotonicNanos();
-  uint64_t origin =
-      pending_origin_ns_ != 0 && pending_origin_ns_ < now ? pending_origin_ns_
-                                                          : now;
-  ctx->slot = pending_slot_;
-  ctx->origin_ns = origin;
-  ctx->stage_seq = 0;
-  flight_->Record(pending_slot_, obs::FlightStage::kQueueWait, origin,
-                  now - origin, ++ctx->stage_seq);
-  return ctx;
-}
-
 Result<ServingSession::SlotReport> IngestFrontEnd::FlushPending() {
   Count(stats_.flushed_slots, m_flushed_slots_);
-  obs::SlotTraceContext ctx;
-  obs::SlotTraceContext* ctx_ptr = BeginSlotTrace(&ctx);
+  if (flight_ != nullptr) {
+    // The slot's queue wait: its batch's earliest enqueue -> Ingest.
+    const uint64_t now = obs::MonotonicNanos();
+    const uint64_t origin =
+        pending_origin_ns_ != 0 && pending_origin_ns_ < now
+            ? pending_origin_ns_
+            : now;
+    flight_->Record(pending_slot_, obs::FlightStage::kQueueWait, origin,
+                    now - origin);
+  }
   Result<ServingSession::SlotReport> result =
-      session_->Ingest(pending_slot_, pending_, ctx_ptr);
+      session_->Ingest(pending_slot_, pending_);
   pending_.clear();  // keeps its capacity for the next slot's batch
   has_pending_ = false;
   pending_origin_ns_ = 0;

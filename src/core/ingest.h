@@ -105,17 +105,12 @@ class IngestFrontEnd {
   IngestFrontEnd(ServingSession* session, size_t capacity);
 
   /// Hands the pending batch to the session, resets it and returns the
-  /// session's result. Precondition: has_pending_. Session-level
+  /// session's result; with a flight recorder attached, first records the
+  /// slot's queue-wait stage. Precondition: has_pending_. Session-level
   /// rejections (out-of-order, strict validation) are already counted in
   /// ServingStats, so Drain discards the result and never stalls on bad
   /// input.
   Result<ServingSession::SlotReport> FlushPending();
-
-  /// Flight-recorder hookup for the batch about to flush: records the
-  /// slot's queue-wait stage (first enqueue -> now) and initializes *ctx
-  /// for the downstream Ingest call. Returns nullptr (and touches nothing)
-  /// when no recorder is attached.
-  obs::SlotTraceContext* BeginSlotTrace(obs::SlotTraceContext* ctx);
 
   /// Per-slot straggler attribution (consumer thread only): bumps the
   /// slot's count in a bounded map and maintains the worst-slot running

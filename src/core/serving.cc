@@ -224,7 +224,7 @@ Status ServingSession::Sanitize(const std::vector<SeedSpeed>& observations,
 }
 
 Result<ServingSession::SlotReport> ServingSession::CarryForward(
-    uint64_t slot, size_t dropped, obs::SlotTraceContext* ctx) {
+    uint64_t slot, size_t dropped) {
   if (!has_report_) {
     return Status::FailedPrecondition(
         "no estimate available to carry forward");
@@ -246,14 +246,14 @@ Result<ServingSession::SlotReport> ServingSession::CarryForward(
   last_report_.monitor.new_alerts.clear();
   last_report_.observations_used = 0;
   last_report_.observations_dropped = dropped;
-  PublishSnapshot(ctx);
+  PublishSnapshot();
   return last_report_;
 }
 
-void ServingSession::PublishSnapshot(obs::SlotTraceContext* ctx) {
+void ServingSession::PublishSnapshot() {
   if (snapshot_ == nullptr || !has_report_) return;
   obs::FlightSpan span(opts_.observability.flight, last_report_.slot,
-                       obs::FlightStage::kPublish, ctx);
+                       obs::FlightStage::kPublish);
   const SpeedEstimateResult& speeds = last_report_.monitor.estimate.speeds;
   snapshot_->Publish(last_report_.slot, speeds.speed_kmh, speeds.deviation,
                      last_report_.stale_slots,
@@ -282,17 +282,9 @@ ServingStats ServingSession::stats() const {
 }
 
 Result<ServingSession::SlotReport> ServingSession::Ingest(
-    uint64_t slot, const std::vector<SeedSpeed>& observations,
-    obs::SlotTraceContext* ctx) {
+    uint64_t slot, const std::vector<SeedSpeed>& observations) {
   obs::FlightRecorder* flight = opts_.observability.flight;
-  obs::SlotTraceContext local;
-  if (flight != nullptr && ctx == nullptr) {
-    // Direct Ingest call (no front-end): the slot's timeline starts here.
-    local.slot = slot;
-    local.origin_ns = obs::MonotonicNanos();
-    ctx = &local;
-  }
-  obs::FlightSpan envelope(flight, slot, obs::FlightStage::kIngest, ctx);
+  obs::FlightSpan envelope(flight, slot, obs::FlightStage::kIngest);
   IngestLatencyScope latency(m_ingest_latency_);
   if (has_report_) {
     if (slot == last_report_.slot) {
@@ -313,8 +305,7 @@ Result<ServingSession::SlotReport> ServingSession::Ingest(
   size_t filtered = 0;
   size_t deduplicated = 0;
   Status sanitized = [&] {
-    obs::FlightSpan admission(flight, slot, obs::FlightStage::kAdmission,
-                              ctx);
+    obs::FlightSpan admission(flight, slot, obs::FlightStage::kAdmission);
     return Sanitize(observations, &filtered, &deduplicated);
   }();
   if (!sanitized.ok()) {
@@ -326,16 +317,16 @@ Result<ServingSession::SlotReport> ServingSession::Ingest(
   Count(stats_->observations_deduplicated, m_observations_deduplicated_,
         deduplicated);
   const size_t dropped = filtered + deduplicated;
-  if (admitted_.empty()) return CarryForward(slot, dropped, ctx);
+  if (admitted_.empty()) return CarryForward(slot, dropped);
 
-  Result<TrafficSpeedEstimator::Output> estimate = estimator_->Estimate(
-      slot, admitted_, &workspace_, obs::FlightSink{flight, slot, ctx});
+  Result<TrafficSpeedEstimator::Output> estimate =
+      estimator_->Estimate(slot, admitted_, &workspace_, flight);
   // Never serve a non-finite or negative speed, whatever the estimator
   // produced; degrade to the last good estimate instead. The check runs
   // before UpdateAlerts, so a refused field moves no alert state.
   if (!estimate.ok() || !Servable(estimate->speeds.speed_kmh)) {
     Count(stats_->estimation_failures, m_estimation_failures_);
-    return CarryForward(slot, dropped, ctx);
+    return CarryForward(slot, dropped);
   }
 
   Count(stats_->slots_estimated, m_slots_estimated_);
@@ -348,7 +339,7 @@ Result<ServingSession::SlotReport> ServingSession::Ingest(
   last_report_.observations_used = admitted_.size();
   last_report_.observations_dropped = dropped;
   has_report_ = true;
-  PublishSnapshot(ctx);
+  PublishSnapshot();
   return last_report_;
 }
 

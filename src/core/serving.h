@@ -130,13 +130,13 @@ struct ProductOptions {
 struct ServingObservabilityOptions {
   /// Destination for the trendspeed_serving_* series.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Slot-causal flight recorder (obs/flight.h). When attached, every
-  /// stage a slot passes through — queue wait, admission, estimate, BP
-  /// solve, snapshot publish — records into the recorder's ring, which
-  /// merges into one causal timeline per slot and may be shared by
-  /// sessions on several threads; the session hands the recorder down
-  /// per call as an obs::FlightSink. Null (default): every flight site is
-  /// one predicted branch.
+  /// Slot flight recorder (obs/flight.h). When attached, every stage a
+  /// slot passes through — queue wait, admission, estimate, BP solve,
+  /// snapshot publish — records one (slot, stage, start, duration) event
+  /// into the recorder's ring, which merges into one timeline per slot and
+  /// may be shared by sessions on several threads; the session passes the
+  /// recorder to Estimate. Null (default): every flight site is one
+  /// predicted branch.
   obs::FlightRecorder* flight = nullptr;
 };
 
@@ -238,15 +238,8 @@ class ServingSession {
   ///   FailedPrecondition   stale (out-of-order) slot arrival, or an
   ///                        empty/failed slot with no carry-forward
   ///                        available (none yet, or staleness limit hit).
-  ///
-  /// `ctx` is an externally created slot-trace context (the ingest
-  /// front-end passes the one whose queue-wait stage it already recorded).
-  /// With a flight recorder attached and ctx null, a local context is
-  /// created so direct Ingest callers still get full stage attribution;
-  /// detached sessions ignore ctx entirely.
   Result<SlotReport> Ingest(uint64_t slot,
-                            const std::vector<SeedSpeed>& observations,
-                            obs::SlotTraceContext* ctx = nullptr);
+                            const std::vector<SeedSpeed>& observations);
 
   /// Point-in-time snapshot of the cumulative degradation counters.
   ServingStats stats() const;
@@ -291,8 +284,7 @@ class ServingSession {
 
   /// Serves the last good estimate for `slot` with the staleness flag, or
   /// explains why it cannot.
-  Result<SlotReport> CarryForward(uint64_t slot, size_t dropped,
-                                  obs::SlotTraceContext* ctx);
+  Result<SlotReport> CarryForward(uint64_t slot, size_t dropped);
 
   /// Folds a freshly served estimate into the per-road alert state and
   /// fills the rest of *report (alerts, mean speed, congested count).
@@ -325,7 +317,7 @@ class ServingSession {
   /// Publishes the last served report as a new speed snapshot (no-op
   /// when snapshots are off); records the kPublish flight stage when a
   /// recorder is attached.
-  void PublishSnapshot(obs::SlotTraceContext* ctx);
+  void PublishSnapshot();
 
   const TrafficSpeedEstimator* estimator_;
   ServingOptions opts_;

@@ -87,7 +87,7 @@ extern const MetricDef kSnapshotReadLatencyUs;  ///< histogram
 extern const MetricDef kServingIngestStragglerWorstSlot;   ///< gauge
 extern const MetricDef kServingIngestStragglerWorstCount;  ///< gauge
 
-// --- obs/flight.cc (slot-causal flight recorder) ----------------------------
+// --- obs/flight.cc (slot flight recorder) ----------------------------------
 extern const MetricDef kFlightEventsRecordedTotal;
 extern const MetricDef kFlightEventsDroppedTotal;
 

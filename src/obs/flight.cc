@@ -57,14 +57,13 @@ FlightRecorder::FlightRecorder(size_t capacity)
 }
 
 void FlightRecorder::Record(uint64_t slot, FlightStage stage, uint64_t start_ns,
-                            uint64_t duration_ns, uint32_t path_seq) {
+                            uint64_t duration_ns) {
   FlightEvent e;
   e.slot = slot;
   e.start_ns = start_ns;
   e.duration_ns = duration_ns;
   e.thread_id = CurrentThreadId();
   e.stage = stage;
-  e.path_seq = path_seq;
   std::lock_guard<std::mutex> lock(mu_);
   const bool new_thread =
       std::none_of(threads_.begin(), threads_.end(),
@@ -144,8 +143,7 @@ size_t FlightRecorder::num_threads() const {
 uint64_t FlightSpan::Now() { return MonotonicNanos(); }
 
 void FlightSpan::End() {
-  recorder_->Record(slot_, stage_, start_ns_, ElapsedNanosSince(start_ns_),
-                    path_seq_);
+  recorder_->Record(slot_, stage_, start_ns_, ElapsedNanosSince(start_ns_));
 }
 
 double SlotCriticalPath::AttributedFraction() const {

@@ -1,29 +1,30 @@
-// Slot-causal flight recorder: one bounded event ring merged into per-slot
-// causal timelines with critical-path attribution.
+// Slot flight recorder: one bounded event ring merged into per-slot
+// timelines with critical-path attribution.
 //
 // Motivation (docs/observability.md "Flight recorder"): once a slot's life
 // spans the MPSC ingest queue, the BP solve on the thread pool, and the
 // speed snapshot publish, flat counters cannot answer "why was slot 1041
-// slow?". The flight recorder threads a SlotTraceContext through the
-// serving pipeline — IngestFrontEnd admission -> Ingest -> Estimate -> BP
-// solve -> snapshot publish — so the collector can reassemble one slot's
-// stage timeline across every participating thread.
+// slow?". Each stage of the serving pipeline — IngestFrontEnd queue wait
+// -> Ingest -> admission -> Estimate -> BP solve -> snapshot publish —
+// records one (slot, stage, start, duration) event, so the collector can
+// reassemble one slot's stage timeline from the shared ring.
 //
 // Concurrency design: every flight event is recorded by the thread that
 // calls IngestFrontEnd::Flush or ServingSession::Ingest (pool workers never
-// record), so a recorder has as few writers as it has serving sessions.
-// One mutex guards one ring of trivially-copyable FlightEvents whose
-// capacity covers the whole recorder. A Record is one short critical
-// section. The ring is reserved at construction, so only a thread's first
-// Record allocates (its label). Once the ring is full each Record
-// overwrites the oldest event and counts a drop. Collect copies the ring
-// under the same mutex, so a writer may wait for a concurrent Collect's
-// copy, and ThreadSanitizer sees every access.
+// record), so a recorder has as few writers as it has serving sessions,
+// and one slot's events come from one thread: their start_ns order is
+// their causal order. One mutex guards one ring of trivially-copyable
+// FlightEvents whose capacity covers the whole recorder. A Record is one
+// short critical section. The ring is reserved at construction, so only a
+// thread's first Record allocates (its label). Once the ring is full each
+// Record overwrites the oldest event and counts a drop. Collect copies the
+// ring under the same mutex, so a writer may wait for a concurrent
+// Collect's copy, and ThreadSanitizer sees every access.
 //
-// Detached contract (the PR 3 rule): every record site is null-handle
-// gated. `FlightSpan span(nullptr, ...)` costs two predicted branches and
-// no clock reads; a pipeline with no recorder attached is bitwise identical
-// to an uninstrumented one (bench_observability_overhead gates this).
+// Detached contract: every record site is null-handle gated.
+// `FlightSpan span(nullptr, ...)` costs two predicted branches and no clock
+// reads; a pipeline with no recorder attached is bitwise identical to an
+// uninstrumented one (bench_observability_overhead gates this).
 
 #ifndef TRENDSPEED_OBS_FLIGHT_H_
 #define TRENDSPEED_OBS_FLIGHT_H_
@@ -46,7 +47,7 @@ class MetricsRegistry;
 /// slot); kEstimate is an envelope containing kBpSolve, informational and
 /// excluded from critical-path sums.
 enum class FlightStage : uint8_t {
-  kQueueWait = 0,  ///< first enqueue of the slot's batch -> admission
+  kQueueWait = 0,  ///< first enqueue of the slot's batch -> its Ingest call
   kIngest,         ///< whole ServingSession::Ingest call
   kAdmission,      ///< sanitize/dedup of the offered batch
   kEstimate,       ///< Estimator::Estimate envelope (contains kBpSolve)
@@ -67,20 +68,6 @@ struct FlightEvent {
   uint64_t index = 0;        ///< recorder-wide record order (0-based)
   uint32_t thread_id = 0;    ///< dense process-wide id, in first-use order
   FlightStage stage = FlightStage::kQueueWait;
-  /// 1-based position on the slot's causal backbone (assigned from the
-  /// SlotTraceContext stage sequence); 0 = an event recorded without a
-  /// context.
-  uint32_t path_seq = 0;
-};
-
-/// Carried through the pipeline alongside one slot's batch so every stage
-/// records against the same slot identity and causal order. Created at
-/// admission (or at Ingest entry for direct calls) only when a recorder is
-/// attached; detached pipelines pass nullptr everywhere.
-struct SlotTraceContext {
-  uint64_t slot = 0;
-  uint64_t origin_ns = 0;   ///< monotonic timestamp of the slot's first enqueue
-  uint32_t stage_seq = 0;   ///< bumped by each on-path FlightSpan
 };
 
 class FlightRecorder {
@@ -94,7 +81,7 @@ class FlightRecorder {
 
   /// Records one completed stage. Thread-safe: one short critical section.
   void Record(uint64_t slot, FlightStage stage, uint64_t start_ns,
-              uint64_t duration_ns, uint32_t path_seq = 0);
+              uint64_t duration_ns);
 
   /// Copy of the retained events, sorted by (start_ns, thread_id, index).
   /// Safe to call concurrently with writers.
@@ -136,17 +123,14 @@ class FlightRecorder {
 void SetFlightThreadLabel(const char* label);
 
 /// RAII stage span. A null recorder makes the whole object two predicted
-/// branches: no clock reads, no context mutation (so a detached run's
-/// SlotTraceContext — if one even exists — is bitwise untouched).
+/// branches and no clock reads.
 class FlightSpan {
  public:
-  FlightSpan(FlightRecorder* recorder, uint64_t slot, FlightStage stage,
-             SlotTraceContext* ctx = nullptr)
+  FlightSpan(FlightRecorder* recorder, uint64_t slot, FlightStage stage)
       : recorder_(recorder) {
     if (recorder_ == nullptr) return;
     slot_ = slot;
     stage_ = stage;
-    path_seq_ = ctx != nullptr ? ++ctx->stage_seq : 0;
     start_ns_ = Now();
   }
   ~FlightSpan() {
@@ -164,24 +148,15 @@ class FlightSpan {
   FlightRecorder* recorder_;
   uint64_t slot_ = 0;
   uint64_t start_ns_ = 0;
-  uint32_t path_seq_ = 0;
   FlightStage stage_ = FlightStage::kQueueWait;
-};
-
-/// Bundles the recorder + slot identity + causal context for APIs below the
-/// serving layer (TrafficSpeedEstimator::Estimate takes one; the default
-/// instance is fully detached).
-struct FlightSink {
-  FlightRecorder* recorder = nullptr;
-  uint64_t slot = 0;
-  SlotTraceContext* ctx = nullptr;
 };
 
 /// Per-slot critical-path decomposition over one slot's collected events.
 /// total = queue-wait + the Ingest envelope; the attributed stages
 /// (admission / BP / publish) partition the envelope, and
-/// whatever the envelope spent outside them (trend monitor, regression
-/// Step 2, sanitizer bookkeeping) lands in other_ns.
+/// whatever the envelope spent outside them (seed trends, the influence
+/// aggregate, evidence backfill, regression Step 2, alert updates) lands
+/// in other_ns.
 struct SlotCriticalPath {
   uint64_t slot = 0;
   uint64_t total_ns = 0;

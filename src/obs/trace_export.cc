@@ -73,8 +73,6 @@ std::string ToChromeTraceJson(
     AppendMicros(&out, e.duration_ns, 0);
     out.append(",\"args\":{\"slot\":");
     out.append(std::to_string(e.slot));
-    out.append(",\"seq\":");
-    out.append(std::to_string(e.path_seq));
     out.append("}}");
   }
   out.append(sorted.empty() && meta.empty() ? "]}" : "\n]}");

@@ -12,7 +12,9 @@
 //     runs;
 //   * `ts`/`dur` in microseconds, printed as %.3f, rebased so the earliest
 //     event starts at ts 0.000 (absolute monotonic origins differ per run;
-//     rebasing keeps goldens stable under the injected clock).
+//     rebasing keeps goldens stable under the injected clock);
+//   * `args` holds the event's slot only: one slot's stages are recorded
+//     by one thread, so their `ts` order is their pipeline order.
 //
 // Everything here is a pure function of already-collected events — no
 // clock reads, no recorder mutation — so exports are safe while writers
@@ -33,7 +35,7 @@ namespace obs {
 
 /// Flight events (any order) + thread labels -> Chrome trace JSON. Events
 /// carry cat "flight", the FlightStageName as the event name, and args
-/// {"slot":N,"seq":P} (seq = causal path position, 0 = off-path).
+/// {"slot":N}.
 std::string ToChromeTraceJson(
     const std::vector<FlightEvent>& events,
     const std::vector<std::pair<uint32_t, std::string>>& threads);

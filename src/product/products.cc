@@ -1,27 +1,24 @@
 #include "product/products.h"
 
-#include <chrono>
 #include <utility>
 
 #include "obs/catalog.h"
+#include "obs/clock.h"
 
 namespace trendspeed {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /// Start of a timed read. The clock is read only when the latency histogram
 /// is attached, so a detached read touches no clock at all.
-Clock::time_point ReadStart(const obs::Histogram* latency) {
-  return latency != nullptr ? Clock::now() : Clock::time_point{};
+uint64_t ReadStart(const obs::Histogram* latency) {
+  return latency != nullptr ? obs::MonotonicNanos() : 0;
 }
 
-void ObserveRead(obs::Histogram* latency, Clock::time_point start) {
+void ObserveRead(obs::Histogram* latency, uint64_t start_ns) {
   if (latency == nullptr) return;
-  obs::Observe(latency, std::chrono::duration<double, std::micro>(
-                            Clock::now() - start)
-                            .count());
+  obs::Observe(latency,
+               static_cast<double>(obs::ElapsedNanosSince(start_ns)) * 1e-3);
 }
 
 }  // namespace
@@ -92,7 +89,7 @@ bool CityProducts::Poll() {
 }
 
 Result<RouteEtaCache::EtaResult> CityProducts::Eta(NodeId from, NodeId to) {
-  const Clock::time_point start = ReadStart(m_read_latency_);
+  const uint64_t start_ns = ReadStart(m_read_latency_);
   if (!ReadLatest()) {
     return Status::FailedPrecondition(
         "no snapshot published yet; nothing to route on");
@@ -102,12 +99,12 @@ Result<RouteEtaCache::EtaResult> CityProducts::Eta(NodeId from, NodeId to) {
   profile_->Fold(*snap_);
   TS_ASSIGN_OR_RETURN(RouteEtaCache::EtaResult result,
                       eta_cache_->Eta(*snap_, from, to));
-  ObserveRead(m_read_latency_, start);
+  ObserveRead(m_read_latency_, start_ns);
   return result;
 }
 
 Result<SpeedProfileStore::BlendedSpeed> CityProducts::RoadSpeed(RoadId road) {
-  const Clock::time_point start = ReadStart(m_read_latency_);
+  const uint64_t start_ns = ReadStart(m_read_latency_);
   if (!ReadLatest()) {
     return Status::FailedPrecondition(
         "no snapshot published yet; nothing to serve");
@@ -117,7 +114,7 @@ Result<SpeedProfileStore::BlendedSpeed> CityProducts::RoadSpeed(RoadId road) {
   }
   profile_->Fold(*snap_);
   SpeedProfileStore::BlendedSpeed speed = profile_->BlendQuery(*snap_, road);
-  ObserveRead(m_read_latency_, start);
+  ObserveRead(m_read_latency_, start_ns);
   return speed;
 }
 

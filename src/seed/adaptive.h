@@ -11,6 +11,7 @@
 #ifndef TRENDSPEED_SEED_ADAPTIVE_H_
 #define TRENDSPEED_SEED_ADAPTIVE_H_
 
+#include <array>
 #include <vector>
 
 #include "corr/correlation_graph.h"
@@ -22,9 +23,15 @@
 namespace trendspeed {
 
 struct AdaptivePlanOptions {
-  /// Day partition boundaries in hours, ascending, implicitly wrapping:
-  /// {6, 10, 16, 20} = night[20..6), am[6..10), midday[10..16), pm[16..20).
-  std::vector<double> period_boundaries_h = {6.0, 10.0, 16.0, 20.0};
+  /// The default partition: night[20..6), am[6..10), midday[10..16),
+  /// pm[16..20).
+  static constexpr std::array<double, 4> kDefaultBoundariesH = {6.0, 10.0,
+                                                                 16.0, 20.0};
+  /// Day partition boundaries in hours, ascending, implicitly wrapping.
+  /// Copied from an array, not an initializer_list: GCC 12 at -march=native
+  /// warns -Wmaybe-uninitialized through the list's inlined copy.
+  std::vector<double> period_boundaries_h{kDefaultBoundariesH.begin(),
+                                          kDefaultBoundariesH.end()};
   InfluenceOptions influence;
 };
 

@@ -1,4 +1,4 @@
-// Tests for the slot-causal flight recorder (obs/flight.h): stage naming,
+// Tests for the slot flight recorder (obs/flight.h): stage naming,
 // recording into the shared ring and collection, overflow accounting,
 // the detached FlightSpan no-op contract, critical-path attribution, and
 // the TSan torture proof (N writer threads + a live collector). Run under
@@ -37,9 +37,9 @@ TEST(FlightStageTest, NamesAreStable) {
 TEST(FlightRecorderTest, RecordsAndCollectsInStartOrder) {
   obs::FlightRecorder rec(/*capacity=*/64);
   rec.Record(7, obs::FlightStage::kAdmission, /*start_ns=*/200,
-             /*duration_ns=*/10, /*path_seq=*/2);
+             /*duration_ns=*/10);
   rec.Record(7, obs::FlightStage::kQueueWait, /*start_ns=*/100,
-             /*duration_ns=*/100, /*path_seq=*/1);
+             /*duration_ns=*/100);
   rec.Record(8, obs::FlightStage::kQueueWait, /*start_ns=*/300,
              /*duration_ns=*/5);
   std::vector<obs::FlightEvent> events = rec.Collect();
@@ -47,10 +47,10 @@ TEST(FlightRecorderTest, RecordsAndCollectsInStartOrder) {
   // Sorted by start_ns regardless of record order.
   EXPECT_EQ(events[0].start_ns, 100u);
   EXPECT_EQ(events[0].stage, obs::FlightStage::kQueueWait);
-  EXPECT_EQ(events[0].path_seq, 1u);
+  EXPECT_EQ(events[0].duration_ns, 100u);
   EXPECT_EQ(events[1].start_ns, 200u);
+  EXPECT_EQ(events[1].stage, obs::FlightStage::kAdmission);
   EXPECT_EQ(events[2].slot, 8u);
-  EXPECT_EQ(events[2].path_seq, 0u);
   EXPECT_EQ(rec.total_recorded(), 3u);
   EXPECT_EQ(rec.dropped(), 0u);
   EXPECT_EQ(rec.num_threads(), 1u);
@@ -107,42 +107,55 @@ TEST(FlightRecorderTest, ThreadLabelsDefaultAndOverride) {
   EXPECT_TRUE(saw_default);
 }
 
-TEST(FlightSpanTest, DetachedSpanTouchesNothing) {
-  obs::SlotTraceContext ctx;
-  ctx.slot = 9;
-  ctx.stage_seq = 3;
-  // Null recorder: no clock read, no context mutation — the detached
-  // pipeline's state stays bitwise identical.
-  {
-    obs::FlightSpan span(nullptr, 9, obs::FlightStage::kAdmission, &ctx);
-  }
-  EXPECT_EQ(ctx.stage_seq, 3u);
+uint64_t g_clock_reads = 0;
+uint64_t CountingClock() {
+  ++g_clock_reads;
+  return g_fake_now;
 }
 
-TEST(FlightSpanTest, AttachedSpanRecordsWithCausalSequence) {
+TEST(FlightSpanTest, DetachedSpanTouchesNothing) {
+  // Null recorder: no clock read, so the detached pipeline pays two
+  // predicted branches and nothing else.
+  obs::SetMonotonicClockForTest(&CountingClock);
+  g_clock_reads = 0;
+  {
+    obs::FlightSpan span(nullptr, 9, obs::FlightStage::kAdmission);
+  }
+  const uint64_t detached_reads = g_clock_reads;
+  // The same span with a recorder reads the clock at entry and exit, so
+  // the counter does see span reads.
+  obs::FlightRecorder rec;
+  {
+    obs::FlightSpan span(&rec, 9, obs::FlightStage::kAdmission);
+  }
+  const uint64_t attached_reads = g_clock_reads - detached_reads;
+  obs::SetMonotonicClockForTest(nullptr);
+  EXPECT_EQ(detached_reads, 0u);
+  EXPECT_EQ(attached_reads, 2u);
+  EXPECT_EQ(rec.total_recorded(), 1u);
+}
+
+TEST(FlightSpanTest, AttachedSpansRecordInStartOrder) {
   obs::SetMonotonicClockForTest(&FakeClock);
   g_fake_now = 1'000;
   obs::FlightRecorder rec;
-  obs::SlotTraceContext ctx;
-  ctx.slot = 5;
   {
-    obs::FlightSpan span(&rec, 5, obs::FlightStage::kAdmission, &ctx);
+    obs::FlightSpan span(&rec, 5, obs::FlightStage::kAdmission);
     g_fake_now += 250;
   }
   {
-    obs::FlightSpan span(&rec, 5, obs::FlightStage::kPublish, &ctx);
+    obs::FlightSpan span(&rec, 5, obs::FlightStage::kPublish);
     g_fake_now += 50;
   }
   obs::SetMonotonicClockForTest(nullptr);
-  EXPECT_EQ(ctx.stage_seq, 2u);
   std::vector<obs::FlightEvent> events = rec.CollectSlot(5);
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].stage, obs::FlightStage::kAdmission);
   EXPECT_EQ(events[0].start_ns, 1'000u);
   EXPECT_EQ(events[0].duration_ns, 250u);
-  EXPECT_EQ(events[0].path_seq, 1u);
   EXPECT_EQ(events[1].stage, obs::FlightStage::kPublish);
-  EXPECT_EQ(events[1].path_seq, 2u);
+  EXPECT_EQ(events[1].start_ns, 1'250u);
+  EXPECT_EQ(events[1].duration_ns, 50u);
 }
 
 // ---------------------------------------------------------------------------
@@ -150,26 +163,24 @@ TEST(FlightSpanTest, AttachedSpanRecordsWithCausalSequence) {
 // ---------------------------------------------------------------------------
 
 std::vector<obs::FlightEvent> SyntheticSlotTimeline(uint64_t slot) {
-  auto ev = [slot](obs::FlightStage stage, uint64_t start, uint64_t dur,
-                   uint32_t seq) {
+  auto ev = [slot](obs::FlightStage stage, uint64_t start, uint64_t dur) {
     obs::FlightEvent e;
     e.slot = slot;
     e.stage = stage;
     e.start_ns = start;
     e.duration_ns = dur;
-    e.path_seq = seq;
     return e;
   };
   // queue_wait 1000ns, then a 5000ns ingest envelope containing admission
   // (700), estimate envelope (3800) with bp (2000), and publish (300).
   // Unattributed envelope remainder: 5000 - 3000 = 2000.
   return {
-      ev(obs::FlightStage::kQueueWait, 0, 1000, 1),
-      ev(obs::FlightStage::kIngest, 1000, 5000, 6),
-      ev(obs::FlightStage::kAdmission, 1100, 700, 2),
-      ev(obs::FlightStage::kEstimate, 1900, 3800, 3),
-      ev(obs::FlightStage::kBpSolve, 2000, 2000, 4),
-      ev(obs::FlightStage::kPublish, 5600, 300, 5),
+      ev(obs::FlightStage::kQueueWait, 0, 1000),
+      ev(obs::FlightStage::kIngest, 1000, 5000),
+      ev(obs::FlightStage::kAdmission, 1100, 700),
+      ev(obs::FlightStage::kEstimate, 1900, 3800),
+      ev(obs::FlightStage::kBpSolve, 2000, 2000),
+      ev(obs::FlightStage::kPublish, 5600, 300),
   };
 }
 
@@ -212,24 +223,28 @@ TEST(FlightTortureTest, ConcurrentWritersAndCollectorAreRaceFree) {
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&rec, w] {
       for (uint64_t i = 0; i < kEventsPerWriter; ++i) {
-        rec.Record(/*slot=*/i % 17,
+        rec.Record(/*slot=*/w * 17 + i % 17,
                    static_cast<obs::FlightStage>(i % obs::kNumFlightStages),
-                   /*start_ns=*/i * 10 + w, /*duration_ns=*/i % 97,
-                   /*path_seq=*/static_cast<uint32_t>(w));
+                   /*start_ns=*/i * 10 + w, /*duration_ns=*/i % 97);
       }
     });
   }
   // Live collector: every returned event must be internally consistent —
   // one whole Record, never a torn mix.
-  // path_seq carries the writer index, tying the fields of one cell.
+  // slot carries the writer index (slot / 17), tying the fields of one
+  // cell: start_ns, duration_ns, stage and slot % 17 all follow from i.
   uint64_t collections = 0;
   while (writing.load(std::memory_order_acquire)) {
     std::vector<obs::FlightEvent> events = rec.Collect();
     for (const obs::FlightEvent& e : events) {
-      ASSERT_LT(e.slot, 17u);
-      ASSERT_LT(static_cast<size_t>(e.stage), obs::kNumFlightStages);
-      ASSERT_LT(e.path_seq, static_cast<uint32_t>(kWriters));
-      ASSERT_EQ(e.duration_ns, (e.start_ns - e.path_seq) / 10 % 97);
+      const uint64_t w = e.slot / 17;
+      ASSERT_LT(w, static_cast<uint64_t>(kWriters));
+      ASSERT_GE(e.start_ns, w);
+      const uint64_t i = (e.start_ns - w) / 10;
+      ASSERT_EQ(e.start_ns, i * 10 + w);
+      ASSERT_EQ(e.slot % 17, i % 17);
+      ASSERT_EQ(static_cast<size_t>(e.stage), i % obs::kNumFlightStages);
+      ASSERT_EQ(e.duration_ns, i % 97);
     }
     ++collections;
     if (rec.total_recorded() >= kWriters * kEventsPerWriter) {

@@ -436,8 +436,7 @@ TEST_F(ObsPipelineTest, EstimateRecordsBpAndEstimatorSeries) {
   uint64_t estimates_before = CounterValue(obs::kEstimatesTotal);
   const uint64_t slot = 0;
   obs::FlightRecorder recorder;
-  auto out = estimator_->Estimate(slot, CleanObs(slot), nullptr,
-                                  obs::FlightSink{&recorder, slot, nullptr});
+  auto out = estimator_->Estimate(slot, CleanObs(slot), nullptr, &recorder);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(CounterValue(obs::kEstimatesTotal), estimates_before + 1);
   EXPECT_GT(CounterValue(obs::kBpRunsTotal), runs_before);

@@ -16,6 +16,7 @@
 #include "core/serving.h"
 #include "core/snapshot.h"
 #include "obs/catalog.h"
+#include "obs/clock.h"
 #include "product/products.h"
 #include "product/profile.h"
 #include "product/route_eta.h"
@@ -520,6 +521,36 @@ TEST_F(ProductServingTest, PollFoldsAndEtaAnswersOverLiveSession) {
   EXPECT_EQ(reg.GetCounter(obs::kProductEtaCacheMissesTotal)->Value(),
             products->eta_cache().stats().misses);
   EXPECT_GT(reg.GetHistogram(obs::kProductReadLatencyUs)->count(), 0u);
+}
+
+uint64_t g_step_now = 0;
+
+// Product reads are timed on the tree's clock (obs/clock.h), so an injected
+// clock reaches trendspeed_product_read_latency_us: with a clock that steps
+// 1 ms per read, each timed Eta and RoadSpeed observes exactly 1000 us.
+TEST_F(ProductServingTest, ReadLatencyUsesInjectedClock) {
+  obs::MetricsRegistry reg;
+  auto session = ServingSession::Create(estimator_, ProductServingOptions());
+  ASSERT_TRUE(session.ok());
+  auto products = CityProducts::ForSession(ds().net, *session, 144);
+  ASSERT_TRUE(products.ok());
+  products->AttachMetrics(&reg);
+  ASSERT_TRUE(session->Ingest(0, CleanObs(0)).ok());
+
+  g_step_now = 0;
+  obs::SetMonotonicClockForTest(+[]() -> uint64_t {
+    g_step_now += 1'000'000;
+    return g_step_now;
+  });
+  auto eta = products->Eta(0, static_cast<NodeId>(ds().net.num_nodes() - 1));
+  auto speed = products->RoadSpeed(0);
+  obs::SetMonotonicClockForTest(nullptr);
+  ASSERT_TRUE(eta.ok()) << eta.status().ToString();
+  ASSERT_TRUE(speed.ok()) << speed.status().ToString();
+
+  const obs::Histogram* h = reg.GetHistogram(obs::kProductReadLatencyUs);
+  ASSERT_EQ(h->count(), 2u);
+  EXPECT_EQ(h->sum(), 2000.0);
 }
 
 // The tentpole's "detached is free" claim, pinned: a session with products

@@ -1,8 +1,8 @@
 // Tests for the Chrome trace-event JSON exporter (obs/trace_export.h):
 // a byte-exact golden for flight exports, escaping of caller-supplied
-// thread labels, and a schema check over
-// a real serving replay — the trace a --trace-out bench run would hand to
-// chrome://tracing must stay loadable.
+// thread labels, and a schema and stage-order check over a real serving
+// replay — the trace a --trace-out bench run would hand to chrome://tracing
+// must stay loadable, and its timestamps must order each slot's stages.
 
 #include <cstdint>
 #include <string>
@@ -35,14 +35,12 @@ TEST(TraceExportTest, FlightEventsGolden) {
   queue.duration_ns = 1'500;
   queue.thread_id = 3;
   queue.stage = obs::FlightStage::kQueueWait;
-  queue.path_seq = 1;
   obs::FlightEvent bp;
   bp.slot = 12;
   bp.start_ns = 4'500;
   bp.duration_ns = 250;
   bp.thread_id = 7;
   bp.stage = obs::FlightStage::kBpSolve;
-  bp.path_seq = 4;
   // Deliberately out of start order: the exporter sorts.
   std::vector<obs::FlightEvent> events = {bp, queue};
   std::vector<std::pair<uint32_t, std::string>> threads = {
@@ -56,10 +54,10 @@ TEST(TraceExportTest, FlightEventsGolden) {
       "\"args\":{\"name\":\"pool-0\"}},\n"
       "{\"ph\":\"X\",\"pid\":1,\"tid\":3,\"cat\":\"flight\","
       "\"name\":\"queue_wait\",\"ts\":0.000,\"dur\":1.500,"
-      "\"args\":{\"slot\":12,\"seq\":1}},\n"
+      "\"args\":{\"slot\":12}},\n"
       "{\"ph\":\"X\",\"pid\":1,\"tid\":7,\"cat\":\"flight\","
       "\"name\":\"bp_solve\",\"ts\":2.500,\"dur\":0.250,"
-      "\"args\":{\"slot\":12,\"seq\":4}}\n"
+      "\"args\":{\"slot\":12}}\n"
       "]}";
   EXPECT_EQ(obs::ToChromeTraceJson(events, threads), expected);
 }
@@ -163,15 +161,38 @@ TEST(TraceExportTest, ServingReplayExportsLoadableTrace) {
   }
   for (uint64_t slot = 0; slot < 3; ++slot) {
     const std::vector<obs::FlightEvent> events = flight.CollectSlot(slot);
-    std::vector<bool> seen(obs::kNumFlightStages, false);
+    std::vector<const obs::FlightEvent*> by_stage(obs::kNumFlightStages,
+                                                  nullptr);
     for (const obs::FlightEvent& e : events) {
-      seen[static_cast<size_t>(e.stage)] = true;
+      const size_t k = static_cast<size_t>(e.stage);
+      EXPECT_EQ(by_stage[k], nullptr)
+          << "slot " << slot << " repeats " << obs::FlightStageName(e.stage);
+      by_stage[k] = &e;
     }
     for (size_t k = 0; k < obs::kNumFlightStages; ++k) {
-      EXPECT_TRUE(seen[k]) << "slot " << slot << " lacks "
-                           << obs::FlightStageName(
-                                  static_cast<obs::FlightStage>(k));
+      ASSERT_NE(by_stage[k], nullptr)
+          << "slot " << slot << " lacks "
+          << obs::FlightStageName(static_cast<obs::FlightStage>(k));
     }
+    // One thread records all of a slot's stages, so their own timestamps
+    // give the pipeline order: each stage starts no earlier than the one
+    // before it ends, and each envelope brackets what it contains. Equal
+    // timestamps are legal.
+    auto start = [&](obs::FlightStage stage) {
+      return by_stage[static_cast<size_t>(stage)]->start_ns;
+    };
+    auto end = [&](obs::FlightStage stage) {
+      const obs::FlightEvent& e = *by_stage[static_cast<size_t>(stage)];
+      return e.start_ns + e.duration_ns;
+    };
+    using S = obs::FlightStage;
+    EXPECT_LE(end(S::kQueueWait), start(S::kIngest)) << "slot " << slot;
+    EXPECT_LE(start(S::kIngest), start(S::kAdmission)) << "slot " << slot;
+    EXPECT_LE(end(S::kAdmission), start(S::kEstimate)) << "slot " << slot;
+    EXPECT_LE(start(S::kEstimate), start(S::kBpSolve)) << "slot " << slot;
+    EXPECT_LE(end(S::kBpSolve), end(S::kEstimate)) << "slot " << slot;
+    EXPECT_LE(end(S::kEstimate), start(S::kPublish)) << "slot " << slot;
+    EXPECT_LE(end(S::kPublish), end(S::kIngest)) << "slot " << slot;
     // The attributed stages plus `other` tile the slot's total exactly.
     const obs::SlotCriticalPath cp = obs::ComputeSlotCriticalPath(events, slot);
     EXPECT_GT(cp.total_ns, 0u);
