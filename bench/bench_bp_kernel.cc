@@ -1,12 +1,12 @@
-// BP message-update kernel bench: scalar oracle vs the vectorized SoA
-// kernel (trend/bp_kernel.h) on a 100k+ segment grid MRF, single thread.
+// BP kernel bench: the served one-sweep schedule (S = 1) on the scalar
+// oracle vs the vectorized SoA kernel (trend/bp_kernel.h) on a 100k+
+// segment grid MRF, at 1 and 4 threads.
 //
 // Emits machine-readable JSON on stdout (committed as BENCH_bp_kernel.json)
 // with the uniform hardware stamp, so the headline speedup is always read
 // together with the ISA and CPU count it was measured on. Correctness is
-// asserted inline: both kernels run the identical fixed sweep schedule
-// and the marginals must agree within the kernel's documented tolerance
-// contract.
+// asserted inline: both engines run the same sweep and the marginals must
+// agree within the kernel's documented 1e-3 tolerance contract.
 //
 // Flags:
 //   --smoke   tiny instance + 1 rep; used by the `perf`-labelled CTest
@@ -31,17 +31,8 @@ namespace {
 struct KernelBenchConfig {
   size_t rows = 320;
   size_t cols = 320;  // 102400 segments
-  /// Fixed sweep count for the throughput sections. Large enough that the
-  /// per-run setup (plane allocation, seed fill, beliefs pass) amortizes
-  /// and the number approximates steady-state sweep throughput, while
-  /// still being an honest end-to-end InferMarginalsBpFlat measurement.
-  uint32_t bp_iters = 50;
   int reps = 5;
-  /// Secondary single-thread section on a grid whose working set fits L2,
-  /// where the kernel is compute- rather than bandwidth-bound. 0 = skip.
-  size_t l2_rows = 120;
-  size_t l2_cols = 120;
-  uint32_t l2_iters = 100;
+  std::vector<uint32_t> threads = {1, 4};
 };
 
 BpGraph MakeGridBpGraph(size_t rows, size_t cols, std::vector<double>* pot) {
@@ -87,173 +78,63 @@ double BestMillis(int reps, const Fn& fn) {
   return best;
 }
 
-/// Single-core streaming bandwidth (GB/s) over a footprint comparable to
-/// the sweep's resident working set, via a read-read-write triad. This is
-/// the kernel's speed-of-light: one message update must move ~28 bytes
-/// through the same level of the hierarchy (see traffic accounting below),
-/// so updates/sec cannot exceed bandwidth / 28 no matter the ALU width.
-double MeasureStreamBandwidthGBs(size_t footprint_bytes, int reps) {
-  size_t n = footprint_bytes / (3 * sizeof(float));
-  AlignedVector<float> a(n), b(n), c(n);
-  for (size_t i = 0; i < n; ++i) {
-    b[i] = static_cast<float>(i % 7);
-    c[i] = static_cast<float>(i % 5) * 0.25f;
-  }
-  double best = 0.0;
-  float sink = 0.0f;
-  for (int r = 0; r < reps + 1; ++r) {  // first pass warms the pages
-    WallTimer timer;
-    for (size_t i = 0; i < n; ++i) a[i] = b[i] + 0.5f * c[i];
-    double ms = timer.ElapsedMillis();
-    sink += a[n / 2];
-    if (r == 0) continue;
-    if (r == 1 || ms < best) best = ms;
-  }
-  TS_CHECK(sink >= 0.0f || sink < 0.0f);  // defeat dead-store elimination
-  // Streams per element: b + c reads, a write-allocate + writeback.
-  double bytes = 4.0 * static_cast<double>(n) * sizeof(float);
-  return bytes / (best / 1e3) / 1e9;
-}
+/// Times one served-schedule run of each engine at `threads` and prints
+/// one JSON row, without a trailing separator. Aborts when the SIMD
+/// marginals drift more than 1e-3 off the oracle.
+void RunServedRow(bool first, const BpGraph& g, const std::vector<double>& pot,
+                  uint32_t threads, int reps) {
+  const size_t dir_edges = g.off[g.num_vars];
+  BpOptions bp;  // the served schedule: S = 1
+  bp.num_threads = threads;
+  const double work = static_cast<double>(dir_edges) * bp.max_iters;
 
-/// Per-update memory traffic of the vectorized sweep, in bytes: gather
-/// index (4) + gathered incoming message (4) + three compat planes (12) +
-/// write-allocate and writeback of the out-message plane (4 + 4). The old
-/// message re-read hits the just-gathered plane in cache and is not
-/// counted. The single-message-plane and 3-plane-compat layout choices in
-/// bp_kernel.h exist to make this number small.
-constexpr double kSweepBytesPerUpdate = 28.0;
-/// Per-update traffic of sweep 1, which starts from all-0.5 messages and so
-/// is a closed-form map of the potentials and compat planes
-/// (bp_kernel_simd.cc): three compat planes (12) + write-allocate and
-/// writeback of the message plane (4 + 4), with no gather.
-constexpr double kFirstSweepBytesPerUpdate = 20.0;
-
-struct SingleThreadResult {
-  double scalar_ms = 0.0;
-  double simd_ms = 0.0;
-  double diff = 0.0;
-  bool simd = false;
-};
-
-/// Runs the scalar-vs-SIMD comparison (both kernels run exactly `iters`
-/// full sweeps) and prints one JSON section, without a trailing separator.
-/// Aborts when the SIMD marginals drift more than `tol` off the oracle.
-SingleThreadResult RunSingleThreadSection(const char* key, const BpGraph& g,
-                                          const std::vector<double>& pot,
-                                          uint32_t iters, int reps,
-                                          double tol) {
-  size_t n = g.num_vars;
-  size_t dir_edges = g.off[n];
-  BpOptions bp;
-  bp.max_iters = iters;
-  bp.num_threads = 1;
-  double work = static_cast<double>(dir_edges) * iters;
-
-  SingleThreadResult out;
-  bp.kernel = BpKernel::kScalar;
   BpResult scalar;
-  out.scalar_ms =
-      BestMillis(reps, [&] { scalar = InferMarginalsBpFlat(g, pot, bp); });
-  TS_CHECK_EQ(scalar.message_updates, uint64_t{iters} * dir_edges);
-  std::printf("  \"%s\": {\n", key);
-  std::printf("    \"segments\": %zu,\n", n);
-  std::printf("    \"iterations\": %u,\n", iters);
-  std::printf("    \"scalar\": {\"ms\": %.3f, \"msg_updates_per_sec\": %.3g},",
-              out.scalar_ms, work / (out.scalar_ms / 1e3));
-
-  out.simd = BpSimdKernelAvailable();
-  if (out.simd) {
-    bp.kernel = BpKernel::kAuto;
+  const double scalar_ms = BestMillis(
+      reps, [&] { scalar = InferMarginalsBpScalar(g, pot, bp); });
+  TS_CHECK_EQ(scalar.message_updates, dir_edges);
+  std::printf("%s\n      {\"threads\": %u,\n", first ? "" : ",", threads);
+  std::printf("       \"scalar\": {\"ms\": %.3f, \"msg_updates_per_sec\": "
+              "%.3g},",
+              scalar_ms, work / (scalar_ms / 1e3));
+  if (BpSimdKernelAvailable()) {
     BpResult vec;
-    out.simd_ms =
+    const double simd_ms =
         BestMillis(reps, [&] { vec = InferMarginalsBpFlat(g, pot, bp); });
-    TS_CHECK_EQ(vec.message_updates, uint64_t{iters} * dir_edges);
-    out.diff = MaxAbsDiff(scalar.p_up, vec.p_up);
-    TS_CHECK_LT(out.diff, tol) << "SIMD marginals drifted off the oracle";
-    std::printf("\n    \"simd\": {\"ms\": %.3f, \"msg_updates_per_sec\": "
+    TS_CHECK_EQ(vec.message_updates, dir_edges);
+    const double diff = MaxAbsDiff(scalar.p_up, vec.p_up);
+    TS_CHECK_LT(diff, 1e-3) << "SIMD marginals drifted off the oracle";
+    std::printf("\n       \"simd\": {\"ms\": %.3f, \"msg_updates_per_sec\": "
                 "%.3g},\n",
-                out.simd_ms, work / (out.simd_ms / 1e3));
-    std::printf("    \"speedup\": %.2f,\n", out.scalar_ms / out.simd_ms);
-    std::printf("    \"max_abs_diff_vs_scalar\": %.3g\n", out.diff);
+                simd_ms, work / (simd_ms / 1e3));
+    std::printf("       \"speedup\": %.2f,\n", scalar_ms / simd_ms);
+    std::printf("       \"max_abs_diff_vs_scalar\": %.3g}", diff);
   } else {
-    std::printf("\n    \"simd\": null\n");
+    std::printf("\n       \"simd\": null}");
   }
-  std::printf("  }");
-  return out;
 }
 
 int Run(const KernelBenchConfig& cfg) {
   size_t n = cfg.rows * cfg.cols;
   std::vector<double> pot;
   BpGraph graph = MakeGridBpGraph(cfg.rows, cfg.cols, &pot);
-  size_t dir_edges = graph.off[n];
 
   std::printf("{\n");
   std::printf("  \"bench\": \"bp_kernel\",\n");
   PrintHardwareStamp();
   std::printf("  \"segments\": %zu,\n", n);
-  std::printf("  \"directed_edges\": %zu,\n", dir_edges);
-
-  // --- single-thread cold throughput --------------------------------------
-  // Float reassociation drift grows with the fixed-schedule length: the
-  // documented 1e-3 contract (docs/performance.md) holds at production
-  // budgets; this 50-sweep stress run sits just under it (~9e-4), so its
-  // inline guard allows 2x headroom before declaring divergence.
-  SingleThreadResult st = RunSingleThreadSection(
-      "single_thread", graph, pot, cfg.bp_iters, cfg.reps, 2e-3);
-
-  // --- memory roofline ----------------------------------------------------
-  // At 100k+ segments the sweep's planes spill past L2 and the kernel is
-  // memory-bandwidth-bound: the JSON records the machine's own streaming
-  // bandwidth at the sweep's footprint, the kernel's bytes-per-update, and
-  // what fraction of that hard ceiling the measured throughput reaches —
-  // so the headline speedup can be judged against what the memory system
-  // permits rather than an arbitrary target (docs/performance.md).
-  if (st.simd) {
-    size_t footprint =
-        dir_edges * (3 * sizeof(float) + sizeof(uint32_t));  // msg+compat+rev
-    double gbs = MeasureStreamBandwidthGBs(footprint, cfg.reps);
-    // Sweep 1 of the schedule moves fewer bytes than the rest.
-    double bytes_per_update =
-        (kFirstSweepBytesPerUpdate +
-         (cfg.bp_iters - 1) * kSweepBytesPerUpdate) /
-        cfg.bp_iters;
-    double ceiling = gbs * 1e9 / bytes_per_update;
-    double measured =
-        static_cast<double>(dir_edges) * cfg.bp_iters / (st.simd_ms / 1e3);
-    std::printf(",\n  \"roofline\": {\n");
-    std::printf("    \"stream_bandwidth_gb_per_sec\": %.2f,\n", gbs);
-    std::printf("    \"sweep_bytes_per_update\": %.0f,\n",
-                kSweepBytesPerUpdate);
-    std::printf("    \"first_sweep_bytes_per_update\": %.0f,\n",
-                kFirstSweepBytesPerUpdate);
-    std::printf("    \"bandwidth_bound_updates_per_sec\": %.3g,\n", ceiling);
-    std::printf("    \"simd_fraction_of_roofline\": %.2f\n",
-                measured / ceiling);
-    std::printf("  }");
-  }
+  std::printf("  \"directed_edges\": %zu,\n", graph.off[n]);
 
   // --- served schedule ----------------------------------------------------
-  // The default BpOptions sweep count (S = 1) on the same grid: sweep 1 is
-  // the closed-form first sweep alone, so this section times the kernel as
-  // serving runs it — potential normalization, the first-sweep map and the
-  // beliefs pass — held to the 1e-3 contract.
-  std::printf(",\n");
-  RunSingleThreadSection("served_schedule", graph, pot, BpOptions{}.max_iters,
-                         cfg.reps, 1e-3);
-
-  // --- L2-resident compute-bound section ----------------------------------
-  // Same protocol on a grid whose planes fit in L2, where bandwidth no
-  // longer caps the kernel and the speedup reflects ALU efficiency.
-  if (cfg.l2_rows > 0) {
-    std::vector<double> l2_pot;
-    BpGraph l2_graph = MakeGridBpGraph(cfg.l2_rows, cfg.l2_cols, &l2_pot);
-    std::printf(",\n");
-    RunSingleThreadSection("l2_resident", l2_graph, l2_pot, cfg.l2_iters,
-                           cfg.reps, 2e-3);
+  // The default BpOptions sweep count (S = 1), which is the only schedule
+  // the SIMD kernel runs: potential normalization, the closed-form sweep
+  // and the beliefs pass, against the scalar oracle's general sweep.
+  std::printf("  \"served_schedule\": {\n    \"iterations\": %u,\n"
+              "    \"runs\": [",
+              BpOptions{}.max_iters);
+  for (size_t i = 0; i < cfg.threads.size(); ++i) {
+    RunServedRow(i == 0, graph, pot, cfg.threads[i], cfg.reps);
   }
-
-  std::printf("\n}\n");
+  std::printf("\n    ]\n  }\n}\n");
   return 0;
 }
 
@@ -266,10 +147,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       cfg.rows = 60;
       cfg.cols = 60;
-      cfg.bp_iters = 4;
       cfg.reps = 1;
-      cfg.l2_rows = 0;  // the main grid already fits in cache
-      cfg.l2_cols = 0;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;

@@ -217,10 +217,8 @@ int Run(const OverheadConfig& cfg) {
   size_t n = graph.num_vars;
   BpOptions bp;
   bp.max_iters = cfg.bp_iters;
-  // BENCH_observability_overhead.json records single-threaded scalar-kernel
-  // runs: on the shared pool, scheduling noise swamped the few record
-  // sites a run has.
-  bp.kernel = BpKernel::kScalar;
+  // BENCH_observability_overhead.json records single-threaded runs: on the
+  // shared pool, scheduling noise swamped the few record sites a run has.
   bp.num_threads = 1;
   BpOptions bp_attached = bp;
   bp_attached.metrics = &reg;
@@ -370,7 +368,6 @@ int Run(const OverheadConfig& cfg) {
   PipelineConfig replay_config;
   replay_config.corr.min_co_observed = 8;
   replay_config.trend.bp.max_iters = cfg.replay_bp_iters;
-  replay_config.trend.bp.kernel = BpKernel::kScalar;
   auto replay_est = TrafficSpeedEstimator::Train(
       &replay_ds->net, &replay_ds->history, replay_config);
   TS_CHECK(replay_est.ok()) << replay_est.status().ToString();

@@ -34,7 +34,6 @@ namespace {
 struct ScalingConfig {
   size_t rows = 230;
   size_t cols = 220;  // 50600 segments
-  uint32_t bp_iters = 10;
   size_t greedy_k = 64;
   size_t lazy_k = 256;
   size_t cover_size = 24;
@@ -131,12 +130,10 @@ int Run(const ScalingConfig& cfg) {
   // --- BP inference -------------------------------------------------------
   std::vector<double> pot;
   BpGraph graph = MakeGridBpGraph(cfg, &pot);
-  BpOptions bp;
-  bp.max_iters = cfg.bp_iters;
-  bp.kernel = BpKernel::kAuto;  // what served slots run
+  BpOptions bp;  // what served slots run: S = 1
   std::vector<double> serial_marginals;
   std::printf("  \"bp\": {\n    \"iterations\": %u,\n    \"runs\": [",
-              cfg.bp_iters);
+              bp.max_iters);
   double bp_base_ms = 0.0;
   for (size_t i = 0; i < cfg.threads.size(); ++i) {
     bp.num_threads = cfg.threads[i];
@@ -144,7 +141,7 @@ int Run(const ScalingConfig& cfg) {
     double ms = BestMillis(cfg.reps,
                            [&] { result = InferMarginalsBpFlat(graph, pot, bp); });
     TS_CHECK_EQ(result.message_updates,
-                uint64_t{cfg.bp_iters} * graph.off[graph.num_vars]);
+                uint64_t{bp.max_iters} * graph.off[graph.num_vars]);
     if (i == 0) {
       bp_base_ms = ms;
       serial_marginals = result.p_up;
@@ -152,7 +149,7 @@ int Run(const ScalingConfig& cfg) {
     double diff = MaxAbsDiff(serial_marginals, result.p_up);
     TS_CHECK_LT(diff, 1e-9);
     PrintThreadRow(i == 0, cfg.threads[i], ms, bp_base_ms,
-                   static_cast<double>(n) * cfg.bp_iters,
+                   static_cast<double>(n) * bp.max_iters,
                    "max_abs_diff_vs_1thread", diff);
   }
   std::printf("\n    ]\n  },\n");
@@ -208,7 +205,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       cfg.rows = 80;
       cfg.cols = 80;
-      cfg.bp_iters = 4;
       cfg.greedy_k = 8;
       cfg.lazy_k = 32;
       cfg.reps = 1;

@@ -27,12 +27,6 @@ Status PipelineConfig::Validate() const {
   if (trend.bp.max_iters == 0) {
     return Status::InvalidArgument("trend.bp.max_iters must be positive");
   }
-  // Guards configs assembled from raw ints (deserialization, FFI): the
-  // kernel knob must be one of the declared enumerators.
-  if (trend.bp.kernel != BpKernel::kScalar &&
-      trend.bp.kernel != BpKernel::kAuto) {
-    return Status::InvalidArgument("trend.bp.kernel must be scalar or auto");
-  }
   // Backfill knobs: a hop count beyond any plausible network diameter is a
   // units mistake, and `!(a > b)` style keeps NaN-poisoned damping invalid.
   constexpr uint32_t kMaxBackfillHops = 64;

@@ -40,10 +40,6 @@ const MetricDef kBpKernelRunsScalar = {
 const MetricDef kBpKernelRunsSimd = {
     "trendspeed_bp_kernel_runs_total", MetricType::kCounter,
     "BP runs by executing message-update kernel", "1", "kernel=\"simd\""};
-const MetricDef kBpKernelSimdFallbacksTotal = {
-    "trendspeed_bp_kernel_simd_fallbacks_total", MetricType::kCounter,
-    "Runs that requested the SIMD kernel but executed scalar (kernel not "
-    "compiled in, or CPU lacks the ISA)", "1"};
 
 // --- seed selection --------------------------------------------------------
 const MetricDef kSeedRunsGreedy = {
@@ -225,7 +221,6 @@ const std::vector<const MetricDef*>& AllMetricDefs() {
       &kBpMessageUpdatesTotal,
       &kBpKernelRunsScalar,
       &kBpKernelRunsSimd,
-      &kBpKernelSimdFallbacksTotal,
       &kSeedRunsGreedy,
       &kSeedRunsLazyGreedy,
       &kSeedRunsStochasticGreedy,

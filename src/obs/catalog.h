@@ -30,7 +30,6 @@ extern const MetricDef kBpSweepsTotal;          ///< message half-sweeps
 extern const MetricDef kBpMessageUpdatesTotal;  ///< directed-edge messages
 extern const MetricDef kBpKernelRunsScalar;     ///< runs on the scalar kernel
 extern const MetricDef kBpKernelRunsSimd;       ///< runs on the SIMD kernel
-extern const MetricDef kBpKernelSimdFallbacksTotal;  ///< simd asked, scalar ran
 
 // --- seed/{greedy,lazy_greedy,stochastic_greedy}.cc ------------------------
 extern const MetricDef kSeedRunsGreedy;

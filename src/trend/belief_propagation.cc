@@ -85,10 +85,11 @@ void RecordRun(const BpOptions& opts, const obs::MetricDef& kernel_runs,
            result.message_updates);
 }
 
-/// Scalar schedule (the oracle): max_iters damped Jacobi sweeps over every
-/// variable from all-0.5 messages.
-BpResult RunColdBp(const BpGraph& graph, const std::vector<double>& pot,
-                   const BpOptions& opts) {
+}  // namespace
+
+BpResult InferMarginalsBpScalar(const BpGraph& graph,
+                                const std::vector<double>& pot,
+                                const BpOptions& opts) {
   TS_CHECK_GE(opts.damping, 0.0);
   TS_CHECK_LT(opts.damping, 1.0);
   size_t n = graph.num_vars;
@@ -250,42 +251,19 @@ BpResult RunColdBp(const BpGraph& graph, const std::vector<double>& pot,
   return result;
 }
 
-/// Vectorized schedule: the same max_iters sweeps as RunColdBp, executed
-/// by trend/bp_kernel_simd.cc.
-BpResult RunColdSimd(const BpGraph& graph, const std::vector<double>& pot,
-                     const BpOptions& opts) {
-  TS_CHECK_GE(opts.damping, 0.0);
-  TS_CHECK_LT(opts.damping, 1.0);
-  TS_CHECK_EQ(pot.size(), 2 * graph.num_vars);
-  BpResult result;
-  BpSimdRun run;
-  run.soa = graph.soa.get();
-  run.pot = pot.data();
-  run.opts = &opts;
-  run.result = &result;
-  RunBpSweepsSimd(run);
-  RecordRun(opts, obs::kBpKernelRunsSimd, result);
-  return result;
-}
-
-/// True when this run should execute the vectorized kernel. A kAuto
-/// request falls back to scalar — and bumps the fallback counter — when
-/// the CPU cannot run it.
-bool UseSimdKernel(const BpOptions& opts) {
-  if (opts.kernel == BpKernel::kScalar) return false;
-  if (BpSimdKernelAvailable()) return true;
-  obs::Add(
-      obs::GetCounter(opts.metrics, obs::kBpKernelSimdFallbacksTotal));
-  return false;
-}
-
-}  // namespace
-
 BpResult InferMarginalsBpFlat(const BpGraph& graph,
                               const std::vector<double>& pot,
                               const BpOptions& opts) {
-  if (UseSimdKernel(opts)) return RunColdSimd(graph, pot, opts);
-  return RunColdBp(graph, pot, opts);
+  if (opts.max_iters != 1 || !BpSimdKernelAvailable()) {
+    return InferMarginalsBpScalar(graph, pot, opts);
+  }
+  TS_CHECK_GE(opts.damping, 0.0);
+  TS_CHECK_LT(opts.damping, 1.0);
+  TS_CHECK_EQ(pot.size(), 2 * graph.num_vars);
+  TS_CHECK(graph.soa != nullptr);
+  BpResult result = RunBpSweepsSimd(*graph.soa, pot.data(), opts);
+  RecordRun(opts, obs::kBpKernelRunsSimd, result);
+  return result;
 }
 
 BpResult InferMarginalsBp(const PairwiseMrf& mrf, const BpOptions& opts) {

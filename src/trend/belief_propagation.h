@@ -15,23 +15,6 @@
 
 namespace trendspeed {
 
-/// Which message-update kernel a run executes (docs/performance.md).
-enum class BpKernel {
-  /// The original double-precision scalar path: the reference oracle the
-  /// SIMD kernel is tested against. Select it for bitwise replays of runs
-  /// made before kAuto became the default.
-  kScalar,
-  /// The vectorized structure-of-arrays kernel (trend/bp_kernel.h):
-  /// single-precision lockstep batches, AVX2 + FMA via util/simd.h on
-  /// x86-64. Marginals agree with kScalar within 1e-3 but are NOT
-  /// bitwise equal: the kernel reassociates the incoming-message products
-  /// (prefix/suffix cavities) and contracts in float. Falls back to
-  /// kScalar at runtime when the CPU cannot run the kernel — no AVX2 +
-  /// FMA, or not x86-64 (trendspeed_bp_kernel_simd_fallbacks_total counts
-  /// those). The default.
-  kAuto,
-};
-
 struct BpOptions {
   /// Sweeps per run: BP is a fixed truncated schedule, every run executes
   /// exactly this many damped Jacobi sweeps from all-0.5 messages, so a
@@ -51,11 +34,6 @@ struct BpOptions {
   /// bitwise identical for every thread count, including 1; small graphs
   /// run serially regardless (see kMinParallelVars in bp_kernel.h).
   uint32_t num_threads = 0;
-  /// Message-update kernel. kAuto (default) runs the vectorized SoA kernel
-  /// wherever the CPU can (tolerance contract above) and the scalar oracle
-  /// elsewhere; kScalar pins the oracle. Every run starts cold from all-0.5
-  /// messages, on either kernel.
-  BpKernel kernel = BpKernel::kAuto;
   /// Observability hook (docs/observability.md): when attached, each run
   /// records the trendspeed_bp_* series (runs per kernel, sweeps, message
   /// updates). Null (default) disables recording; results are identical
@@ -93,10 +71,23 @@ struct BpGraph {
 
 /// Runs damped sum-product over a prebuilt structure. `pot` holds the
 /// *effective* node potentials (2 per variable, evidence applied: clamped
-/// variables carry a hard 0/1 pair).
+/// variables carry a hard 0/1 pair). The served schedule (max_iters == 1)
+/// runs the vectorized SoA kernel (trend/bp_kernel.h) wherever the CPU can
+/// (BpSimdKernelAvailable): single-precision marginals that agree with
+/// InferMarginalsBpScalar within 1e-3 but not bitwise
+/// (docs/performance.md). Every other run is InferMarginalsBpScalar's, bit
+/// for bit.
 BpResult InferMarginalsBpFlat(const BpGraph& graph,
                               const std::vector<double>& pot,
                               const BpOptions& opts = {});
+
+/// The double-precision scalar schedule: max_iters damped Jacobi sweeps
+/// over every variable from all-0.5 messages. It is the reference the
+/// one-sweep SIMD kernel is tested against, and the engine behind
+/// InferMarginalsBpFlat for every sweep count other than 1.
+BpResult InferMarginalsBpScalar(const BpGraph& graph,
+                                const std::vector<double>& pot,
+                                const BpOptions& opts = {});
 
 /// Convenience wrapper: flattens `mrf` and infers. Exact on trees (with
 /// enough iterations); empirically accurate on the sparse associative

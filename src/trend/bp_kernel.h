@@ -6,24 +6,21 @@
 // BpGraphSoa rearranges the same directed-edge structure for lockstep
 // batches:
 //
-//   * split message planes: msg0[] and msg1[] are separate 64-byte-aligned
-//     float arrays (util/aligned.h), so a batch touches two contiguous
-//     cache streams instead of one strided one;
 //   * block-then-degree variable order: variables are cut into locality
 //     blocks of kLocalityBlock consecutive ids, grouped by degree inside
 //     each block, and packed into batches of kLanes (8) same-degree
 //     variables of one block that update in lockstep, one SIMD lane each.
 //     Graph builders number neighbouring roads close together, so a
-//     thread's contiguous run of batches mostly gathers messages that it
-//     wrote itself in the previous sweep;
+//     thread's contiguous run of batches mostly gathers, in the belief
+//     pass, messages that it wrote itself in the sweep;
 //   * k-major batch slots: the k-th edge of all 8 batch variables is
 //     contiguous (slot_base + k*8 + lane), so the incoming-message gather
 //     indices, the compat planes, and the outgoing-message stores of one
 //     k-step are all single aligned vector accesses;
 //   * single message plane: messages are normalized per edge, so only the
-//     plane-0 component is stored (msg1 == 1 - msg0 by construction) —
-//     this halves the kernel's message traffic, which matters because the
-//     sweep is memory-bandwidth-bound at scale (docs/performance.md);
+//     plane-0 component is stored (msg1 == 1 - msg0 by construction), in
+//     one 64-byte-aligned float array (util/aligned.h) — a batch touches
+//     one contiguous cache stream instead of a strided pair;
 //   * three compat planes instead of four: each 2x2 table is divided by
 //     its row-0 sum R0 = c00 + c01 (an exact scalar reparameterization —
 //     BP messages are normalized per edge, so any positive per-edge scale
@@ -37,14 +34,12 @@
 //     would overflow cB/cC in float) run through a scalar single-precision
 //     loop that keeps the raw 4-entry tables.
 //
-// The kernel itself (bp_kernel_simd.cc) computes cavity beliefs with
-// prefix/suffix products instead of the scalar path's divide-and-fall-back,
-// contracts the compat planes with FMAs, and interleaves two same-degree
-// batches per inner loop to hide the 4-cycle multiply latency of the
-// running-product chains. Sweep 1 skips all of that: from the all-0.5 cold
-// start it is a closed-form map of the potentials and compat planes. It is selected per run by BpOptions::kernel,
-// with runtime ISA dispatch — see BpSimdKernelAvailable below and
-// docs/performance.md.
+// The kernel (bp_kernel_simd.cc) runs the served one-sweep schedule only:
+// from the all-0.5 cold start the sweep is a closed-form map of the
+// potentials and compat planes, followed by the belief pass.
+// InferMarginalsBpFlat runs it when max_iters == 1 and the CPU can (see
+// BpSimdKernelAvailable below and docs/performance.md); every other run
+// takes the scalar oracle.
 
 #ifndef TRENDSPEED_TREND_BP_KERNEL_H_
 #define TRENDSPEED_TREND_BP_KERNEL_H_
@@ -65,9 +60,10 @@ inline constexpr size_t kMinParallelVars = 4096;
 struct BpGraphSoa {
   /// Lanes per lockstep batch: one AVX2 F32x8 (util/simd.h).
   static constexpr uint32_t kLanes = 8;
-  /// Variables above this degree spill to the scalar list: the kernel's
-  /// per-batch scratch is sized by the largest batched degree, and a
-  /// handful of hub variables is not worth a cache-hostile scratch plane.
+  /// Variables above this degree spill to the scalar list. The value is
+  /// part of the served bits: a hub moved between a batch and the spill
+  /// list rounds differently (FMA in batches, plain float operations on
+  /// the spill list).
   static constexpr uint32_t kMaxBatchDegree = 64;
   /// Variables per locality block of the batch order (see file comment).
   /// Smaller blocks keep each thread's gathers closer to its own writes but
@@ -75,7 +71,8 @@ struct BpGraphSoa {
   /// 301,810 slots at 4096, 26,690 at 1024). Slot CPU p50 on perfbench
   /// metro_replay (39,600 roads, 4-vCPU Xeon, three runs each): 16.9-17.3
   /// ms at 1024, 15.6-15.8 ms at 4096, 15.8-17.3 ms at 16384, 16.5-19.3 ms
-  /// as one block (degree order only).
+  /// as one block (degree order only). With the one-sweep kernel, one
+  /// block still read 4.60 -> 4.87 ms (EXPERIMENTS.md M19).
   static constexpr uint32_t kLocalityBlock = 4096;
   /// Maximum compat row-sum ratio R1/R0 (with R0 = c00 + c01 and
   /// R1 = c10 + c11) for a variable to be batch-eligible: the 3-plane form
@@ -133,16 +130,6 @@ struct BpGraphSoa {
   static BpGraphSoa Build(const BpGraph& graph);
 };
 
-/// One vectorized inference run over a BpGraphSoa: opts->max_iters sweeps
-/// from all-0.5 messages. Inputs mirror the scalar path.
-struct BpSimdRun {
-  const BpGraphSoa* soa = nullptr;
-  const double* pot = nullptr;       ///< 2 * num_vars, interleaved
-  const BpOptions* opts = nullptr;
-  /// Receives message_updates/p_up.
-  BpResult* result = nullptr;
-};
-
 /// True when the running CPU can execute the kernel: on x86-64,
 /// __builtin_cpu_supports("avx2") and ("fma") at runtime, resolved once and
 /// cached; false on every other architecture, where the kernel is not
@@ -153,10 +140,12 @@ bool BpSimdKernelAvailable();
 /// into bench JSONs.
 const char* BpSimdArchName();
 
-/// Executes the vectorized sweep schedule. Precondition:
-/// BpSimdKernelAvailable() (InferMarginalsBpFlat checks it and falls back
-/// to the scalar oracle). Defined in bp_kernel_simd.cc.
-void RunBpSweepsSimd(const BpSimdRun& run);
+/// Runs the one-sweep schedule from all-0.5 messages over `soa`; `pot`
+/// holds 2 * num_vars interleaved effective potentials, as for the scalar
+/// path. Preconditions: BpSimdKernelAvailable() and opts.max_iters == 1
+/// (InferMarginalsBpFlat checks both). Defined in bp_kernel_simd.cc.
+BpResult RunBpSweepsSimd(const BpGraphSoa& soa, const double* pot,
+                         const BpOptions& opts);
 
 }  // namespace trendspeed
 

@@ -3,7 +3,7 @@
 // One fixed batch shape — F32x8, eight floats — compiled only on x86-64
 // with GCC/Clang (TS_SIMD_ARCH_AVX2); elsewhere this header defines
 // nothing, and trend/bp_kernel_simd.cc compiles to a stub whose
-// BpSimdKernelAvailable() is false, so BpKernel::kAuto runs the scalar
+// BpSimdKernelAvailable() is false, so every BP run takes the scalar
 // oracle.
 //
 // Every wrapper function carries __attribute__((target("avx2,fma"))), so

@@ -1,19 +1,20 @@
 // Scalar-oracle equivalence and structure tests for the vectorized BP
-// kernel (trend/bp_kernel.h).
+// kernel (trend/bp_kernel.h), which runs the served one-sweep schedule.
 //
-// The SIMD kernel's contract is NOT bitwise equality with the scalar path
-// (it runs in single precision, reassociates the incoming-message products
-// into prefix/suffix cavities, and contracts with FMAs) — it is marginal
-// agreement within 1e-3 after the same number of sweeps. The property
+// The SIMD kernel's contract is NOT bitwise equality with the scalar
+// oracle, InferMarginalsBpScalar (it runs in single precision and contracts
+// with FMAs) — it is marginal agreement within 1e-3 at S = 1. The property
 // tests here pin that contract over a few hundred seeded random graphs
 // spanning the shapes the SoA layout special-cases: mixed degree
 // distributions (full lockstep batches + bucket remainders), zero-degree
 // variables, hubs past kMaxBatchDegree, clamped evidence, and
-// underflow-range potentials.
+// underflow-range potentials. At every other sweep count
+// InferMarginalsBpFlat is the oracle, bit for bit.
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -189,8 +190,8 @@ TEST(BpGraphSoaTest, BuildPartitionsEveryVariableAndEdge) {
 
 // A graph spanning several locality blocks (plus a partial one) with mixed
 // degrees: the layout keeps every invariant, no batch mixes blocks, and
-// the SIMD kernel still tracks the scalar oracle and stays bitwise
-// deterministic across thread counts.
+// the SIMD kernel's served sweep still tracks the scalar oracle and stays
+// bitwise deterministic across thread counts.
 TEST(BpGraphSoaTest, BatchesStayInsideOneLocalityBlock) {
   constexpr uint32_t kBlock = BpGraphSoa::kLocalityBlock;
   const size_t n = 3 * kBlock + 37;
@@ -245,11 +246,9 @@ TEST(BpGraphSoaTest, BatchesStayInsideOneLocalityBlock) {
     pot[2 * v + 1] = U(rng, 0.2, 1.0);
   }
   BpOptions opts;
-  opts.max_iters = 8;
+  opts.max_iters = 1;
   opts.num_threads = 1;
-  opts.kernel = BpKernel::kScalar;
-  BpResult scalar = InferMarginalsBpFlat(graph, pot, opts);
-  opts.kernel = BpKernel::kAuto;
+  BpResult scalar = InferMarginalsBpScalar(graph, pot, opts);
   BpResult simd1 = InferMarginalsBpFlat(graph, pot, opts);
   opts.num_threads = 4;
   BpResult simd4 = InferMarginalsBpFlat(graph, pot, opts);
@@ -298,10 +297,8 @@ TEST(BpGraphSoaTest, IllConditionedCompatRoutesToSpill) {
     pot[2 * v + 1] = U(rng, 0.2, 1.0);
   }
   BpOptions opts;
-  opts.max_iters = 25;
-  opts.kernel = BpKernel::kScalar;
-  BpResult scalar = InferMarginalsBpFlat(graph, pot, opts);
-  opts.kernel = BpKernel::kAuto;
+  opts.max_iters = 1;
+  BpResult scalar = InferMarginalsBpScalar(graph, pot, opts);
   BpResult simd = InferMarginalsBpFlat(graph, pot, opts);
   ASSERT_EQ(scalar.p_up.size(), simd.p_up.size());
   for (size_t v = 0; v < n; ++v) {
@@ -309,35 +306,23 @@ TEST(BpGraphSoaTest, IllConditionedCompatRoutesToSpill) {
   }
 }
 
-TEST(BpKernelDispatchTest, ScalarRequestNeverRunsSimd) {
-  obs::MetricsRegistry reg;
-  Rng rng(11);
-  RandomCase c = MakeRandomCase(rng, 1);
-  BpOptions opts;
-  opts.kernel = BpKernel::kScalar;
-  opts.metrics = &reg;
-  InferMarginalsBpFlat(c.graph, c.pot, opts);
-  EXPECT_EQ(reg.GetCounter(obs::kBpKernelRunsScalar)->Value(), 1u);
-  EXPECT_EQ(reg.GetCounter(obs::kBpKernelRunsSimd)->Value(), 0u);
-  EXPECT_EQ(reg.GetCounter(obs::kBpKernelSimdFallbacksTotal)->Value(), 0u);
-}
-
-TEST(BpKernelDispatchTest, AutoResolvesToAvailableKernel) {
-  obs::MetricsRegistry reg;
+// The engine follows from the sweep count and the CPU alone: the served
+// S = 1 runs the SIMD kernel exactly where the CPU can, and S = 2 always
+// runs the scalar oracle.
+TEST(BpKernelDispatchTest, OneSweepRunsSimdExactlyWhereAvailable) {
   Rng rng(13);
   RandomCase c = MakeRandomCase(rng, 0);
-  BpOptions opts;
-  opts.kernel = BpKernel::kAuto;
-  opts.metrics = &reg;
-  InferMarginalsBpFlat(c.graph, c.pot, opts);
-  if (BpSimdKernelAvailable()) {
-    EXPECT_EQ(reg.GetCounter(obs::kBpKernelRunsSimd)->Value(), 1u);
-    EXPECT_EQ(reg.GetCounter(obs::kBpKernelRunsScalar)->Value(), 0u);
-    EXPECT_EQ(reg.GetCounter(obs::kBpKernelSimdFallbacksTotal)->Value(), 0u);
-  } else {
-    EXPECT_EQ(reg.GetCounter(obs::kBpKernelRunsSimd)->Value(), 0u);
-    EXPECT_EQ(reg.GetCounter(obs::kBpKernelRunsScalar)->Value(), 1u);
-    EXPECT_EQ(reg.GetCounter(obs::kBpKernelSimdFallbacksTotal)->Value(), 1u);
+  for (uint32_t sweeps : {1u, 2u}) {
+    obs::MetricsRegistry reg;
+    BpOptions opts;
+    opts.max_iters = sweeps;
+    opts.metrics = &reg;
+    InferMarginalsBpFlat(c.graph, c.pot, opts);
+    const uint64_t simd = sweeps == 1 && BpSimdKernelAvailable() ? 1 : 0;
+    EXPECT_EQ(reg.GetCounter(obs::kBpKernelRunsSimd)->Value(), simd)
+        << "S = " << sweeps;
+    EXPECT_EQ(reg.GetCounter(obs::kBpKernelRunsScalar)->Value(), 1 - simd)
+        << "S = " << sweeps;
   }
 }
 
@@ -363,19 +348,18 @@ TEST(BpScalarUnderflowTest, NearZeroPotentialsKeepTheirRatio) {
   pot[1] = 3e-310;
 
   BpOptions opts;
-  opts.kernel = BpKernel::kScalar;
   opts.max_iters = 4;
-  BpResult r = InferMarginalsBpFlat(graph, pot, opts);
+  BpResult r = InferMarginalsBpScalar(graph, pot, opts);
   EXPECT_NEAR(r.p_up[0], 0.75, 1e-9);
   // Leaves (degree 1, cavity = the center's near-zero potential alone)
   // see a symmetric 1:3 belief weighting through the uniform edges, which
   // normalizes away: their marginal stays 0.5.
   EXPECT_NEAR(r.p_up[1], 0.5, 1e-9);
 
-  // The same case through the SIMD kernel, whose potential normalization
-  // sidesteps the underflow entirely.
+  // The same case through the SIMD kernel's served sweep, whose potential
+  // normalization sidesteps the underflow entirely.
   if (BpSimdKernelAvailable()) {
-    opts.kernel = BpKernel::kAuto;
+    opts.max_iters = 1;
     BpResult rs = InferMarginalsBpFlat(graph, pot, opts);
     EXPECT_NEAR(rs.p_up[0], 0.75, 1e-5);
   }
@@ -390,19 +374,46 @@ TEST(BpKernelPropertyTest, SimdMatchesScalarOnRandomGraphs) {
   for (int g = 0; g < kGraphs; ++g) {
     RandomCase c = MakeRandomCase(rng, g);
     BpOptions opts;
-    opts.max_iters = 1 + rng.NextBounded(12);
+    opts.max_iters = 1;
     opts.damping = 0.15 * rng.NextBounded(3);
     opts.num_threads = 1;
 
-    opts.kernel = BpKernel::kScalar;
-    BpResult scalar = InferMarginalsBpFlat(c.graph, c.pot, opts);
-    opts.kernel = BpKernel::kAuto;
+    BpResult scalar = InferMarginalsBpScalar(c.graph, c.pot, opts);
     BpResult simd = InferMarginalsBpFlat(c.graph, c.pot, opts);
 
     ASSERT_EQ(scalar.p_up.size(), simd.p_up.size());
     for (size_t v = 0; v < scalar.p_up.size(); ++v) {
       EXPECT_NEAR(scalar.p_up[v], simd.p_up[v], 1e-3)
           << "graph " << g << " var " << v;
+    }
+  }
+}
+
+// True when two runs produced the same marginal bits and message count.
+bool SameBits(const BpResult& a, const BpResult& b) {
+  return a.message_updates == b.message_updates &&
+         a.p_up.size() == b.p_up.size() &&
+         std::memcmp(a.p_up.data(), b.p_up.data(),
+                     a.p_up.size() * sizeof(double)) == 0;
+}
+
+// Above one sweep InferMarginalsBpFlat is the scalar oracle on every CPU:
+// the same seeded shapes at S = 2..12 come back bit for bit, on 1 and 4
+// threads.
+TEST(BpKernelPropertyTest, FlatEqualsScalarAboveOneSweep) {
+  Rng rng(20260808);
+  const int kGraphs = 220;
+  for (int g = 0; g < kGraphs; ++g) {
+    RandomCase c = MakeRandomCase(rng, g);
+    BpOptions opts;
+    opts.max_iters = 2 + rng.NextBounded(11);
+    opts.damping = 0.15 * rng.NextBounded(3);
+    for (uint32_t threads : {1u, 4u}) {
+      opts.num_threads = threads;
+      EXPECT_TRUE(SameBits(InferMarginalsBpFlat(c.graph, c.pot, opts),
+                           InferMarginalsBpScalar(c.graph, c.pot, opts)))
+          << "graph " << g << ", S = " << opts.max_iters << ", " << threads
+          << " threads";
     }
   }
 }
@@ -469,14 +480,12 @@ RandomCase MakeServedCase() {
 }
 
 // The SIMD kernel's marginals on served-range inputs are pinned bit for
-// bit, at 1 and 4 threads, by hashes recorded before sweep 1 became a
+// bit, at 1 and 4 threads, by a hash recorded before the sweep became a
 // closed-form map of the potentials and compat planes. The map is exact
 // whenever the cold-start cavities stay normal floats (docs/performance.md,
-// §Tolerance contract), which every input of this shape guarantees.
+// §Tolerance contract), which every input of this shape guarantees. At
+// S = 2 and 6 the same graph runs on the oracle, bit for bit.
 TEST(BpKernelPropertyTest, ColdStartSweepKeepsParentBits) {
-  if (!BpSimdKernelAvailable()) {
-    GTEST_SKIP() << "SIMD kernel not runnable on this CPU";
-  }
   RandomCase c = MakeServedCase();
   const BpGraphSoa& soa = *c.graph.soa;
   bool hub_spilled = false, skew_spilled = false;
@@ -487,24 +496,27 @@ TEST(BpKernelPropertyTest, ColdStartSweepKeepsParentBits) {
   ASSERT_TRUE(hub_spilled);
   ASSERT_TRUE(skew_spilled);
 
-  const struct {
-    uint32_t sweeps;
-    uint64_t hash;
-  } kPins[] = {
-      {1, 0x0d0b1f65ad9a2d48ull},
-      {2, 0x0587f56bee2660efull},
-      {6, 0xb3d4c92c14ac793full},
-  };
-  for (const auto& pin : kPins) {
-    for (uint32_t threads : {1u, 4u}) {
-      BpOptions opts;
-      opts.max_iters = pin.sweeps;
-      opts.num_threads = threads;
-      BpResult r = InferMarginalsBpFlat(c.graph, c.pot, opts);
-      EXPECT_EQ(HashBits(r.p_up), pin.hash)
-          << std::hex << "S = " << pin.sweeps << ", threads = " << threads
-          << ": 0x" << HashBits(r.p_up);
+  for (uint32_t threads : {1u, 4u}) {
+    BpOptions opts;
+    opts.num_threads = threads;
+    for (uint32_t sweeps : {2u, 6u}) {
+      opts.max_iters = sweeps;
+      EXPECT_TRUE(SameBits(InferMarginalsBpFlat(c.graph, c.pot, opts),
+                           InferMarginalsBpScalar(c.graph, c.pot, opts)))
+          << "S = " << sweeps << ", threads = " << threads;
     }
+  }
+
+  if (!BpSimdKernelAvailable()) {
+    GTEST_SKIP() << "SIMD kernel not runnable on this CPU";
+  }
+  for (uint32_t threads : {1u, 4u}) {
+    BpOptions opts;
+    opts.max_iters = 1;
+    opts.num_threads = threads;
+    BpResult r = InferMarginalsBpFlat(c.graph, c.pot, opts);
+    EXPECT_EQ(HashBits(r.p_up), 0x0d0b1f65ad9a2d48ull)
+        << std::hex << "threads = " << threads << ": 0x" << HashBits(r.p_up);
   }
 }
 
@@ -513,7 +525,6 @@ TEST(BpKernelEdgeCaseTest, EmptyAndIsolatedGraphs) {
   PairwiseMrf empty(0);
   BpGraph g0 = BpGraph::FromMrf(empty);
   BpOptions opts;
-  opts.kernel = BpKernel::kAuto;
   BpResult r0 = InferMarginalsBpFlat(g0, {}, opts);
   EXPECT_TRUE(r0.p_up.empty());
 

@@ -96,16 +96,6 @@ TEST(ConfigTest, RejectsBadEvidenceBackfillKnobs) {
   EXPECT_TRUE(config.Validate().ok());
 }
 
-TEST(ConfigTest, RejectsOutOfRangeBpKernel) {
-  PipelineConfig config;
-  // Simulates a config assembled from a raw int (deserialization, FFI)
-  // carrying a value outside the declared enumerators.
-  config.trend.bp.kernel = static_cast<BpKernel>(42);
-  EXPECT_FALSE(config.Validate().ok());
-  config.trend.bp.kernel = BpKernel::kAuto;
-  EXPECT_TRUE(config.Validate().ok());
-}
-
 TEST(ConfigTest, RejectsBadSeedSelectionKnobs) {
   PipelineConfig config;
   config.seed_selection.num_threads = 100000;

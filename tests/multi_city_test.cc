@@ -29,8 +29,9 @@ namespace {
 using testing_util::SharedTinyDataset;
 
 // Two "cities" over the shared tiny dataset: same road network, different
-// estimation configurations (the default BP kernel, and the scalar oracle
-// kernel) — a mixed fleet in one process.
+// estimation configurations (the served one-sweep schedule, which runs the
+// SIMD kernel where the CPU can, and two sweeps, which run the scalar
+// oracle) — a mixed fleet in one process.
 class MultiCityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -41,7 +42,7 @@ class MultiCityTest : public ::testing::Test {
     TS_CHECK(def.ok()) << def.status().ToString();
     default_ = new TrafficSpeedEstimator(std::move(def).value());
 
-    config.trend.bp.kernel = BpKernel::kScalar;
+    config.trend.bp.max_iters = 2;
     auto scalar = TrafficSpeedEstimator::Train(&ds.net, &ds.history, config);
     TS_CHECK(scalar.ok()) << scalar.status().ToString();
     scalar_ = new TrafficSpeedEstimator(std::move(scalar).value());
@@ -128,7 +129,7 @@ TEST_F(MultiCityTest, InterleavedIngestMatchesStandaloneSessions) {
   opts.validation = ValidationPolicy::kFilter;
   constexpr size_t kSlots = 6;
   constexpr size_t kNoDegradedStep = kSlots;
-  // The default-kernel city loses one slot's batch, so it carries forward
+  // The one-sweep city loses one slot's batch, so it carries forward
   // there; the scalar city never does. Carry-forward must not leak across.
   const auto default_stream = Stream(kSlots, /*degraded_step=*/2);
   const auto scalar_stream = Stream(kSlots, kNoDegradedStep);

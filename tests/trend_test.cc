@@ -222,12 +222,11 @@ TEST(BpTest, TruncatedScheduleReachesExactlySHops) {
   pot[1] = 1.0;
   const uint32_t s = BpOptions{}.max_iters;
   ASSERT_LT(s, n - 1);
-  for (BpKernel kernel : {BpKernel::kScalar, BpKernel::kAuto}) {
+  for (auto infer : {InferMarginalsBpScalar, InferMarginalsBpFlat}) {
     for (uint32_t threads : {1u, 4u}) {
       BpOptions opts;
-      opts.kernel = kernel;
       opts.num_threads = threads;
-      BpResult r = InferMarginalsBpFlat(graph, pot, opts);
+      BpResult r = infer(graph, pot, opts);
       ASSERT_EQ(r.p_up.size(), n);
       EXPECT_EQ(r.message_updates, uint64_t{s} * 2 * (n - 1));
       EXPECT_EQ(r.p_up[0], 1.0);
