@@ -306,24 +306,34 @@ TEST(BpGraphSoaTest, IllConditionedCompatRoutesToSpill) {
   }
 }
 
-// The engine follows from the sweep count and the CPU alone: the served
-// S = 1 runs the SIMD kernel exactly where the CPU can, and S = 2 always
-// runs the scalar oracle.
-TEST(BpKernelDispatchTest, OneSweepRunsSimdExactlyWhereAvailable) {
+// The engine follows from the sweep count and the CPU alone. Above one
+// sweep InferMarginalsBpFlat always runs the scalar oracle: it counts one
+// scalar run and never a SIMD one.
+TEST(BpKernelDispatchTest, ScalarRequestNeverRunsSimd) {
   Rng rng(13);
   RandomCase c = MakeRandomCase(rng, 0);
-  for (uint32_t sweeps : {1u, 2u}) {
-    obs::MetricsRegistry reg;
-    BpOptions opts;
-    opts.max_iters = sweeps;
-    opts.metrics = &reg;
-    InferMarginalsBpFlat(c.graph, c.pot, opts);
-    const uint64_t simd = sweeps == 1 && BpSimdKernelAvailable() ? 1 : 0;
-    EXPECT_EQ(reg.GetCounter(obs::kBpKernelRunsSimd)->Value(), simd)
-        << "S = " << sweeps;
-    EXPECT_EQ(reg.GetCounter(obs::kBpKernelRunsScalar)->Value(), 1 - simd)
-        << "S = " << sweeps;
-  }
+  obs::MetricsRegistry reg;
+  BpOptions opts;
+  opts.max_iters = 2;
+  opts.metrics = &reg;
+  InferMarginalsBpFlat(c.graph, c.pot, opts);
+  EXPECT_EQ(reg.GetCounter(obs::kBpKernelRunsSimd)->Value(), 0u);
+  EXPECT_EQ(reg.GetCounter(obs::kBpKernelRunsScalar)->Value(), 1u);
+}
+
+// The served S = 1 runs the SIMD kernel exactly where the CPU can, and the
+// scalar oracle elsewhere.
+TEST(BpKernelDispatchTest, AutoResolvesToAvailableKernel) {
+  Rng rng(13);
+  RandomCase c = MakeRandomCase(rng, 0);
+  obs::MetricsRegistry reg;
+  BpOptions opts;
+  opts.max_iters = 1;
+  opts.metrics = &reg;
+  InferMarginalsBpFlat(c.graph, c.pot, opts);
+  const uint64_t simd = BpSimdKernelAvailable() ? 1 : 0;
+  EXPECT_EQ(reg.GetCounter(obs::kBpKernelRunsSimd)->Value(), simd);
+  EXPECT_EQ(reg.GetCounter(obs::kBpKernelRunsScalar)->Value(), 1 - simd);
 }
 
 // Satellite regression for the scalar cavity/belief underflow fix: a
