@@ -126,25 +126,25 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
   obs::FlightSpan flight_span(flight, slot, obs::FlightStage::kEstimate);
   // A detached estimator never reads the clock.
   const uint64_t start_ns = o.metrics != nullptr ? obs::MonotonicNanos() : 0;
-  // Seed trends come from comparing the crowdsourced speed with the road's
-  // historical mean.
+  // Each seed's trend and relative deviation come from comparing the
+  // crowdsourced speed with the road's historical mean.
   std::vector<SeedTrend> seed_trends;
+  std::vector<double> seed_deviation;
   seed_trends.reserve(seeds.size());
+  seed_deviation.reserve(seeds.size());
   const HistoricalDb::BucketView hist = db_->Bucket(slot);
   for (const SeedSpeed& s : seeds) {
     if (s.road >= net_->num_roads()) {
       return Status::InvalidArgument("seed road out of range");
     }
     if (!std::isfinite(s.speed_kmh) || s.speed_kmh <= 0.0) {
-      // A NaN here would otherwise poison TrendOf and the influence
+      // A NaN here would otherwise poison the trend and the influence
       // aggregate for every road the seed covers.
       return Status::InvalidArgument("seed speed must be positive and finite");
     }
-    SeedTrend t;
-    t.road = s.road;
-    t.trend =
-        hist.TrendOf(s.road, s.speed_kmh, net_->road(s.road).free_flow_kmh);
-    seed_trends.push_back(t);
+    const double mean = hist.MeanOr(s.road, net_->road(s.road).free_flow_kmh);
+    seed_trends.push_back({s.road, s.speed_kmh >= mean ? +1 : -1});
+    seed_deviation.push_back(mean > 0.0 ? s.speed_kmh / mean - 1.0 : 0.0);
   }
   EstimateWorkspace temporary;
   EstimateWorkspace& ws = workspace != nullptr ? *workspace : temporary;
@@ -162,8 +162,7 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
   }
   // The influence-weighted seed-deviation aggregate is shared by both
   // steps: trend evidence in Step 1, the regression input in Step 2.
-  AggregateSeedDeviations(ws.plan, *net_, *db_, seeds, slot, &ws.aggregate);
-  const InfluenceAggregate& aggregate = ws.aggregate;
+  ws.plan.Aggregate(seed_deviation, &ws.aggregate);
 
   // Step 1: trends.
   Output out;
@@ -172,8 +171,9 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
     const LogisticCalibration& cal = speed_model_->evidence();
     std::vector<double>& evidence = ws.evidence;
     evidence.assign(net_->num_roads(), 0.0);
-    for (RoadId v : ws.plan.covered()) {
-      evidence[v] = cal.LogOdds(aggregate.x[v]);
+    const std::vector<RoadId>& covered = ws.plan.covered();
+    for (size_t i = 0; i < covered.size(); ++i) {
+      evidence[covered[i]] = cal.LogOdds(ws.aggregate[i]);
     }
     // Spatial backfill: roads outside every seed's influence neighbourhood
     // inherit damped evidence from physically adjacent covered roads, so
@@ -194,19 +194,11 @@ Result<TrafficSpeedEstimator::Output> TrafficSpeedEstimator::Estimate(
 
   // Step 2: speeds.
   if (influence_mode) {
-    // The fallback walks from the covered roads and the seeds. A trained
-    // influence model lets every seed cover itself, so the plan's walk is
-    // the fallback's; an uncovered seed makes the fallback compile its own.
-    const bool seeds_covered =
-        std::all_of(seeds.begin(), seeds.end(), [&](const SeedSpeed& s) {
-          return aggregate.weight[s.road] > 0.0;
-        });
     TS_ASSIGN_OR_RETURN(
         out.speeds,
-        EstimateSpeedsInfluence(
-            *net_, *influence_, *db_, *speed_model_, out.trends, seeds,
-            aggregate, slot, config_.propagation,
-            seeds_covered ? &ws.plan.neighbour_means() : nullptr));
+        EstimateSpeedsInfluence(*net_, *db_, *speed_model_, out.trends, seeds,
+                                ws.plan, ws.aggregate, seed_deviation, slot,
+                                config_.propagation));
   } else {
     TS_ASSIGN_OR_RETURN(
         out.speeds,

@@ -58,7 +58,9 @@ struct EstimateWorkspace {
   /// once). The estimator's registry mirrors it as
   /// trendspeed_seed_plan_compiles_total.
   uint64_t plan_compiles = 0;
-  InfluenceAggregate aggregate;
+  /// The slot's influence-weighted mean seed deviation per covered road,
+  /// in plan.covered() order (SeedSetPlan::Aggregate).
+  std::vector<double> aggregate;
   std::vector<double> evidence;
 };
 

@@ -19,21 +19,14 @@ Status ValidateSeeds(const std::vector<SeedSpeed>& seeds, size_t n) {
   return Status::OK();
 }
 
-// `hist` is the slot's history bucket.
-double SeedDeviation(const RoadNetwork& net,
-                     const HistoricalDb::BucketView& hist,
-                     const SeedSpeed& s) {
-  double mean = hist.MeanOr(s.road, net.road(s.road).free_flow_kmh);
-  return mean > 0.0 ? s.speed_kmh / mean - 1.0 : 0.0;
-}
-
 // Installs seed deviations/speeds as layer 0 of `out`.
 void SeedLayer(const RoadNetwork& net, const HistoricalDb& db,
                const std::vector<SeedSpeed>& seeds, uint64_t slot,
                SpeedEstimateResult* out) {
   const HistoricalDb::BucketView hist = db.Bucket(slot);
   for (const SeedSpeed& s : seeds) {
-    out->deviation[s.road] = SeedDeviation(net, hist, s);
+    double mean = hist.MeanOr(s.road, net.road(s.road).free_flow_kmh);
+    out->deviation[s.road] = mean > 0.0 ? s.speed_kmh / mean - 1.0 : 0.0;
     out->speed_kmh[s.road] = s.speed_kmh;
     out->layer[s.road] = 0;
   }
@@ -94,42 +87,19 @@ void FinishEstimate(const RoadNetwork& net, const HistoricalDb& db,
 
 }  // namespace
 
-InfluenceAggregate AggregateSeedDeviations(const InfluenceModel& influence,
-                                           const RoadNetwork& net,
-                                           const HistoricalDb& db,
-                                           const std::vector<SeedSpeed>& seeds,
-                                           uint64_t slot) {
-  SeedSetPlan plan;
-  plan.Compile(influence, net, seeds, /*mean_layers=*/0);
-  InfluenceAggregate agg;
-  AggregateSeedDeviations(plan, net, db, seeds, slot, &agg);
-  return agg;
-}
-
-void AggregateSeedDeviations(const SeedSetPlan& plan, const RoadNetwork& net,
-                             const HistoricalDb& db,
-                             const std::vector<SeedSpeed>& seeds,
-                             uint64_t slot, InfluenceAggregate* out) {
-  std::vector<double> deviation(seeds.size(), 0.0);
-  const HistoricalDb::BucketView hist = db.Bucket(slot);
-  for (size_t i = 0; i < seeds.size(); ++i) {
-    // Out-of-range seeds (validated by the caller) have no plan entries.
-    if (seeds[i].road < net.num_roads()) {
-      deviation[i] = SeedDeviation(net, hist, seeds[i]);
-    }
-  }
-  plan.Aggregate(deviation, out);
-}
-
 Result<SpeedEstimateResult> EstimateSpeedsInfluence(
-    const RoadNetwork& net, const InfluenceModel& influence,
-    const HistoricalDb& db, const HierarchicalSpeedModel& model,
-    const TrendEstimate& trends, const std::vector<SeedSpeed>& seeds,
-    const InfluenceAggregate& aggregate, uint64_t slot,
-    const PropagationOptions& opts, const LayeredMeanPlan* spatial) {
+    const RoadNetwork& net, const HistoricalDb& db,
+    const HierarchicalSpeedModel& model, const TrendEstimate& trends,
+    const std::vector<SeedSpeed>& seeds, const SeedSetPlan& plan,
+    const std::vector<double>& means,
+    const std::vector<double>& seed_deviation, uint64_t slot,
+    const PropagationOptions& opts) {
   size_t n = net.num_roads();
-  if (influence.num_roads() != n || db.num_roads() != n ||
-      trends.p_up.size() != n || aggregate.x.size() != n) {
+  const std::vector<RoadId>& covered = plan.covered();
+  const std::vector<double>& weight = plan.weight();
+  if (db.num_roads() != n || trends.p_up.size() != n || weight.size() != n ||
+      means.size() != covered.size() ||
+      seed_deviation.size() != seeds.size()) {
     return Status::InvalidArgument("influence estimation size mismatch");
   }
   TS_RETURN_NOT_OK(ValidateSeeds(seeds, n));
@@ -137,17 +107,25 @@ Result<SpeedEstimateResult> EstimateSpeedsInfluence(
   out.speed_kmh.assign(n, 0.0);
   out.deviation.assign(n, 0.0);
   out.layer.assign(n, kUnreachedLayer);
-  SeedLayer(net, db, seeds, slot, &out);
-  for (RoadId v = 0; v < n; ++v) {
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    out.deviation[seeds[i].road] = seed_deviation[i];
+    out.speed_kmh[seeds[i].road] = seeds[i].speed_kmh;
+    out.layer[seeds[i].road] = 0;
+  }
+  for (size_t i = 0; i < covered.size(); ++i) {
+    const RoadId v = covered[i];
     if (out.layer[v] == 0) continue;
-    if (aggregate.weight[v] <= 0.0) continue;  // spatial fallback later
-    out.deviation[v] =
-        model.PredictDeviation(v, aggregate.x[v], aggregate.weight[v],
-                               /*has_x=*/true, trends.p_up[v]);
+    out.deviation[v] = model.PredictDeviation(v, means[i], weight[v],
+                                              /*has_x=*/true, trends.p_up[v]);
     out.layer[v] = 1;
   }
-  FinishEstimate(net, db, model, trends, opts, spatial, /*base_layer=*/2,
-                 slot, &out);
+  // The fallback walks from the covered roads and the seeds: the plan's
+  // walk when the seeds are among the covered roads.
+  const bool plan_walk = plan.covers_every_seed() &&
+                         plan.mean_layers() >= opts.max_spatial_layers;
+  FinishEstimate(net, db, model, trends, opts,
+                 plan_walk ? &plan.neighbour_means() : nullptr,
+                 /*base_layer=*/2, slot, &out);
   return out;
 }
 

@@ -54,34 +54,19 @@ struct SpeedEstimateResult {
   std::vector<uint32_t> layer;     ///< 0 = seed, k = k-th estimation wave
 };
 
-/// The influence aggregate (speed/seed_plan.h) of `seeds` at `slot`,
-/// through a plan compiled for this call.
-InfluenceAggregate AggregateSeedDeviations(const InfluenceModel& influence,
-                                           const RoadNetwork& net,
-                                           const HistoricalDb& db,
-                                           const std::vector<SeedSpeed>& seeds,
-                                           uint64_t slot);
-
-/// The same aggregate through a plan already compiled for `seeds`' road
-/// list; bitwise equal to the overload above.
-void AggregateSeedDeviations(const SeedSetPlan& plan, const RoadNetwork& net,
-                             const HistoricalDb& db,
-                             const std::vector<SeedSpeed>& seeds,
-                             uint64_t slot, InfluenceAggregate* out);
-
-/// One-shot influence-mode estimation (see file comment). `aggregate` must
-/// come from AggregateSeedDeviations over the same seeds and slot.
-/// `spatial` is the spatial fallback's precompiled plan (the
-/// neighbour_means() of the SeedSetPlan `aggregate` came from, with at
-/// least opts.max_spatial_layers layers, and only when every seed has
-/// nonzero aggregate weight), or null to compile it for this call.
+/// One-shot influence-mode estimation (see file comment). `plan` is
+/// compiled for `seeds`' road list over `net`; `seed_deviation` holds each
+/// seed's relative deviation from its historical mean at `slot`, and
+/// `means` the plan's Aggregate of it. The spatial fallback takes the
+/// plan's walk when the plan covers every seed and has at least
+/// opts.max_spatial_layers layers, and compiles its own otherwise.
 Result<SpeedEstimateResult> EstimateSpeedsInfluence(
-    const RoadNetwork& net, const InfluenceModel& influence,
-    const HistoricalDb& db, const HierarchicalSpeedModel& model,
-    const TrendEstimate& trends, const std::vector<SeedSpeed>& seeds,
-    const InfluenceAggregate& aggregate, uint64_t slot,
-    const PropagationOptions& opts = {},
-    const LayeredMeanPlan* spatial = nullptr);
+    const RoadNetwork& net, const HistoricalDb& db,
+    const HierarchicalSpeedModel& model, const TrendEstimate& trends,
+    const std::vector<SeedSpeed>& seeds, const SeedSetPlan& plan,
+    const std::vector<double>& means,
+    const std::vector<double>& seed_deviation, uint64_t slot,
+    const PropagationOptions& opts = {});
 
 /// Layered (BFS cascade) estimation over the correlation graph.
 Result<SpeedEstimateResult> PropagateSpeeds(

@@ -104,6 +104,10 @@ void SeedSetPlan::Compile(const InfluenceModel& influence,
     }
   }
 
+  covers_every_seed_ = std::all_of(
+      seed_roads_.begin(), seed_roads_.end(),
+      [&](RoadId road) { return road < n && weight_[road] > 0.0; });
+
   std::vector<uint8_t> known(n);
   for (RoadId v = 0; v < n; ++v) known[v] = weight_[v] > 0.0 ? 1 : 0;
   means_.Compile(net, known, mean_layers);
@@ -120,16 +124,15 @@ bool SeedSetPlan::CompiledFor(const InfluenceModel& influence,
 }
 
 void SeedSetPlan::Aggregate(const std::vector<double>& seed_deviation,
-                            InfluenceAggregate* out) const {
-  out->weight = weight_;
-  out->x.assign(weight_.size(), 0.0);
+                            std::vector<double>* means) const {
+  means->resize(covered_.size());
   for (size_t i = 0; i < covered_.size(); ++i) {
     double xsum = 0.0;
     for (uint32_t k = gather_off_[i]; k < gather_off_[i + 1]; ++k) {
       xsum += static_cast<double>(gather_[k].influence) *
               seed_deviation[gather_[k].seed];
     }
-    out->x[covered_[i]] = xsum / weight_[covered_[i]];
+    (*means)[i] = xsum / weight_[covered_[i]];
   }
 }
 

@@ -11,9 +11,10 @@
 //   * Step 2's spatial fallback — the same walk from every road Step 2
 //     already estimated.
 //
-// A SeedSetPlan captures that structure: the aggregate weights, a CSR
-// gather of (seed position, influence) per covered road kept in the order
-// the seeds were listed, and one LayeredMeanPlan that both walks apply.
+// A SeedSetPlan captures that structure: the aggregate weights, which
+// roads are covered and whether every seed is among them, a CSR gather of
+// (seed position, influence) per covered road kept in the order the seeds
+// were listed, and one LayeredMeanPlan that both walks apply.
 // Applying it adds the same terms in the same order as the direct passes,
 // so results are bitwise identical. The plan is keyed by the *ordered*
 // list, and seed order changes the order of the aggregate's sums; the
@@ -85,15 +86,6 @@ class LayeredMeanPlan {
   std::vector<RoadId> src_;                ///< sources, adjacency order
 };
 
-/// Signed-influence-weighted aggregate of the seed deviations: x[v] is the
-/// weighted mean deviation the seeds imply for road v, weight[v] the total
-/// influence magnitude backing it (0 = no seed reaches v). Shared between
-/// the trend evidence and the speed prediction.
-struct InfluenceAggregate {
-  std::vector<double> x;
-  std::vector<double> weight;
-};
-
 /// The compiled structure of one ordered seed list (see the file comment).
 class SeedSetPlan {
  public:
@@ -109,15 +101,26 @@ class SeedSetPlan {
                    const std::vector<SeedSpeed>& seeds,
                    uint32_t mean_layers) const;
 
-  /// Fills `out` from the per-seed deviations (one per entry of the
-  /// compiled seed list). Every road's gather row holds its cover entries
-  /// in seed order, so the sum adds the same terms in the same order as a
-  /// scatter over the seeds' cover lists.
+  /// Writes the signed-influence-weighted mean of the per-seed deviations
+  /// (one per entry of the compiled seed list) for each covered road into
+  /// `means`, in covered() order: the deviation the seeds imply for that
+  /// road, shared by Step 1's evidence and Step 2's regression input.
+  /// Every road's gather row holds its cover entries in seed order, so the
+  /// sum adds the same terms in the same order as a scatter over the seeds'
+  /// cover lists.
   void Aggregate(const std::vector<double>& seed_deviation,
-                 InfluenceAggregate* out) const;
+                 std::vector<double>* means) const;
 
   /// Roads with nonzero aggregate weight, ascending.
   const std::vector<RoadId>& covered() const { return covered_; }
+  /// Per road: the total influence magnitude backing it, summed in seed
+  /// order (0 = no seed reaches it).
+  const std::vector<double>& weight() const { return weight_; }
+  /// True when every listed seed is a covered road. Then the walk below
+  /// starts from exactly the roads Step 2 estimates before its fallback.
+  bool covers_every_seed() const { return covers_every_seed_; }
+  /// Layers the walk below was compiled with (its `mean_layers`).
+  uint32_t mean_layers() const { return mean_layers_; }
   /// Walk from the covered roads: the evidence backfill, and Step 2's
   /// spatial fallback whenever every seed is covered (an uncovered seed
   /// starts the fallback from one more road).
@@ -132,8 +135,9 @@ class SeedSetPlan {
   const InfluenceModel* influence_ = nullptr;
   std::vector<RoadId> seed_roads_;
   uint32_t mean_layers_ = 0;
-  std::vector<double> weight_;        ///< per road, summed in seed order
+  std::vector<double> weight_;
   std::vector<RoadId> covered_;
+  bool covers_every_seed_ = true;
   std::vector<uint32_t> gather_off_;  ///< covered_.size() + 1 into gather_
   std::vector<GatherEntry> gather_;
   LayeredMeanPlan means_;

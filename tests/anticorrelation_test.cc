@@ -17,6 +17,8 @@
 namespace trendspeed {
 namespace {
 
+using testing_util::AggregateSeeds;
+using testing_util::SeedAggregate;
 using testing_util::SmallGrid;
 
 TEST(IncidentStarvationTest, DownstreamSpeedsUpUpstreamSlowsDown) {
@@ -153,9 +155,8 @@ TEST_F(AntiCorrelationTest, AggregationFlipsSignThroughNegativeEdge) {
   uint64_t slot = 4;
   double hist = db_.HistoricalMeanOr(0, slot, net_.road(0).free_flow_kmh);
   std::vector<SeedSpeed> seeds = {{0, hist * 0.8}};  // seed is down 20%
-  InfluenceAggregate agg =
-      AggregateSeedDeviations(*influence, net_, db_, seeds, slot);
-  ASSERT_GT(agg.weight[anti_], 0.0);
+  SeedAggregate agg = AggregateSeeds(*influence, net_, db_, seeds, slot);
+  ASSERT_GT(agg.plan.weight()[anti_], 0.0);
   // Anti-correlated road receives a POSITIVE expected deviation.
   EXPECT_GT(agg.x[anti_], 0.05);
 }

@@ -173,12 +173,19 @@ double RefSeedDeviation(const TrafficSpeedEstimator& est, const SeedSpeed& s,
   return hist > 0.0 ? s.speed_kmh / hist - 1.0 : 0.0;
 }
 
-InfluenceAggregate RefAggregate(const TrafficSpeedEstimator& est,
-                                const std::vector<SeedSpeed>& seeds,
-                                uint64_t slot) {
+// The aggregate spread over every road: x[v] is the weighted mean
+// deviation, weight[v] the total influence magnitude (0 = uncovered).
+struct RefInfluenceAggregate {
+  std::vector<double> x;
+  std::vector<double> weight;
+};
+
+RefInfluenceAggregate RefAggregate(const TrafficSpeedEstimator& est,
+                                   const std::vector<SeedSpeed>& seeds,
+                                   uint64_t slot) {
   const InfluenceModel& influence = est.influence();
   size_t n = influence.num_roads();
-  InfluenceAggregate agg;
+  RefInfluenceAggregate agg;
   agg.x.assign(n, 0.0);
   agg.weight.assign(n, 0.0);
   std::vector<double> xsum(n, 0.0);
@@ -196,7 +203,7 @@ InfluenceAggregate RefAggregate(const TrafficSpeedEstimator& est,
 }
 
 std::vector<double> RefEvidence(const TrafficSpeedEstimator& est,
-                                const InfluenceAggregate& aggregate) {
+                                const RefInfluenceAggregate& aggregate) {
   const RoadNetwork& net = est.network();
   const PipelineConfig& config = est.config();
   const LogisticCalibration& cal = est.speed_model().evidence();
@@ -330,7 +337,7 @@ ReferenceOutput RefEstimate(const TrafficSpeedEstimator& est, uint64_t slot,
         {s.road, est.history().TrendOf(s.road, slot, s.speed_kmh,
                                        net.road(s.road).free_flow_kmh)});
   }
-  InfluenceAggregate aggregate = RefAggregate(est, seeds, slot);
+  RefInfluenceAggregate aggregate = RefAggregate(est, seeds, slot);
   std::vector<double> evidence;
   const std::vector<double>* evidence_ptr = nullptr;
   if (config.use_trend_evidence && model.evidence().trained) {
@@ -610,9 +617,8 @@ TEST_F(SeedPlanPropertyTest, SeedsOutsideTheirOwnCoverMatchReference) {
   auto out = est->Estimate(slot, seeds, &ws);
   ASSERT_TRUE(out.ok());
   ExpectMatchesReference(*est, slot, seeds, *out);
-  EXPECT_TRUE(std::any_of(seeds.begin(), seeds.end(), [&](const SeedSpeed& s) {
-    return ws.aggregate.weight[s.road] == 0.0;
-  })) << "no seed outside the cover: the per-call fallback walk is untested";
+  EXPECT_FALSE(ws.plan.covers_every_seed())
+      << "no seed outside the cover: the per-call fallback walk is untested";
 }
 
 TEST_F(SeedPlanPropertyTest, TwoSessionsOnOneEstimatorFromTwoThreads) {

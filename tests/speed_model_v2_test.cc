@@ -19,7 +19,9 @@
 namespace trendspeed {
 namespace {
 
+using testing_util::AggregateSeeds;
 using testing_util::AlternatingHistory;
+using testing_util::SeedAggregate;
 using testing_util::SmallGrid;
 
 TEST(FitLogisticTest, RecoversSigmoidParameters) {
@@ -446,15 +448,14 @@ TEST_F(InfluenceAggregationTest, SeedDeviationReachesCoveredRoads) {
   uint64_t slot = 4;
   double hist = db_.HistoricalMeanOr(0, slot, net_.road(0).free_flow_kmh);
   std::vector<SeedSpeed> seeds = {{0, hist * 0.8}};  // -20% deviation
-  InfluenceAggregate agg =
-      AggregateSeedDeviations(*influence_, net_, db_, seeds, slot);
+  SeedAggregate agg = AggregateSeeds(*influence_, net_, db_, seeds, slot);
   // The seed covers itself with weight 1 and exact deviation.
-  EXPECT_NEAR(agg.weight[0], 1.0, 1e-6);
+  EXPECT_NEAR(agg.plan.weight()[0], 1.0, 1e-6);
   EXPECT_NEAR(agg.x[0], -0.2, 1e-6);
   // Covered roads carry the (possibly attenuated) negative signal.
   size_t covered = 0;
   for (RoadId r = 1; r < net_.num_roads(); ++r) {
-    if (agg.weight[r] > 0.0) {
+    if (agg.plan.weight()[r] > 0.0) {
       ++covered;
       EXPECT_LT(agg.x[r], 0.0) << "road " << r;
     }
@@ -468,10 +469,9 @@ TEST_F(InfluenceAggregationTest, MultipleSeedsAverageByWeight) {
   double h0 = db_.HistoricalMeanOr(0, slot, net_.road(0).free_flow_kmh);
   double h9 = db_.HistoricalMeanOr(9, slot, net_.road(9).free_flow_kmh);
   std::vector<SeedSpeed> seeds = {{0, h0 * 0.8}, {9, h9 * 1.2}};
-  InfluenceAggregate agg =
-      AggregateSeedDeviations(*influence_, net_, db_, seeds, slot);
+  SeedAggregate agg = AggregateSeeds(*influence_, net_, db_, seeds, slot);
   for (RoadId r = 0; r < net_.num_roads(); ++r) {
-    if (agg.weight[r] > 0.0) {
+    if (agg.plan.weight()[r] > 0.0) {
       EXPECT_GE(agg.x[r], -0.2 - 1e-6);
       EXPECT_LE(agg.x[r], 0.2 + 1e-6);
     }
@@ -487,10 +487,10 @@ TEST_F(InfluenceAggregationTest, InfluenceEstimationCoversEveryRoad) {
   uint64_t slot = 4;
   double hist = db_.HistoricalMeanOr(0, slot, net_.road(0).free_flow_kmh);
   std::vector<SeedSpeed> seeds = {{0, hist * 0.8}};
-  InfluenceAggregate agg =
-      AggregateSeedDeviations(*influence_, net_, db_, seeds, slot);
-  auto est = EstimateSpeedsInfluence(net_, *influence_, db_, *model, trends,
-                                     seeds, agg, slot, {});
+  SeedAggregate agg = AggregateSeeds(*influence_, net_, db_, seeds, slot);
+  auto est = EstimateSpeedsInfluence(net_, db_, *model, trends, seeds,
+                                     agg.plan, agg.means, agg.seed_deviation,
+                                     slot, {});
   ASSERT_TRUE(est.ok());
   for (RoadId r = 0; r < net_.num_roads(); ++r) {
     EXPECT_GT(est->speed_kmh[r], 0.0);
@@ -499,7 +499,7 @@ TEST_F(InfluenceAggregationTest, InfluenceEstimationCoversEveryRoad) {
   EXPECT_EQ(est->layer[0], 0u);
   // Covered roads are layer 1.
   for (RoadId r = 1; r < net_.num_roads(); ++r) {
-    if (agg.weight[r] > 0.0) {
+    if (agg.plan.weight()[r] > 0.0) {
       EXPECT_EQ(est->layer[r], 1u);
     }
   }
@@ -511,15 +511,16 @@ TEST_F(InfluenceAggregationTest, EstimationValidatesInput) {
   ASSERT_TRUE(model.ok());
   TrendEstimate trends;
   trends.p_up.assign(net_.num_roads(), 0.5);
-  InfluenceAggregate agg =
-      AggregateSeedDeviations(*influence_, net_, db_, {}, 0);
-  EXPECT_FALSE(EstimateSpeedsInfluence(net_, *influence_, db_, *model, trends,
-                                       {{99999, 10.0}}, agg, 0, {})
+  SeedAggregate agg = AggregateSeeds(*influence_, net_, db_, {}, 0);
+  // One deviation for the one seed, so the seed itself is what fails.
+  EXPECT_FALSE(EstimateSpeedsInfluence(net_, db_, *model, trends,
+                                       {{99999, 10.0}}, agg.plan, agg.means,
+                                       {0.0}, 0, {})
                    .ok());
   TrendEstimate bad;
   bad.p_up.assign(3, 0.5);
-  EXPECT_FALSE(EstimateSpeedsInfluence(net_, *influence_, db_, *model, bad,
-                                       {}, agg, 0, {})
+  EXPECT_FALSE(EstimateSpeedsInfluence(net_, db_, *model, bad, {}, agg.plan,
+                                       agg.means, agg.seed_deviation, 0, {})
                    .ok());
 }
 

@@ -12,7 +12,9 @@
 namespace trendspeed {
 namespace {
 
+using testing_util::AggregateSeeds;
 using testing_util::AlternatingHistory;
+using testing_util::SeedAggregate;
 using testing_util::SmallGrid;
 
 TEST(TrendMeanTest, PerTrendAverages) {
@@ -259,8 +261,7 @@ TEST_F(PropagationTest, RejectsInvalidSeeds) {
 
 TEST_F(PropagationTest, RejectsNonFiniteSeedSpeeds) {
   TrendEstimate trends = UniformTrends(0.5);
-  InfluenceAggregate aggregate =
-      AggregateSeedDeviations(*influence_, net_, db_, {{0, 30.0}}, 2);
+  SeedAggregate agg = AggregateSeeds(*influence_, net_, db_, {{0, 30.0}}, 2);
   for (double bad : {std::numeric_limits<double>::quiet_NaN(),
                      std::numeric_limits<double>::infinity()}) {
     std::vector<SeedSpeed> seeds = {{0, bad}};
@@ -268,8 +269,9 @@ TEST_F(PropagationTest, RejectsNonFiniteSeedSpeeds) {
         PropagateSpeeds(net_, *graph_, db_, *model_, trends, seeds, 2, {})
             .ok())
         << bad;
-    EXPECT_FALSE(EstimateSpeedsInfluence(net_, *influence_, db_, *model_,
-                                         trends, seeds, aggregate, 2, {})
+    EXPECT_FALSE(EstimateSpeedsInfluence(net_, db_, *model_, trends, seeds,
+                                         agg.plan, agg.means,
+                                         agg.seed_deviation, 2, {})
                      .ok())
         << bad;
   }

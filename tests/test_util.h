@@ -70,6 +70,37 @@ inline HistoricalDb AlternatingHistory(const RoadNetwork& net,
   return builder.Finish();
 }
 
+/// A seed list's compiled plan (speed/seed_plan.h) and its aggregate at
+/// `slot`: each seed's deviation from its historical mean, the plan's means
+/// in covered() order, and the same means spread over every road (0 where
+/// no seed reaches), as EstimateSpeedsInfluence and Estimate consume them.
+struct SeedAggregate {
+  SeedSetPlan plan;
+  std::vector<double> seed_deviation;
+  std::vector<double> means;
+  std::vector<double> x;
+};
+
+inline SeedAggregate AggregateSeeds(const InfluenceModel& influence,
+                                    const RoadNetwork& net,
+                                    const HistoricalDb& db,
+                                    const std::vector<SeedSpeed>& seeds,
+                                    uint64_t slot, uint32_t mean_layers = 0) {
+  SeedAggregate agg;
+  agg.plan.Compile(influence, net, seeds, mean_layers);
+  for (const SeedSpeed& s : seeds) {
+    double mean =
+        db.HistoricalMeanOr(s.road, slot, net.road(s.road).free_flow_kmh);
+    agg.seed_deviation.push_back(mean > 0.0 ? s.speed_kmh / mean - 1.0 : 0.0);
+  }
+  agg.plan.Aggregate(agg.seed_deviation, &agg.means);
+  agg.x.assign(net.num_roads(), 0.0);
+  for (size_t i = 0; i < agg.means.size(); ++i) {
+    agg.x[agg.plan.covered()[i]] = agg.means[i];
+  }
+  return agg;
+}
+
 /// Cached tiny dataset shared by the heavier suites (built once per test
 /// binary; building one takes a couple hundred ms).
 inline const Dataset& SharedTinyDataset() {
