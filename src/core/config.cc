@@ -1,5 +1,7 @@
 #include "core/config.h"
 
+#include <cmath>
+
 namespace trendspeed {
 
 Status PipelineConfig::Validate() const {
@@ -21,8 +23,22 @@ Status PipelineConfig::Validate() const {
   if (!(speed.ridge_lambda > 0.0)) {  // also rejects NaN
     return Status::InvalidArgument("speed.ridge_lambda must be > 0");
   }
-  if (trend.bp.damping < 0.0 || trend.bp.damping >= 1.0) {
+  if (!std::isfinite(propagation.spatial_discount)) {
+    return Status::InvalidArgument("propagation.spatial_discount must be finite");
+  }
+  // `!(…)` checks also reject NaN, which fails every comparison.
+  if (!(trend.bp.damping >= 0.0 && trend.bp.damping < 1.0)) {
     return Status::InvalidArgument("trend.bp.damping must be in [0, 1)");
+  }
+  if (!(trend.edge_compat_power > 0.0) ||
+      !std::isfinite(trend.edge_compat_power)) {
+    return Status::InvalidArgument(
+        "trend.edge_compat_power must be finite and > 0");
+  }
+  if (!(trend.prior_pseudo_count >= 0.0) ||
+      !std::isfinite(trend.prior_pseudo_count)) {
+    return Status::InvalidArgument(
+        "trend.prior_pseudo_count must be finite and >= 0");
   }
   if (trend.bp.max_iters == 0) {
     return Status::InvalidArgument("trend.bp.max_iters must be positive");

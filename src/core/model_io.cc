@@ -8,8 +8,9 @@ namespace trendspeed {
 namespace {
 constexpr uint32_t kModelVersion = 1;
 /// Version 2 dropped BP's convergence tolerance (version 1 wrote it after
-/// the damping); BP now runs exactly max_iters sweeps.
-constexpr uint32_t kConfigVersion = 2;
+/// the damping); BP now runs exactly max_iters sweeps. Version 3 appends
+/// the evidence backfill hops and damping, which version 2 dropped.
+constexpr uint32_t kConfigVersion = 3;
 
 void PutConfig(const PipelineConfig& c, BinaryWriter* w) {
   w->PutTag("CONF", kConfigVersion);
@@ -23,6 +24,8 @@ void PutConfig(const PipelineConfig& c, BinaryWriter* w) {
   w->PutU32(c.propagation.max_spatial_layers);
   w->PutF64(c.propagation.spatial_discount);
   w->PutU8(c.use_trend_evidence ? 1 : 0);
+  w->PutU32(c.evidence_backfill_hops);
+  w->PutF64(c.evidence_backfill_damping);
 }
 
 Result<PipelineConfig> GetConfig(BinaryReader* r) {
@@ -48,6 +51,8 @@ Result<PipelineConfig> GetConfig(BinaryReader* r) {
   TS_ASSIGN_OR_RETURN(c.propagation.spatial_discount, r->GetF64());
   TS_ASSIGN_OR_RETURN(uint8_t evidence, r->GetU8());
   c.use_trend_evidence = evidence != 0;
+  TS_ASSIGN_OR_RETURN(c.evidence_backfill_hops, r->GetU32());
+  TS_ASSIGN_OR_RETURN(c.evidence_backfill_damping, r->GetF64());
   return c;
 }
 

@@ -62,6 +62,41 @@ TEST(ConfigTest, RejectsBadDamping) {
   EXPECT_FALSE(config.Validate().ok());
 }
 
+TEST(ConfigTest, RejectsNanDamping) {
+  PipelineConfig config;
+  config.trend.bp.damping = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(config.Validate().ok());
+}
+
+// The trend model aborts on these at construction (compat power) or at the
+// first Estimate (pseudo-count), so Validate refuses them first.
+TEST(ConfigTest, RejectsBadTrendKnobs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {0.0, -0.5, nan, inf}) {
+    PipelineConfig config;
+    config.trend.edge_compat_power = bad;
+    EXPECT_FALSE(config.Validate().ok()) << bad;
+  }
+  for (double bad : {-1.0, nan, inf}) {
+    PipelineConfig config;
+    config.trend.prior_pseudo_count = bad;
+    EXPECT_FALSE(config.Validate().ok()) << bad;
+  }
+  PipelineConfig config;
+  config.trend.prior_pseudo_count = 0.0;  // no smoothing: valid
+  EXPECT_TRUE(config.Validate().ok());
+}
+
+TEST(ConfigTest, RejectsNonFiniteSpatialDiscount) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    PipelineConfig config;
+    config.propagation.spatial_discount = bad;
+    EXPECT_FALSE(config.Validate().ok()) << bad;
+  }
+}
+
 TEST(ConfigTest, RejectsBadBpKnobs) {
   PipelineConfig config;
   config.trend.bp.max_iters = 0;

@@ -1,4 +1,7 @@
 #include <cstdio>
+#include <functional>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -171,59 +174,133 @@ TEST_F(ModelIoTest, ConfigSurvivesRoundTrip) {
 // Model files start with the TSPD tag and the road count; the CONF section
 // follows.
 constexpr size_t kConfigOffset = 4 + 4 + 8;
-// CONF v2: tag + version, then engine, max_iters, damping, compat power,
+// CONF v3: tag + version, then engine, max_iters, damping, compat power,
 // prior pseudo-count, aggregation mode, max layers, max spatial layers,
-// spatial discount and the evidence flag.
-constexpr size_t kConfigV2Bytes = 4 + 4 + 1 + 4 + 8 + 8 + 8 + 1 + 4 + 4 + 8 + 1;
+// spatial discount, the evidence flag, backfill hops and backfill damping.
+constexpr size_t kConfigV3Bytes =
+    4 + 4 + 1 + 4 + 8 + 8 + 8 + 1 + 4 + 4 + 8 + 1 + 4 + 8;
 
-TEST_F(ModelIoTest, ConfigRoundTripsAtVersion2) {
+// The CONF fields every version since 2 writes, in file order.
+void PutConfigV2Fields(const PipelineConfig& c, BinaryWriter* w) {
+  w->PutU8(static_cast<uint8_t>(c.trend.engine));
+  w->PutU32(c.trend.bp.max_iters);
+  w->PutF64(c.trend.bp.damping);
+  w->PutF64(c.trend.edge_compat_power);
+  w->PutF64(c.trend.prior_pseudo_count);
+  w->PutU8(c.propagation.mode == AggregationMode::kInfluence ? 0 : 1);
+  w->PutU32(c.propagation.max_layers);
+  w->PutU32(c.propagation.max_spatial_layers);
+  w->PutF64(c.propagation.spatial_discount);
+  w->PutU8(c.use_trend_evidence ? 1 : 0);
+}
+
+// `model`'s bytes with its CONF section replaced by `conf`.
+std::string WithConfigSection(const TrafficSpeedEstimator& model,
+                              const std::string& conf) {
+  std::string bytes = SerializeTrainedModel(model);
+  return bytes.substr(0, kConfigOffset) + conf +
+         bytes.substr(kConfigOffset + kConfigV3Bytes);
+}
+
+TEST_F(ModelIoTest, ConfigRoundTripsAtVersion3) {
   const Dataset& d = ds();
   PipelineConfig config;
   config.corr.min_co_observed = 8;
   config.trend.bp.max_iters = 7;
   config.trend.bp.damping = 0.3;
+  config.evidence_backfill_hops = 5;
+  config.evidence_backfill_damping = 1.0;
   auto est = TrafficSpeedEstimator::Train(&d.net, &d.history, config);
   ASSERT_TRUE(est.ok());
   std::string bytes = SerializeTrainedModel(*est);
   BinaryReader r(bytes.substr(kConfigOffset));
   auto version = r.ExpectTag("CONF");
   ASSERT_TRUE(version.ok());
-  EXPECT_EQ(*version, 2u);
-  // The correlation graph starts right after the v2 CONF section.
+  EXPECT_EQ(*version, 3u);
+  // The correlation graph starts right after the v3 CONF section.
   BinaryWriter graph;
   est->correlation_graph().Serialize(&graph);
-  EXPECT_EQ(bytes.substr(kConfigOffset + kConfigV2Bytes, graph.buffer().size()),
+  EXPECT_EQ(bytes.substr(kConfigOffset + kConfigV3Bytes, graph.buffer().size()),
             graph.buffer());
   auto loaded = DeserializeTrainedModel(&d.net, &d.history, bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->config().trend.bp.max_iters, 7u);
   EXPECT_EQ(loaded->config().trend.bp.damping, 0.3);
+  EXPECT_EQ(loaded->config().evidence_backfill_hops, 5u);
+  EXPECT_EQ(loaded->config().evidence_backfill_damping, 1.0);
 }
 
-TEST_F(ModelIoTest, RejectsVersion1Config) {
-  // A version-1 CONF section carries the retired convergence tolerance as
-  // an f64 after the damping; the rest of the file is unchanged.
-  const PipelineConfig& c = estimator_->config();
-  BinaryWriter v1;
-  v1.PutTag("CONF", 1);
-  v1.PutU8(static_cast<uint8_t>(c.trend.engine));
-  v1.PutU32(c.trend.bp.max_iters);
-  v1.PutF64(c.trend.bp.damping);
-  v1.PutF64(1e-4);
-  v1.PutF64(c.trend.edge_compat_power);
-  v1.PutF64(c.trend.prior_pseudo_count);
-  v1.PutU8(c.propagation.mode == AggregationMode::kInfluence ? 0 : 1);
-  v1.PutU32(c.propagation.max_layers);
-  v1.PutU32(c.propagation.max_spatial_layers);
-  v1.PutF64(c.propagation.spatial_discount);
-  v1.PutU8(c.use_trend_evidence ? 1 : 0);
-  std::string bytes = SerializeTrainedModel(*estimator_);
-  std::string old = bytes.substr(0, kConfigOffset) + v1.buffer() +
-                    bytes.substr(kConfigOffset + kConfigV2Bytes);
-  ASSERT_EQ(old.size(), bytes.size() + 8);
+TEST_F(ModelIoTest, RejectsVersion2Config) {
+  // A version-2 CONF section ends at the evidence flag; the rest of the
+  // file is unchanged.
+  BinaryWriter v2;
+  v2.PutTag("CONF", 2);
+  PutConfigV2Fields(estimator_->config(), &v2);
+  std::string old = WithConfigSection(*estimator_, v2.buffer());
+  ASSERT_EQ(old.size() + 12, SerializeTrainedModel(*estimator_).size());
   auto loaded = DeserializeTrainedModel(&ds().net, &ds().history, old);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A model trained with non-default backfill settings serves the same bits
+// after a round trip: the loaded estimator backfills the evidence with the
+// trained hops and damping, not the defaults.
+TEST_F(ModelIoTest, BackfillSettingsServeIdenticallyAfterRoundTrip) {
+  const Dataset& d = ds();
+  PipelineConfig config;
+  config.corr.min_co_observed = 8;
+  config.evidence_backfill_hops = 5;
+  config.evidence_backfill_damping = 1.0;
+  auto est = TrafficSpeedEstimator::Train(&d.net, &d.history, config);
+  ASSERT_TRUE(est.ok());
+  ASSERT_TRUE(est->speed_model().evidence().trained);
+  auto loaded =
+      DeserializeTrainedModel(&d.net, &d.history, SerializeTrainedModel(*est));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto seeds = est->SelectSeeds(4, SeedStrategy::kLazyGreedy);
+  ASSERT_TRUE(seeds.ok());
+  uint64_t slot = d.first_test_slot() + 5;
+  std::vector<SeedSpeed> obs;
+  for (RoadId r : seeds->seeds) obs.push_back({r, d.truth.at(slot, r)});
+  auto o1 = est->Estimate(slot, obs);
+  auto o2 = loaded->Estimate(slot, obs);
+  ASSERT_TRUE(o1.ok());
+  ASSERT_TRUE(o2.ok());
+  EXPECT_EQ(o1->trends.p_up, o2->trends.p_up);
+  EXPECT_EQ(o1->speeds.speed_kmh, o2->speeds.speed_kmh);
+}
+
+// Every CONF value the estimator would abort on is refused at load time.
+TEST_F(ModelIoTest, RejectsMalformedConfigValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::function<void(PipelineConfig*)>> corruptions = {
+      [&](PipelineConfig* c) { c->trend.edge_compat_power = 0.0; },
+      [&](PipelineConfig* c) { c->trend.edge_compat_power = -1.0; },
+      [&](PipelineConfig* c) { c->trend.edge_compat_power = nan; },
+      [&](PipelineConfig* c) { c->trend.prior_pseudo_count = -1.0; },
+      [&](PipelineConfig* c) { c->trend.prior_pseudo_count = nan; },
+      [&](PipelineConfig* c) { c->trend.bp.damping = nan; },
+      [&](PipelineConfig* c) { c->propagation.spatial_discount = nan; },
+      [&](PipelineConfig* c) { c->propagation.spatial_discount = inf; },
+      [&](PipelineConfig* c) { c->evidence_backfill_damping = nan; },
+  };
+  for (size_t i = 0; i < corruptions.size(); ++i) {
+    PipelineConfig bad = estimator_->config();
+    corruptions[i](&bad);
+    BinaryWriter conf;
+    conf.PutTag("CONF", 3);
+    PutConfigV2Fields(bad, &conf);
+    conf.PutU32(bad.evidence_backfill_hops);
+    conf.PutF64(bad.evidence_backfill_damping);
+    ASSERT_EQ(conf.buffer().size(), kConfigV3Bytes);
+    auto loaded = DeserializeTrainedModel(
+        &ds().net, &ds().history, WithConfigSection(*estimator_, conf.buffer()));
+    ASSERT_FALSE(loaded.ok()) << "corruption " << i;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << "corruption " << i;
+  }
 }
 
 }  // namespace
