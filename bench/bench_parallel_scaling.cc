@@ -1,5 +1,7 @@
 // Parallel-runtime scaling bench: BP inference and greedy seed selection
-// on a >= 50k-segment synthetic network, timed at 1/2/4/8 threads.
+// on a >= 50k-segment synthetic network, timed at 1/2/4/8 threads, plus
+// the served one-sweep BP across network sizes at 1/2/4 threads (where
+// the pool starts to pay for itself).
 //
 // Unlike the table/figure benches this one emits machine-readable JSON on
 // stdout so BENCH_*.json trajectories can accumulate across machines and
@@ -15,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_hardware.h"
@@ -22,6 +25,7 @@
 #include "seed/lazy_greedy.h"
 #include "seed/objective.h"
 #include "trend/belief_propagation.h"
+#include "trend/bp_kernel.h"
 #include "trend/factor_graph.h"
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -39,21 +43,27 @@ struct ScalingConfig {
   size_t cover_size = 24;
   int reps = 3;
   std::vector<uint32_t> threads = {1, 2, 4, 8};
+  /// Served-BP size sweep: grid shapes (4,096 to 102,400 roads), threads,
+  /// and repetitions per point (a sweep of a small grid takes tens of µs).
+  std::vector<std::pair<size_t, size_t>> sweep_grids = {
+      {64, 64}, {128, 128}, {200, 198}, {230, 220}, {320, 320}};
+  std::vector<uint32_t> sweep_threads = {1, 2, 4};
+  int sweep_reps = 31;
 };
 
 // Grid-structured associative MRF: the shape correlation mining produces
 // (sparse, locally coupled), at a size the paper's city networks reach.
-BpGraph MakeGridBpGraph(const ScalingConfig& cfg, std::vector<double>* pot) {
-  size_t n = cfg.rows * cfg.cols;
+BpGraph MakeGridBpGraph(size_t rows, size_t cols, std::vector<double>* pot) {
+  size_t n = rows * cols;
   PairwiseMrf mrf(n);
   Rng rng(2026);
-  for (size_t r = 0; r < cfg.rows; ++r) {
-    for (size_t c = 0; c < cfg.cols; ++c) {
-      size_t v = r * cfg.cols + c;
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      size_t v = r * cols + c;
       double same = rng.Uniform(0.55, 0.95);
       double compat[2][2] = {{same, 1.0 - same}, {1.0 - same, same}};
-      if (c + 1 < cfg.cols) mrf.AddEdge(v, v + 1, compat);
-      if (r + 1 < cfg.rows) mrf.AddEdge(v, v + cfg.cols, compat);
+      if (c + 1 < cols) mrf.AddEdge(v, v + 1, compat);
+      if (r + 1 < rows) mrf.AddEdge(v, v + cols, compat);
     }
   }
   pot->resize(2 * n);
@@ -129,7 +139,7 @@ int Run(const ScalingConfig& cfg) {
 
   // --- BP inference -------------------------------------------------------
   std::vector<double> pot;
-  BpGraph graph = MakeGridBpGraph(cfg, &pot);
+  BpGraph graph = MakeGridBpGraph(cfg.rows, cfg.cols, &pot);
   BpOptions bp;  // what served slots run: S = 1
   std::vector<double> serial_marginals;
   std::printf("  \"bp\": {\n    \"iterations\": %u,\n    \"runs\": [",
@@ -151,6 +161,44 @@ int Run(const ScalingConfig& cfg) {
     PrintThreadRow(i == 0, cfg.threads[i], ms, bp_base_ms,
                    static_cast<double>(n) * bp.max_iters,
                    "max_abs_diff_vs_1thread", diff);
+  }
+  std::printf("\n    ]\n  },\n");
+
+  // --- Served BP across sizes: the thread crossover ----------------------
+  // kMinParallelVars (trend/bp_kernel.h) runs smaller graphs serially; a
+  // grid has about 4 message slots per road.
+  std::printf("  \"bp_served_sizes\": {\n    \"iterations\": %u,\n"
+              "    \"min_parallel_vars\": %zu,\n    \"sizes\": [",
+              bp.max_iters, kMinParallelVars);
+  for (size_t g = 0; g < cfg.sweep_grids.size(); ++g) {
+    const auto [rows, cols] = cfg.sweep_grids[g];
+    std::vector<double> sweep_pot;
+    BpGraph sweep_graph = MakeGridBpGraph(rows, cols, &sweep_pot);
+    const size_t vars = rows * cols;
+    std::printf("%s\n      {\"segments\": %zu, \"slots_per_road\": %.2f, "
+                "\"runs\": [",
+                g == 0 ? "" : ",", vars,
+                static_cast<double>(sweep_graph.off[vars]) / vars);
+    std::vector<double> sweep_serial;
+    double base_ms = 0.0;
+    for (size_t i = 0; i < cfg.sweep_threads.size(); ++i) {
+      bp.num_threads = cfg.sweep_threads[i];
+      BpResult result;
+      double ms = BestMillis(cfg.sweep_reps, [&] {
+        result = InferMarginalsBpFlat(sweep_graph, sweep_pot, bp);
+      });
+      if (i == 0) {
+        base_ms = ms;
+        sweep_serial = result.p_up;
+      }
+      double diff = MaxAbsDiff(sweep_serial, result.p_up);
+      TS_CHECK_LT(diff, 1e-9);
+      std::printf("%s\n        {\"threads\": %u, \"ms\": %.4f, "
+                  "\"speedup_vs_1\": %.3f, \"max_abs_diff_vs_1thread\": %.3g}",
+                  i == 0 ? "" : ",", cfg.sweep_threads[i], ms, base_ms / ms,
+                  diff);
+    }
+    std::printf("\n      ]}");
   }
   std::printf("\n    ]\n  },\n");
 
@@ -209,6 +257,9 @@ int main(int argc, char** argv) {
       cfg.lazy_k = 32;
       cfg.reps = 1;
       cfg.threads = {1, 2};
+      cfg.sweep_grids = {{64, 64}};
+      cfg.sweep_threads = {1, 2};
+      cfg.sweep_reps = 3;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;
