@@ -43,6 +43,12 @@ TEST(ConfigTest, RejectsBadPropagation) {
   PipelineConfig config;
   config.propagation.max_layers = 0;
   EXPECT_FALSE(config.Validate().ok());
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    config = PipelineConfig{};
+    config.propagation.spatial_discount = bad;
+    EXPECT_FALSE(config.Validate().ok()) << bad;
+  }
 }
 
 TEST(ConfigTest, RejectsNegativeRidge) {
@@ -60,10 +66,6 @@ TEST(ConfigTest, RejectsBadDamping) {
   EXPECT_FALSE(config.Validate().ok());
   config.trend.bp.damping = -0.1;
   EXPECT_FALSE(config.Validate().ok());
-}
-
-TEST(ConfigTest, RejectsNanDamping) {
-  PipelineConfig config;
   config.trend.bp.damping = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(config.Validate().ok());
 }
@@ -86,15 +88,6 @@ TEST(ConfigTest, RejectsBadTrendKnobs) {
   PipelineConfig config;
   config.trend.prior_pseudo_count = 0.0;  // no smoothing: valid
   EXPECT_TRUE(config.Validate().ok());
-}
-
-TEST(ConfigTest, RejectsNonFiniteSpatialDiscount) {
-  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
-                     std::numeric_limits<double>::infinity()}) {
-    PipelineConfig config;
-    config.propagation.spatial_discount = bad;
-    EXPECT_FALSE(config.Validate().ok()) << bad;
-  }
 }
 
 TEST(ConfigTest, RejectsBadBpKnobs) {
