@@ -43,7 +43,7 @@ const char* SeedStrategyName(SeedStrategy strategy);
 
 /// Per-stream scratch for TrafficSpeedEstimator::Estimate: the seed-set
 /// plan (speed/seed_plan.h) of the last seed list seen, plus the slot's
-/// n-sized buffers. A call whose ordered seed road list matches the last
+/// buffers. A call whose ordered seed road list matches the last
 /// one reuses the plan; any other list, the same roads reordered included,
 /// recompiles it. Estimate stays order-sensitive; ServingSession hands it
 /// seeds in road order, so a fixed road set compiles once whatever order
