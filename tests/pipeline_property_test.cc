@@ -175,17 +175,17 @@ double RefSeedDeviation(const TrafficSpeedEstimator& est, const SeedSpeed& s,
 
 // The aggregate spread over every road: x[v] is the weighted mean
 // deviation, weight[v] the total influence magnitude (0 = uncovered).
-struct RefInfluenceAggregate {
+struct RefSeedAggregate {
   std::vector<double> x;
   std::vector<double> weight;
 };
 
-RefInfluenceAggregate RefAggregate(const TrafficSpeedEstimator& est,
+RefSeedAggregate RefAggregate(const TrafficSpeedEstimator& est,
                                    const std::vector<SeedSpeed>& seeds,
                                    uint64_t slot) {
   const InfluenceModel& influence = est.influence();
   size_t n = influence.num_roads();
-  RefInfluenceAggregate agg;
+  RefSeedAggregate agg;
   agg.x.assign(n, 0.0);
   agg.weight.assign(n, 0.0);
   std::vector<double> xsum(n, 0.0);
@@ -203,7 +203,7 @@ RefInfluenceAggregate RefAggregate(const TrafficSpeedEstimator& est,
 }
 
 std::vector<double> RefEvidence(const TrafficSpeedEstimator& est,
-                                const RefInfluenceAggregate& aggregate) {
+                                const RefSeedAggregate& aggregate) {
   const RoadNetwork& net = est.network();
   const PipelineConfig& config = est.config();
   const LogisticCalibration& cal = est.speed_model().evidence();
@@ -337,7 +337,7 @@ ReferenceOutput RefEstimate(const TrafficSpeedEstimator& est, uint64_t slot,
         {s.road, est.history().TrendOf(s.road, slot, s.speed_kmh,
                                        net.road(s.road).free_flow_kmh)});
   }
-  RefInfluenceAggregate aggregate = RefAggregate(est, seeds, slot);
+  RefSeedAggregate aggregate = RefAggregate(est, seeds, slot);
   std::vector<double> evidence;
   const std::vector<double>* evidence_ptr = nullptr;
   if (config.use_trend_evidence && model.evidence().trained) {
