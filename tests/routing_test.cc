@@ -1,10 +1,16 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "core/routing.h"
 #include "core/snapshot.h"
+#include "roadnet/generators.h"
+#include "roadnet/shortest_path.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace trendspeed {
 namespace {
@@ -206,6 +212,112 @@ TEST(SnapshotRoutingTest, CongestionRatioPropagatesStaleness) {
   ASSERT_TRUE(degenerate.ok());
   EXPECT_DOUBLE_EQ(degenerate->ratio, 1.0);
   EXPECT_TRUE(degenerate->stale);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned answer bits. FastestRoute, FastestPath and CongestionRatio are
+// hashed over seeded queries on three networks and speed fields that hold
+// impassable (0, negative, NaN) and zero-cost (+inf) roads. The ETA cache's
+// property test compares the cache against FastestRoute, so it cannot see a
+// change in FastestRoute's own answers; this hash can.
+// ---------------------------------------------------------------------------
+
+void HashWord(uint64_t* h, uint64_t bits) {
+  for (int byte = 0; byte < 8; ++byte) {
+    *h ^= (bits >> (8 * byte)) & 0xffu;
+    *h *= 0x100000001b3ull;
+  }
+}
+
+void HashDouble(uint64_t* h, double v) {
+  HashWord(h, std::bit_cast<uint64_t>(v));
+}
+
+void HashRoads(uint64_t* h, const std::vector<RoadId>& roads) {
+  HashWord(h, roads.size());
+  for (RoadId r : roads) HashWord(h, r);
+}
+
+/// Two two-way rings of 5 and 8 nodes with no road between them.
+RoadNetwork TwoDisconnectedRings() {
+  RoadNetwork::Builder b;
+  for (size_t ring = 0; ring < 2; ++ring) {
+    const size_t size = 5 + 3 * ring;
+    const double x0 = 10000.0 * ring;
+    const NodeId first = b.AddNode(x0, 0.0);
+    NodeId prev = first;
+    for (size_t i = 1; i < size; ++i) {
+      const NodeId node = b.AddNode(x0 + 300.0 * i, 150.0 * (i % 3));
+      b.AddTwoWay(prev, node, RoadClass::kLocal, 40.0);
+      prev = node;
+    }
+    b.AddTwoWay(prev, first, RoadClass::kLocal, 40.0);
+  }
+  auto net = b.Finish();
+  TS_CHECK(net.ok()) << net.status().ToString();
+  return std::move(net).value();
+}
+
+constexpr uint64_t kRoutingAnswersHash = 0xc141ef6e4f3059b3ull;
+
+TEST(RoutingBitsTest, AnswersHashToPinnedBits) {
+  GridNetworkOptions dropout_grid;
+  dropout_grid.rows = 12;
+  dropout_grid.cols = 12;
+  dropout_grid.dropout = 0.2;
+  std::vector<RoadNetwork> nets;
+  nets.push_back(MakeRingRadialNetwork(RingRadialOptions{}).value());
+  nets.push_back(MakeGridNetwork(dropout_grid).value());
+  nets.push_back(TwoDisconnectedRings());
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0, -12.5, kInf, std::nan("")};
+
+  uint64_t h = 0xcbf29ce484222325ull;
+  Rng rng(35);
+  auto random_node = [&rng](const RoadNetwork& net) {
+    return static_cast<NodeId>(rng.NextIndex(net.num_nodes()));
+  };
+  size_t found = 0, not_found = 0;
+  for (const RoadNetwork& net : nets) {
+    // Integer tenths keep the speeds themselves libm-free.
+    std::vector<std::vector<double>> fields;
+    fields.push_back(FreeFlow(net));
+    for (int f = 0; f < 3; ++f) {
+      std::vector<double>& field = fields.emplace_back(net.num_roads());
+      for (double& v : field) {
+        v = 5.0 + rng.NextBounded(850) / 10.0;
+        if (f > 0 && rng.NextBounded(10) == 0) v = specials[rng.NextIndex(4)];
+      }
+    }
+    for (const std::vector<double>& speeds : fields) {
+      for (int q = 0; q < 50; ++q) {
+        const NodeId from = random_node(net);
+        const NodeId to = random_node(net);
+        auto route = FastestRoute(net, speeds, from, to);
+        HashWord(&h, static_cast<uint64_t>(route.status().code()));
+        ++(route.ok() ? found : not_found);
+        if (route.ok()) {
+          HashRoads(&h, route->roads);
+          HashDouble(&h, route->travel_seconds);
+          HashDouble(&h, route->length_m);
+        }
+        auto ratio = CongestionRatio(net, speeds, from, to);
+        HashWord(&h, static_cast<uint64_t>(ratio.status().code()));
+        if (ratio.ok()) HashDouble(&h, *ratio);
+      }
+    }
+    for (int q = 0; q < 50; ++q) {
+      const NodeId from = random_node(net);
+      const NodeId to = random_node(net);
+      auto path = FastestPath(net, from, to);
+      HashWord(&h, static_cast<uint64_t>(path.status().code()));
+      if (path.ok()) HashRoads(&h, *path);
+    }
+  }
+  EXPECT_GT(found, 0u);
+  EXPECT_GT(not_found, 0u);
+  EXPECT_EQ(h, kRoutingAnswersHash)
+      << std::hex << "0x" << h << ": a routing answer changed its bits.";
 }
 
 }  // namespace
