@@ -48,7 +48,7 @@ bool IngestFrontEnd::Offer(uint64_t slot, const SeedSpeed& obs) {
     Count(stats_.rejected_backpressure, m_rejected_);
     return false;
   }
-  Count(stats_.enqueued, m_enqueued_);
+  obs::Add(m_enqueued_);
   // SizeApprox reads the consumer's head line: only an attached gauge pays
   // for it.
   if (m_queue_depth_ != nullptr) {
@@ -140,7 +140,7 @@ void IngestFrontEnd::NoteStraggler(uint64_t slot) {
 
 IngestStats IngestFrontEnd::stats() const {
   IngestStats out;
-  out.enqueued = stats_.enqueued.load(std::memory_order_relaxed);
+  out.enqueued = queue_.pushes();
   out.rejected_backpressure =
       stats_.rejected_backpressure.load(std::memory_order_relaxed);
   out.flushed_slots = stats_.flushed_slots.load(std::memory_order_relaxed);

@@ -58,7 +58,7 @@ struct QueuedObservation {
 /// maintained and mirrored into the metrics registry — same quiescence
 /// equivalence as ServingStats).
 struct IngestStats {
-  uint64_t enqueued = 0;               ///< observations accepted by Offer
+  uint64_t enqueued = 0;               ///< Offers accepted: queue pushes
   uint64_t rejected_backpressure = 0;  ///< Offers refused: queue full
   uint64_t flushed_slots = 0;          ///< batches handed to Ingest
   uint64_t stragglers = 0;  ///< observations behind the slot watermark
@@ -129,7 +129,6 @@ class IngestFrontEnd {
   std::unordered_map<uint64_t, uint64_t> straggler_counts_;
 
   struct AtomicStats {
-    std::atomic<uint64_t> enqueued{0};
     std::atomic<uint64_t> rejected_backpressure{0};
     std::atomic<uint64_t> flushed_slots{0};
     std::atomic<uint64_t> stragglers{0};

@@ -1,11 +1,5 @@
 #include "core/routing.h"
 
-#include <algorithm>
-#include <queue>
-
-#include "roadnet/shortest_path.h"
-#include "util/logging.h"
-
 namespace trendspeed {
 
 Result<double> PathTravelTime(const RoadNetwork& net,
@@ -24,10 +18,10 @@ Result<double> PathTravelTime(const RoadNetwork& net,
     if (i > 0 && net.road(path[i - 1]).to != net.road(r).from) {
       return Status::InvalidArgument("path is not contiguous");
     }
-    if (speeds_kmh[r] <= 0.0) {
-      return Status::InvalidArgument("non-positive speed on path");
+    if (!(speeds_kmh[r] > 0.0)) {
+      return Status::InvalidArgument("speed not above 0 on path");
     }
-    seconds += net.road(r).length_m / (speeds_kmh[r] / 3.6);
+    seconds += RoadSeconds(net.road(r).length_m, speeds_kmh[r]);
   }
   return seconds;
 }
@@ -45,6 +39,18 @@ Result<PathEta> PathTravelTime(const RoadNetwork& net,
   return eta;
 }
 
+Result<RouteResult> RouteTo(const RoadNetwork& net, const NodeSearch& search,
+                            NodeId to) {
+  RouteResult result;
+  TS_ASSIGN_OR_RETURN(result.roads, PathTo(net, search, to));
+  result.travel_seconds = search.seconds[to];
+  // Summed from `to` back to the source.
+  for (auto r = result.roads.rbegin(); r != result.roads.rend(); ++r) {
+    result.length_m += net.road(*r).length_m;
+  }
+  return result;
+}
+
 Result<RouteResult> FastestRoute(const RoadNetwork& net,
                                  const std::vector<double>& speeds_kmh,
                                  NodeId from, NodeId to) {
@@ -54,42 +60,11 @@ Result<RouteResult> FastestRoute(const RoadNetwork& net,
   if (from >= net.num_nodes() || to >= net.num_nodes()) {
     return Status::InvalidArgument("node out of range");
   }
-  const double kInf = 1e300;
-  std::vector<double> dist(net.num_nodes(), kInf);
-  std::vector<RoadId> via(net.num_nodes(), kInvalidRoad);
-  using Entry = std::pair<double, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-  dist[from] = 0.0;
-  pq.emplace(0.0, from);
-  while (!pq.empty()) {
-    auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;
-    if (u == to) break;
-    for (RoadId r : net.OutRoads(u)) {
-      double v_kmh = speeds_kmh[r];
-      if (v_kmh <= 0.0) continue;  // impassable
-      NodeId w = net.road(r).to;
-      double nd = d + net.road(r).length_m / (v_kmh / 3.6);
-      if (nd < dist[w]) {
-        dist[w] = nd;
-        via[w] = r;
-        pq.emplace(nd, w);
-      }
-    }
-  }
-  if (dist[to] >= kInf) return Status::NotFound("target unreachable");
-  RouteResult result;
-  result.travel_seconds = dist[to];
-  NodeId cur = to;
-  while (cur != from) {
-    RoadId r = via[cur];
-    result.roads.push_back(r);
-    result.length_m += net.road(r).length_m;
-    cur = net.road(r).from;
-  }
-  std::reverse(result.roads.begin(), result.roads.end());
-  return result;
+  auto seconds = [&](RoadId r) {
+    return RoadSeconds(net.road(r).length_m, speeds_kmh[r]);
+  };
+  return RouteTo(
+      net, SearchNodes(net, from, seconds, SearchDirection::kForward, to), to);
 }
 
 Result<RouteResult> FastestRoute(const RoadNetwork& net,
@@ -108,13 +83,12 @@ Result<double> CongestionRatio(const RoadNetwork& net,
                                NodeId from, NodeId to) {
   TS_ASSIGN_OR_RETURN(RouteResult current,
                       FastestRoute(net, speeds_kmh, from, to));
-  std::vector<double> free_flow(net.num_roads());
-  for (RoadId r = 0; r < net.num_roads(); ++r) {
-    free_flow[r] = net.road(r).free_flow_kmh;
-  }
-  TS_ASSIGN_OR_RETURN(RouteResult base,
-                      FastestRoute(net, free_flow, from, to));
-  if (base.travel_seconds <= 0.0) {
+  // Free-flow speeds are positive, so `to` is reached here as well.
+  auto free_flow = [&net](RoadId r) { return net.FreeFlowSeconds(r); };
+  const double base_seconds =
+      SearchNodes(net, from, free_flow, SearchDirection::kForward, to)
+          .seconds[to];
+  if (base_seconds <= 0.0) {
     // Both routes are zero-length exactly when from == to (free-flow speeds
     // are positive, so any real road contributes time): the trip exists and
     // is trivially uncongested. Only a zero-length base under a *non*-zero
@@ -122,7 +96,7 @@ Result<double> CongestionRatio(const RoadNetwork& net,
     if (current.travel_seconds <= 0.0) return 1.0;
     return Status::Internal("degenerate free-flow route");
   }
-  return current.travel_seconds / base.travel_seconds;
+  return current.travel_seconds / base_seconds;
 }
 
 Result<CongestionResult> CongestionRatio(const RoadNetwork& net,

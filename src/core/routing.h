@@ -23,15 +23,16 @@
 
 #include "core/snapshot.h"
 #include "roadnet/road_network.h"
+#include "roadnet/shortest_path.h"
 #include "util/status.h"
 
 namespace trendspeed {
 
 /// Travel time (seconds) along a road sequence at the given per-road speeds.
 /// Fails if the sequence is not a contiguous drivable path or any speed is
-/// non-positive. An empty path is InvalidArgument (there is no origin to
-/// anchor a zero-length trip to; FastestRoute with from == to is the defined
-/// way to get one).
+/// not above 0 (zero, negative or NaN). An empty path is InvalidArgument
+/// (there is no origin to anchor a zero-length trip to; FastestRoute with
+/// from == to is the defined way to get one).
 Result<double> PathTravelTime(const RoadNetwork& net,
                               const std::vector<double>& speeds_kmh,
                               const std::vector<RoadId>& path);
@@ -51,9 +52,13 @@ struct RouteResult {
   uint64_t slot = 0;
 };
 
-/// Fastest route under the given per-road speeds (Dijkstra). NotFound when
-/// `to` is unreachable from `from`. `from == to` is a defined degenerate
-/// query: an empty route with zero travel time and length.
+/// A forward search's route to `to`; NotFound when it did not reach `to`.
+Result<RouteResult> RouteTo(const RoadNetwork& net, const NodeSearch& search,
+                            NodeId to);
+
+/// Fastest route under the given per-road speeds, priced by RoadSeconds.
+/// NotFound when `to` is unreachable from `from`. `from == to` is a defined
+/// degenerate query: an empty route with zero travel time and length.
 Result<RouteResult> FastestRoute(const RoadNetwork& net,
                                  const std::vector<double>& speeds_kmh,
                                  NodeId from, NodeId to);

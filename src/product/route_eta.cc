@@ -1,12 +1,11 @@
 #include "product/route_eta.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
-#include <queue>
 #include <utility>
 
 #include "obs/catalog.h"
+#include "roadnet/shortest_path.h"
 #include "util/logging.h"
 
 namespace trendspeed {
@@ -19,33 +18,17 @@ constexpr double kBoundMargin = 1.0 - 1e-9;
 /// The A* answer stands only when the smallest road cost exceeds this share
 /// of the travel time (route_eta.h, tie rule).
 constexpr double kMinRoadShare = 1e-6;
-/// FastestRoute's "not reached" distance: a relaxation must beat the same
-/// sentinel for both searches to agree on reachability.
-constexpr double kUnreached = 1e300;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Free-flow seconds from `source` to every node, or with `reverse` from
-/// every node to `source`; +inf where there is no path.
-void FreeFlowSeconds(const RoadNetwork& net, NodeId source, bool reverse,
-                     std::vector<double>* dist) {
-  dist->assign(net.num_nodes(), kInf);
-  using Entry = std::pair<double, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-  (*dist)[source] = 0.0;
-  pq.emplace(0.0, source);
-  while (!pq.empty()) {
-    auto [d, u] = pq.top();
-    pq.pop();
-    if (d > (*dist)[u]) continue;
-    for (RoadId r : reverse ? net.InRoads(u) : net.OutRoads(u)) {
-      const NodeId w = reverse ? net.road(r).from : net.road(r).to;
-      const double nd = d + net.FreeFlowSeconds(r);
-      if (nd < (*dist)[w]) {
-        (*dist)[w] = nd;
-        pq.emplace(nd, w);
-      }
-    }
-  }
+/// Free-flow seconds per node from (kForward) or to (kReverse) `source`;
+/// +inf, which LandmarkBound and the slack read as "no path", if none.
+std::vector<double> FreeFlowSeconds(const RoadNetwork& net, NodeId source,
+                                    SearchDirection direction) {
+  auto cost = [&net](RoadId r) { return net.FreeFlowSeconds(r); };
+  std::vector<double> seconds =
+      SearchNodes(net, source, cost, direction, kInvalidNode).seconds;
+  std::replace(seconds.begin(), seconds.end(), kNotReached, kInf);
+  return seconds;
 }
 
 /// Free-flow lower bound on the seconds u -> t from one landmark L, by the
@@ -62,12 +45,10 @@ double LandmarkBound(double from_l_to_t, double from_l_to_u,
   return best;
 }
 
-size_t ArgMax(const std::vector<double>& v) {
-  size_t best = 0;
-  for (size_t i = 1; i < v.size(); ++i) {
-    if (v[i] > v[best]) best = i;
-  }
-  return best;
+/// The first node of largest `seconds`.
+NodeId ArgMax(const std::vector<double>& seconds) {
+  return static_cast<NodeId>(
+      std::max_element(seconds.begin(), seconds.end()) - seconds.begin());
 }
 
 }  // namespace
@@ -89,19 +70,17 @@ void RouteEtaCache::BuildLandmarks() {
   std::vector<std::vector<double>> from_l, to_l;
   // Farthest-first: each landmark is the node farthest (free-flow seconds)
   // from its nearest landmark so far; the farthest node from node 0 starts.
-  std::vector<double> nearest;
-  FreeFlowSeconds(*net_, 0, /*reverse=*/false, &nearest);
-  NodeId next = static_cast<NodeId>(ArgMax(nearest));
+  std::vector<double> nearest =
+      FreeFlowSeconds(*net_, 0, SearchDirection::kForward);
+  NodeId next = ArgMax(nearest);
   nearest.assign(n, kInf);
   while (from_l.size() < kLandmarks) {
-    from_l.emplace_back();
-    to_l.emplace_back();
-    FreeFlowSeconds(*net_, next, /*reverse=*/false, &from_l.back());
-    FreeFlowSeconds(*net_, next, /*reverse=*/true, &to_l.back());
+    from_l.push_back(FreeFlowSeconds(*net_, next, SearchDirection::kForward));
+    to_l.push_back(FreeFlowSeconds(*net_, next, SearchDirection::kReverse));
     for (size_t u = 0; u < n; ++u) {
       nearest[u] = std::min(nearest[u], from_l.back()[u]);
     }
-    next = static_cast<NodeId>(ArgMax(nearest));
+    next = ArgMax(nearest);
     if (!(nearest[next] > 0.0)) break;  // every node is a landmark
   }
 
@@ -162,8 +141,8 @@ void RouteEtaCache::SyncToSnapshot(const SpeedSnapshot& snap) {
   stats_.invalidations += dropped;
   obs::Add(m_invalidations_, dropped);
 
+  const std::vector<double>* speeds = &snap.speed_kmh;
   if (!snap.stale || profile_ == nullptr) {
-    pricing_speeds_ = snap.speed_kmh;
     field_provenance_ = snap.stale ? SpeedProvenance::kCarriedForward
                                    : SpeedProvenance::kFresh;
   } else {
@@ -174,22 +153,20 @@ void RouteEtaCache::SyncToSnapshot(const SpeedSnapshot& snap) {
       stats_.blends += 1;
       obs::Add(m_blends_);
     }
+    speeds = &pricing_speeds_;
   }
 
-  // Price every road once, with FastestRoute's exact expression, so the
-  // search adds the same doubles in the same order as Dijkstra.
+  // Price every road once with RoadSeconds, FastestRoute's price, so the
+  // A* adds the same doubles in the same order as the shared search.
   const std::vector<Road>& roads = net_->roads();
   road_seconds_.resize(roads.size());
   rho_ = 1.0;
   min_road_seconds_ = kInf;
   for (size_t r = 0; r < roads.size(); ++r) {
-    const double v_kmh = pricing_speeds_[r];
-    if (!(v_kmh > 0.0)) {  // impassable: v <= 0 or NaN
-      road_seconds_[r] = kInf;
-      continue;
-    }
-    const double seconds = roads[r].length_m / (v_kmh / 3.6);
+    const double v_kmh = (*speeds)[r];
+    const double seconds = RoadSeconds(roads[r].length_m, v_kmh);
     road_seconds_[r] = seconds;
+    if (seconds == kInf) continue;  // impassable: v <= 0 or NaN
     rho_ = std::max(rho_, v_kmh / roads[r].free_flow_kmh);
     min_road_seconds_ = std::min(min_road_seconds_, seconds);
   }
@@ -225,7 +202,7 @@ Result<RouteResult> RouteEtaCache::LandmarkRoute(NodeId from, NodeId to) {
     NodeState& s = search_[u];
     if (s.reached != stamp) {
       s.reached = stamp;
-      s.g = kUnreached;
+      s.g = kNotReached;
       s.h = heuristic(u);
     }
     return s;
@@ -258,7 +235,7 @@ Result<RouteResult> RouteEtaCache::LandmarkRoute(NodeId from, NodeId to) {
     }
     for (RoadId r : net_->OutRoads(top.node)) {
       const double nd = top.g + road_seconds_[r];
-      if (!(nd < kUnreached)) continue;  // impassable, or beyond the sentinel
+      if (!(nd < kNotReached)) continue;  // impassable, or beyond the sentinel
       const NodeId w = net_->road(r).to;
       NodeState& ws = reach(w);
       if (!(nd < ws.g)) continue;
@@ -272,7 +249,10 @@ Result<RouteResult> RouteEtaCache::LandmarkRoute(NodeId from, NodeId to) {
 
   const double g_to = search_[to].g;
   if (!(min_road_seconds_ > g_to * kMinRoadShare)) {
-    return FastestRoute(*net_, pricing_speeds_, from, to);
+    auto priced = [this](RoadId r) { return road_seconds_[r]; };
+    return RouteTo(
+        *net_,
+        SearchNodes(*net_, from, priced, SearchDirection::kForward, to), to);
   }
   // Rebuild FastestRoute's predecessors from `to` backwards. Every road
   // costs more than the rounding of g here, so a candidate u has

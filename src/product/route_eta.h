@@ -20,37 +20,34 @@
 // the profile-blended speed field instead of the raw carry-forward.
 //
 // Per-version pass. The first query against a new (version, staleness)
-// identity rebuilds the pricing field once: the speeds (raw, or the profile
-// blend), every road's travel seconds priced with FastestRoute's exact
-// expression `length_m / (v / 3.6)` (impassable roads, v <= 0 or NaN, cost
-// +inf), ρ = max over roads of pricing speed ÷ free-flow speed, floored at
-// 1, and the smallest finite road cost.
+// identity prices every road with RoadSeconds (+inf when impassable), on
+// the snapshot's speeds or the profile blend, and finds the smallest finite
+// road cost and ρ = max over roads of pricing speed ÷ free-flow speed, ≥ 1.
 //
 // Misses: landmark A* (ALT). At Create, 4 landmarks are picked
 // farthest-first on free-flow seconds, and the free-flow seconds from and
 // to each landmark are stored node-major (4 × 2 × num_nodes × 8 B, 0.64 MB
-// for a 10,000-node city; building them is 9 free-flow Dijkstras, 8 plus
-// one to seed the choice). Every query bounds with all 4. Picking the best
-// 4 of 16 at each query's source was deleted: on a 100×100 grid it settled
-// more nodes per miss and ran slower (EXPERIMENTS.md M11, M16).
-// No road is faster than ρ times its free-flow speed in any servable
-// field, so
+// for a 10,000-node city; 9 runs of the shared node search, forward and in
+// reverse, build them). Every query bounds with all 4 (picking 4 of 16 per
+// query was slower: EXPERIMENTS.md M11, M16). No road is faster than ρ
+// times its free-flow speed in any servable field, so
 //   h(u) = max(0, landmark bound − slack) ÷ ρ × (1 − 1e-9)
 // never overestimates, and no snapshot needs per-version landmark work. The
 // slack bounds the rounding in the stored landmark seconds; the 1e-9
 // margin covers the rest.
 //
-// Tie rule. FastestRoute settles nodes in (g, node) order, keeps the first
-// predecessor that reached a node's final g, and of parallel roads the
-// first in OutRoads(u) order. The A* search settles a different set, so it
-// does not keep its own predecessors: the route is rebuilt from `to`
-// backwards, taking at each node w the settled in-neighbour u with
-// g(u) + cost == g(w) and the smallest (g(u), u, position in OutRoads(u)).
-// The g values add in the same order as Dijkstra's, so the result is bitwise
-// FastestRoute's. That settle order, and the margin above, hold while no
-// road cost is lost in the rounding of a g value; when the smallest road
-// cost is at most 1e-6 × the found travel time (zero-length roads, +inf
-// speeds), the query is answered by FastestRoute itself.
+// Tie rule. The shared search (roadnet/shortest_path.h) settles nodes in
+// (g, node) order and keeps the first road that strictly improved a node:
+// of parallel roads, the first in OutRoads(u). The A* settles a different
+// set, so it rebuilds the route from `to` backwards, taking at each node w
+// the settled in-neighbour u with g(u) + cost == g(w) and the smallest
+// (g(u), u, position in OutRoads(u)). Both add the same priced seconds in
+// the same order against the same kNotReached sentinel, so the result is
+// bitwise FastestRoute's. That settle order, and the margin above, hold
+// while no road cost is lost in the rounding of a g value; when the
+// smallest road cost is at most 1e-6 × the found travel time (zero-length
+// roads, +inf speeds), the query falls back to the shared search on the
+// priced seconds.
 
 #ifndef TRENDSPEED_PRODUCT_ROUTE_ETA_H_
 #define TRENDSPEED_PRODUCT_ROUTE_ETA_H_
@@ -119,14 +116,14 @@ class RouteEtaCache {
   }
 
   /// Drops every entry not stamped with `version` and runs the per-version
-  /// pass: the pricing field (raw fresh speeds, or the profile blend when
-  /// stale), the per-road seconds, ρ and the smallest road cost.
+  /// pass: the per-road seconds (on the snapshot's speeds, or the profile
+  /// blend when stale), ρ and the smallest road cost.
   void SyncToSnapshot(const SpeedSnapshot& snap);
 
   /// Picks the landmarks and stores their free-flow seconds (at Create).
   void BuildLandmarks();
 
-  /// FastestRoute's answer on the pricing field, found by landmark A*.
+  /// FastestRoute's answer on road_seconds_, found by landmark A*.
   Result<RouteResult> LandmarkRoute(NodeId from, NodeId to);
 
   const RoadNetwork* net_;
@@ -134,10 +131,10 @@ class RouteEtaCache {
   size_t capacity_;
   uint64_t num_nodes_;
 
-  /// Identity of the snapshot the pricing field and entries belong to.
+  /// Identity of the snapshot the priced seconds and entries belong to.
   uint64_t synced_version_ = 0;
   uint32_t synced_stale_slots_ = 0;
-  std::vector<double> pricing_speeds_;
+  std::vector<double> pricing_speeds_;  ///< BlendSnapshot's output buffer
   SpeedProvenance field_provenance_ = SpeedProvenance::kFresh;
   std::vector<double> road_seconds_;  ///< per road; +inf when impassable
   double rho_ = 1.0;                  ///< max pricing ÷ free-flow speed, ≥ 1

@@ -159,11 +159,6 @@ std::span<const RoadId> RoadNetwork::RoadPredecessors(RoadId road) const {
   return road_pred_.Row(road);
 }
 
-double RoadNetwork::FreeFlowSeconds(RoadId id) const {
-  const Road& r = road(id);
-  return r.length_m / (r.free_flow_kmh / 3.6);
-}
-
 Node RoadNetwork::Midpoint(RoadId id) const {
   const Road& r = road(id);
   const Node& a = node(r.from);

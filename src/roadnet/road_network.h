@@ -10,6 +10,7 @@
 #define TRENDSPEED_ROADNET_ROAD_NETWORK_H_
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,6 +24,13 @@ using RoadId = uint32_t;
 
 inline constexpr RoadId kInvalidRoad = UINT32_MAX;
 inline constexpr NodeId kInvalidNode = UINT32_MAX;
+
+/// The road price: seconds to drive `length_m` at `kmh`, +inf (impassable)
+/// when the speed is not above 0. Every route is priced by it.
+inline double RoadSeconds(double length_m, double kmh) {
+  return kmh > 0.0 ? length_m / (kmh / 3.6)
+                   : std::numeric_limits<double>::infinity();
+}
 
 /// Functional class of a road segment; drives free-flow speed and congestion
 /// profile defaults.
@@ -98,7 +106,9 @@ class RoadNetwork {
   RoadId ReverseTwin(RoadId id) const { return twin_[id]; }
 
   /// Free-flow traversal time in seconds.
-  double FreeFlowSeconds(RoadId id) const;
+  double FreeFlowSeconds(RoadId id) const {
+    return RoadSeconds(roads_[id].length_m, roads_[id].free_flow_kmh);
+  }
 
   /// Euclidean midpoint of the segment (for kNN-style geometric queries).
   Node Midpoint(RoadId id) const;

@@ -65,45 +65,28 @@ std::vector<RoadHop> RoadsWithinHops(const RoadNetwork& net, RoadId source,
   return out;
 }
 
+Result<std::vector<RoadId>> PathTo(const RoadNetwork& net,
+                                   const NodeSearch& search, NodeId to) {
+  if (search.seconds[to] >= kNotReached) {
+    return Status::NotFound("target unreachable");
+  }
+  std::vector<RoadId> path;
+  for (RoadId r = search.via[to]; r != kInvalidRoad;
+       r = search.via[net.road(r).from]) {
+    path.push_back(r);
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
 Result<std::vector<RoadId>> FastestPath(const RoadNetwork& net, NodeId from,
                                         NodeId to) {
   if (from >= net.num_nodes() || to >= net.num_nodes()) {
     return Status::InvalidArgument("FastestPath: node out of range");
   }
-  const double kInf = 1e300;
-  std::vector<double> dist(net.num_nodes(), kInf);
-  std::vector<RoadId> via(net.num_nodes(), kInvalidRoad);
-  using Entry = std::pair<double, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-  dist[from] = 0.0;
-  pq.emplace(0.0, from);
-  while (!pq.empty()) {
-    auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;
-    if (u == to) break;
-    for (RoadId r : net.OutRoads(u)) {
-      NodeId v = net.road(r).to;
-      double nd = d + net.FreeFlowSeconds(r);
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        via[v] = r;
-        pq.emplace(nd, v);
-      }
-    }
-  }
-  if (dist[to] >= kInf) {
-    return Status::NotFound("FastestPath: target unreachable");
-  }
-  std::vector<RoadId> path;
-  NodeId cur = to;
-  while (cur != from) {
-    RoadId r = via[cur];
-    path.push_back(r);
-    cur = net.road(r).from;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
+  auto seconds = [&net](RoadId r) { return net.FreeFlowSeconds(r); };
+  return PathTo(
+      net, SearchNodes(net, from, seconds, SearchDirection::kForward, to), to);
 }
 
 bool IsRoadGraphConnected(const RoadNetwork& net) {

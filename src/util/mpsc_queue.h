@@ -3,7 +3,7 @@
 //
 // Design: Vyukov-style bounded ring of cells, each carrying a sequence
 // number that encodes whose turn the cell is on. Producers claim a cell
-// with one fetch_add on the (cache-line-padded) tail and publish the
+// with one compare-exchange on the (cache-line-padded) tail and publish the
 // payload by bumping the cell sequence; the consumer mirrors the dance on
 // the head. Push and pop are therefore wait-free in the common case (one
 // RMW + one store), there are no locks anywhere, and a full queue is
@@ -103,6 +103,9 @@ class MpscBoundedQueue {
   }
 
   size_t capacity() const { return mask_ + 1; }
+
+  /// Successful TryPush calls so far (the tail only moves on a claim).
+  uint64_t pushes() const { return tail_.load(std::memory_order_relaxed); }
 
   /// Racy size estimate for gauges/backpressure heuristics; exact only at
   /// quiescence.

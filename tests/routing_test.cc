@@ -42,6 +42,9 @@ TEST(PathTravelTimeTest, ValidatesPath) {
   EXPECT_FALSE(PathTravelTime(net, speeds, {99}).ok());
   speeds[0] = 0.0;
   EXPECT_FALSE(PathTravelTime(net, speeds, {0, 2}).ok());
+  speeds[0] = std::nan("");
+  EXPECT_EQ(PathTravelTime(net, speeds, {0, 2}).status().code(),
+            StatusCode::kInvalidArgument);
   // size mismatch (explicit vector: braces would be ambiguous against the
   // SpeedSnapshot overload)
   EXPECT_FALSE(PathTravelTime(net, std::vector<double>{1.0}, {0}).ok());
