@@ -40,8 +40,9 @@ Status PipelineConfig::Validate() const {
     return Status::InvalidArgument(
         "trend.prior_pseudo_count must be finite and >= 0");
   }
-  if (trend.bp.max_iters == 0) {
-    return Status::InvalidArgument("trend.bp.max_iters must be positive");
+  // BP runs exactly max_iters sweeps a slot; over 1,000 is a corrupt file.
+  if (trend.bp.max_iters == 0 || trend.bp.max_iters > 1000) {
+    return Status::InvalidArgument("trend.bp.max_iters must be in [1, 1000]");
   }
   // Backfill knobs: a hop count beyond any plausible network diameter is a
   // units mistake, and `!(a > b)` style keeps NaN-poisoned damping invalid.

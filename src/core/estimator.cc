@@ -67,6 +67,22 @@ Result<TrafficSpeedEstimator> TrafficSpeedEstimator::FromComponents(
       speed_model.num_roads() != net->num_roads()) {
     return Status::InvalidArgument("components / network size mismatch");
   }
+  // TrendModel takes each edge compatibility raised to edge_compat_power
+  // as an MRF potential, which must be finite and > 0. Like TrendModel, it
+  // reads each edge from its lower-numbered end only.
+  for (RoadId v = 0; v < graph.num_roads(); ++v) {
+    for (const CorrEdge& e : graph.Neighbors(v)) {
+      if (e.neighbor <= v) continue;
+      for (float c : {e.compat[0][0], e.compat[0][1], e.compat[1][0],
+                      e.compat[1][1]}) {
+        const double psi = std::pow(double{c}, config.trend.edge_compat_power);
+        if (!(psi > 0.0 && std::isfinite(psi))) {
+          return Status::InvalidArgument(
+              "edge compatibility potential is not finite and > 0");
+        }
+      }
+    }
+  }
   TrafficSpeedEstimator est;
   est.net_ = net;
   est.db_ = db;

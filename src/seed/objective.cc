@@ -127,7 +127,8 @@ Result<InfluenceModel> InfluenceModel::Deserialize(BinaryReader* reader) {
   }
   InfluenceModel model;
   TS_ASSIGN_OR_RETURN(uint64_t n, reader->GetU64());
-  if (n > (uint64_t{1} << 32)) {
+  // Each cover takes at least its 8-byte length: refuse before allocating.
+  if (n > reader->remaining() / sizeof(uint64_t)) {
     return Status::InvalidArgument("corrupt influence model size");
   }
   model.covers_.resize(n);

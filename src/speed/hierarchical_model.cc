@@ -222,16 +222,26 @@ Result<HierarchicalSpeedModel> HierarchicalSpeedModel::Deserialize(
   if (model.road_lines_.size() != n || model.road_means_.size() != n) {
     return Status::InvalidArgument("corrupt speed model: size mismatch");
   }
-  for (RoadClass c : model.road_class_) {
-    if (static_cast<uint8_t>(c) > static_cast<uint8_t>(RoadClass::kLocal)) {
+  // A model file is outside input: a `trained` byte other than 0 or 1 is
+  // not a bool, and reading it as one is undefined.
+  auto flags_ok = [](const auto& v) {
+    const auto* b = reinterpret_cast<const unsigned char*>(&v.trained);
+    return std::all_of(b, b + sizeof(v.trained), [](auto c) { return c <= 1; });
+  };
+  for (size_t r = 0; r < n; ++r) {
+    if (static_cast<uint8_t>(model.road_class_[r]) >
+        static_cast<uint8_t>(RoadClass::kLocal)) {
       return Status::InvalidArgument("corrupt speed model: bad road class");
+    }
+    if (!flags_ok(model.road_lines_[r]) || !flags_ok(model.road_means_[r])) {
+      return Status::InvalidArgument("corrupt speed model: bad trained flag");
     }
   }
   auto one = [&](auto* out) -> Status {
     using T = std::remove_pointer_t<decltype(out)>;
     auto vec = reader->template GetVec<T>();
     if (!vec.ok()) return vec.status();
-    if (vec->size() != 1) {
+    if (vec->size() != 1 || !flags_ok((*vec)[0])) {
       return Status::InvalidArgument("corrupt speed model: bad scalar vec");
     }
     *out = (*vec)[0];

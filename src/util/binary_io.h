@@ -83,11 +83,10 @@ class BinaryReader {
   Result<std::vector<T>> GetVec(uint64_t max_elems = UINT64_MAX) {
     static_assert(std::is_trivially_copyable_v<T>);
     TS_ASSIGN_OR_RETURN(uint64_t n, GetU64());
-    if (n > max_elems || pos_ + n * sizeof(T) > data_.size()) {
-      return Truncated();
-    }
+    // Divide, never multiply: n * sizeof(T) wraps for n >= 2^64 / sizeof(T).
+    if (n > max_elems || n > remaining() / sizeof(T)) return Truncated();
     std::vector<T> out(n);
-    std::memcpy(out.data(), data_.data() + pos_, n * sizeof(T));
+    if (n != 0) std::memcpy(out.data(), data_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return out;
   }

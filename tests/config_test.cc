@@ -94,6 +94,10 @@ TEST(ConfigTest, RejectsBadBpKnobs) {
   PipelineConfig config;
   config.trend.bp.max_iters = 0;
   EXPECT_FALSE(config.Validate().ok());
+  config.trend.bp.max_iters = 1001;  // a sweep count no slot can afford
+  EXPECT_FALSE(config.Validate().ok());
+  config.trend.bp.max_iters = 1000;
+  EXPECT_TRUE(config.Validate().ok());
   config = PipelineConfig{};
   config.trend.bp.num_threads = 100000;  // units mistake, not a machine
   EXPECT_FALSE(config.Validate().ok());
