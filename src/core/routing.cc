@@ -39,11 +39,11 @@ Result<PathEta> PathTravelTime(const RoadNetwork& net,
   return eta;
 }
 
-Result<RouteResult> RouteTo(const RoadNetwork& net, const NodeSearch& search,
-                            NodeId to) {
+Result<RouteResult> RouteTo(const RoadNetwork& net,
+                            const SearchScratch& search, NodeId to) {
   RouteResult result;
   TS_ASSIGN_OR_RETURN(result.roads, PathTo(net, search, to));
-  result.travel_seconds = search.seconds[to];
+  result.travel_seconds = search.seconds(to);
   // Summed from `to` back to the source.
   for (auto r = result.roads.rbegin(); r != result.roads.rend(); ++r) {
     result.length_m += net.road(*r).length_m;
@@ -63,8 +63,9 @@ Result<RouteResult> FastestRoute(const RoadNetwork& net,
   auto seconds = [&](RoadId r) {
     return RoadSeconds(net.road(r).length_m, speeds_kmh[r]);
   };
-  return RouteTo(
-      net, SearchNodes(net, from, seconds, SearchDirection::kForward, to), to);
+  SearchScratch scratch;
+  SearchNodes(net, from, seconds, SearchDirection::kForward, to, &scratch);
+  return RouteTo(net, scratch, to);
 }
 
 Result<RouteResult> FastestRoute(const RoadNetwork& net,
@@ -85,9 +86,9 @@ Result<double> CongestionRatio(const RoadNetwork& net,
                       FastestRoute(net, speeds_kmh, from, to));
   // Free-flow speeds are positive, so `to` is reached here as well.
   auto free_flow = [&net](RoadId r) { return net.FreeFlowSeconds(r); };
-  const double base_seconds =
-      SearchNodes(net, from, free_flow, SearchDirection::kForward, to)
-          .seconds[to];
+  SearchScratch scratch;
+  SearchNodes(net, from, free_flow, SearchDirection::kForward, to, &scratch);
+  const double base_seconds = scratch.seconds(to);
   if (base_seconds <= 0.0) {
     // Both routes are zero-length exactly when from == to (free-flow speeds
     // are positive, so any real road contributes time): the trip exists and

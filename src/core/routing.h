@@ -53,8 +53,8 @@ struct RouteResult {
 };
 
 /// A forward search's route to `to`; NotFound when it did not reach `to`.
-Result<RouteResult> RouteTo(const RoadNetwork& net, const NodeSearch& search,
-                            NodeId to);
+Result<RouteResult> RouteTo(const RoadNetwork& net,
+                            const SearchScratch& search, NodeId to);
 
 /// Fastest route under the given per-road speeds, priced by RoadSeconds.
 /// NotFound when `to` is unreachable from `from`. `from == to` is a defined

@@ -1,6 +1,5 @@
 #include "probe/trips.h"
 
-#include "roadnet/shortest_path.h"
 #include "util/logging.h"
 
 namespace trendspeed {
@@ -28,7 +27,7 @@ Result<TripPlan> TripGenerator::Next() {
     NodeId o = DrawEndpoint();
     NodeId d = DrawEndpoint();
     if (o == d) continue;
-    auto path = FastestPath(*net_, o, d);
+    auto path = FastestPath(*net_, o, d, &scratch_);
     if (!path.ok()) continue;
     TripPlan plan;
     plan.origin = o;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "roadnet/road_network.h"
+#include "roadnet/shortest_path.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -50,6 +51,7 @@ class TripGenerator {
   TripGeneratorOptions opts_;
   Rng rng_;
   std::vector<NodeId> hotspots_;
+  SearchScratch scratch_;  ///< every trip's route search reuses it
 };
 
 }  // namespace trendspeed

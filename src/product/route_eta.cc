@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/catalog.h"
-#include "roadnet/shortest_path.h"
 #include "util/logging.h"
 
 namespace trendspeed {
@@ -19,31 +18,6 @@ constexpr double kBoundMargin = 1.0 - 1e-9;
 /// of the travel time (route_eta.h, tie rule).
 constexpr double kMinRoadShare = 1e-6;
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Free-flow seconds per node from (kForward) or to (kReverse) `source`;
-/// +inf, which LandmarkBound and the slack read as "no path", if none.
-std::vector<double> FreeFlowSeconds(const RoadNetwork& net, NodeId source,
-                                    SearchDirection direction) {
-  auto cost = [&net](RoadId r) { return net.FreeFlowSeconds(r); };
-  std::vector<double> seconds =
-      SearchNodes(net, source, cost, direction, kInvalidNode).seconds;
-  std::replace(seconds.begin(), seconds.end(), kNotReached, kInf);
-  return seconds;
-}
-
-/// Free-flow lower bound on the seconds u -> t from one landmark L, by the
-/// triangle inequality both ways: d(L,t) − d(L,u) and d(u,L) − d(t,L).
-/// +inf when t cannot be reached from u; a term with no finite information
-/// (inf − inf) fails both comparisons and is ignored.
-double LandmarkBound(double from_l_to_t, double from_l_to_u,
-                     double u_to_l, double t_to_l) {
-  double best = -kInf;
-  const double ahead = from_l_to_t - from_l_to_u;
-  if (ahead > best) best = ahead;
-  const double behind = u_to_l - t_to_l;
-  if (behind > best) best = behind;
-  return best;
-}
 
 /// The first node of largest `seconds`.
 NodeId ArgMax(const std::vector<double>& seconds) {
@@ -59,43 +33,47 @@ RouteEtaCache::RouteEtaCache(const RoadNetwork& net,
     : net_(&net),
       profile_(profile),
       capacity_(opts.eta_cache_capacity),
-      num_nodes_(net.num_nodes()),
-      search_(net.num_nodes()) {
+      num_nodes_(net.num_nodes()) {
   entries_.reserve(capacity_);
   BuildLandmarks();
 }
 
 void RouteEtaCache::BuildLandmarks() {
   const size_t n = num_nodes_;
-  std::vector<std::vector<double>> from_l, to_l;
+  auto cost = [this](RoadId r) { return net_->FreeFlowSeconds(r); };
+  // Free-flow seconds from (kForward) or to (kReverse) `source`, written to
+  // out[u * stride]; +inf, which the landmark bound and the slack read as
+  // "no path", where the search did not reach (so did not settle) u.
+  auto fill = [&](NodeId source, SearchDirection direction, double* out,
+                  size_t stride) {
+    SearchNodes(*net_, source, cost, direction, kInvalidNode, &search_);
+    for (NodeId u = 0; u < n; ++u) {
+      out[u * stride] = search_.settled(u) ? search_.seconds(u) : kInf;
+    }
+  };
   // Farthest-first: each landmark is the node farthest (free-flow seconds)
   // from its nearest landmark so far; the farthest node from node 0 starts.
-  std::vector<double> nearest =
-      FreeFlowSeconds(*net_, 0, SearchDirection::kForward);
+  // A network with fewer nodes than landmarks leaves +inf columns, whose
+  // bound terms (inf − inf) are ignored.
+  std::vector<double> nearest(n);
+  fill(0, SearchDirection::kForward, nearest.data(), 1);
   NodeId next = ArgMax(nearest);
   nearest.assign(n, kInf);
-  while (from_l.size() < kLandmarks) {
-    from_l.push_back(FreeFlowSeconds(*net_, next, SearchDirection::kForward));
-    to_l.push_back(FreeFlowSeconds(*net_, next, SearchDirection::kReverse));
-    for (size_t u = 0; u < n; ++u) {
-      nearest[u] = std::min(nearest[u], from_l.back()[u]);
-    }
-    next = ArgMax(nearest);
-    if (!(nearest[next] > 0.0)) break;  // every node is a landmark
-  }
-
-  num_landmarks_ = from_l.size();
-  from_landmark_.resize(n * num_landmarks_);
-  to_landmark_.resize(n * num_landmarks_);
+  from_landmark_.assign(n * kLandmarks, kInf);
+  to_landmark_.assign(n * kLandmarks, kInf);
   double max_seconds = 0.0;
-  for (size_t u = 0; u < n; ++u) {
-    for (size_t l = 0; l < num_landmarks_; ++l) {
-      from_landmark_[u * num_landmarks_ + l] = from_l[l][u];
-      to_landmark_[u * num_landmarks_ + l] = to_l[l][u];
-      for (double d : {from_l[l][u], to_l[l][u]}) {
+  for (size_t l = 0; l < kLandmarks; ++l) {
+    fill(next, SearchDirection::kForward, &from_landmark_[l], kLandmarks);
+    fill(next, SearchDirection::kReverse, &to_landmark_[l], kLandmarks);
+    for (size_t u = 0; u < n; ++u) {
+      const size_t i = u * kLandmarks + l;
+      nearest[u] = std::min(nearest[u], from_landmark_[i]);
+      for (double d : {from_landmark_[i], to_landmark_[i]}) {
         if (d < kInf) max_seconds = std::max(max_seconds, d);
       }
     }
+    next = ArgMax(nearest);
+    if (!(nearest[next] > 0.0)) break;  // every node is a landmark
   }
   // A stored distance sums at most n − 1 rounded road costs, so it is
   // within (n + 1) · 2^-53 of its real value relative to max_seconds; a
@@ -175,92 +153,40 @@ void RouteEtaCache::SyncToSnapshot(const SpeedSnapshot& snap) {
 }
 
 Result<RouteResult> RouteEtaCache::LandmarkRoute(NodeId from, NodeId to) {
-  RouteResult route;
-  if (from == to) return route;  // FastestRoute's defined empty trip
+  if (from == to) return RouteResult{};  // FastestRoute's empty trip
 
-  const size_t nl = num_landmarks_;
-  const double* from_l_t = &from_landmark_[size_t{to} * nl];
-  const double* t_to_l = &to_landmark_[size_t{to} * nl];
+  const double* from_l_t = &from_landmark_[size_t{to} * kLandmarks];
+  const double* t_to_l = &to_landmark_[size_t{to} * kLandmarks];
+  // Free-flow lower bounds on the seconds u -> to from each landmark L by
+  // the triangle inequality both ways, d(L,to) − d(L,u) and d(u,L) −
+  // d(to,L); a term with no finite information (inf − inf) is NaN, which
+  // std::max(best, NaN) ignores.
   auto heuristic = [&](NodeId u) {
-    const double* from_l_u = &from_landmark_[size_t{u} * nl];
-    const double* u_to_l = &to_landmark_[size_t{u} * nl];
+    const double* from_l_u = &from_landmark_[size_t{u} * kLandmarks];
+    const double* u_to_l = &to_landmark_[size_t{u} * kLandmarks];
     double best = 0.0;
-    for (size_t l = 0; l < nl; ++l) {
-      best = std::max(best, LandmarkBound(from_l_t[l], from_l_u[l], u_to_l[l],
-                                          t_to_l[l]));
+    for (size_t l = 0; l < kLandmarks; ++l) {
+      best = std::max(best, from_l_t[l] - from_l_u[l]);
+      best = std::max(best, u_to_l[l] - t_to_l[l]);
     }
     if (best == kInf) return kInf;  // `to` is unreachable from u
     return std::max(0.0, best - landmark_slack_) / rho_ * kBoundMargin;
   };
 
-  if (++query_stamp_ == 0) {  // the stamp wrapped: forget every node
-    for (NodeState& s : search_) s.reached = s.settled = 0;
-    query_stamp_ = 1;
+  auto priced = [this](RoadId r) { return road_seconds_[r]; };
+  SearchNodes(*net_, from, priced, SearchDirection::kForward, to, &search_,
+              heuristic);
+  if (!search_.settled(to)) return Status::NotFound("target unreachable");
+  if (!(min_road_seconds_ > search_.seconds(to) * kMinRoadShare)) {
+    SearchNodes(*net_, from, priced, SearchDirection::kForward, to, &search_);
+    return RouteTo(*net_, search_, to);
   }
-  const uint32_t stamp = query_stamp_;
-  auto reach = [&](NodeId u) -> NodeState& {
-    NodeState& s = search_[u];
-    if (s.reached != stamp) {
-      s.reached = stamp;
-      s.g = kNotReached;
-      s.h = heuristic(u);
-    }
-    return s;
-  };
-  // Settle order (f, g, node): among equal f the smaller g goes first, so
-  // every node FastestRoute settles before `to` on a tied f is settled here
-  // before `to` too.
-  auto later = [](const HeapEntry& a, const HeapEntry& b) {
-    if (a.f != b.f) return a.f > b.f;
-    if (a.g != b.g) return a.g > b.g;
-    return a.node > b.node;
-  };
-
-  heap_.clear();
-  NodeState& source = reach(from);
-  if (source.h == kInf) return Status::NotFound("target unreachable");
-  source.g = 0.0;
-  heap_.push_back({source.h, 0.0, from});
-  bool found = false;
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    const HeapEntry top = heap_.back();
-    heap_.pop_back();
-    NodeState& s = search_[top.node];
-    if (top.g > s.g) continue;  // superseded by a shorter g
-    s.settled = stamp;
-    if (top.node == to) {
-      found = true;
-      break;
-    }
-    for (RoadId r : net_->OutRoads(top.node)) {
-      const double nd = top.g + road_seconds_[r];
-      if (!(nd < kNotReached)) continue;  // impassable, or beyond the sentinel
-      const NodeId w = net_->road(r).to;
-      NodeState& ws = reach(w);
-      if (!(nd < ws.g)) continue;
-      ws.g = nd;
-      if (ws.h == kInf) continue;  // cannot reach `to`; never settled
-      heap_.push_back({nd + ws.h, nd, w});
-      std::push_heap(heap_.begin(), heap_.end(), later);
-    }
-  }
-  if (!found) return Status::NotFound("target unreachable");
-
-  const double g_to = search_[to].g;
-  if (!(min_road_seconds_ > g_to * kMinRoadShare)) {
-    auto priced = [this](RoadId r) { return road_seconds_[r]; };
-    return RouteTo(
-        *net_,
-        SearchNodes(*net_, from, priced, SearchDirection::kForward, to), to);
-  }
-  // Rebuild FastestRoute's predecessors from `to` backwards. Every road
-  // costs more than the rounding of g here, so a candidate u has
-  // g(u) < g(w) <= g(to): FastestRoute settled it, in (g, node) order,
-  // before `to`, and this search settled it too.
-  route.travel_seconds = g_to;
+  // Rebuild FastestRoute's predecessors from `to` backwards into the via
+  // roads RouteTo reads. Every road costs more than the rounding of g here,
+  // so a candidate u has g(u) < g(w) <= g(to): FastestRoute settled it, in
+  // (g, node) order, before `to`, and this search settled it too.
   for (NodeId w = to; w != from;) {
-    const double g_w = search_[w].g;
+    const double g_w = search_.seconds(w);
     RoadId via = kInvalidRoad;
     NodeId via_node = kInvalidNode;
     double via_g = 0.0;
@@ -268,22 +194,20 @@ Result<RouteResult> RouteEtaCache::LandmarkRoute(NodeId from, NodeId to) {
     // parallel roads from one u the first met is the first in OutRoads(u).
     for (RoadId r : net_->InRoads(w)) {
       const NodeId u = net_->road(r).from;
-      const NodeState& us = search_[u];
-      if (us.settled != stamp || us.g + road_seconds_[r] != g_w) continue;
-      if (via == kInvalidRoad || us.g < via_g ||
-          (us.g == via_g && u < via_node)) {
+      const double g_u = search_.seconds(u);
+      if (!search_.settled(u) || g_u + road_seconds_[r] != g_w) continue;
+      if (via == kInvalidRoad || g_u < via_g ||
+          (g_u == via_g && u < via_node)) {
         via = r;
         via_node = u;
-        via_g = us.g;
+        via_g = g_u;
       }
     }
     TS_CHECK(via != kInvalidRoad) << "no settled predecessor of node " << w;
-    route.roads.push_back(via);
-    route.length_m += net_->road(via).length_m;
+    search_.nodes[w].via = via;
     w = via_node;
   }
-  std::reverse(route.roads.begin(), route.roads.end());
-  return route;
+  return RouteTo(*net_, search_, to);
 }
 
 Result<RouteEtaCache::EtaResult> RouteEtaCache::Eta(const SpeedSnapshot& snap,

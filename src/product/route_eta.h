@@ -24,30 +24,33 @@
 // the snapshot's speeds or the profile blend, and finds the smallest finite
 // road cost and ρ = max over roads of pricing speed ÷ free-flow speed, ≥ 1.
 //
-// Misses: landmark A* (ALT). At Create, 4 landmarks are picked
-// farthest-first on free-flow seconds, and the free-flow seconds from and
-// to each landmark are stored node-major (4 × 2 × num_nodes × 8 B, 0.64 MB
-// for a 10,000-node city; 9 runs of the shared node search, forward and in
-// reverse, build them). Every query bounds with all 4 (picking 4 of 16 per
-// query was slower: EXPERIMENTS.md M11, M16). No road is faster than ρ
-// times its free-flow speed in any servable field, so
+// Misses: landmark A* (ALT), which is the shared node search
+// (roadnet/shortest_path.h) with a landmark potential, on the cache's one
+// reusable scratch. At Create, 4 landmarks are picked farthest-first on
+// free-flow seconds, and the free-flow seconds from and to each landmark
+// are stored node-major (4 × 2 × num_nodes × 8 B, 0.64 MB for a
+// 10,000-node city; 9 zero-potential runs of the search on that scratch,
+// forward and in reverse, build them). Every query bounds with all 4
+// (picking 4 of 16 per query was slower: EXPERIMENTS.md M11, M16). No road
+// is faster than ρ times its free-flow speed in any servable field, so
 //   h(u) = max(0, landmark bound − slack) ÷ ρ × (1 − 1e-9)
 // never overestimates, and no snapshot needs per-version landmark work. The
 // slack bounds the rounding in the stored landmark seconds; the 1e-9
 // margin covers the rest.
 //
-// Tie rule. The shared search (roadnet/shortest_path.h) settles nodes in
-// (g, node) order and keeps the first road that strictly improved a node:
-// of parallel roads, the first in OutRoads(u). The A* settles a different
-// set, so it rebuilds the route from `to` backwards, taking at each node w
-// the settled in-neighbour u with g(u) + cost == g(w) and the smallest
-// (g(u), u, position in OutRoads(u)). Both add the same priced seconds in
-// the same order against the same kNotReached sentinel, so the result is
-// bitwise FastestRoute's. That settle order, and the margin above, hold
+// Tie rule. The search settles nodes in (g + h, g, node) order and keeps
+// the first road that strictly improved a node. With h ≡ 0 that is
+// FastestRoute's search: (g, node) order and, of parallel roads, the first
+// in OutRoads(u). The landmark h settles a different set, so a miss
+// rebuilds the route from `to` backwards, taking at each node w the settled
+// in-neighbour u with g(u) + cost == g(w) and the smallest (g(u), u,
+// position in OutRoads(u)); among equal g + h the smaller g settles first,
+// so every such u is settled before `to`. Both add the same priced seconds
+// in the same order, so the result is bitwise FastestRoute's. That holds
 // while no road cost is lost in the rounding of a g value; when the
 // smallest road cost is at most 1e-6 × the found travel time (zero-length
-// roads, +inf speeds), the query falls back to the shared search on the
-// priced seconds.
+// roads, +inf speeds), the miss re-runs the search on the same scratch
+// with h ≡ 0.
 
 #ifndef TRENDSPEED_PRODUCT_ROUTE_ETA_H_
 #define TRENDSPEED_PRODUCT_ROUTE_ETA_H_
@@ -62,6 +65,7 @@
 #include "obs/metrics.h"
 #include "product/profile.h"
 #include "roadnet/road_network.h"
+#include "roadnet/shortest_path.h"
 #include "util/status.h"
 
 namespace trendspeed {
@@ -140,29 +144,14 @@ class RouteEtaCache {
   double rho_ = 1.0;                  ///< max pricing ÷ free-flow speed, ≥ 1
   double min_road_seconds_ = 0.0;     ///< smallest finite road cost
 
-  /// Landmark free-flow seconds, node-major: [node * num_landmarks_ + l].
-  size_t num_landmarks_ = 0;
+  /// Landmark free-flow seconds, node-major: [node * 4 + l].
   std::vector<double> from_landmark_;  ///< landmark l -> node
   std::vector<double> to_landmark_;    ///< node -> landmark l
   /// Upper bound on the rounding error of one landmark bound (seconds).
   double landmark_slack_ = 0.0;
 
-  /// Per-query search state, valid for a node when its stamp equals
-  /// query_stamp_ (no O(num_nodes) reset per query).
-  struct NodeState {
-    double g = 0.0;
-    double h = 0.0;
-    uint32_t reached = 0;
-    uint32_t settled = 0;
-  };
-  struct HeapEntry {
-    double f;
-    double g;
-    NodeId node;
-  };
-  std::vector<NodeState> search_;
-  std::vector<HeapEntry> heap_;
-  uint32_t query_stamp_ = 0;
+  /// The landmark build's and every miss's node search.
+  SearchScratch search_;
 
   std::unordered_map<uint64_t, EtaResult> entries_;
   Stats stats_;

@@ -66,13 +66,13 @@ std::vector<RoadHop> RoadsWithinHops(const RoadNetwork& net, RoadId source,
 }
 
 Result<std::vector<RoadId>> PathTo(const RoadNetwork& net,
-                                   const NodeSearch& search, NodeId to) {
-  if (search.seconds[to] >= kNotReached) {
+                                   const SearchScratch& search, NodeId to) {
+  if (search.seconds(to) >= kNotReached) {
     return Status::NotFound("target unreachable");
   }
   std::vector<RoadId> path;
-  for (RoadId r = search.via[to]; r != kInvalidRoad;
-       r = search.via[net.road(r).from]) {
+  for (RoadId r = search.via(to); r != kInvalidRoad;
+       r = search.via(net.road(r).from)) {
     path.push_back(r);
   }
   std::reverse(path.begin(), path.end());
@@ -80,13 +80,13 @@ Result<std::vector<RoadId>> PathTo(const RoadNetwork& net,
 }
 
 Result<std::vector<RoadId>> FastestPath(const RoadNetwork& net, NodeId from,
-                                        NodeId to) {
+                                        NodeId to, SearchScratch* scratch) {
   if (from >= net.num_nodes() || to >= net.num_nodes()) {
     return Status::InvalidArgument("FastestPath: node out of range");
   }
   auto seconds = [&net](RoadId r) { return net.FreeFlowSeconds(r); };
-  return PathTo(
-      net, SearchNodes(net, from, seconds, SearchDirection::kForward, to), to);
+  SearchNodes(net, from, seconds, SearchDirection::kForward, to, scratch);
+  return PathTo(net, *scratch, to);
 }
 
 bool IsRoadGraphConnected(const RoadNetwork& net) {

@@ -215,7 +215,8 @@ TEST(ShortestPathTest, RoadsWithinHopsSortedAndBounded) {
 
 TEST(FastestPathTest, FindsDirectPath) {
   RoadNetwork net = PathNetwork();
-  auto path = FastestPath(net, 0, 2);
+  SearchScratch scratch;
+  auto path = FastestPath(net, 0, 2, &scratch);
   ASSERT_TRUE(path.ok());
   ASSERT_EQ(path->size(), 2u);
   EXPECT_EQ(net.road((*path)[0]).from, 0u);
@@ -233,7 +234,8 @@ TEST(FastestPathTest, PrefersFasterRoute) {
   b.AddRoad(via, c, RoadClass::kHighway, 100.0);
   auto net = b.Finish();
   ASSERT_TRUE(net.ok());
-  auto path = FastestPath(*net, a, c);
+  SearchScratch scratch;
+  auto path = FastestPath(*net, a, c, &scratch);
   ASSERT_TRUE(path.ok());
   EXPECT_EQ(path->size(), 2u);
   EXPECT_TRUE(std::find(path->begin(), path->end(), slow) == path->end());
@@ -249,13 +251,16 @@ TEST(FastestPathTest, UnreachableIsNotFound) {
   b.AddTwoWay(d, e, RoadClass::kLocal, 40.0);
   auto net = b.Finish();
   ASSERT_TRUE(net.ok());
-  EXPECT_EQ(FastestPath(*net, a, e).status().code(), StatusCode::kNotFound);
+  SearchScratch scratch;
+  EXPECT_EQ(FastestPath(*net, a, e, &scratch).status().code(),
+            StatusCode::kNotFound);
   EXPECT_FALSE(IsRoadGraphConnected(*net));
 }
 
 TEST(FastestPathTest, RejectsOutOfRangeNodes) {
   RoadNetwork net = PathNetwork();
-  EXPECT_EQ(FastestPath(net, 0, 99).status().code(),
+  SearchScratch scratch;
+  EXPECT_EQ(FastestPath(net, 0, 99, &scratch).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -263,7 +264,9 @@ RoadNetwork TwoDisconnectedRings() {
 
 constexpr uint64_t kRoutingAnswersHash = 0xc141ef6e4f3059b3ull;
 
-TEST(RoutingBitsTest, AnswersHashToPinnedBits) {
+/// The ring-radial city, a 12×12 grid with 20% dropout and two
+/// disconnected rings.
+std::vector<RoadNetwork> RoutingBitsNetworks() {
   GridNetworkOptions dropout_grid;
   dropout_grid.rows = 12;
   dropout_grid.cols = 12;
@@ -272,6 +275,11 @@ TEST(RoutingBitsTest, AnswersHashToPinnedBits) {
   nets.push_back(MakeRingRadialNetwork(RingRadialOptions{}).value());
   nets.push_back(MakeGridNetwork(dropout_grid).value());
   nets.push_back(TwoDisconnectedRings());
+  return nets;
+}
+
+TEST(RoutingBitsTest, AnswersHashToPinnedBits) {
+  const std::vector<RoadNetwork> nets = RoutingBitsNetworks();
   const double kInf = std::numeric_limits<double>::infinity();
   const double specials[] = {0.0, -12.5, kInf, std::nan("")};
 
@@ -309,10 +317,11 @@ TEST(RoutingBitsTest, AnswersHashToPinnedBits) {
         if (ratio.ok()) HashDouble(&h, *ratio);
       }
     }
+    SearchScratch scratch;
     for (int q = 0; q < 50; ++q) {
       const NodeId from = random_node(net);
       const NodeId to = random_node(net);
-      auto path = FastestPath(net, from, to);
+      auto path = FastestPath(net, from, to, &scratch);
       HashWord(&h, static_cast<uint64_t>(path.status().code()));
       if (path.ok()) HashRoads(&h, *path);
     }
@@ -321,6 +330,79 @@ TEST(RoutingBitsTest, AnswersHashToPinnedBits) {
   EXPECT_GT(not_found, 0u);
   EXPECT_EQ(h, kRoutingAnswersHash)
       << std::hex << "0x" << h << ": a routing answer changed its bits.";
+}
+
+// One scratch serves every search: interleaved forward and reverse,
+// targeted and untargeted, zero-potential and straight-line-potential
+// searches on it answer bit for bit as a fresh scratch per search does,
+// across a wrap of the scratch's stamp.
+TEST(SearchNodesTest, ReusedScratchMatchesFreshScratch) {
+  Rng rng(36);
+  SearchScratch reused;
+  size_t routes = 0;
+  for (const RoadNetwork& net : RoutingBitsNetworks()) {
+    // Priced on free-flow speeds with one road in ten impassable.
+    std::vector<double> speeds = FreeFlow(net);
+    for (double& v : speeds) {
+      if (rng.NextBounded(10) == 0) v = 0.0;
+    }
+    auto cost = [&](RoadId r) {
+      return RoadSeconds(net.road(r).length_m, speeds[r]);
+    };
+    double fastest_mps = 0.0;
+    for (const Road& road : net.roads()) {
+      fastest_mps = std::max(fastest_mps, road.free_flow_kmh / 3.6);
+    }
+    auto random_node = [&] {
+      return static_cast<NodeId>(rng.NextIndex(net.num_nodes()));
+    };
+    for (int q = 0; q < 96; ++q) {
+      // The first search is untargeted and, on a fresh scratch, runs at
+      // stamp 1. The wrap puts the targeted one after it at stamp 1 again,
+      // so it must clear every mark the first one left.
+      if (q == 1) reused.stamp = UINT32_MAX;
+      const NodeId source = random_node();
+      const auto direction =
+          q % 2 == 0 ? SearchDirection::kForward : SearchDirection::kReverse;
+      const NodeId aim = random_node();
+      const NodeId target = q % 4 == 1 || q % 4 == 2 ? aim : kInvalidNode;
+      // Straight-line metres to `aim` at the fastest free-flow speed.
+      auto straight_line = [&](NodeId u) {
+        return std::hypot(net.node(u).x - net.node(aim).x,
+                          net.node(u).y - net.node(aim).y) /
+               fastest_mps;
+      };
+      SearchScratch fresh;
+      for (SearchScratch* scratch : {&fresh, &reused}) {
+        if (q / 4 % 2 == 0) {
+          SearchNodes(net, source, cost, direction, target, scratch);
+        } else {
+          SearchNodes(net, source, cost, direction, target, scratch,
+                      straight_line);
+        }
+      }
+      for (NodeId u = 0; u < net.num_nodes(); ++u) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(reused.seconds(u)),
+                  std::bit_cast<uint64_t>(fresh.seconds(u)))
+            << "query " << q << " node " << u;
+        ASSERT_EQ(reused.via(u), fresh.via(u)) << "query " << q;
+        ASSERT_EQ(reused.settled(u), fresh.settled(u)) << "query " << q;
+      }
+      if (direction == SearchDirection::kReverse) continue;
+      auto fresh_route = RouteTo(net, fresh, aim);
+      auto reused_route = RouteTo(net, reused, aim);
+      ASSERT_EQ(reused_route.status().code(), fresh_route.status().code());
+      if (!fresh_route.ok()) continue;
+      ++routes;
+      EXPECT_EQ(reused_route->roads, fresh_route->roads);
+      EXPECT_EQ(std::bit_cast<uint64_t>(reused_route->travel_seconds),
+                std::bit_cast<uint64_t>(fresh_route->travel_seconds));
+      EXPECT_EQ(std::bit_cast<uint64_t>(reused_route->length_m),
+                std::bit_cast<uint64_t>(fresh_route->length_m));
+    }
+  }
+  EXPECT_GT(routes, 0u);
+  EXPECT_LT(reused.stamp, 1000u);  // it wrapped
 }
 
 }  // namespace
