@@ -1,11 +1,13 @@
 // Experiment M1 — google-benchmark microbenchmarks of the hot kernels:
 // one BP sweep, one Gibbs sweep, greedy marginal-gain evaluation, full
-// propagation pass, map-matching a fix, and a simulator step.
+// propagation pass, map-matching a fix, a simulator step, and routing a
+// probe fleet's trips.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "probe/map_matching.h"
+#include "probe/trips.h"
 #include "roadnet/generators.h"
 #include "seed/greedy.h"
 #include "seed/lazy_greedy.h"
@@ -132,6 +134,30 @@ void BM_MapMatchFix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MapMatchFix);
+
+// 40,000 seeded TripGenerator::Next calls on the CityA network: about the
+// trips one probe-fleet history routes (14 days × 144 slots × 20 trips).
+void BM_ProbeTripRouting(benchmark::State& state) {
+  RingRadialOptions ring;  // BuildCityA's network
+  ring.num_rings = 6;
+  ring.num_spokes = 16;
+  ring.highway_rings = 2;
+  ring.seed = DatasetOptions{}.seed;
+  auto net = MakeRingRadialNetwork(ring);
+  TS_CHECK(net.ok());
+  constexpr int kTrips = 40000;
+  for (auto _ : state) {
+    TripGenerator trips(&*net, TripGeneratorOptions{});
+    size_t roads = 0;
+    for (int t = 0; t < kTrips; ++t) {
+      auto plan = trips.Next();
+      if (plan.ok()) roads += plan->roads.size();
+    }
+    benchmark::DoNotOptimize(roads);
+  }
+  state.SetItemsProcessed(state.iterations() * kTrips);
+}
+BENCHMARK(BM_ProbeTripRouting)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace trendspeed
